@@ -36,9 +36,22 @@ var aesSbox, aesInvSbox = func() (s [256]byte, inv [256]byte) {
 	return
 }()
 
+// aesRcon holds the key-schedule round constants x^(i) in GF(2^8), derived
+// at init like the S-box so key expansion never runs gmul.
+var aesRcon = func() (r [10]byte) {
+	x := byte(1)
+	for i := range r {
+		r[i] = x
+		x = gmul(x, 2)
+	}
+	return
+}()
+
 func rotl8(b byte, n uint) byte { return b<<n | b>>(8-n) }
 
 // gmul multiplies two elements of GF(2^8) with the AES polynomial 0x11b.
+// It branches on its operands, so it only derives the init-time tables;
+// the round functions use xtime.
 func gmul(a, b byte) byte {
 	var p byte
 	for i := 0; i < 8; i++ {
@@ -57,13 +70,28 @@ func gmul(a, b byte) byte {
 
 // AES is an AES-128/192/256 block cipher (FIPS 197). Only the block
 // operation is exposed; modes (CTR, CBC-MAC style use) are built on top.
+//
+// The key schedule is held by value, so an AES embedded in a longer-lived
+// struct (the TPM's envelope scratch) keys and rekeys without touching the
+// heap; Zero wipes it.
 type AES struct {
-	enc [][4]uint32 // round keys as columns
+	enc [15][4]uint32 // round keys as columns; rounds 0..nr are used
 	nr  int
 }
 
 // NewAES creates an AES cipher for a 16-, 24-, or 32-byte key.
 func NewAES(key []byte) (*AES, error) {
+	a := &AES{}
+	if err := a.SetKey(key); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// SetKey expands a 16-, 24-, or 32-byte key into the receiver's schedule.
+// Rounds a shorter key leaves unused are cleared, so rekeying never keeps
+// a tail of the previous schedule.
+func (a *AES) SetKey(key []byte) error {
 	var nk, nr int
 	switch len(key) {
 	case 16:
@@ -73,34 +101,29 @@ func NewAES(key []byte) (*AES, error) {
 	case 32:
 		nk, nr = 8, 14
 	default:
-		return nil, fmt.Errorf("palcrypto: invalid AES key size %d", len(key))
+		return fmt.Errorf("palcrypto: invalid AES key size %d", len(key))
 	}
-	// Key expansion over words.
+	*a = AES{nr: nr}
+	// Key expansion over words, written straight into the round-key
+	// columns: word i is column i%4 of round i/4.
 	nw := 4 * (nr + 1)
-	w := make([]uint32, nw)
 	for i := 0; i < nk; i++ {
-		w[i] = binary.BigEndian.Uint32(key[4*i:])
+		a.enc[i/4][i%4] = binary.BigEndian.Uint32(key[4*i:])
 	}
-	rcon := uint32(1)
 	for i := nk; i < nw; i++ {
-		t := w[i-1]
+		t := a.enc[(i-1)/4][(i-1)%4]
 		if i%nk == 0 {
-			t = subWord(t<<8|t>>24) ^ rcon<<24
-			rcon = uint32(gmul(byte(rcon), 2))
+			t = subWord(t<<8|t>>24) ^ uint32(aesRcon[i/nk-1])<<24
 		} else if nk > 6 && i%nk == 4 {
 			t = subWord(t)
 		}
-		w[i] = w[i-nk] ^ t
+		a.enc[i/4][i%4] = a.enc[(i-nk)/4][(i-nk)%4] ^ t
 	}
-	a := &AES{nr: nr}
-	a.enc = make([][4]uint32, nr+1)
-	for r := 0; r <= nr; r++ {
-		for c := 0; c < 4; c++ {
-			a.enc[r][c] = w[4*r+c]
-		}
-	}
-	return a, nil
+	return nil
 }
+
+// Zero wipes the key schedule.
+func (a *AES) Zero() { *a = AES{} }
 
 func subWord(x uint32) uint32 {
 	return uint32(aesSbox[x>>24])<<24 | uint32(aesSbox[x>>16&0xff])<<16 |
@@ -176,51 +199,53 @@ func invSubBytes(s *aesState) {
 }
 
 // shiftRows operates on the column-major layout: byte (row r, col c) is at
-// index 4*c+r.
+// index 4*c+r, and row r rotates left by r columns.
 func shiftRows(s *aesState) {
-	for r := 1; r < 4; r++ {
-		var row [4]byte
-		for c := 0; c < 4; c++ {
-			row[c] = s[4*((c+r)%4)+r]
-		}
-		for c := 0; c < 4; c++ {
-			s[4*c+r] = row[c]
-		}
-	}
+	s[1], s[5], s[9], s[13] = s[5], s[9], s[13], s[1]
+	s[2], s[6], s[10], s[14] = s[10], s[14], s[2], s[6]
+	s[3], s[7], s[11], s[15] = s[15], s[3], s[7], s[11]
 }
 
 func invShiftRows(s *aesState) {
-	for r := 1; r < 4; r++ {
-		var row [4]byte
-		for c := 0; c < 4; c++ {
-			row[c] = s[4*((c-r+4)%4)+r]
-		}
-		for c := 0; c < 4; c++ {
-			s[4*c+r] = row[c]
-		}
-	}
+	s[1], s[5], s[9], s[13] = s[13], s[1], s[5], s[9]
+	s[2], s[6], s[10], s[14] = s[10], s[14], s[2], s[6]
+	s[3], s[7], s[11], s[15] = s[7], s[11], s[15], s[3]
 }
 
+// xtime multiplies by x in GF(2^8) without branching: the reduction by
+// 0x1b is masked in from the high bit, so the round functions take the
+// same path whatever the state holds.
+func xtime(b byte) byte { return b<<1 ^ 0x1b&-(b>>7) }
+
+// mixColumns multiplies each column by {03}x^3+{01}x^2+{01}x+{02}, written
+// as a ^ t ^ xtime(a ^ next) with t the XOR of the whole column.
 func mixColumns(s *aesState) {
 	for c := 0; c < 4; c++ {
 		col := s[4*c : 4*c+4]
 		a0, a1, a2, a3 := col[0], col[1], col[2], col[3]
-		col[0] = gmul(a0, 2) ^ gmul(a1, 3) ^ a2 ^ a3
-		col[1] = a0 ^ gmul(a1, 2) ^ gmul(a2, 3) ^ a3
-		col[2] = a0 ^ a1 ^ gmul(a2, 2) ^ gmul(a3, 3)
-		col[3] = gmul(a0, 3) ^ a1 ^ a2 ^ gmul(a3, 2)
+		t := a0 ^ a1 ^ a2 ^ a3
+		col[0] = a0 ^ t ^ xtime(a0^a1)
+		col[1] = a1 ^ t ^ xtime(a1^a2)
+		col[2] = a2 ^ t ^ xtime(a2^a3)
+		col[3] = a3 ^ t ^ xtime(a3^a0)
 	}
 }
 
+// invMixColumns uses the decomposition of the inverse matrix into
+// ({04}x^2+{05}) followed by MixColumns (The Design of Rijndael, §4.1.3):
+// the pre-step adds {04}·(a0^a2) to the even rows and {04}·(a1^a3) to the
+// odd ones, so the inverse is as branch-free as the forward transform.
 func invMixColumns(s *aesState) {
 	for c := 0; c < 4; c++ {
 		col := s[4*c : 4*c+4]
-		a0, a1, a2, a3 := col[0], col[1], col[2], col[3]
-		col[0] = gmul(a0, 14) ^ gmul(a1, 11) ^ gmul(a2, 13) ^ gmul(a3, 9)
-		col[1] = gmul(a0, 9) ^ gmul(a1, 14) ^ gmul(a2, 11) ^ gmul(a3, 13)
-		col[2] = gmul(a0, 13) ^ gmul(a1, 9) ^ gmul(a2, 14) ^ gmul(a3, 11)
-		col[3] = gmul(a0, 11) ^ gmul(a1, 13) ^ gmul(a2, 9) ^ gmul(a3, 14)
+		u := xtime(xtime(col[0] ^ col[2]))
+		v := xtime(xtime(col[1] ^ col[3]))
+		col[0] ^= u
+		col[1] ^= v
+		col[2] ^= u
+		col[3] ^= v
 	}
+	mixColumns(s)
 }
 
 // CTRKeystream XORs data with the AES-CTR keystream for the given 16-byte

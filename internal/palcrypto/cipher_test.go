@@ -96,6 +96,66 @@ func TestAES256MatchesStdlib(t *testing.T) {
 	}
 }
 
+// Property: AES-192 agrees with crypto/aes in both directions, so the
+// 6-word key schedule and the xtime inverse cipher are cross-checked too.
+func TestAES192MatchesStdlib(t *testing.T) {
+	f := func(key [24]byte, block [16]byte) bool {
+		ours, err := NewAES(key[:])
+		if err != nil {
+			return false
+		}
+		std, err := aes.NewCipher(key[:])
+		if err != nil {
+			return false
+		}
+		a, b := make([]byte, 16), make([]byte, 16)
+		ours.Encrypt(a, block[:])
+		std.Encrypt(b, block[:])
+		if !bytes.Equal(a, b) {
+			return false
+		}
+		ours.Decrypt(a, block[:])
+		std.Decrypt(b, block[:])
+		return bytes.Equal(a, b)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAESSetKeyRekeysInPlace pins the value-schedule contract the TPM's
+// envelope scratch relies on: rekeying a used AES (including to a shorter
+// key) and zeroing it leave no trace of the previous schedule.
+func TestAESSetKeyRekeysInPlace(t *testing.T) {
+	var a AES
+	if err := a.SetKey(bytes.Repeat([]byte{0xEE}, 32)); err != nil {
+		t.Fatal(err)
+	}
+	key := mustHex(t, "000102030405060708090a0b0c0d0e0f")
+	if err := a.SetKey(key); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 16)
+	a.Encrypt(got, mustHex(t, "00112233445566778899aabbccddeeff"))
+	if hex.EncodeToString(got) != "69c4e0d86a7b0430d8cdb78070b4c55a" {
+		t.Fatalf("rekeyed encrypt = %x", got)
+	}
+	var fresh AES
+	if err := fresh.SetKey(key); err != nil {
+		t.Fatal(err)
+	}
+	if a != fresh {
+		t.Fatal("rekeying kept rounds of the previous 256-bit schedule")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = a.SetKey(key) }); allocs != 0 {
+		t.Errorf("SetKey allocates %.0f times, want 0", allocs)
+	}
+	a.Zero()
+	if a != (AES{}) {
+		t.Fatal("Zero left key schedule state behind")
+	}
+}
+
 // Property: CTR keystream is an involution (encrypting twice restores).
 func TestAESCTRInvolution(t *testing.T) {
 	f := func(key [16]byte, iv [16]byte, data []byte) bool {

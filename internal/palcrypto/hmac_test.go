@@ -45,29 +45,14 @@ func TestHMACMatchesStdlib(t *testing.T) {
 	}
 }
 
-func TestHMACResetReuse(t *testing.T) {
-	m := NewHMAC(func() Hash { return NewSHA1() }, []byte("key"))
-	m.Write([]byte("one"))
-	first := m.Sum(nil)
-	m.Reset()
-	m.Write([]byte("one"))
-	second := m.Sum(nil)
-	if !bytes.Equal(first, second) {
-		t.Fatal("Reset did not restore keyed state")
-	}
-	want := HMACSHA1([]byte("key"), []byte("one"))
-	if !bytes.Equal(first, want[:]) {
-		t.Fatal("streaming HMAC differs from one-shot")
-	}
-}
-
-func TestHMACOverSHA512(t *testing.T) {
-	// RFC 4231 test case 2 for HMAC-SHA-512.
-	m := NewHMAC(func() Hash { return NewSHA512() }, []byte("Jefe"))
-	m.Write([]byte("what do ya want for nothing?"))
-	want := "164b7a7bfcf819e2e395fbe73b56e0a387bd64222e831fd610270cd7ea2505549758bf75c05a994a6d034f65f8f0e6fdcaeab1a34d4a6b4b636e070a38bce737"
-	if got := hex.EncodeToString(m.Sum(nil)); got != want {
-		t.Fatalf("HMAC-SHA512 = %s, want %s", got, want)
+// TestHMACSHA1NoAllocs pins the one-shot MAC to the stack, for short keys
+// and for keys longer than a block (which are hashed first).
+func TestHMACSHA1NoAllocs(t *testing.T) {
+	msg := []byte("ordinal || params digest || nonces")
+	for _, key := range [][]byte{bytes.Repeat([]byte{0x0b}, 20), bytes.Repeat([]byte{0xaa}, 80)} {
+		if n := testing.AllocsPerRun(100, func() { HMACSHA1(key, msg) }); n != 0 {
+			t.Errorf("HMACSHA1 with a %d-byte key allocates %.0f times, want 0", len(key), n)
+		}
 	}
 }
 

@@ -34,15 +34,17 @@ func (k *RSAPublicKey) Size() int { return (k.N.BitLen() + 7) / 8 }
 // (n, e) is released anyway and stays intact.
 func (k *RSAPrivateKey) Zero() {
 	for _, x := range []*big.Int{k.D, k.P, k.Q, k.Dp, k.Dq, k.Qinv} {
-		if x == nil {
-			continue
+		if x != nil {
+			wipeInt(x)
 		}
-		limbs := x.Bits()
-		for i := range limbs {
-			limbs[i] = 0
-		}
-		x.SetInt64(0)
 	}
+}
+
+// wipeInt overwrites x's limbs and resets it to zero. The PKCS#1 paths use
+// it on the big.Ints that held a padded plaintext block.
+func wipeInt(x *big.Int) {
+	clear(x.Bits())
+	x.SetInt64(0)
 }
 
 var bigOne = big.NewInt(1)
@@ -129,17 +131,21 @@ func genPrime(rand io.Reader, bits int) (*big.Int, error) {
 	}
 }
 
-// modPowCRT computes c^d mod n using the CRT parameters.
-func (k *RSAPrivateKey) modPowCRT(c *big.Int) *big.Int {
-	m1 := new(big.Int).Exp(c, k.Dp, k.P)
-	m2 := new(big.Int).Exp(c, k.Dq, k.Q)
-	h := new(big.Int).Sub(m1, m2)
-	h.Mod(h, k.P)
-	h.Mul(h, k.Qinv)
-	h.Mod(h, k.P)
-	h.Mul(h, k.Q)
-	h.Add(h, m2)
-	return h
+// modPowCRT sets z = c^d mod n using the CRT parameters and returns z. The
+// half-size intermediates are wiped: they hold the plaintext mod p and q.
+func (k *RSAPrivateKey) modPowCRT(z, c *big.Int) *big.Int {
+	var m1, m2 big.Int
+	m1.Exp(c, k.Dp, k.P)
+	m2.Exp(c, k.Dq, k.Q)
+	z.Sub(&m1, &m2)
+	z.Mod(z, k.P)
+	z.Mul(z, k.Qinv)
+	z.Mod(z, k.P)
+	z.Mul(z, k.Q)
+	z.Add(z, &m2)
+	wipeInt(&m1)
+	wipeInt(&m2)
+	return z
 }
 
 // ErrRSADecryption is returned for any malformed or mis-keyed ciphertext.
@@ -153,45 +159,82 @@ var ErrRSAVerification = errors.New("palcrypto: RSA verification error")
 // The paper uses PKCS1 encryption for the password sent to the SSH PAL,
 // citing its chosen-ciphertext security and nonmalleability [15].
 func EncryptPKCS1(rand io.Reader, pub *RSAPublicKey, msg []byte) ([]byte, error) {
+	out := make([]byte, pub.Size())
+	if err := EncryptPKCS1To(out, rand, pub, msg); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// EncryptPKCS1To is EncryptPKCS1 into a caller buffer of exactly
+// pub.Size() bytes. The padded block is built in dst and replaced there by
+// the ciphertext, so the TPM's seal path writes the encrypted seed straight
+// into its response body.
+func EncryptPKCS1To(dst []byte, rand io.Reader, pub *RSAPublicKey, msg []byte) error {
 	k := pub.Size()
 	if len(msg) > k-11 {
-		return nil, fmt.Errorf("palcrypto: message too long for RSA-%d PKCS1", pub.N.BitLen())
+		return fmt.Errorf("palcrypto: message too long for RSA-%d PKCS1", pub.N.BitLen())
 	}
-	em := make([]byte, k)
-	em[0] = 0
-	em[1] = 2
-	ps := em[2 : k-len(msg)-1]
-	// Nonzero random padding bytes.
-	for i := range ps {
-		var b [1]byte
-		for {
-			if _, err := io.ReadFull(rand, b[:]); err != nil {
-				return nil, err
-			}
-			if b[0] != 0 {
-				break
+	if len(dst) != k {
+		return fmt.Errorf("palcrypto: PKCS1 output buffer is %d bytes, want %d", len(dst), k)
+	}
+	dst[0] = 0
+	dst[1] = 2
+	if err := nonzeroRandom(rand, dst[2:k-len(msg)-1]); err != nil {
+		return err
+	}
+	dst[k-len(msg)-1] = 0
+	copy(dst[k-len(msg):], msg)
+	var m, e, c big.Int
+	m.SetBytes(dst)
+	e.SetInt64(int64(pub.E))
+	c.Exp(&m, &e, pub.N)
+	wipeInt(&m)
+	c.FillBytes(dst)
+	return nil
+}
+
+// nonzeroRandom fills p with nonzero random bytes: the stream's nonzero
+// bytes, in order. It reads in bulk and compacts, so it consumes exactly
+// the bytes a one-byte-at-a-time rejection loop would.
+func nonzeroRandom(rand io.Reader, p []byte) error {
+	for len(p) > 0 {
+		if _, err := io.ReadFull(rand, p); err != nil {
+			return err
+		}
+		n := 0
+		for _, b := range p {
+			if b != 0 {
+				p[n] = b
+				n++
 			}
 		}
-		ps[i] = b[0]
+		p = p[n:]
 	}
-	em[k-len(msg)-1] = 0
-	copy(em[k-len(msg):], msg)
-	m := new(big.Int).SetBytes(em)
-	c := new(big.Int).Exp(m, big.NewInt(int64(pub.E)), pub.N)
-	return leftPad(c.Bytes(), k), nil
+	return nil
 }
 
 // DecryptPKCS1 decrypts a PKCS#1 v1.5 ciphertext.
 func DecryptPKCS1(priv *RSAPrivateKey, ciphertext []byte) ([]byte, error) {
+	return DecryptPKCS1To(make([]byte, priv.Size()), priv, ciphertext)
+}
+
+// DecryptPKCS1To is DecryptPKCS1 through a caller scratch buffer of at
+// least priv.Size() bytes: the decrypted block is written there and the
+// message returned is a subslice of it. The caller owns scrubbing em.
+func DecryptPKCS1To(em []byte, priv *RSAPrivateKey, ciphertext []byte) ([]byte, error) {
 	k := priv.Size()
-	if len(ciphertext) != k {
+	if len(ciphertext) != k || len(em) < k {
 		return nil, ErrRSADecryption
 	}
-	c := new(big.Int).SetBytes(ciphertext)
+	em = em[:k]
+	var c, m big.Int
+	c.SetBytes(ciphertext)
 	if c.Cmp(priv.N) >= 0 {
 		return nil, ErrRSADecryption
 	}
-	em := leftPad(priv.modPowCRT(c).Bytes(), k)
+	priv.modPowCRT(&m, &c).FillBytes(em)
+	wipeInt(&m)
 	if em[0] != 0 || em[1] != 2 {
 		return nil, ErrRSADecryption
 	}
@@ -206,9 +249,7 @@ func DecryptPKCS1(priv *RSAPrivateKey, ciphertext []byte) ([]byte, error) {
 	if sep < 10 {
 		return nil, ErrRSADecryption
 	}
-	out := make([]byte, len(em)-sep-1)
-	copy(out, em[sep+1:])
-	return out, nil
+	return em[sep+1:], nil
 }
 
 // sha1DigestInfo is the DER prefix for a SHA-1 DigestInfo (RFC 3447 §9.2).
@@ -235,8 +276,7 @@ func SignPKCS1SHA1(priv *RSAPrivateKey, msg []byte) ([]byte, error) {
 	copy(em[k-tLen:], sha1DigestInfo)
 	copy(em[k-SHA1Size:], digest[:])
 	m := new(big.Int).SetBytes(em)
-	s := priv.modPowCRT(m)
-	return leftPad(s.Bytes(), k), nil
+	return priv.modPowCRT(m, m).FillBytes(em), nil
 }
 
 // VerifyPKCS1SHA1 verifies a PKCS#1 v1.5 SHA-1 signature over msg.
@@ -249,7 +289,7 @@ func VerifyPKCS1SHA1(pub *RSAPublicKey, msg, sig []byte) error {
 	if s.Cmp(pub.N) >= 0 {
 		return ErrRSAVerification
 	}
-	em := leftPad(new(big.Int).Exp(s, big.NewInt(int64(pub.E)), pub.N).Bytes(), k)
+	em := new(big.Int).Exp(s, big.NewInt(int64(pub.E)), pub.N).FillBytes(make([]byte, k))
 	digest := SHA1Sum(msg)
 	tLen := len(sha1DigestInfo) + SHA1Size
 	if em[0] != 0 || em[1] != 1 || em[k-tLen-1] != 0 {
@@ -265,16 +305,6 @@ func VerifyPKCS1SHA1(pub *RSAPublicKey, msg, sig []byte) error {
 		return ErrRSAVerification
 	}
 	return nil
-}
-
-// leftPad returns b left-padded with zeros to length k.
-func leftPad(b []byte, k int) []byte {
-	if len(b) > k {
-		panic("palcrypto: leftPad input longer than target")
-	}
-	out := make([]byte, k)
-	copy(out[k-len(b):], b)
-	return out
 }
 
 // MarshalPublicKey serializes a public key into a simple length-prefixed

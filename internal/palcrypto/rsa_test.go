@@ -94,6 +94,69 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNonzeroRandomMatchesByteLoop checks that the bulk padding draw keeps
+// exactly the bytes, and consumes exactly the stream, of the one-byte
+// rejection loop it replaced: sealed blobs stay bit-identical for a given
+// TPM seed only if the padding draw order does.
+func TestNonzeroRandomMatchesByteLoop(t *testing.T) {
+	// A stream with plenty of zeros, so the rejection path runs.
+	stream := make([]byte, 4096)
+	NewPRNG([]byte("pad")).Read(stream)
+	for i := range stream {
+		if stream[i]%3 == 0 {
+			stream[i] = 0
+		}
+	}
+	for _, n := range []int{0, 1, 8, 45, 245} {
+		want := make([]byte, 0, n)
+		used := 0
+		for len(want) < n {
+			if b := stream[used]; b != 0 {
+				want = append(want, b)
+			}
+			used++
+		}
+		r := bytes.NewReader(stream)
+		got := make([]byte, n)
+		if err := nonzeroRandom(r, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("n=%d: padding differs from the byte loop", n)
+		}
+		if consumed := len(stream) - r.Len(); consumed != used {
+			t.Errorf("n=%d: consumed %d stream bytes, byte loop consumes %d", n, consumed, used)
+		}
+	}
+}
+
+// TestPKCS1ToUsesCallerBuffers checks the buffer-taking forms: the
+// ciphertext lands in dst, the message is a subslice of em, and a wrong
+// output size is refused.
+func TestPKCS1ToUsesCallerBuffers(t *testing.T) {
+	key := testKey(t)
+	msg := []byte("seal seed 16 b!!")
+	ct := make([]byte, key.Size())
+	if err := EncryptPKCS1To(ct, NewPRNG([]byte("to")), &key.RSAPublicKey, msg); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := EncryptPKCS1(NewPRNG([]byte("to")), &key.RSAPublicKey, msg)
+	if !bytes.Equal(ct, want) {
+		t.Fatal("EncryptPKCS1To and EncryptPKCS1 differ for the same stream")
+	}
+	em := make([]byte, key.Size()+7)
+	pt, err := DecryptPKCS1To(em, key, ct)
+	if err != nil || !bytes.Equal(pt, msg) {
+		t.Fatalf("DecryptPKCS1To = %q, %v", pt, err)
+	}
+	if &pt[len(pt)-1] != &em[key.Size()-1] {
+		t.Error("DecryptPKCS1To did not return a subslice of the caller's buffer")
+	}
+	if err := EncryptPKCS1To(ct[1:], NewPRNG(nil), &key.RSAPublicKey, msg); err == nil {
+		t.Error("EncryptPKCS1To accepted a short output buffer")
+	}
+}
+
 func TestEncryptTooLong(t *testing.T) {
 	key := testKey(t)
 	msg := make([]byte, key.Size()-10)

@@ -1,6 +1,8 @@
 package tpm
 
 import (
+	"encoding/binary"
+
 	"flicker/internal/palcrypto"
 )
 
@@ -28,7 +30,7 @@ type session struct {
 // newNonce draws a fresh nonce from the TPM RNG.
 func (t *TPM) newNonce() Digest {
 	var n Digest
-	copy(n[:], t.rng.Bytes(DigestSize))
+	t.rng.Read(n[:])
 	return n
 }
 
@@ -36,7 +38,7 @@ func (t *TPM) newNonce() Digest {
 func (t *TPM) oiapLocked() (uint32, Digest) {
 	h := t.nextSession
 	t.nextSession++
-	s := &session{typ: sessionOIAP, nonceEven: t.newNonce()}
+	s := session{typ: sessionOIAP, nonceEven: t.newNonce()}
 	t.sessions[h] = s
 	return h, s.nonceEven
 }
@@ -50,19 +52,15 @@ func (t *TPM) osapLocked(entityType uint16, entityValue uint32, nonceOddOSAP Dig
 		return 0, Digest{}, Digest{}, rc
 	}
 	nonceEvenOSAP = t.newNonce()
-	var msg []byte
-	msg = append(msg, nonceEvenOSAP[:]...)
-	msg = append(msg, nonceOddOSAP[:]...)
-	shared := palcrypto.HMACSHA1(auth[:], msg)
 	h := t.nextSession
 	t.nextSession++
-	s := &session{
-		typ:         sessionOSAP,
-		nonceEven:   t.newNonce(),
-		entityType:  entityType,
-		entityValue: entityValue,
+	s := session{
+		typ:          sessionOSAP,
+		nonceEven:    t.newNonce(),
+		sharedSecret: osapSecret(auth, nonceEvenOSAP, nonceOddOSAP),
+		entityType:   entityType,
+		entityValue:  entityValue,
 	}
-	copy(s.sharedSecret[:], shared[:])
 	t.sessions[h] = s
 	return h, s.nonceEven, nonceEvenOSAP, RCSuccess
 }
@@ -114,58 +112,49 @@ func splitAuth1(body []byte) (params []byte, tr authTrailer, err error) {
 	return params, tr, nil
 }
 
-// appendAuth1 appends an auth trailer to a command body (client side).
-func appendAuth1(body []byte, tr authTrailer) []byte {
-	w := &buf{b: body}
-	w.u32(tr.handle)
-	w.raw(tr.nonceOdd[:])
-	if tr.cont {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-	w.raw(tr.auth[:])
-	return w.b
+// osapSecret derives an OSAP session's shared secret:
+// HMAC(entityAuth, nonceEvenOSAP || nonceOddOSAP).
+func osapSecret(auth, nonceEvenOSAP, nonceOddOSAP Digest) Digest {
+	var msg [2 * DigestSize]byte
+	copy(msg[:], nonceEvenOSAP[:])
+	copy(msg[DigestSize:], nonceOddOSAP[:])
+	return palcrypto.HMACSHA1(auth[:], msg[:])
 }
 
 // authMAC computes the command authorization HMAC per TPM 1.2 Part 1 §13:
 // HMAC(key, SHA1(ordinal || params) || nonceEven || nonceOdd || continue).
 func authMAC(key Digest, ordinal uint32, params []byte, nonceEven, nonceOdd Digest, cont bool) Digest {
-	w := &buf{}
-	w.u32(ordinal)
-	w.raw(params)
-	paramDigest := palcrypto.SHA1Sum(w.b)
-	m := &buf{}
-	m.raw(paramDigest[:])
-	m.raw(nonceEven[:])
-	m.raw(nonceOdd[:])
-	if cont {
-		m.u8(1)
-	} else {
-		m.u8(0)
-	}
-	return palcrypto.HMACSHA1(key[:], m.b)
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], ordinal)
+	return authHMAC(key, hdr[:], params, nonceEven, nonceOdd, cont)
 }
 
 // responseMAC computes the response authorization HMAC:
 // HMAC(key, SHA1(returnCode || ordinal || outParams) || nonceEven' ||
 // nonceOdd || continue).
 func responseMAC(key Digest, rc, ordinal uint32, outParams []byte, nonceEven, nonceOdd Digest, cont bool) Digest {
-	w := &buf{}
-	w.u32(rc)
-	w.u32(ordinal)
-	w.raw(outParams)
-	paramDigest := palcrypto.SHA1Sum(w.b)
-	m := &buf{}
-	m.raw(paramDigest[:])
-	m.raw(nonceEven[:])
-	m.raw(nonceOdd[:])
+	var hdr [8]byte
+	binary.BigEndian.PutUint32(hdr[:], rc)
+	binary.BigEndian.PutUint32(hdr[4:], ordinal)
+	return authHMAC(key, hdr[:], outParams, nonceEven, nonceOdd, cont)
+}
+
+// authHMAC computes HMAC(key, SHA1(hdr || params) || nonceEven || nonceOdd
+// || continue), streaming the parameters into a stack SHA-1 and MACing a
+// stack array.
+func authHMAC(key Digest, hdr, params []byte, nonceEven, nonceOdd Digest, cont bool) Digest {
+	var h palcrypto.SHA1
+	h.Reset()
+	h.Write(hdr)
+	h.Write(params)
+	var m [3*DigestSize + 1]byte
+	h.SumInto((*[DigestSize]byte)(m[:DigestSize]))
+	copy(m[DigestSize:], nonceEven[:])
+	copy(m[2*DigestSize:], nonceOdd[:])
 	if cont {
-		m.u8(1)
-	} else {
-		m.u8(0)
+		m[3*DigestSize] = 1
 	}
-	return palcrypto.HMACSHA1(key[:], m.b)
+	return palcrypto.HMACSHA1(key[:], m[:])
 }
 
 // verifyAuthLocked checks an auth trailer for a command targeting the given
@@ -195,19 +184,21 @@ func (t *TPM) verifyAuthLocked(ordinal uint32, params []byte, tr authTrailer, en
 		return Digest{}, Digest{}, RCAuthFail
 	}
 	// Roll the even nonce; close the session unless continueAuthSession.
-	s.nonceEven = t.newNonce()
-	nonceEven = s.nonceEven
-	if !tr.cont {
+	nonceEven = t.newNonce()
+	if tr.cont {
+		s.nonceEven = nonceEven
+		t.sessions[tr.handle] = s
+	} else {
 		delete(t.sessions, tr.handle)
 	}
 	return key, nonceEven, RCSuccess
 }
 
-// appendResponseAuth appends nonceEven || continue || responseMAC to a
-// response body.
-func appendResponseAuth(body []byte, key Digest, rc, ordinal uint32, nonceEven, nonceOdd Digest, cont bool) []byte {
-	mac := responseMAC(key, rc, ordinal, body, nonceEven, nonceOdd, cont)
-	w := &buf{b: body}
+// appendResponseAuth appends nonceEven || continue || responseMAC to the
+// response body in w (the TPM's respBuf, so the trailer reuses its
+// capacity) and returns the body.
+func appendResponseAuth(w *buf, key Digest, rc, ordinal uint32, nonceEven, nonceOdd Digest, cont bool) []byte {
+	mac := responseMAC(key, rc, ordinal, w.b, nonceEven, nonceOdd, cont)
 	w.raw(nonceEven[:])
 	if cont {
 		w.u8(1)

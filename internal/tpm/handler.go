@@ -17,6 +17,9 @@ import (
 func (t *TPM) dispatch(loc tis.Locality, tag uint16, ord uint32, body []byte) ([]byte, uint32) {
 	start := t.clock.Now()
 	rbody, rc := t.dispatchOrdinal(loc, tag, ord, body)
+	// rbody is a copy of, never a view into, the envelope scratch, so the
+	// scrub can run before the response is framed.
+	t.scratch.scrub()
 	name := OrdinalName(ord)
 	if rc == RCSuccess {
 		c, ok := t.okCounters[ord]
@@ -280,7 +283,7 @@ func (t *TPM) cmdQuote(tag uint16, body []byte) ([]byte, uint32) {
 	w := t.respBuf()
 	w.raw(composite[:])
 	w.bytes32(sig)
-	return appendResponseAuth(w.b, authKey, RCSuccess, OrdQuote, nonceEven, tr.nonceOdd, tr.cont), RCSuccess
+	return appendResponseAuth(w, authKey, RCSuccess, OrdQuote, nonceEven, tr.nonceOdd, tr.cont), RCSuccess
 }
 
 // cmdSeal binds data to a future PCR state.
@@ -315,15 +318,11 @@ func (t *TPM) cmdSeal(tag uint16, body []byte) ([]byte, uint32) {
 	if rc != RCSuccess {
 		return nil, rc
 	}
-	var dar Digest
-	copy(dar[:], darb)
-	blob, rc := t.sealLocked(sel, dar, data)
-	if rc != RCSuccess {
+	w := t.respBuf()
+	if rc := t.sealLocked(w, sel, Digest(darb), data); rc != RCSuccess {
 		return nil, rc
 	}
-	w := t.respBuf()
-	w.bytes32(blob)
-	return appendResponseAuth(w.b, authKey, RCSuccess, OrdSeal, nonceEven, tr.nonceOdd, tr.cont), RCSuccess
+	return appendResponseAuth(w, authKey, RCSuccess, OrdSeal, nonceEven, tr.nonceOdd, tr.cont), RCSuccess
 }
 
 // cmdUnseal releases sealed data if the PCR binding is satisfied.
@@ -356,7 +355,7 @@ func (t *TPM) cmdUnseal(tag uint16, body []byte) ([]byte, uint32) {
 	}
 	w := t.respBuf()
 	w.bytes32(data)
-	return appendResponseAuth(w.b, authKey, RCSuccess, OrdUnseal, nonceEven, tr.nonceOdd, tr.cont), RCSuccess
+	return appendResponseAuth(w, authKey, RCSuccess, OrdUnseal, nonceEven, tr.nonceOdd, tr.cont), RCSuccess
 }
 
 // cmdMakeIdentity generates a fresh AIK (owner-authorized) and returns its
@@ -379,18 +378,16 @@ func (t *TPM) cmdMakeIdentity(tag uint16, body []byte) ([]byte, uint32) {
 	if err != nil {
 		return nil, RCFail
 	}
-	blob, rc := t.wrapKeyLocked(priv, KeyUsageIdentity, Digest{})
-	if rc != RCSuccess {
-		return nil, rc
-	}
 	h := t.nextHandle
-	t.nextHandle++
-	t.keys[h] = &loadedKey{priv: priv, isAIK: true}
 	w := t.respBuf()
 	w.u32(h)
 	w.bytes32(palcrypto.MarshalPublicKey(&priv.RSAPublicKey))
-	w.bytes32(blob)
-	return appendResponseAuth(w.b, authKey, RCSuccess, OrdMakeIdentity, nonceEven, tr.nonceOdd, tr.cont), RCSuccess
+	if rc := t.wrapKeyLocked(w, priv, KeyUsageIdentity, Digest{}); rc != RCSuccess {
+		return nil, rc
+	}
+	t.nextHandle++
+	t.keys[h] = &loadedKey{priv: priv, isAIK: true}
+	return appendResponseAuth(w, authKey, RCSuccess, OrdMakeIdentity, nonceEven, tr.nonceOdd, tr.cont), RCSuccess
 }
 
 func (t *TPM) cmdCreateCounter(tag uint16, body []byte) ([]byte, uint32) {
@@ -412,7 +409,7 @@ func (t *TPM) cmdCreateCounter(tag uint16, body []byte) ([]byte, uint32) {
 	w := t.respBuf()
 	w.u32(id)
 	w.u32(0)
-	return appendResponseAuth(w.b, authKey, RCSuccess, OrdCreateCounter, nonceEven, tr.nonceOdd, tr.cont), RCSuccess
+	return appendResponseAuth(w, authKey, RCSuccess, OrdCreateCounter, nonceEven, tr.nonceOdd, tr.cont), RCSuccess
 }
 
 func (t *TPM) cmdIncrementCounter(body []byte) ([]byte, uint32) {

@@ -68,7 +68,7 @@ func (t *TPM) cmdNVDefineSpace(tag uint16, body []byte) ([]byte, uint32) {
 		return nil, RCBadIndex
 	}
 	t.nv[index] = sp
-	return appendResponseAuth(nil, authKey, RCSuccess, OrdNVDefineSpace, nonceEven, tr.nonceOdd, tr.cont), RCSuccess
+	return appendResponseAuth(t.respBuf(), authKey, RCSuccess, OrdNVDefineSpace, nonceEven, tr.nonceOdd, tr.cont), RCSuccess
 }
 
 // nvGateOK checks a space's PCR requirement for read or write.

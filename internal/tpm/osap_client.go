@@ -1,10 +1,6 @@
 package tpm
 
-import (
-	"fmt"
-
-	"flicker/internal/palcrypto"
-)
+import "encoding/binary"
 
 // OSAP client support. The paper's TPM Utilities module implements "the
 // OIAP and OSAP sessions necessary to authorize Seal and Unseal" (Section
@@ -22,80 +18,30 @@ func (c *Client) runAuth1OSAP(ordinal uint32, params []byte, entityType uint16, 
 
 	// OSAP: send entity + nonceOddOSAP, derive the shared secret.
 	var nonceOddOSAP Digest
-	copy(nonceOddOSAP[:], c.rng.Bytes(DigestSize))
-	w := &buf{}
-	w.u16(entityType)
-	w.u32(entityValue)
-	w.raw(nonceOddOSAP[:])
-	resp, err := c.bus.Submit(c.loc, marshalCommand(tagRQUCommand, OrdOSAP, w.b))
+	c.rng.Read(nonceOddOSAP[:])
+	var body [2 + 4 + DigestSize]byte
+	binary.BigEndian.PutUint16(body[:], entityType)
+	binary.BigEndian.PutUint32(body[2:], entityValue)
+	copy(body[6:], nonceOddOSAP[:])
+	out, err := c.submit(OrdOSAP, body[:])
 	if err != nil {
 		return nil, err
-	}
-	_, rc, out, err := parseFrame(resp)
-	if err != nil {
-		return nil, err
-	}
-	if rc != RCSuccess {
-		return nil, &CommandError{Ordinal: OrdOSAP, Code: rc}
 	}
 	r := &rdr{b: out}
 	handle, err := r.u32()
 	if err != nil {
 		return nil, err
 	}
-	neb, err := r.raw(DigestSize)
+	nonceEven, err := r.raw(DigestSize)
 	if err != nil {
 		return nil, err
 	}
-	neOSAPb, err := r.raw(DigestSize)
+	nonceEvenOSAP, err := r.raw(DigestSize)
 	if err != nil {
 		return nil, err
 	}
-	var nonceEven, nonceEvenOSAP Digest
-	copy(nonceEven[:], neb)
-	copy(nonceEvenOSAP[:], neOSAPb)
-
-	// sharedSecret = HMAC(entityAuth, nonceEvenOSAP || nonceOddOSAP).
-	var msg []byte
-	msg = append(msg, nonceEvenOSAP[:]...)
-	msg = append(msg, nonceOddOSAP[:]...)
-	sharedRaw := palcrypto.HMACSHA1(secret[:], msg)
-	var shared Digest
-	copy(shared[:], sharedRaw[:])
-
-	var nonceOdd Digest
-	copy(nonceOdd[:], c.rng.Bytes(DigestSize))
-	tr := authTrailer{handle: handle, nonceOdd: nonceOdd, cont: false}
-	tr.auth = authMAC(shared, ordinal, params, nonceEven, nonceOdd, false)
-	cmd := marshalCommand(tagRQUAuth1, ordinal, appendAuth1(append([]byte(nil), params...), tr))
-
-	resp, err = c.bus.Submit(c.loc, cmd)
-	if err != nil {
-		return nil, err
-	}
-	_, rc, body, err := parseFrame(resp)
-	if err != nil {
-		return nil, err
-	}
-	if rc != RCSuccess {
-		return nil, &CommandError{Ordinal: ordinal, Code: rc}
-	}
-	trailerLen := DigestSize + 1 + DigestSize
-	if len(body) < trailerLen {
-		return nil, errTruncated
-	}
-	outParams := body[:len(body)-trailerLen]
-	tb := body[len(body)-trailerLen:]
-	var ne2 Digest
-	copy(ne2[:], tb[:DigestSize])
-	cont := tb[DigestSize] != 0
-	var mac Digest
-	copy(mac[:], tb[DigestSize+1:])
-	want := responseMAC(shared, rc, ordinal, outParams, ne2, nonceOdd, cont)
-	if !palcrypto.ConstantTimeEqual(want[:], mac[:]) {
-		return nil, fmt.Errorf("tpm: OSAP response MAC verification failed for ordinal %#x", ordinal)
-	}
-	return append([]byte(nil), outParams...), nil
+	shared := osapSecret(secret, Digest(nonceEvenOSAP), nonceOddOSAP)
+	return c.runInSession(ordinal, params, shared, handle, Digest(nonceEven))
 }
 
 // SealOSAP is Seal authorized via an OSAP session on the SRK, the mode the

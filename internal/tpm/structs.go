@@ -1,6 +1,8 @@
 package tpm
 
 import (
+	"math/bits"
+
 	"flicker/internal/palcrypto"
 )
 
@@ -57,7 +59,9 @@ func (s PCRSelection) Indices() []int {
 }
 
 // Count returns the number of selected PCRs.
-func (s PCRSelection) Count() int { return len(s.Indices()) }
+func (s PCRSelection) Count() int {
+	return bits.OnesCount8(s.bitmap[0]) + bits.OnesCount8(s.bitmap[1]) + bits.OnesCount8(s.bitmap[2])
+}
 
 // marshal appends the TPM_PCR_SELECTION wire form: sizeOfSelect(2)=3 then
 // the bitmap.
@@ -88,15 +92,30 @@ func parsePCRSelection(r *rdr) (PCRSelection, error) {
 // order). Both the TPM (for Quote/Seal) and remote verifiers (to recompute
 // expected values) use this, so it lives here as a pure function.
 func CompositeHash(sel PCRSelection, values map[int]Digest) Digest {
-	w := &buf{}
-	sel.marshal(w)
-	idxs := sel.Indices()
-	w.u32(uint32(len(idxs) * DigestSize))
-	for _, i := range idxs {
-		v := values[i]
-		w.raw(v[:])
+	var pcrs [NumPCRs]Digest
+	for i := range pcrs {
+		if sel.Has(i) {
+			pcrs[i] = values[i]
+		}
 	}
-	return palcrypto.SHA1Sum(w.b)
+	return compositeHash(sel, &pcrs)
+}
+
+// compositeHash is CompositeHash over a full PCR bank, streamed into a
+// stack SHA-1 state.
+func compositeHash(sel PCRSelection, pcrs *[NumPCRs]Digest) Digest {
+	n := sel.Count() * DigestSize
+	var h palcrypto.SHA1
+	h.Reset()
+	h.Write([]byte{0, 3, sel.bitmap[0], sel.bitmap[1], sel.bitmap[2], byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n)})
+	for i := range pcrs {
+		if sel.Has(i) {
+			h.Write(pcrs[i][:])
+		}
+	}
+	var out Digest
+	h.SumInto(&out)
+	return out
 }
 
 // QuoteInfo builds the TPM_QUOTE_INFO structure that the TPM signs:

@@ -63,7 +63,7 @@ type TPM struct {
 	keys       map[uint32]*loadedKey
 	nextHandle uint32
 
-	sessions    map[uint32]*session
+	sessions    map[uint32]session
 	nextSession uint32
 
 	counters    map[uint32]*counter
@@ -83,6 +83,9 @@ type TPM struct {
 	// frame before HandleCommand returns, so neither escapes a command.
 	rbody buf
 	rnd   []byte
+	// scratch is the sealed-blob and wrapped-key envelope's working state,
+	// also valid only under t.mu and scrubbed after every command.
+	scratch envelopeScratch
 
 	// needStartup is set by a platform reset: the TPM refuses every
 	// command except TPM_Startup until the BIOS issues one (the v1.2
@@ -144,7 +147,7 @@ func New(clock *simtime.Clock, profile *simtime.Profile, opts Options) (*TPM, er
 		rng:       palcrypto.NewPRNG(seed),
 		keyBits:   opts.KeyBits,
 		keys:      make(map[uint32]*loadedKey),
-		sessions:  make(map[uint32]*session),
+		sessions:  make(map[uint32]session),
 		counters:  make(map[uint32]*counter),
 		nv:        make(map[uint32]*nvSpace),
 	}
@@ -214,7 +217,7 @@ func (t *TPM) rebootLocked() {
 			t.pcrs[i] = Digest{}
 		}
 	}
-	t.sessions = make(map[uint32]*session)
+	t.sessions = make(map[uint32]session)
 	t.keys = make(map[uint32]*loadedKey)
 	t.hashActive = false
 	t.bootCount++
@@ -266,11 +269,7 @@ func (t *TPM) extendLocked(idx int, m Digest) {
 // compositeLocked computes the composite hash of the current PCR values
 // under sel.
 func (t *TPM) compositeLocked(sel PCRSelection) Digest {
-	vals := make(map[int]Digest)
-	for _, i := range sel.Indices() {
-		vals[i] = t.pcrs[i]
-	}
-	return CompositeHash(sel, vals)
+	return compositeHash(sel, &t.pcrs)
 }
 
 // HandleCommand implements tis.Handler: it parses a request frame,
