@@ -6,6 +6,7 @@ import (
 	"crypto/sha1"
 	"crypto/sha512"
 	"encoding/hex"
+	"hash"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -121,7 +122,7 @@ func TestSumDoesNotDisturbState(t *testing.T) {
 }
 
 func TestResetRestoresInitialState(t *testing.T) {
-	for _, h := range []Hash{NewSHA1(), NewMD5(), NewSHA512()} {
+	for _, h := range []hash.Hash{NewSHA1(), NewMD5(), NewSHA512()} {
 		h.Write([]byte("garbage"))
 		h.Reset()
 		h.Write([]byte("abc"))

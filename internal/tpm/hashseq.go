@@ -79,16 +79,6 @@ func submitLocality4(bus *tis.Bus) func(ord uint32, body []byte) ([]byte, error)
 	return func(ord uint32, body []byte) ([]byte, error) {
 		frame = appendCommand(frame, tagRQUCommand, ord, body)
 		resp, err := bus.SubmitAt(tis.Locality4, frame)
-		if err != nil {
-			return nil, err
-		}
-		_, rc, out, err := parseFrame(resp)
-		if err != nil {
-			return nil, err
-		}
-		if rc != RCSuccess {
-			return nil, &CommandError{Ordinal: ord, Code: rc}
-		}
-		return out, nil
+		return unframe(ord, resp, err)
 	}
 }
