@@ -3,6 +3,8 @@ package analysis
 import (
 	"flag"
 	"fmt"
+	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
@@ -135,6 +137,35 @@ func TestAnalyzersCleanOnModule(t *testing.T) {
 		}
 	}
 	t.Logf("module clean under %d analyzers with %d justified suppression(s)", len(rep.Analyzers), total)
+}
+
+// TestDeclassifierIsExportedPalcrypto pins which callees drop the secret
+// tag: palcrypto's exported encrypt/sign/digest API does, but Decrypt*,
+// Unmarshal* and palcrypto's unexported helpers keep ordinary summaries.
+// Unmarshal* builds keys through such helpers, and a helper that dropped
+// the tag would make a recovered private key look clean.
+func TestDeclassifierIsExportedPalcrypto(t *testing.T) {
+	ip := &Interp{l: &Loader{Module: "flicker"}}
+	palcrypto := types.NewPackage("flicker/internal/palcrypto", "palcrypto")
+	other := types.NewPackage("flicker/internal/pal", "pal")
+	sig := types.NewSignatureType(nil, nil, nil, nil, nil, false)
+	for _, c := range []struct {
+		pkg  *types.Package
+		name string
+		want bool
+	}{
+		{palcrypto, "EncryptPKCS1To", true},
+		{palcrypto, "SignPKCS1SHA1", true},
+		{palcrypto, "DecryptPKCS1", false},
+		{palcrypto, "UnmarshalPrivateKey", false},
+		{palcrypto, "newPrivateKey", false},
+		{other, "Seal", false},
+	} {
+		f := types.NewFunc(token.NoPos, c.pkg, c.name, sig)
+		if got := ip.isDeclassifier(f); got != c.want {
+			t.Errorf("isDeclassifier(%s.%s) = %v, want %v", c.pkg.Name(), c.name, got, c.want)
+		}
+	}
 }
 
 func TestParseAllow(t *testing.T) {

@@ -1514,11 +1514,12 @@ func (ip *Interp) isCustody(f *types.Func) bool {
 	return false
 }
 
-// isDeclassifier reports palcrypto's ciphertext/MAC producers. Decrypt* and
-// Unmarshal* stay out: their outputs are plaintext and keep the taint via
-// their ordinary summaries.
+// isDeclassifier reports palcrypto's ciphertext/MAC producers: its exported
+// API. Decrypt* and Unmarshal* stay out: their outputs are plaintext and
+// keep the taint via their ordinary summaries. So do palcrypto's unexported
+// helpers, such as the key constructors Unmarshal* builds keys through.
 func (ip *Interp) isDeclassifier(f *types.Func) bool {
-	if f == nil || f.Pkg() == nil {
+	if f == nil || f.Pkg() == nil || !f.Exported() {
 		return false
 	}
 	if f.Pkg().Path() != ip.l.Module+"/internal/palcrypto" {

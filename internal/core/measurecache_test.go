@@ -202,9 +202,6 @@ func TestSessionAllocsRegression(t *testing.T) {
 	}
 }
 
-// raceEnabled is set when the tests run under the race detector.
-var raceEnabled bool
-
 // sealPAL seals its input to itself and unseals it again: the sealed-storage
 // path every stateful PAL pays for in each session.
 func sealPAL() pal.PAL {
@@ -224,7 +221,7 @@ func sealPAL() pal.PAL {
 // TestSealSessionAllocs guards the allocation budget of a warm session whose
 // PAL runs SealToSelf and Unseal: the authorized TPM command path (OIAP,
 // command and response MACs), the sealed-blob envelope and the RSA seed
-// transport. What remains is math/big's internal Exp tables and the
+// transport. What remains is the engine's own allocations and the
 // exact-size response frames.
 func TestSealSessionAllocs(t *testing.T) {
 	p := newPlatform(t)
@@ -244,18 +241,13 @@ func TestSealSessionAllocs(t *testing.T) {
 		}
 	})
 	// The seed path ran ~296 allocs: a heap HMAC per MAC, growing MAC and
-	// envelope buffers, heap session records and nonces. With those on the
-	// stack or in TPM-owned scratch it measures 84 — the engine's ~19,
-	// the response frames and math/big's Exp internals — and the budget is
-	// that plus ~25%. Under -race, math/big's pooled scratch allocates a
-	// varying amount (104-109 read), so the race run checks a wider budget
-	// that still trips if the seed path's per-MAC garbage comes back.
-	budget := 105.0
-	if raceEnabled {
-		budget = 160
-	}
+	// envelope buffers, heap session records and nonces, and math/big's Exp
+	// state. With those on the stack or in TPM-owned scratch it measures
+	// 24, with or without -race: the engine's ~19 and the response frames.
+	// The budget is that plus ~25%.
+	const budget = 30
 	if avg > budget {
-		t.Errorf("warm seal session costs %.0f allocs, budget %.0f", avg, budget)
+		t.Errorf("warm seal session costs %.0f allocs, budget %d", avg, budget)
 	}
 }
 

@@ -1,47 +1,88 @@
 package palcrypto
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"math/big"
 )
 
-// RSAPublicKey is an RSA public key (n, e).
+// RSAPublicKey is an RSA public key (n, e). Keys come from GenerateRSAKey,
+// UnmarshalPublicKey or UnmarshalPrivateKey, which also build the
+// Montgomery context the PKCS#1 operations run on. They build it eagerly:
+// keys are shared across goroutines (quotes, the CA), so a lazy build would
+// race. A key built any other way has Size 0 and every operation refuses it.
 type RSAPublicKey struct {
 	N *big.Int
 	E int
+
+	mont   *montCtx // N's Montgomery context
+	nBytes []byte   // N big-endian, Size() bytes, for the c < N checks
 }
 
-// RSAPrivateKey is an RSA private key with CRT parameters.
+// RSAPrivateKey is an RSA private key. The PKCS#1 operations use only its
+// CRT context; D, P and Q are kept for MarshalPrivateKey.
 type RSAPrivateKey struct {
 	RSAPublicKey
 	D    *big.Int
 	P, Q *big.Int
-	// CRT acceleration values.
-	Dp, Dq, Qinv *big.Int
+
+	crt *crtKey
 }
 
 // Size returns the modulus length in bytes.
-func (k *RSAPublicKey) Size() int { return (k.N.BitLen() + 7) / 8 }
+func (k *RSAPublicKey) Size() int { return len(k.nBytes) }
 
 // Zero wipes the private half of the key in place: every limb of the
-// private exponent, the primes, and the CRT values is overwritten before
-// the big.Ints are reset. PALs that recover a sealed key for one session
-// (OpenChannel, the CA's issuance path) defer this so the key material is
-// gone before the session returns to the untrusted OS — the paper's
-// "erase all traces" obligation applied to heap state. The public half
-// (n, e) is released anyway and stays intact.
+// private exponent and the primes is overwritten before the big.Ints are
+// reset, and the CRT context (the limbs of p, q, dp, dq and qinv) is
+// cleared. PALs that recover a sealed key for one session (OpenChannel,
+// the CA's issuance path) defer this so the key material is gone before
+// the session returns to the untrusted OS — the paper's "erase all traces"
+// obligation applied to heap state. The public half (n, e) is released
+// anyway and stays intact.
 func (k *RSAPrivateKey) Zero() {
-	for _, x := range []*big.Int{k.D, k.P, k.Q, k.Dp, k.Dq, k.Qinv} {
+	for _, x := range []*big.Int{k.D, k.P, k.Q} {
 		if x != nil {
 			wipeInt(x)
 		}
 	}
+	if k.crt != nil {
+		k.crt.zero()
+	}
 }
 
-// wipeInt overwrites x's limbs and resets it to zero. The PKCS#1 paths use
-// it on the big.Ints that held a padded plaintext block.
+// newPublicKey checks (n, e) and builds the public key with its Montgomery
+// context.
+func newPublicKey(n *big.Int, e int) (RSAPublicKey, error) {
+	if e < 3 || e%2 == 0 {
+		return RSAPublicKey{}, errors.New("palcrypto: invalid public exponent")
+	}
+	if n.BitLen() < 128 {
+		return RSAPublicKey{}, errors.New("palcrypto: modulus too small")
+	}
+	mont := new(montCtx)
+	if err := mont.set(n); err != nil {
+		return RSAPublicKey{}, err
+	}
+	return RSAPublicKey{N: n, E: e, mont: mont, nBytes: n.Bytes()}, nil
+}
+
+// newPrivateKey builds the private key with its public and CRT contexts.
+func newPrivateKey(n *big.Int, e int, d, p, q *big.Int) (*RSAPrivateKey, error) {
+	pub, err := newPublicKey(n, e)
+	if err != nil {
+		return nil, err
+	}
+	crt, err := newCRTKey(p, q, d)
+	if err != nil {
+		return nil, err
+	}
+	return &RSAPrivateKey{RSAPublicKey: pub, D: d, P: p, Q: q, crt: crt}, nil
+}
+
+// wipeInt overwrites x's limbs and resets it to zero.
 func wipeInt(x *big.Int) {
 	clear(x.Bits())
 	x.SetInt64(0)
@@ -58,8 +99,8 @@ var bigOne = big.NewInt(1)
 // Flicker session seeded from TPM GetRandom; the key generation latency
 // (185.7 ms in Figure 9a) is charged by the timing model, not by this code.
 func GenerateRSAKey(rand io.Reader, bits int) (*RSAPrivateKey, error) {
-	if bits < 128 {
-		return nil, fmt.Errorf("palcrypto: RSA modulus %d too small", bits)
+	if bits < 128 || bits > 64*maxLimbs {
+		return nil, fmt.Errorf("palcrypto: RSA modulus of %d bits outside [128, %d]", bits, 64*maxLimbs)
 	}
 	e := 65537
 	eBig := big.NewInt(int64(e))
@@ -86,16 +127,7 @@ func GenerateRSAKey(rand io.Reader, bits int) (*RSAPrivateKey, error) {
 		if d.ModInverse(eBig, phi) == nil {
 			continue // gcd(e, phi) != 1; pick new primes
 		}
-		key := &RSAPrivateKey{
-			RSAPublicKey: RSAPublicKey{N: n, E: e},
-			D:            d,
-			P:            p,
-			Q:            q,
-			Dp:           new(big.Int).Mod(d, pm1),
-			Dq:           new(big.Int).Mod(d, qm1),
-			Qinv:         new(big.Int).ModInverse(q, p),
-		}
-		return key, nil
+		return newPrivateKey(n, e, d, p, q)
 	}
 	return nil, errors.New("palcrypto: RSA key generation failed to converge")
 }
@@ -131,23 +163,6 @@ func genPrime(rand io.Reader, bits int) (*big.Int, error) {
 	}
 }
 
-// modPowCRT sets z = c^d mod n using the CRT parameters and returns z. The
-// half-size intermediates are wiped: they hold the plaintext mod p and q.
-func (k *RSAPrivateKey) modPowCRT(z, c *big.Int) *big.Int {
-	var m1, m2 big.Int
-	m1.Exp(c, k.Dp, k.P)
-	m2.Exp(c, k.Dq, k.Q)
-	z.Sub(&m1, &m2)
-	z.Mod(z, k.P)
-	z.Mul(z, k.Qinv)
-	z.Mod(z, k.P)
-	z.Mul(z, k.Q)
-	z.Add(z, &m2)
-	wipeInt(&m1)
-	wipeInt(&m2)
-	return z
-}
-
 // ErrRSADecryption is returned for any malformed or mis-keyed ciphertext.
 // A single error value avoids creating a padding oracle.
 var ErrRSADecryption = errors.New("palcrypto: RSA decryption error")
@@ -169,11 +184,11 @@ func EncryptPKCS1(rand io.Reader, pub *RSAPublicKey, msg []byte) ([]byte, error)
 // EncryptPKCS1To is EncryptPKCS1 into a caller buffer of exactly
 // pub.Size() bytes. The padded block is built in dst and replaced there by
 // the ciphertext, so the TPM's seal path writes the encrypted seed straight
-// into its response body.
+// into its response body. It allocates nothing.
 func EncryptPKCS1To(dst []byte, rand io.Reader, pub *RSAPublicKey, msg []byte) error {
 	k := pub.Size()
 	if len(msg) > k-11 {
-		return fmt.Errorf("palcrypto: message too long for RSA-%d PKCS1", pub.N.BitLen())
+		return fmt.Errorf("palcrypto: message too long for a %d-byte RSA modulus", k)
 	}
 	if len(dst) != k {
 		return fmt.Errorf("palcrypto: PKCS1 output buffer is %d bytes, want %d", len(dst), k)
@@ -185,12 +200,7 @@ func EncryptPKCS1To(dst []byte, rand io.Reader, pub *RSAPublicKey, msg []byte) e
 	}
 	dst[k-len(msg)-1] = 0
 	copy(dst[k-len(msg):], msg)
-	var m, e, c big.Int
-	m.SetBytes(dst)
-	e.SetInt64(int64(pub.E))
-	c.Exp(&m, &e, pub.N)
-	wipeInt(&m)
-	c.FillBytes(dst)
+	pub.mont.publicOp(dst, dst, pub.E)
 	return nil
 }
 
@@ -221,20 +231,15 @@ func DecryptPKCS1(priv *RSAPrivateKey, ciphertext []byte) ([]byte, error) {
 
 // DecryptPKCS1To is DecryptPKCS1 through a caller scratch buffer of at
 // least priv.Size() bytes: the decrypted block is written there and the
-// message returned is a subslice of it. The caller owns scrubbing em.
+// message returned is a subslice of it. The caller owns scrubbing em. It
+// allocates nothing.
 func DecryptPKCS1To(em []byte, priv *RSAPrivateKey, ciphertext []byte) ([]byte, error) {
 	k := priv.Size()
-	if len(ciphertext) != k || len(em) < k {
+	if len(ciphertext) != k || len(em) < k || bytes.Compare(ciphertext, priv.nBytes) >= 0 {
 		return nil, ErrRSADecryption
 	}
 	em = em[:k]
-	var c, m big.Int
-	c.SetBytes(ciphertext)
-	if c.Cmp(priv.N) >= 0 {
-		return nil, ErrRSADecryption
-	}
-	priv.modPowCRT(&m, &c).FillBytes(em)
-	wipeInt(&m)
+	priv.crt.privateOp(em, ciphertext)
 	if em[0] != 0 || em[1] != 2 {
 		return nil, ErrRSADecryption
 	}
@@ -260,36 +265,48 @@ var sha1DigestInfo = []byte{
 
 // SignPKCS1SHA1 signs the SHA-1 digest of msg with PKCS#1 v1.5 (EMSA).
 func SignPKCS1SHA1(priv *RSAPrivateKey, msg []byte) ([]byte, error) {
-	digest := SHA1Sum(msg)
+	sig := make([]byte, priv.Size())
+	if err := SignPKCS1SHA1To(sig, priv, msg); err != nil {
+		return nil, err
+	}
+	return sig, nil
+}
+
+// SignPKCS1SHA1To is SignPKCS1SHA1 into a caller buffer of exactly
+// priv.Size() bytes: the encoded block is built in sig and replaced there by
+// the signature. It allocates nothing.
+func SignPKCS1SHA1To(sig []byte, priv *RSAPrivateKey, msg []byte) error {
 	k := priv.Size()
 	tLen := len(sha1DigestInfo) + SHA1Size
 	if k < tLen+11 {
-		return nil, errors.New("palcrypto: RSA key too small for SHA-1 signature")
+		return errors.New("palcrypto: RSA key too small for SHA-1 signature")
 	}
-	em := make([]byte, k)
-	em[0] = 0
-	em[1] = 1
+	if len(sig) != k {
+		return fmt.Errorf("palcrypto: signature buffer is %d bytes, want %d", len(sig), k)
+	}
+	digest := SHA1Sum(msg)
+	sig[0] = 0
+	sig[1] = 1
 	for i := 2; i < k-tLen-1; i++ {
-		em[i] = 0xff
+		sig[i] = 0xff
 	}
-	em[k-tLen-1] = 0
-	copy(em[k-tLen:], sha1DigestInfo)
-	copy(em[k-SHA1Size:], digest[:])
-	m := new(big.Int).SetBytes(em)
-	return priv.modPowCRT(m, m).FillBytes(em), nil
+	sig[k-tLen-1] = 0
+	copy(sig[k-tLen:], sha1DigestInfo)
+	copy(sig[k-SHA1Size:], digest[:])
+	priv.crt.privateOp(sig, sig)
+	return nil
 }
 
-// VerifyPKCS1SHA1 verifies a PKCS#1 v1.5 SHA-1 signature over msg.
+// VerifyPKCS1SHA1 verifies a PKCS#1 v1.5 SHA-1 signature over msg. The
+// recovered block lives on the stack, so it allocates nothing.
 func VerifyPKCS1SHA1(pub *RSAPublicKey, msg, sig []byte) error {
 	k := pub.Size()
-	if len(sig) != k {
+	if len(sig) != k || bytes.Compare(sig, pub.nBytes) >= 0 {
 		return ErrRSAVerification
 	}
-	s := new(big.Int).SetBytes(sig)
-	if s.Cmp(pub.N) >= 0 {
-		return ErrRSAVerification
-	}
-	em := new(big.Int).Exp(s, big.NewInt(int64(pub.E)), pub.N).FillBytes(make([]byte, k))
+	var buf [8 * maxLimbs]byte
+	em := buf[:k]
+	pub.mont.publicOp(em, sig, pub.E)
 	digest := SHA1Sum(msg)
 	tLen := len(sha1DigestInfo) + SHA1Size
 	if em[0] != 0 || em[1] != 1 || em[k-tLen-1] != 0 {
@@ -328,14 +345,11 @@ func UnmarshalPublicKey(b []byte) (*RSAPublicKey, error) {
 	if nLen <= 0 || len(b) != 8+nLen {
 		return nil, errors.New("palcrypto: malformed public key")
 	}
-	if e < 3 || e%2 == 0 {
-		return nil, errors.New("palcrypto: invalid public exponent")
+	pub, err := newPublicKey(new(big.Int).SetBytes(b[8:]), e)
+	if err != nil {
+		return nil, err
 	}
-	n := new(big.Int).SetBytes(b[8:])
-	if n.BitLen() < 128 {
-		return nil, errors.New("palcrypto: modulus too small")
-	}
-	return &RSAPublicKey{N: n, E: e}, nil
+	return &pub, nil
 }
 
 // MarshalPrivateKey serializes a private key (for sealed storage only —
@@ -352,7 +366,7 @@ func MarshalPrivateKey(priv *RSAPrivateKey) []byte {
 }
 
 // UnmarshalPrivateKey parses the format produced by MarshalPrivateKey and
-// recomputes the CRT parameters.
+// rebuilds the key's public and CRT contexts.
 func UnmarshalPrivateKey(b []byte) (*RSAPrivateKey, error) {
 	if len(b) < 4 {
 		return nil, errors.New("palcrypto: truncated private key")
@@ -379,19 +393,7 @@ func UnmarshalPrivateKey(b []byte) (*RSAPrivateKey, error) {
 	if new(big.Int).Mul(p, q).Cmp(n) != 0 {
 		return nil, errors.New("palcrypto: inconsistent private key")
 	}
-	pm1 := new(big.Int).Sub(p, bigOne)
-	qm1 := new(big.Int).Sub(q, bigOne)
-	qinv := new(big.Int).ModInverse(q, p)
-	if qinv == nil {
-		return nil, errors.New("palcrypto: inconsistent private key")
-	}
-	return &RSAPrivateKey{
-		RSAPublicKey: RSAPublicKey{N: n, E: e},
-		D:            d, P: p, Q: q,
-		Dp:   new(big.Int).Mod(d, pm1),
-		Dq:   new(big.Int).Mod(d, qm1),
-		Qinv: qinv,
-	}, nil
+	return newPrivateKey(n, e, d, p, q)
 }
 
 func appendU32(b []byte, v uint32) []byte {

@@ -131,8 +131,8 @@ func TestNonzeroRandomMatchesByteLoop(t *testing.T) {
 }
 
 // TestPKCS1ToUsesCallerBuffers checks the buffer-taking forms: the
-// ciphertext lands in dst, the message is a subslice of em, and a wrong
-// output size is refused.
+// ciphertext lands in dst, the message is a subslice of em, the signature
+// lands in sig, and a wrong output size is refused.
 func TestPKCS1ToUsesCallerBuffers(t *testing.T) {
 	key := testKey(t)
 	msg := []byte("seal seed 16 b!!")
@@ -155,6 +155,16 @@ func TestPKCS1ToUsesCallerBuffers(t *testing.T) {
 	if err := EncryptPKCS1To(ct[1:], NewPRNG(nil), &key.RSAPublicKey, msg); err == nil {
 		t.Error("EncryptPKCS1To accepted a short output buffer")
 	}
+	sig := make([]byte, key.Size())
+	if err := SignPKCS1SHA1To(sig, key, msg); err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := SignPKCS1SHA1(key, msg); !bytes.Equal(sig, want) {
+		t.Error("SignPKCS1SHA1To and SignPKCS1SHA1 differ")
+	}
+	if err := SignPKCS1SHA1To(sig[1:], key, msg); err == nil {
+		t.Error("SignPKCS1SHA1To accepted a short output buffer")
+	}
 }
 
 func TestEncryptTooLong(t *testing.T) {
@@ -176,6 +186,14 @@ func TestDecryptRejectsGarbage(t *testing.T) {
 	if _, err := DecryptPKCS1(key, tooBig); err == nil {
 		t.Error("accepted c >= N")
 	}
+	// c + N ≡ c, so only the c < N check refuses it.
+	ct, _ := unreducedTwin(t, key, func(i int) []byte {
+		ct, _ := EncryptPKCS1(NewPRNG([]byte{byte(i)}), &key.RSAPublicKey, []byte("x"))
+		return ct
+	})
+	if _, err := DecryptPKCS1(key, ct); err == nil {
+		t.Error("accepted c + N")
+	}
 	// Random bytes should (overwhelmingly) fail padding checks.
 	rng := NewPRNG([]byte("garbage"))
 	fails := 0
@@ -189,6 +207,21 @@ func TestDecryptRejectsGarbage(t *testing.T) {
 	if fails < 19 {
 		t.Errorf("only %d/20 random ciphertexts rejected", fails)
 	}
+}
+
+// unreducedTwin returns x + N and i for the first x = gen(i) small enough
+// that x + N still fits in Size() bytes.
+func unreducedTwin(t *testing.T, key *RSAPrivateKey, gen func(i int) []byte) ([]byte, int) {
+	t.Helper()
+	limit := new(big.Int).Lsh(bigOne, uint(8*key.Size()))
+	for i := 0; i < 64; i++ {
+		x := new(big.Int).Add(new(big.Int).SetBytes(gen(i)), key.N)
+		if x.Cmp(limit) < 0 {
+			return x.FillBytes(make([]byte, key.Size())), i
+		}
+	}
+	t.Fatal("no input below 2^(8k) - N in 64 tries")
+	return nil, 0
 }
 
 func TestCiphertextNondeterministic(t *testing.T) {
@@ -220,6 +253,14 @@ func TestSignVerify(t *testing.T) {
 	bad[len(bad)/2] ^= 1
 	if err := VerifyPKCS1SHA1(&key.RSAPublicKey, msg, bad); err == nil {
 		t.Error("tampered signature accepted")
+	}
+	// s + N ≡ s: refused, or signatures would be malleable.
+	twin, i := unreducedTwin(t, key, func(i int) []byte {
+		sig, _ := SignPKCS1SHA1(key, []byte{byte(i)})
+		return sig
+	})
+	if err := VerifyPKCS1SHA1(&key.RSAPublicKey, []byte{byte(i)}, twin); err == nil {
+		t.Error("accepted s + N")
 	}
 	// Wrong key.
 	other, _ := GenerateRSAKey(NewPRNG([]byte("other")), 512)
@@ -263,6 +304,12 @@ func TestPublicKeyUnmarshalRejects(t *testing.T) {
 		"trailing":     append(append([]byte(nil), good...), 0),
 		"even exp":     func() []byte { b := append([]byte(nil), good...); b[3] = 4; return b }(),
 		"tiny modulus": {0, 1, 0, 1, 0, 0, 0, 1, 7},
+		"even modulus": func() []byte {
+			b := append([]byte(nil), good...)
+			b[len(b)-1] &^= 1
+			return b
+		}(),
+		"modulus wider than maxLimbs": MarshalPublicKey(&RSAPublicKey{N: wideModulus(), E: 65537}),
 	}
 	for name, b := range cases {
 		if _, err := UnmarshalPublicKey(b); err == nil {

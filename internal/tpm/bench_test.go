@@ -8,9 +8,6 @@ import (
 	"flicker/internal/simtime"
 )
 
-// raceEnabled is set when the tests run under the race detector.
-var raceEnabled bool
-
 // newBenchRig is newRig without the testing.T plumbing, for benchmarks and
 // allocation measurements.
 func newBenchRig(tb testing.TB) *rig {
@@ -63,18 +60,12 @@ func TestCommandAllocsRegression(t *testing.T) {
 	}
 
 	// Authorized round trips: the OIAP handshake, the command and response
-	// MACs and the envelope are allocation-free, so what remains is the two
-	// response frames and math/big's internal Exp state. Unseal measured 53
-	// (the TPM-side CRT decrypt of the seed) and Seal 11 (the public-key
-	// encrypt); the budgets are those plus ~25%. A MAC, nonce or envelope
-	// buffer that goes back to the heap trips them. Under -race, math/big's
-	// pooled scratch allocates a varying amount (Unseal read 57-58 and Seal
-	// 26-29), so the race run checks wider budgets: Unseal keeps the 170 it
-	// had before the authorized path stopped allocating, and Seal gets 60.
-	unsealBudget, sealBudget := 66.0, 14.0
-	if raceEnabled {
-		unsealBudget, sealBudget = 170, 60
-	}
+	// MACs, the envelope and the RSA seed transport are allocation-free, so
+	// what remains is the two response frames. Unseal and Seal both
+	// measure 2, with or without -race; the budgets are that plus ~25%. A
+	// MAC, nonce, envelope or RSA buffer that goes back to the heap trips
+	// them.
+	const unsealBudget, sealBudget = 3, 3
 	blob, err := r.pal.Seal(Digest{}, PCRSelection{}, Digest{}, []byte("sealed-payload"))
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +76,7 @@ func TestCommandAllocsRegression(t *testing.T) {
 		}
 	})
 	if unseal > unsealBudget {
-		t.Errorf("Unseal round trip = %.1f allocs, budget %.0f", unseal, unsealBudget)
+		t.Errorf("Unseal round trip = %.1f allocs, budget %d", unseal, unsealBudget)
 	}
 	seal := testing.AllocsPerRun(100, func() {
 		if _, err := r.pal.Seal(Digest{}, SelectPCRs(17), Digest{}, []byte("sealed-payload")); err != nil {
@@ -93,7 +84,7 @@ func TestCommandAllocsRegression(t *testing.T) {
 		}
 	})
 	if seal > sealBudget {
-		t.Errorf("Seal round trip = %.1f allocs, budget %.0f", seal, sealBudget)
+		t.Errorf("Seal round trip = %.1f allocs, budget %d", seal, sealBudget)
 	}
 }
 

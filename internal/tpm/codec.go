@@ -3,6 +3,7 @@ package tpm
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 )
 
 // The TPM speaks a byte-level command protocol (TPM 1.2 Part 3). This file
@@ -85,6 +86,14 @@ func (w *buf) raw(p []byte) { w.b = append(w.b, p...) }
 func (w *buf) bytes32(p []byte) {
 	w.u32(uint32(len(p)))
 	w.raw(p)
+}
+
+// field32 writes a 4-byte length n and returns the n bytes after it, for
+// the caller to fill in place; their prior contents are unspecified.
+func (w *buf) field32(n int) []byte {
+	w.u32(uint32(n))
+	w.b = slices.Grow(w.b, n)[:len(w.b)+n]
+	return w.b[len(w.b)-n:]
 }
 
 // errTruncated reports a short read while parsing a structure.

@@ -276,13 +276,11 @@ func (t *TPM) cmdQuote(tag uint16, body []byte) ([]byte, uint32) {
 	var nonce Digest
 	copy(nonce[:], ed)
 	qi := QuoteInfo(composite, nonce)
-	sig, err := palcrypto.SignPKCS1SHA1(key.priv, qi)
-	if err != nil {
-		return nil, RCFail
-	}
 	w := t.respBuf()
 	w.raw(composite[:])
-	w.bytes32(sig)
+	if palcrypto.SignPKCS1SHA1To(w.field32(key.priv.Size()), key.priv, qi) != nil {
+		return nil, RCFail
+	}
 	return appendResponseAuth(w, authKey, RCSuccess, OrdQuote, nonceEven, tr.nonceOdd, tr.cont), RCSuccess
 }
 

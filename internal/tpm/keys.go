@@ -199,11 +199,9 @@ func (t *TPM) cmdSign(tag uint16, body []byte) ([]byte, uint32) {
 	if rc != RCSuccess {
 		return nil, rc
 	}
-	sig, err := palcrypto.SignPKCS1SHA1(key.priv, data)
-	if err != nil {
+	w := t.respBuf()
+	if palcrypto.SignPKCS1SHA1To(w.field32(key.priv.Size()), key.priv, data) != nil {
 		return nil, RCFail
 	}
-	w := t.respBuf()
-	w.bytes32(sig)
 	return appendResponseAuth(w, authKey, RCSuccess, OrdSign, nonceEven, tr.nonceOdd, tr.cont), RCSuccess
 }

@@ -106,10 +106,7 @@ func (t *TPM) sealEnvelopeLocked(w *buf, kind *envelopeKind, plain []byte, heade
 	start := len(w.b)
 	w.b = append(w.b, kind.magic...)
 	header(w)
-	k := t.srk.Size()
-	w.u32(uint32(k))
-	w.b = append(w.b, make([]byte, k)...)
-	if palcrypto.EncryptPKCS1To(w.b[len(w.b)-k:], t.rng, &t.srk.RSAPublicKey, e.seed[:]) != nil {
+	if palcrypto.EncryptPKCS1To(w.field32(t.srk.Size()), t.rng, &t.srk.RSAPublicKey, e.seed[:]) != nil {
 		return RCFail
 	}
 	w.bytes32(plain)
