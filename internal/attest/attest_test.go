@@ -115,7 +115,7 @@ func TestDaemonQuoteVerifies(t *testing.T) {
 	_, bus, tqd, ca := attRig(t)
 	// Put PCR 17 into a known state via the hardware path.
 	slbBytes := []byte("some measured pal")
-	if _, err := tpm.RunHashSequence(bus, slbBytes); err != nil {
+	if _, err := tpm.RunHashSequence(bus, new(tpm.L4Scratch), slbBytes); err != nil {
 		t.Fatal(err)
 	}
 	expected := tpm.ExtendDigest(tpm.Digest{}, palcrypto.SHA1Sum(slbBytes))
@@ -170,7 +170,7 @@ func TestQuoteNonceBindsFreshness(t *testing.T) {
 
 func TestDaemonSurvivesRebootViaReload(t *testing.T) {
 	tp, bus, tqd, ca := attRig(t)
-	if _, err := tpm.RunHashSequence(bus, []byte("pal")); err != nil {
+	if _, err := tpm.RunHashSequence(bus, new(tpm.L4Scratch), []byte("pal")); err != nil {
 		t.Fatal(err)
 	}
 	nonce := palcrypto.SHA1Sum([]byte("pre"))
@@ -191,7 +191,7 @@ func TestDaemonSurvivesRebootViaReload(t *testing.T) {
 	if err := tqd.ReloadAIK(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tpm.RunHashSequence(bus, []byte("pal")); err != nil {
+	if _, err := tpm.RunHashSequence(bus, new(tpm.L4Scratch), []byte("pal")); err != nil {
 		t.Fatal(err)
 	}
 	nonce2 := palcrypto.SHA1Sum([]byte("post"))

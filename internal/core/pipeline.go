@@ -156,17 +156,16 @@ func (p *Platform) runPipeline(pipe *sessionPipeline, pl pal.PAL, opts SessionOp
 
 	// The session state is per-platform scratch reused across sessions
 	// (sessionMu serializes them); only the SessionResult — which the
-	// caller retains — is freshly allocated, with its phase timeline
-	// preallocated to the pipeline length so it never regrows.
+	// caller retains — is freshly allocated, together with its phase
+	// timeline in one allocation.
 	st := &p.scratch.st
 	st.reset(p, pl, opts)
-	st.res = &SessionResult{
+	st.res = newSessionResult(SessionResult{
 		Start:     p.Clock.Now(),
 		Nonce:     opts.Nonce,
 		SessionID: p.nextSessionID(),
 		Pipeline:  pipe.name,
-		Phases:    make([]Phase, 0, len(pipe.phases)),
-	}
+	})
 	obs := p.observersInto(p.scratch.obs)
 	if opts.Observer != nil {
 		obs = append(obs, opts.Observer)
@@ -485,6 +484,9 @@ func cleanupBody(st *sessionState) error {
 	if st.env != nil && st.env.Heap != nil {
 		st.env.Heap.Wipe()
 	}
+	// The PAL's driver scratch holds the last Seal plaintext, Unseal
+	// output and PRNG seed.
+	st.p.scratch.palClient.Scrub()
 	wipe := slb.MaxLen
 	if int(st.slbBase)+wipe > st.p.Machine.Mem.Size() {
 		wipe = st.p.Machine.Mem.Size() - int(st.slbBase)
@@ -583,6 +585,7 @@ func zeroWindowTeardown(st *sessionState) {
 	}
 	st.windowDirty = false
 	st.windowWiped = true
+	st.p.scratch.palClient.Scrub()
 	wipe := slb.ParamAreaLen
 	if int(st.slbBase)+wipe > st.p.Machine.Mem.Size() {
 		wipe = st.p.Machine.Mem.Size() - int(st.slbBase)

@@ -568,3 +568,60 @@ func TestNoResumeDuplication(t *testing.T) {
 		t.Fatalf("platform dead after abort sequence: %v %v", err, res.PALError)
 	}
 }
+
+// TestSessionOutputsSurviveNextSession guards the fresh input copy: a PAL
+// may return a subslice of its input as Outputs (an echo PAL does), and the
+// caller keeps Outputs, so the input the engine hands the PAL must not be
+// reused scratch the next session overwrites.
+func TestSessionOutputsSurviveNextSession(t *testing.T) {
+	p := newPlatform(t)
+	prefix := &pal.Func{
+		PALName: "prefix",
+		Binary:  pal.DescriptorCode("prefix", "1.0", nil, nil),
+		Fn: func(env *pal.Env, in []byte) ([]byte, error) {
+			return in[:8], nil
+		},
+	}
+	first, err := p.RunSession(prefix, SessionOptions{Input: []byte("session-1 input")})
+	if err != nil || first.PALError != nil {
+		t.Fatal(err, first.PALError)
+	}
+	second, err := p.RunSession(prefix, SessionOptions{Input: []byte("SESSION-2 INPUT")})
+	if err != nil || second.PALError != nil {
+		t.Fatal(err, second.PALError)
+	}
+	if string(first.Outputs) != "session-" || string(second.Outputs) != "SESSION-" {
+		t.Fatalf("outputs = %q, %q; session N's outputs must survive session N+1", first.Outputs, second.Outputs)
+	}
+}
+
+// TestPALDriverScrubbedBeforeResume checks that the PAL's cached TPM driver
+// holds no Seal plaintext, Unseal output or PRNG seed once the OS resumes,
+// after a completed session and after one aborted past pal-exec.
+func TestPALDriverScrubbedBeforeResume(t *testing.T) {
+	for _, fail := range []string{"", "cleanup", "extend-pcr"} {
+		t.Run("fail="+fail, func(t *testing.T) {
+			p := newPlatform(t)
+			res, err := p.RunSession(sealPAL(), SessionOptions{Input: []byte("driver secret"), FailPhase: fail})
+			if fail == "" && (err != nil || res.PALError != nil || string(res.Outputs) != "driver secret") {
+				t.Fatalf("seal session: %v", err)
+			}
+			if fail != "" && !errors.Is(err, ErrFaultInjected) {
+				t.Fatalf("aborted session: err = %v, want injected fault", err)
+			}
+			if !p.scratch.palClient.Scrubbed() {
+				t.Error("PAL TPM driver scratch not zeroed before the OS resumed")
+			}
+		})
+	}
+}
+
+// TestPipelinesFitPhaseSlots keeps maxPipelinePhases in step with the
+// pipelines, so a session's timeline never outgrows its co-allocated slots.
+func TestPipelinesFitPhaseSlots(t *testing.T) {
+	for _, pipe := range []*sessionPipeline{&classicPipeline, &classicBatchPipeline, &partitionedPipeline} {
+		if len(pipe.phases) > maxPipelinePhases {
+			t.Errorf("pipeline %s has %d phases, maxPipelinePhases is %d", pipe.name, len(pipe.phases), maxPipelinePhases)
+		}
+	}
+}

@@ -97,9 +97,9 @@ type Platform struct {
 	// scratch is per-session state reused across runs, guarded by sessionMu
 	// like the rest of the session path. It is what makes a warm session
 	// (near-)zero-alloc: the session state, observer list, PAL environment,
-	// locality-2 TPM drivers, and output-page framing buffer all persist
-	// across sessions. SessionResult and response frames are NEVER pooled —
-	// callers retain those.
+	// locality-2 TPM drivers (with their response buffers), and
+	// output-page framing buffer all persist across sessions. The
+	// SessionResult is NEVER pooled — callers retain it.
 	scratch struct {
 		st        sessionState
 		obs       []Observer

@@ -101,6 +101,26 @@ type SessionResult struct {
 	Phases     []Phase
 }
 
+// maxPipelinePhases is the longest phase list a session pipeline declares
+// (classic, classic-batch and partitioned each have eight). A session's
+// timeline slots are allocated with its SessionResult; a batched session's
+// per-request spans grow the timeline past them.
+const maxPipelinePhases = 8
+
+// sessionAlloc co-allocates a SessionResult with its timeline slots.
+type sessionAlloc struct {
+	res    SessionResult
+	phases [maxPipelinePhases]Phase
+}
+
+// newSessionResult returns a heap copy of r whose Phases is empty with
+// room for maxPipelinePhases entries, in one allocation.
+func newSessionResult(r SessionResult) *SessionResult {
+	a := &sessionAlloc{res: r}
+	a.res.Phases = a.phases[:0]
+	return &a.res
+}
+
 // Duration returns the session's total simulated time.
 func (r *SessionResult) Duration() time.Duration { return r.End - r.Start }
 

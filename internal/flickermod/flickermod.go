@@ -55,6 +55,10 @@ type Module struct {
 	// inputScratch stages the length-prefixed input page so PlaceSLB does
 	// not allocate a fresh page buffer per session.
 	inputScratch [slb.PageSize]byte
+	// saved is the kernel context SuspendOS and SaveContextOnly stash,
+	// reused across sessions: the module runs one session at a time, and
+	// the session's resume consumes the state before the next suspend.
+	saved SavedState
 }
 
 // Load inserts the module into the kernel: it registers the four sysfs
@@ -194,11 +198,11 @@ func (mod *Module) PlaceSLB(im *slb.Image, slbBase uint32, inputs []byte) error 
 // ReadInputs reads the length-prefixed inputs from the input page (what the
 // SLB Core hands the PAL).
 func (mod *Module) ReadInputs(slbBase uint32) ([]byte, error) {
-	hdr, err := mod.M.Mem.Read(slbBase+uint32(slb.InputsOffset), 4)
-	if err != nil {
+	var hdr [4]byte
+	if err := mod.M.Mem.ReadInto(slbBase+uint32(slb.InputsOffset), hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr)
+	n := binary.LittleEndian.Uint32(hdr[:])
 	if n > slb.PageSize-4 {
 		return nil, errors.New("flickermod: corrupt input length")
 	}
@@ -222,13 +226,10 @@ func (st *SavedState) Suspended() bool { return st.wasSuspended }
 
 // SuspendOS prepares the machine for SKINIT: it hotplugs every AP offline,
 // sends the INIT IPIs, and saves the BSP's kernel state into the
-// saved-state page above the SLB (Section 4.2, "Suspend OS").
+// saved-state page above the SLB (Section 4.2, "Suspend OS"). The returned
+// state is the module's own, valid until the next suspend.
 func (mod *Module) SuspendOS(slbBase uint32) (*SavedState, error) {
-	st := &SavedState{
-		CR3:     mod.M.BSP().CR3(),
-		GDTBase: mod.M.BSP().GDTBase(),
-		SavedAt: slbBase + uint32(slb.SavedStateOffset),
-	}
+	st := mod.resetSaved(slbBase)
 	for _, c := range mod.M.Cores()[1:] {
 		if err := mod.K.OfflineCore(c.ID); err != nil {
 			return nil, fmt.Errorf("flickermod: hotplug of core %d: %w", c.ID, err)
@@ -238,17 +239,38 @@ func (mod *Module) SuspendOS(slbBase uint32) (*SavedState, error) {
 		}
 		st.OfflinedAPs = append(st.OfflinedAPs, c.ID)
 	}
-	// Persist the state to the saved-state page (the SLB Core reads it
-	// during Resume OS).
+	if err := mod.persistSaved(st); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// resetSaved readies the module's saved state for a new session, keeping
+// the OfflinedAPs backing array.
+func (mod *Module) resetSaved(slbBase uint32) *SavedState {
+	st := &mod.saved
+	*st = SavedState{
+		CR3:         mod.M.BSP().CR3(),
+		GDTBase:     mod.M.BSP().GDTBase(),
+		OfflinedAPs: st.OfflinedAPs[:0],
+		SavedAt:     slbBase + uint32(slb.SavedStateOffset),
+	}
+	return st
+}
+
+// persistSaved writes the state to the saved-state page (the SLB Core reads
+// it during Resume OS), charges the context switch, and marks the OS
+// suspended.
+func (mod *Module) persistSaved(st *SavedState) error {
 	var buf [8]byte
 	binary.LittleEndian.PutUint32(buf[0:4], st.CR3)
 	binary.LittleEndian.PutUint32(buf[4:8], st.GDTBase)
 	if err := mod.M.Mem.Write(st.SavedAt, buf[:]); err != nil {
-		return nil, err
+		return err
 	}
 	mod.K.Clock().Advance(mod.K.Profile().ContextSwitch, "os.suspend")
 	st.wasSuspended = true
-	return st, nil
+	return nil
 }
 
 // ResumeOS completes the OS side of resume after the SLB Core has restored
@@ -287,18 +309,9 @@ func (mod *Module) RestoreKernelContext(core *cpu.Core, st *SavedState) {
 // launch on next-generation hardware ([19]), where "untrusted legacy code
 // [continues] to execute on other cores".
 func (mod *Module) SaveContextOnly(slbBase uint32) (*SavedState, error) {
-	st := &SavedState{
-		CR3:     mod.M.BSP().CR3(),
-		GDTBase: mod.M.BSP().GDTBase(),
-		SavedAt: slbBase + uint32(slb.SavedStateOffset),
-	}
-	buf := make([]byte, 8)
-	binary.LittleEndian.PutUint32(buf[0:4], st.CR3)
-	binary.LittleEndian.PutUint32(buf[4:8], st.GDTBase)
-	if err := mod.M.Mem.Write(st.SavedAt, buf); err != nil {
+	st := mod.resetSaved(slbBase)
+	if err := mod.persistSaved(st); err != nil {
 		return nil, err
 	}
-	mod.K.Clock().Advance(mod.K.Profile().ContextSwitch, "os.suspend")
-	st.wasSuspended = true
 	return st, nil
 }

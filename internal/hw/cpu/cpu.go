@@ -196,6 +196,9 @@ type Machine struct {
 	// re-measures in O(1) while any CPU write, patch or DMA store into the
 	// window invalidates the entry (see measureSLB).
 	measureCache map[measureKey]measureEntry
+	// l4 is the locality-4 sequence's frame scratch. Only measureSLB uses
+	// it, after SKINIT has set secureActive, so at most one launch holds it.
+	l4 tpm.L4Scratch
 
 	// Late-launch instrumentation (see Instrument); always non-nil,
 	// detached until Instrument is called.
@@ -302,7 +305,7 @@ func (m *Machine) measureSLB(slbBase uint32, length uint16) (digest, pcr17 tpm.D
 	m.mu.Unlock()
 	if ok && gen != 0 && ent.gen == gen {
 		hit.Inc()
-		pcr17, err = tpm.RunHashSequencePrecomputed(m.TPMBus, ent.digest, int(length))
+		pcr17, err = tpm.RunHashSequencePrecomputed(m.TPMBus, &m.l4, ent.digest, int(length))
 		if err != nil {
 			return tpm.Digest{}, tpm.Digest{}, "measure-fault", err
 		}
@@ -318,7 +321,7 @@ func (m *Machine) measureSLB(slbBase uint32, length uint16) (digest, pcr17 tpm.D
 	// The digest is computed once on the launching CPU and handed to the
 	// TPM with the byte count; the TPM charges the full per-byte transfer
 	// cost, so Table 2's linear SKINIT latency is preserved exactly.
-	pcr17, err = tpm.RunHashSequencePrecomputed(m.TPMBus, digest, int(length))
+	pcr17, err = tpm.RunHashSequencePrecomputed(m.TPMBus, &m.l4, digest, int(length))
 	if err != nil {
 		return tpm.Digest{}, tpm.Digest{}, "measure-fault", err
 	}
@@ -523,8 +526,8 @@ func (m *Machine) SKINIT(coreID int, slbBase uint32) (*LateLaunch, error) {
 	m.mu.Unlock()
 
 	// Read and validate the SLB header: length and entry point words.
-	hdr, err := m.Mem.Read(slbBase, 4)
-	if err != nil {
+	var hdr [4]byte
+	if err := m.Mem.ReadInto(slbBase, hdr[:]); err != nil {
 		m.recordSKINIT("classic", "bad-slb", "cpu: SLB header unreadable")
 		return nil, fmt.Errorf("cpu: SLB header: %w", err)
 	}

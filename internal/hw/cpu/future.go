@@ -50,8 +50,8 @@ func (m *Machine) SKINITPartitioned(coreID int, slbBase uint32) (*LateLaunch, er
 	}
 	m.mu.Unlock()
 
-	hdr, err := m.Mem.Read(slbBase, 4)
-	if err != nil {
+	var hdr [4]byte
+	if err := m.Mem.ReadInto(slbBase, hdr[:]); err != nil {
 		m.recordSKINIT("partitioned", "bad-slb", "cpu: SLB header unreadable")
 		return nil, fmt.Errorf("cpu: SLB header: %w", err)
 	}

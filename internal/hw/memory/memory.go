@@ -161,6 +161,19 @@ func (m *PhysMem) Read(addr uint32, n int) ([]byte, error) {
 	return out, nil
 }
 
+// ReadInto copies len(dst) bytes starting at addr into dst: Read for a
+// caller that owns the buffer, such as the fixed-size SLB and input-page
+// headers read on every session.
+func (m *PhysMem) ReadInto(addr uint32, dst []byte) error {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if err := m.checkRange(addr, len(dst)); err != nil {
+		return err
+	}
+	copy(dst, m.data[addr:])
+	return nil
+}
+
 // bumpLocked marks the pages covering [addr, addr+n) as mutated. Callers
 // hold m.mu and have validated the range.
 func (m *PhysMem) bumpLocked(addr uint32, n int) {

@@ -38,12 +38,19 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatalf("got %q, want %q", got, data)
 	}
+	into := make([]byte, len(data))
+	if err := m.ReadInto(1000, into); err != nil || !bytes.Equal(into, data) {
+		t.Fatalf("ReadInto = %q, %v; want %q", into, err, data)
+	}
 }
 
 func TestOutOfRangeAccess(t *testing.T) {
 	m := New(PageSize)
 	if _, err := m.Read(uint32(PageSize), 1); err == nil {
 		t.Error("read past end accepted")
+	}
+	if err := m.ReadInto(uint32(PageSize-1), make([]byte, 2)); err == nil {
+		t.Error("ReadInto past end accepted")
 	}
 	if err := m.Write(uint32(PageSize-1), []byte{1, 2}); err == nil {
 		t.Error("write past end accepted")

@@ -32,9 +32,11 @@ const (
 func (l Locality) Valid() bool { return l >= Locality0 && l <= Locality4 }
 
 // Handler processes one marshaled TPM command issued at a locality and
-// returns the marshaled response. The TPM core implements this.
+// appends the marshaled response to dst, returning the extended slice —
+// the TIS FIFO read into a buffer the driver owns. The TPM core implements
+// this.
 type Handler interface {
-	HandleCommand(loc Locality, cmd []byte) []byte
+	AppendResponse(dst []byte, loc Locality, cmd []byte) []byte
 }
 
 // Bus is the TIS access-control front end in front of a Handler.
@@ -157,9 +159,15 @@ func (b *Bus) ActiveLocality() Locality {
 	return b.active
 }
 
-// Submit sends a marshaled command at locality l. The locality must hold
-// the interface.
+// Submit sends a marshaled command at locality l and returns the response
+// in a fresh buffer. The locality must hold the interface.
 func (b *Bus) Submit(l Locality, cmd []byte) ([]byte, error) {
+	return b.SubmitTo(nil, l, cmd)
+}
+
+// SubmitTo is Submit with the response appended to dst, so a driver that
+// keeps one response buffer reads every response without allocating.
+func (b *Bus) SubmitTo(dst []byte, l Locality, cmd []byte) ([]byte, error) {
 	b.mu.Lock()
 	if !b.claimed || b.active != l {
 		//flickervet:allow metrichandle(unclaimed submits are once-per-incident faults)
@@ -171,15 +179,20 @@ func (b *Bus) Submit(l Locality, cmd []byte) ([]byte, error) {
 	}
 	cachedOK(&b.okSubmits, b.metSubmits, l, "ok").Inc()
 	b.mu.Unlock()
-	return b.tpm.HandleCommand(l, cmd), nil
+	return b.tpm.AppendResponse(dst, l, cmd), nil
 }
 
 // SubmitAt is a convenience that claims, submits, and releases in one call;
 // hardware paths (SKINIT) use it since their access cannot be contended.
 func (b *Bus) SubmitAt(l Locality, cmd []byte) ([]byte, error) {
+	return b.SubmitAtTo(nil, l, cmd)
+}
+
+// SubmitAtTo is SubmitAt with the response appended to dst.
+func (b *Bus) SubmitAtTo(dst []byte, l Locality, cmd []byte) ([]byte, error) {
 	if err := b.RequestUse(l); err != nil {
 		return nil, err
 	}
 	defer b.Release(l)
-	return b.Submit(l, cmd)
+	return b.SubmitTo(dst, l, cmd)
 }

@@ -12,10 +12,10 @@ type echoTPM struct {
 	lastLoc Locality
 }
 
-func (e *echoTPM) HandleCommand(loc Locality, cmd []byte) []byte {
+func (e *echoTPM) AppendResponse(dst []byte, loc Locality, cmd []byte) []byte {
 	e.lastLoc = loc
-	out := append([]byte{byte(loc)}, cmd...)
-	return out
+	dst = append(dst, byte(loc))
+	return append(dst, cmd...)
 }
 
 func TestRequestSubmitRelease(t *testing.T) {
@@ -148,6 +148,24 @@ func TestArbitrationMetrics(t *testing.T) {
 		if got := c.vec.With(c.loc, c.res).Value(); got != c.want {
 			t.Errorf("locality %s result %s = %v, want %v", c.loc, c.res, got, c.want)
 		}
+	}
+}
+
+// TestSubmitToAppends checks the caller-owned response path: the response
+// lands after dst's contents, in dst's backing array when it has room.
+func TestSubmitToAppends(t *testing.T) {
+	b := NewBus(&echoTPM{})
+	buf := make([]byte, 2, 64)
+	buf[0], buf[1] = 0xEE, 0xFF
+	resp, err := b.SubmitAtTo(buf, Locality2, []byte{7, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resp, []byte{0xEE, 0xFF, 2, 7, 8}) || &resp[0] != &buf[0] {
+		t.Fatalf("resp = %v (want appended in place)", resp)
+	}
+	if _, err := b.SubmitTo(buf[:0], Locality2, []byte{1}); err != ErrNotClaimed {
+		t.Fatalf("unclaimed SubmitTo: err = %v, want ErrNotClaimed", err)
 	}
 }
 

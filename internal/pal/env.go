@@ -39,6 +39,9 @@ type Env struct {
 
 	rng     *palcrypto.PRNG
 	outputs []byte
+	// seed receives the TPM GetRandom bytes that seed rng; it is zeroed
+	// once rng has absorbed them.
+	seed [128]byte
 
 	// machine gives access to next-generation hardware features (the
 	// protected context store); nil in minimal environments.
@@ -136,17 +139,17 @@ func (e *Env) Reinit(cfg EnvConfig) error {
 		// "We also make one call to TPM GetRandom to obtain 128 bytes of
 		// random data (it is used to seed a pseudorandom number
 		// generator)" — Section 7.4.1.
-		b, err := cfg.TPM.GetRandom(128)
-		if err != nil {
+		if err := cfg.TPM.GetRandomInto(e.seed[:]); err != nil {
 			return fmt.Errorf("pal: seeding PRNG from TPM: %w", err)
 		}
-		seed = b
+		seed = e.seed[:]
 	}
 	if e.rng == nil {
 		e.rng = palcrypto.NewPRNG(seed)
 	} else {
 		e.rng.Reseed(seed)
 	}
+	clear(e.seed[:])
 	e.machine = cfg.Machine
 	e.identity = cfg.Identity
 	if cfg.MaxPALTime > 0 {

@@ -160,7 +160,7 @@ func TestEnvHashCharges(t *testing.T) {
 func TestEnvSealUnsealAndPCR(t *testing.T) {
 	r := newEnvRig(t)
 	// Put PCR 17 into a launch state first.
-	if _, err := tpm.RunHashSequence(r.machine.TPMBus, []byte("env pal")); err != nil {
+	if _, err := tpm.RunHashSequence(r.machine.TPMBus, new(tpm.L4Scratch), []byte("env pal")); err != nil {
 		t.Fatal(err)
 	}
 	e := r.env(t, EnvConfig{})
@@ -266,7 +266,7 @@ func TestEnvContextStoreGates(t *testing.T) {
 
 func TestSecureChannelModuleDirect(t *testing.T) {
 	r := newEnvRig(t)
-	if _, err := tpm.RunHashSequence(r.machine.TPMBus, []byte("channel pal")); err != nil {
+	if _, err := tpm.RunHashSequence(r.machine.TPMBus, new(tpm.L4Scratch), []byte("channel pal")); err != nil {
 		t.Fatal(err)
 	}
 	e := r.env(t, EnvConfig{RNGSeed: []byte("chan")})

@@ -29,25 +29,21 @@ func newBenchRig(tb testing.TB) *rig {
 }
 
 // TestCommandAllocsRegression is the allocation guard for the TPM round
-// trip itself: the client-side scratch buffers must keep simple command
-// framing off the heap, so a session's dozens of TPM commands do not grow
-// the per-session allocation budget. The budgets have headroom over the
-// measured values (the TPM core still allocates its response frames); a
-// regression that reintroduces per-command client marshaling allocations
-// trips them.
+// trip itself. The client frames into its command scratch and the TPM
+// answers into the client's response scratch, so an unauthorized round
+// trip allocates nothing; a regression that reintroduces per-command
+// framing or response allocations trips the zero guards.
 func TestCommandAllocsRegression(t *testing.T) {
 	r := newBenchRig(t)
 	d := Digest(palcrypto.SHA1Sum([]byte("warm")))
 
-	// Unauthorized round trip: client frame reuse leaves only the TPM's
-	// response allocations.
 	extend := testing.AllocsPerRun(200, func() {
 		if _, err := r.os.Extend(10, d); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if extend > 6 {
-		t.Errorf("Extend round trip = %.1f allocs, budget 6", extend)
+	if extend != 0 {
+		t.Errorf("Extend round trip = %.1f allocs, want 0", extend)
 	}
 
 	read := testing.AllocsPerRun(200, func() {
@@ -55,17 +51,43 @@ func TestCommandAllocsRegression(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if read > 6 {
-		t.Errorf("PCRRead round trip = %.1f allocs, budget 6", read)
+	if read != 0 {
+		t.Errorf("PCRRead round trip = %.1f allocs, want 0", read)
+	}
+
+	var seed [128]byte
+	random := testing.AllocsPerRun(200, func() {
+		if err := r.pal.GetRandomInto(seed[:]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if random != 0 {
+		t.Errorf("GetRandomInto round trip = %.1f allocs, want 0", random)
+	}
+
+	// The bus appends into a caller buffer that is already large enough.
+	cmd := marshalCommand(tagRQUCommand, OrdPCRRead, []byte{0, 0, 0, 10})
+	rsp := make([]byte, 0, 64)
+	if err := r.bus.RequestUse(tis.Locality0); err != nil {
+		t.Fatal(err)
+	}
+	submit := testing.AllocsPerRun(200, func() {
+		if _, err := r.bus.SubmitTo(rsp, tis.Locality0, cmd); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err := r.bus.Release(tis.Locality0); err != nil {
+		t.Fatal(err)
+	}
+	if submit != 0 {
+		t.Errorf("Bus.SubmitTo into a sized buffer = %.1f allocs, want 0", submit)
 	}
 
 	// Authorized round trips: the OIAP handshake, the command and response
-	// MACs, the envelope and the RSA seed transport are allocation-free, so
-	// what remains is the two response frames. Unseal and Seal both
-	// measure 2, with or without -race; the budgets are that plus ~25%. A
-	// MAC, nonce, envelope or RSA buffer that goes back to the heap trips
-	// them.
-	const unsealBudget, sealBudget = 3, 3
+	// MACs, the envelope, the RSA seed transport and both response frames
+	// are allocation-free, so what remains is the one copy of the result
+	// the caller keeps (the blob, the plaintext). A MAC, nonce, envelope,
+	// RSA or frame buffer that goes back to the heap trips the guards.
 	blob, err := r.pal.Seal(Digest{}, PCRSelection{}, Digest{}, []byte("sealed-payload"))
 	if err != nil {
 		t.Fatal(err)
@@ -75,16 +97,16 @@ func TestCommandAllocsRegression(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if unseal > unsealBudget {
-		t.Errorf("Unseal round trip = %.1f allocs, budget %d", unseal, unsealBudget)
+	if unseal > 1 {
+		t.Errorf("Unseal round trip = %.1f allocs, budget 1 (the plaintext copy)", unseal)
 	}
 	seal := testing.AllocsPerRun(100, func() {
 		if _, err := r.pal.Seal(Digest{}, SelectPCRs(17), Digest{}, []byte("sealed-payload")); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if seal > sealBudget {
-		t.Errorf("Seal round trip = %.1f allocs, budget %d", seal, sealBudget)
+	if seal > 1 {
+		t.Errorf("Seal round trip = %.1f allocs, budget 1 (the blob copy)", seal)
 	}
 }
 

@@ -1,6 +1,7 @@
 package tpm
 
 import (
+	"bytes"
 	"fmt"
 
 	"flicker/internal/hw/tis"
@@ -15,8 +16,11 @@ import (
 //
 // A Client is not safe for concurrent use (the nonce rng is stateful);
 // that existing contract is what makes the per-client scratch buffers
-// below safe. Response frames are never pooled: callers retain subslices
-// of them (blobs, random bytes, signatures).
+// below safe. The client owns its response buffer, as a real driver owns
+// the buffer it drains the TIS FIFO into: a response body is valid only
+// until the client's next command, so every method that hands bytes back
+// (blobs, plaintext, signatures, NV data) copies them out exactly once,
+// and the caller owns the copy.
 type Client struct {
 	bus *tis.Bus
 	loc tis.Locality
@@ -24,10 +28,12 @@ type Client struct {
 
 	// Scratch reused across commands on the session hot path. pbuf holds
 	// command parameters while they are built; cmd holds the framed
-	// command handed to the bus. Both may be overwritten by the next
-	// command: submits are synchronous and the TPM copies what it keeps.
+	// command handed to the bus; rsp holds the response frame. All three
+	// are overwritten by the next command: submits are synchronous and the
+	// TPM copies what it keeps. Scrub zeroes them.
 	pbuf buf
 	cmd  []byte
+	rsp  []byte
 }
 
 // NewClient creates a driver bound to a locality on the given bus.
@@ -42,6 +48,27 @@ func (c *Client) Locality() tis.Locality { return c.loc }
 // same seed would produce. It lets a session reuse a cached driver while
 // keeping the nonce stream identical to a freshly constructed one.
 func (c *Client) Reseed(nonceSeed []byte) { c.rng.Reseed(nonceSeed) }
+
+// Scrub zeroes the client's command, parameter and response scratch, which
+// hold the last command's plaintext (Seal data, Unseal output, random
+// bytes). The session engine scrubs the PAL's driver before the OS resumes.
+func (c *Client) Scrub() {
+	clear(c.pbuf.b[:cap(c.pbuf.b)])
+	clear(c.cmd[:cap(c.cmd)])
+	clear(c.rsp[:cap(c.rsp)])
+}
+
+// Scrubbed reports whether every scratch byte is zero, as Scrub leaves it.
+func (c *Client) Scrubbed() bool {
+	for _, b := range [][]byte{c.pbuf.b, c.cmd, c.rsp} {
+		for _, v := range b[:cap(b)] {
+			if v != 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
 
 // params resets and returns the client's parameter scratch buffer. The
 // returned buffer is valid until the next params call — long enough to
@@ -69,12 +96,8 @@ func IsCode(err error, code uint32) bool {
 	return ok && ce.Code == code
 }
 
-// unframe takes the result of submitting ordinal and returns the response
-// body of a successful command.
-func unframe(ordinal uint32, resp []byte, err error) ([]byte, error) {
-	if err != nil {
-		return nil, err
-	}
+// unframe returns the body of a successful response to ordinal.
+func unframe(ordinal uint32, resp []byte) ([]byte, error) {
 	_, rc, out, err := parseFrame(resp)
 	if err != nil {
 		return nil, err
@@ -85,18 +108,32 @@ func unframe(ordinal uint32, resp []byte, err error) ([]byte, error) {
 	return out, nil
 }
 
-// run frames, submits, and unframes one unauthorized command.
+// run frames, submits, and unframes one unauthorized command, claiming the
+// locality for it. The body it returns lives in the response scratch,
+// valid until the next command.
 func (c *Client) run(ordinal uint32, body []byte) ([]byte, error) {
-	c.cmd = appendCommand(c.cmd, tagRQUCommand, ordinal, body)
-	resp, err := c.bus.SubmitAt(c.loc, c.cmd)
-	return unframe(ordinal, resp, err)
+	if err := c.bus.RequestUse(c.loc); err != nil {
+		return nil, err
+	}
+	defer c.bus.Release(c.loc)
+	return c.submit(ordinal, body)
 }
 
 // submit is run for a caller that already holds its locality.
 func (c *Client) submit(ordinal uint32, body []byte) ([]byte, error) {
 	c.cmd = appendCommand(c.cmd, tagRQUCommand, ordinal, body)
-	resp, err := c.bus.Submit(c.loc, c.cmd)
-	return unframe(ordinal, resp, err)
+	return c.exchange(ordinal)
+}
+
+// exchange submits the framed command in c.cmd at the locality the caller
+// holds and reads the response into the response scratch.
+func (c *Client) exchange(ordinal uint32) ([]byte, error) {
+	resp, err := c.bus.SubmitTo(c.rsp[:0], c.loc, c.cmd)
+	if err != nil {
+		return nil, err
+	}
+	c.rsp = resp
+	return unframe(ordinal, resp)
 }
 
 // runAuth1 executes an authorized command: it opens an OIAP session, MACs
@@ -143,8 +180,7 @@ func (c *Client) runInSession(ordinal uint32, params []byte, key Digest, handle 
 	w.raw(auth[:])
 	c.cmd = w.b
 
-	resp, err := c.bus.Submit(c.loc, c.cmd)
-	body, err := unframe(ordinal, resp, err)
+	body, err := c.exchange(ordinal)
 	if err != nil {
 		return nil, err
 	}
@@ -159,8 +195,8 @@ func (c *Client) runInSession(ordinal uint32, params []byte, key Digest, handle 
 	if !palcrypto.ConstantTimeEqual(want[:], tb[DigestSize+1:]) {
 		return nil, fmt.Errorf("tpm: response MAC verification failed for ordinal %#x", ordinal)
 	}
-	// The response frame is freshly allocated per command, so the
-	// subslice is safe to hand to callers without copying.
+	// outParams lives in the response scratch: callers copy out what
+	// they return.
 	return outParams, nil
 }
 
@@ -202,14 +238,38 @@ func (c *Client) PCRReset(sel PCRSelection) error {
 
 // GetRandom returns n bytes from the TPM RNG.
 func (c *Client) GetRandom(n int) ([]byte, error) {
-	w := c.params()
-	w.u32(uint32(n))
-	out, err := c.run(OrdGetRandom, w.b)
-	if err != nil {
+	if n < 0 || n > maxRandomBytes {
+		// Refused before the buffer is sized, with the code the TPM
+		// would return.
+		return nil, &CommandError{Ordinal: OrdGetRandom, Code: RCBadParameter}
+	}
+	out := make([]byte, n)
+	if err := c.GetRandomInto(out); err != nil {
 		return nil, err
 	}
+	return out, nil
+}
+
+// GetRandomInto fills dst from the TPM RNG and zeroes the bytes' copy in
+// the response scratch.
+func (c *Client) GetRandomInto(dst []byte) error {
+	w := c.params()
+	w.u32(uint32(len(dst)))
+	out, err := c.run(OrdGetRandom, w.b)
+	if err != nil {
+		return err
+	}
 	r := &rdr{b: out}
-	return r.bytes32()
+	rnd, err := r.bytes32()
+	if err != nil {
+		return err
+	}
+	if len(rnd) != len(dst) {
+		return errTruncated
+	}
+	copy(dst, rnd)
+	clear(rnd)
+	return nil
 }
 
 // GetVersion returns the TPM family version string and PCR count.
@@ -271,7 +331,7 @@ func (c *Client) Quote(aikHandle uint32, aikAuth Digest, nonce Digest, sel PCRSe
 	if err != nil {
 		return nil, err
 	}
-	q := &QuoteResult{Signature: sig}
+	q := &QuoteResult{Signature: bytes.Clone(sig)}
 	copy(q.Composite[:], cb)
 	return q, nil
 }
@@ -288,8 +348,7 @@ func (c *Client) Seal(srkAuth Digest, sel PCRSelection, digestAtRelease Digest, 
 	if err != nil {
 		return nil, err
 	}
-	r := &rdr{b: out}
-	return r.bytes32()
+	return copyField(out)
 }
 
 // Unseal opens a sealed blob; it fails with RCWrongPCRVal if the PCR
@@ -302,8 +361,7 @@ func (c *Client) Unseal(srkAuth Digest, blob []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &rdr{b: out}
-	return r.bytes32()
+	return takeField(out)
 }
 
 // MakeIdentity creates a fresh AIK (owner-authorized) and returns its
@@ -331,7 +389,7 @@ func (c *Client) MakeIdentity(ownerAuth Digest) (uint32, *palcrypto.RSAPublicKey
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	return h, pk, blob, nil
+	return h, pk, bytes.Clone(blob), nil
 }
 
 // CreateWrapKey generates a keypair of the given usage, wrapped under the
@@ -359,7 +417,7 @@ func (c *Client) CreateWrapKey(srkAuth Digest, usage uint16, usageAuth Digest) (
 	if err != nil {
 		return nil, nil, err
 	}
-	return blob, pk, nil
+	return bytes.Clone(blob), pk, nil
 }
 
 // LoadKey2 loads a wrapped key blob into a volatile handle.
@@ -392,8 +450,7 @@ func (c *Client) Sign(handle uint32, usageAuth Digest, data []byte) ([]byte, err
 	if err != nil {
 		return nil, err
 	}
-	r := &rdr{b: out}
-	return r.bytes32()
+	return copyField(out)
 }
 
 // NVDefineSpace defines an NV index of the given size. If pcrGated is
@@ -444,8 +501,28 @@ func (c *Client) NVRead(index uint32, offset, n int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	return copyField(out)
+}
+
+// copyField returns a caller-owned copy of the length-prefixed field that
+// opens a response body.
+func copyField(out []byte) ([]byte, error) {
 	r := &rdr{b: out}
-	return r.bytes32()
+	f, err := r.bytes32()
+	if err != nil {
+		return nil, err
+	}
+	return bytes.Clone(f), nil
+}
+
+// takeField is copyField for a plaintext field: it also zeroes the field in
+// the response scratch, so the secret has one copy, the caller's.
+func takeField(out []byte) ([]byte, error) {
+	v, err := copyField(out)
+	if err == nil {
+		clear(out[4 : 4+len(v)])
+	}
+	return v, err
 }
 
 // CreateCounter creates a monotonic counter (owner-authorized) and returns

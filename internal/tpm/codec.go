@@ -152,11 +152,6 @@ func (r *rdr) bytes32() ([]byte, error) {
 
 func (r *rdr) empty() bool { return len(r.b) == 0 }
 
-// marshalCommand frames a request.
-func marshalCommand(tag uint16, ordinal uint32, body []byte) []byte {
-	return appendCommand(nil, tag, ordinal, body)
-}
-
 // appendCommand frames a request into dst's capacity (dst may be nil) and
 // returns the frame. The buffer may be reused for the next command as soon
 // as the synchronous submit returns: command handling copies anything the
@@ -170,16 +165,15 @@ func appendCommand(dst []byte, tag uint16, ordinal uint32, body []byte) []byte {
 	return w.b
 }
 
-// marshalResponse frames a response. The frame is sized exactly and copied
-// out of body, so handlers may hand in a scratch buffer; the returned frame
-// itself is freshly allocated and never pooled — the caller owns it.
-func marshalResponse(tag uint16, rc uint32, body []byte) []byte {
-	out := make([]byte, 10+len(body))
-	binary.BigEndian.PutUint16(out, tag)
-	binary.BigEndian.PutUint32(out[2:], uint32(10+len(body)))
-	binary.BigEndian.PutUint32(out[6:], rc)
-	copy(out[10:], body)
-	return out
+// appendResponse frames a response onto dst, copying body (handlers build
+// bodies in TPM scratch). dst belongs to the caller — the driver's response
+// buffer — so a warm driver reads every response without allocating.
+func appendResponse(dst []byte, tag uint16, rc uint32, body []byte) []byte {
+	dst = slices.Grow(dst, 10+len(body))
+	dst = binary.BigEndian.AppendUint16(dst, tag)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(10+len(body)))
+	dst = binary.BigEndian.AppendUint32(dst, rc)
+	return append(dst, body...)
 }
 
 // parseFrame splits a frame into (tag, code, body); code is the ordinal for

@@ -202,11 +202,14 @@ func (t *TPM) cmdPCRReset(loc tis.Locality, body []byte) ([]byte, uint32) {
 	return nil, RCSuccess
 }
 
+// maxRandomBytes is the most TPM_GetRandom returns in one command.
+const maxRandomBytes = 4096
+
 func (t *TPM) cmdGetRandom(body []byte) ([]byte, uint32) {
 	t.charge(simtime.Charge{Duration: t.profile.TPMGetRandom, Label: "tpm.getrandom"})
 	r := &rdr{b: body}
 	n, err := r.u32()
-	if err != nil || n > 4096 {
+	if err != nil || n > maxRandomBytes {
 		return nil, RCBadParameter
 	}
 	if cap(t.rnd) < int(n) {

@@ -47,7 +47,7 @@ func (c *Client) runAuth1OSAP(ordinal uint32, params []byte, entityType uint16, 
 // SealOSAP is Seal authorized via an OSAP session on the SRK, the mode the
 // TPM 1.2 specification prescribes for Seal.
 func (c *Client) SealOSAP(srkAuth Digest, sel PCRSelection, digestAtRelease Digest, data []byte) ([]byte, error) {
-	w := &buf{}
+	w := c.params()
 	w.u32(KHSRK)
 	w.raw(digestAtRelease[:])
 	sel.marshal(w)
@@ -56,19 +56,17 @@ func (c *Client) SealOSAP(srkAuth Digest, sel PCRSelection, digestAtRelease Dige
 	if err != nil {
 		return nil, err
 	}
-	r := &rdr{b: out}
-	return r.bytes32()
+	return copyField(out)
 }
 
 // UnsealOSAP is Unseal authorized via an OSAP session on the SRK.
 func (c *Client) UnsealOSAP(srkAuth Digest, blob []byte) ([]byte, error) {
-	w := &buf{}
+	w := c.params()
 	w.u32(KHSRK)
 	w.bytes32(blob)
 	out, err := c.runAuth1OSAP(OrdUnseal, w.b, ETKeyHandle, KHSRK, srkAuth)
 	if err != nil {
 		return nil, err
 	}
-	r := &rdr{b: out}
-	return r.bytes32()
+	return takeField(out)
 }

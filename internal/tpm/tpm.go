@@ -79,8 +79,8 @@ type TPM struct {
 
 	// rbody is the response-body scratch handed out by respBuf, and rnd the
 	// GetRandom payload scratch. Both are valid only under t.mu:
-	// marshalResponse copies the body into the (never-pooled) response
-	// frame before HandleCommand returns, so neither escapes a command.
+	// appendResponse copies the body into the caller's response buffer
+	// before AppendResponse returns, so neither escapes a command.
 	rbody buf
 	rnd   []byte
 	// scratch is the sealed-blob and wrapped-key envelope's working state,
@@ -197,7 +197,7 @@ func (t *TPM) SetTraceTag(tag *metrics.TraceTag) {
 
 // respBuf returns the TPM's response-body scratch, reset for a new body.
 // Valid only while t.mu is held, which every command handler is; the body is
-// copied into the response frame before HandleCommand returns.
+// copied into the response frame before AppendResponse returns.
 func (t *TPM) respBuf() *buf {
 	t.rbody.b = t.rbody.b[:0]
 	return &t.rbody
@@ -272,27 +272,29 @@ func (t *TPM) compositeLocked(sel PCRSelection) Digest {
 	return compositeHash(sel, &t.pcrs)
 }
 
-// HandleCommand implements tis.Handler: it parses a request frame,
-// dispatches on the ordinal, and returns a response frame. Malformed input
-// never panics; it produces an error return code.
+// HandleCommand processes one request frame and returns the response in a
+// fresh buffer; it is AppendResponse with no caller buffer.
 func (t *TPM) HandleCommand(loc tis.Locality, cmd []byte) []byte {
+	return t.AppendResponse(nil, loc, cmd)
+}
+
+// AppendResponse implements tis.Handler: it parses a request frame,
+// dispatches on the ordinal, and appends the response frame to dst.
+// Malformed input never panics; it produces an error return code.
+func (t *TPM) AppendResponse(dst []byte, loc tis.Locality, cmd []byte) []byte {
 	// The real part is single-threaded: serialize the whole command, which
 	// also makes the instrument pointers safe against Instrument.
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	tag, ord, body, err := parseFrame(cmd)
-	if err != nil {
+	if err != nil || (tag != tagRQUCommand && tag != tagRQUAuth1) {
 		t.metMalformed.Inc()
-		return marshalResponse(tagRSPCommand, RCBadParameter, nil)
-	}
-	if tag != tagRQUCommand && tag != tagRQUAuth1 {
-		t.metMalformed.Inc()
-		return marshalResponse(tagRSPCommand, RCBadParameter, nil)
+		return appendResponse(dst, tagRSPCommand, RCBadParameter, nil)
 	}
 	rbody, rc := t.dispatch(loc, tag, ord, body)
 	rtag := tagRSPCommand
 	if tag == tagRQUAuth1 && rc == RCSuccess {
 		rtag = tagRSPAuth1
 	}
-	return marshalResponse(rtag, rc, rbody)
+	return appendResponse(dst, rtag, rc, rbody)
 }

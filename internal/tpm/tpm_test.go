@@ -552,20 +552,7 @@ func TestGetCapability(t *testing.T) {
 
 func TestMalformedCommandsDoNotPanic(t *testing.T) {
 	r := newRig(t)
-	inputs := [][]byte{
-		nil,
-		{1, 2, 3},
-		marshalCommand(tagRQUCommand, 0xFFFF, nil),           // unknown ordinal
-		marshalCommand(0x9999, OrdExtend, make([]byte, 24)),  // bad tag
-		marshalCommand(tagRQUCommand, OrdExtend, []byte{1}),  // truncated body
-		marshalCommand(tagRQUCommand, OrdSeal, []byte{0, 0}), // auth cmd, wrong tag
-		marshalCommand(tagRQUAuth1, OrdUnseal, []byte{1, 2}), // short auth trailer
-		func() []byte { // size field lies
-			c := marshalCommand(tagRQUCommand, OrdPCRRead, []byte{0, 0, 0, 1})
-			c[5] = 0xFF
-			return c
-		}(),
-	}
+	inputs := malformedFrames()
 	for i, in := range inputs {
 		resp := r.tpm.HandleCommand(tis.Locality0, in)
 		if _, rc, _, err := parseFrame(resp); err != nil || rc == RCSuccess {
