@@ -139,6 +139,7 @@ func palExecBatchBody(st *sessionState) error {
 		env.ExitSandbox()
 		return err
 	}
+	br.replies = make([]pal.BatchReply, 0, len(reqs))
 	bctx, oerr := br.bp.OpenBatch(env, header, len(reqs))
 	if oerr != nil {
 		st.palErr = fmt.Errorf("core: batch open: %w", oerr)

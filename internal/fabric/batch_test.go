@@ -179,48 +179,38 @@ func TestFabricBatchSuffixOnlyResubmission(t *testing.T) {
 		h := h
 		real := h.handle
 		h.port.SetHandler(func(req []byte) []byte {
-			if len(req) == 0 {
+			// Every run frame, singletons included, is a runBatch frame.
+			if len(req) == 0 || req[0] != kindRunBatch {
 				return real(req)
 			}
-			switch req[0] {
-			case kindRun:
-				if rr, err := decodeRun(req[1:]); err == nil {
-					mu.Lock()
-					received[h.name] = append(received[h.name], string(rr.Input))
-					mu.Unlock()
-				}
+			br, err := decodeRunBatch(req[1:])
+			if err != nil {
+				t.Errorf("interposer decode: %v", err)
 				return real(req)
-			case kindRunBatch:
-				br, err := decodeRunBatch(req[1:])
-				if err != nil {
-					t.Errorf("interposer decode: %v", err)
-					return real(req)
-				}
-				var inputs []string
-				for _, m := range br.Members {
-					inputs = append(inputs, string(m.Input))
-				}
+			}
+			var inputs []string
+			for _, m := range br.Members {
+				inputs = append(inputs, string(m.Input))
+			}
+			mu.Lock()
+			received[h.name] = append(received[h.name], inputs...)
+			mu.Unlock()
+			resp := real(append([]byte(nil), req...))
+			if len(br.Members) >= 2 && forged.CompareAndSwap(false, true) {
+				// Forge an abort that interrupted the second half: the
+				// prefix stays as the host produced it, the suffix comes
+				// back runLost.
+				cut := len(br.Members) / 2
 				mu.Lock()
-				received[h.name] = append(received[h.name], inputs...)
+				rewritten = append(rewritten, inputs[cut:]...)
 				mu.Unlock()
-				resp := real(append([]byte(nil), req...))
-				if len(br.Members) >= 2 && forged.CompareAndSwap(false, true) {
-					// Forge an abort that interrupted the second half: the
-					// prefix stays as the host produced it, the suffix comes
-					// back runLost.
-					cut := len(br.Members) / 2
-					mu.Lock()
-					rewritten = append(rewritten, inputs[cut:]...)
-					mu.Unlock()
-					return rewriteBatchResp(t, resp, func(b *runBatchResp) {
-						for i := cut; i < len(b.Members); i++ {
-							b.Members[i] = runBatchMemberResp{Status: runLost, Err: "forced abort"}
-						}
-					})
-				}
-				return resp
+				return rewriteBatchResp(t, resp, func(b *runBatchResp) {
+					for i := cut; i < len(b.Members); i++ {
+						b.Members[i] = runBatchMemberResp{Status: runLost, Err: "forced abort"}
+					}
+				})
 			}
-			return real(req)
+			return resp
 		})
 	}
 
@@ -490,10 +480,12 @@ func TestFabricBatchTraceShape(t *testing.T) {
 
 // --- codec: runBatch frames --------------------------------------------------
 
-func TestCodecRunBatchRoundTrip(t *testing.T) {
-	want := &runBatchReq{
+// sampleRunBatchReq and sampleRunBatchResp are the round-trip samples, also
+// the seeds of FuzzFabricFrames.
+func sampleRunBatchReq() *runBatchReq {
+	return &runBatchReq{
 		Frame: 0xDEADBEEF01,
-		PAL:   "echo",
+		PAL:   []byte("echo"),
 		Trace: traceCtx{TraceID: 0xA1, Parent: 0xA2},
 		Members: []runBatchMember{
 			{Input: []byte("one"), Trace: traceCtx{TraceID: 0xB1, Parent: 0xB2}},
@@ -501,11 +493,27 @@ func TestCodecRunBatchRoundTrip(t *testing.T) {
 			{Input: []byte("three")},
 		},
 	}
+}
+
+func sampleRunBatchResp() *runBatchResp {
+	return &runBatchResp{
+		Frame: 7,
+		Members: []runBatchMemberResp{
+			{Status: runOK, Output: []byte("out0"), Spans: sampleSpans()},
+			{Status: runPALError, Err: "boom"},
+			{Status: runLost, Err: "aborted"},
+		},
+		Spans: sampleSpans(),
+	}
+}
+
+func TestCodecRunBatchRoundTrip(t *testing.T) {
+	want := sampleRunBatchReq()
 	got, err := decodeRunBatch(appendRunBatch(nil, want)[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Frame != want.Frame || got.PAL != want.PAL || got.Trace != want.Trace {
+	if got.Frame != want.Frame || string(got.PAL) != string(want.PAL) || got.Trace != want.Trace {
 		t.Fatalf("header round trip = %+v", got)
 	}
 	if len(got.Members) != 3 {
@@ -524,16 +532,12 @@ func TestCodecRunBatchRoundTrip(t *testing.T) {
 }
 
 func TestCodecRunBatchRespRoundTrip(t *testing.T) {
-	want := &runBatchResp{
-		Frame: 7,
-		Members: []runBatchMemberResp{
-			{Status: runOK, Output: []byte("out0"), Spans: sampleSpans()},
-			{Status: runPALError, Err: "boom"},
-			{Status: runLost, Err: "aborted"},
-		},
-		Spans: sampleSpans(),
+	want := sampleRunBatchResp()
+	raw := appendRunBatchResp(nil, want)
+	if len(raw) != runBatchRespSize(want) {
+		t.Fatalf("encoded %d bytes, runBatchRespSize says %d", len(raw), runBatchRespSize(want))
 	}
-	got, err := decodeRunBatchResp(appendRunBatchResp(nil, want)[1:])
+	got, err := decodeRunBatchResp(raw[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,7 +564,7 @@ func TestCodecRunBatchRespRoundTrip(t *testing.T) {
 // the `flickervet untrustedlen` discipline for the new frames.
 func TestCodecForgedBatchCountsRejected(t *testing.T) {
 	req := &runBatchReq{
-		Frame: 1, PAL: "echo",
+		Frame: 1, PAL: []byte("echo"),
 		Members: []runBatchMember{{Input: []byte("a")}, {Input: []byte("b")}},
 	}
 	raw := appendRunBatch(nil, req)[1:]

@@ -20,7 +20,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
+	"slices"
 	"time"
 
 	"flicker/internal/attest"
@@ -29,12 +29,14 @@ import (
 )
 
 // Frame kinds. Requests flow controller → host; each has one response
-// kind. kindError is the generic failure response to any request.
+// kind. kindError is the generic failure response to any request. Kind
+// numbers are never reused or renumbered (admitted fleets may mix
+// controller and host builds in tests).
 const (
 	kindChallenge byte = iota + 1
 	kindChallengeResp
-	kindRun
-	kindRunResp
+	_ // 3 and 4: the retired singleton run pair; a singleton is a one-member runBatch
+	_
 	kindHeartbeat
 	kindHeartbeatResp
 	kindDrain
@@ -42,8 +44,6 @@ const (
 	kindStats
 	kindStatsResp
 	kindError
-	// The batched-run pair extends the kind space (never renumber: admitted
-	// fleets may mix controller and host builds in tests).
 	kindRunBatch
 	kindRunBatchResp
 )
@@ -89,23 +89,6 @@ type challengeResp struct {
 	Spans []trace.SpanRecord
 }
 
-// runReq asks a host to execute one session.
-type runReq struct {
-	PAL   string
-	Input []byte
-	Trace traceCtx
-}
-
-// runResp reports one session's outcome.
-type runResp struct {
-	Status byte
-	Output []byte
-	Err    string
-	// Spans is the host-side segment of the session trace, shipped back for
-	// the controller to splice under its attempt span.
-	Spans []trace.SpanRecord
-}
-
 // runBatchMember is one request riding in a runBatch frame: its input and
 // its own trace propagation pair (each member belongs to its own Run root
 // on the controller).
@@ -116,27 +99,29 @@ type runBatchMember struct {
 
 // runBatchReq asks a host to execute a same-PAL group as ONE batched pool
 // session: one frame on the wire, one SKINIT + Seal/Unseal on the host.
+// It is the only run frame: a one-member frame is a singleton session.
 // Frame is the pipelining correlation ID — the host echoes it so the
 // controller can verify a reply answers the frame it sent on that lane.
 // Trace is the frame-level propagation pair (the first traced member), the
-// parent of the host's host.runBatch segment.
+// parent of the host's host.runBatch segment. PAL is the wire name as bytes,
+// so a decoded frame aliases it instead of allocating a string.
 type runBatchReq struct {
 	Frame   uint64
-	PAL     string
+	PAL     []byte
 	Trace   traceCtx
 	Members []runBatchMember
 }
 
-// runBatchMemberResp is one member's outcome, same status space as runResp.
-// The completed-prefix contract rides in the statuses: members the host
-// finished are runOK/runPALError and are never resubmitted; members an
-// abort interrupted come back runLost so the controller resubmits ONLY the
-// incomplete suffix.
+// runBatchMemberResp is one member's outcome. The completed-prefix contract
+// rides in the statuses: members the host finished are runOK/runPALError and
+// are never resubmitted; members an abort interrupted come back runLost so
+// the controller resubmits ONLY the incomplete suffix.
 type runBatchMemberResp struct {
 	Status byte
 	Output []byte
 	Err    string
-	// Spans is this member's host-side segment (its host.run span).
+	// Spans is this member's host-side segment (its host.run span), shipped
+	// back for the controller to splice under the member's attempt span.
 	Spans []trace.SpanRecord
 }
 
@@ -293,6 +278,21 @@ func appendSpans(b []byte, recs []trace.SpanRecord) []byte {
 		}
 	}
 	return b
+}
+
+// spansSize is the exact length appendSpans writes for recs.
+func spansSize(recs []trace.SpanRecord) int {
+	if len(recs) > 0xffff {
+		recs = recs[:0xffff]
+	}
+	n := 2
+	for _, r := range recs {
+		n += spanRecMin + len(r.Name) + len(r.Site) + len(r.Err)
+		for _, a := range r.Attrs {
+			n += attrMin + len(a.Key) + len(a.Value)
+		}
+	}
+	return n
 }
 
 // readSpans decodes a span-record blob. Both the record count and each
@@ -469,103 +469,21 @@ func decodeChallengeResp(b []byte) (*challengeResp, error) {
 	return r, nil
 }
 
-// --- run --------------------------------------------------------------------
+// --- run frames -------------------------------------------------------------
 
-func encodeRun(r *runReq) []byte {
-	return appendRun(nil, r)
-}
-
-func decodeRun(b []byte) (*runReq, error) {
-	name, rest, err := readBytes16(b)
-	if err != nil {
-		return nil, err
-	}
-	input, rest, err := readBytes32(rest)
-	if err != nil {
-		return nil, err
-	}
-	tc, rest, err := readTraceCtx(rest)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, len(rest))
-	}
-	return &runReq{PAL: string(name), Input: input, Trace: tc}, nil
-}
-
-func encodeRunResp(r *runResp) []byte {
-	b := []byte{kindRunResp, r.Status}
-	b = appendBytes32(b, r.Output)
-	b = appendBytes16(b, []byte(r.Err))
-	return appendSpans(b, r.Spans)
-}
-
-func decodeRunResp(b []byte) (*runResp, error) {
-	if len(b) < 1 {
-		return nil, fmt.Errorf("%w: missing run status", ErrBadFrame)
-	}
-	r := &runResp{Status: b[0]}
-	out, rest, err := readBytes32(b[1:])
-	if err != nil {
-		return nil, err
-	}
-	r.Output = out
-	msg, rest, err := readBytes16(rest)
-	if err != nil {
-		return nil, err
-	}
-	r.Err = string(msg)
-	if r.Spans, rest, err = readSpans(rest); err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, len(rest))
-	}
-	return r, nil
-}
-
-// --- batched run ------------------------------------------------------------
-
-// frameBufs recycles encode scratch and reply buffers on the controller's
-// frame path: a steady-state dispatch encodes into a pooled buffer, ships
-// it, receives the reply into a second pooled buffer (netsim CallAppend),
-// decodes aliasing that buffer, copies out only what the caller keeps, and
-// returns both. The singleton hot path was 33 allocs / 8.1 KB per op,
-// dominated by exactly these two per-call frames.
-var frameBufs = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
-}
-
-func getFrameBuf() *[]byte { return frameBufs.Get().(*[]byte) }
-
-func putFrameBuf(b *[]byte) {
-	// An outsized reply (a huge span blob) is dropped rather than pinned in
-	// the pool forever.
-	if cap(*b) > 1<<20 {
-		return
-	}
-	*b = (*b)[:0]
-	frameBufs.Put(b)
-}
-
-// appendRun is encodeRun into caller-owned scratch (the zero-alloc frame
-// path); encodeRun remains the allocating convenience wrapper.
-func appendRun(b []byte, r *runReq) []byte {
-	b = append(b, kindRun)
-	b = appendBytes16(b, []byte(r.PAL))
-	b = appendBytes32(b, r.Input)
-	return appendTraceCtx(b, r.Trace)
-}
+// maxPooledBytes and maxPooledMembers bound what pooled frame scratch may
+// keep: scratch that has grown past either (a huge span blob, a forged
+// member count) is dropped rather than pinned in its pool.
+const (
+	maxPooledBytes   = 1 << 20
+	maxPooledMembers = 1 << 10
+)
 
 // appendRunBatch encodes a runBatch frame into caller-owned scratch.
 func appendRunBatch(b []byte, r *runBatchReq) []byte {
 	b = append(b, kindRunBatch)
 	b = binary.BigEndian.AppendUint64(b, r.Frame)
-	b = appendBytes16(b, []byte(r.PAL))
+	b = appendBytes16(b, r.PAL)
 	b = appendTraceCtx(b, r.Trace)
 	b = appendU16(b, len(r.Members))
 	for i := range r.Members {
@@ -580,47 +498,46 @@ func appendRunBatch(b []byte, r *runBatchReq) []byte {
 // forged-count clamp in decodeRunBatch.
 const batchMemberMin = 4 + 16
 
-// decodeRunBatch decodes a runBatch frame. Member inputs alias the frame
-// (zero-copy): the host copies them into the session input page anyway, so
-// the decode itself allocates only the member slice.
-func decodeRunBatch(b []byte) (*runBatchReq, error) {
-	r := &runBatchReq{}
+// decodeRunBatchInto decodes a runBatch frame into r, reusing r's member
+// slice. The PAL name and member inputs alias the frame (zero-copy): the
+// host copies inputs into the session input page anyway, so decoding into
+// warm scratch allocates nothing. r is only meaningful when the error is
+// nil.
+func decodeRunBatchInto(b []byte, r *runBatchReq) error {
 	var err error
 	if r.Frame, b, err = readU64(b); err != nil {
-		return nil, err
+		return err
 	}
-	var name []byte
-	if name, b, err = readBytes16(b); err != nil {
-		return nil, err
+	if r.PAL, b, err = readBytes16(b); err != nil {
+		return err
 	}
-	r.PAL = string(name)
 	if r.Trace, b, err = readTraceCtx(b); err != nil {
-		return nil, err
+		return err
 	}
 	var count int
 	if count, b, err = readU16(b); err != nil {
-		return nil, err
+		return err
 	}
 	// Forged-count clamp: a count word may not demand more members than the
 	// remaining bytes could frame.
 	if count > len(b)/batchMemberMin {
-		return nil, fmt.Errorf("%w: batch count %d exceeds what %d bytes can frame", ErrBadFrame, count, len(b))
+		return fmt.Errorf("%w: batch count %d exceeds what %d bytes can frame", ErrBadFrame, count, len(b))
 	}
-	r.Members = make([]runBatchMember, 0, count)
+	r.Members = slices.Grow(r.Members[:0], count)
 	for i := 0; i < count; i++ {
 		var m runBatchMember
 		if m.Input, b, err = readBytes32(b); err != nil {
-			return nil, err
+			return err
 		}
 		if m.Trace, b, err = readTraceCtx(b); err != nil {
-			return nil, err
+			return err
 		}
 		r.Members = append(r.Members, m)
 	}
 	if len(b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, len(b))
+		return fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, len(b))
 	}
-	return r, nil
+	return nil
 }
 
 // appendRunBatchResp encodes a frame's outcomes into caller-owned scratch.
@@ -638,55 +555,68 @@ func appendRunBatchResp(b []byte, r *runBatchResp) []byte {
 	return appendSpans(b, r.Spans)
 }
 
+// runBatchRespSize is the exact length appendRunBatchResp writes for r, so a
+// host can encode its reply into one right-sized buffer.
+func runBatchRespSize(r *runBatchResp) int {
+	n := 1 + 8 + 2 + spansSize(r.Spans)
+	for i := range r.Members {
+		m := &r.Members[i]
+		n += 1 + 4 + len(m.Output) + 2 + len(m.Err) + spansSize(m.Spans)
+	}
+	return n
+}
+
 // batchRespMemberMin is the smallest encoded member response: status byte,
 // empty u32 output, empty u16 error, zero u16 span count.
 const batchRespMemberMin = 1 + 4 + 2 + 2
 
-// decodeRunBatchResp decodes a frame's outcomes. Member outputs alias the
-// reply buffer (zero-copy): the controller copies exactly the outputs it
-// delivers before recycling the buffer.
-func decodeRunBatchResp(b []byte) (*runBatchResp, error) {
-	r := &runBatchResp{}
+// decodeRunBatchRespInto decodes a frame's outcomes into r, reusing r's
+// member slice. Member outputs alias the reply buffer (zero-copy): the
+// controller copies exactly the outputs it delivers before recycling the
+// buffer. Span blobs and error strings are fresh, and a zero span count
+// leaves Spans nil, so nothing from an earlier decode survives in r. r is
+// only meaningful when the error is nil.
+func decodeRunBatchRespInto(b []byte, r *runBatchResp) error {
 	var err error
 	if r.Frame, b, err = readU64(b); err != nil {
-		return nil, err
+		return err
 	}
 	var count int
 	if count, b, err = readU16(b); err != nil {
-		return nil, err
+		return err
 	}
 	// Same forged-count clamp as the request side — responses arrive from
 	// untrusted hosts.
 	if count > len(b)/batchRespMemberMin {
-		return nil, fmt.Errorf("%w: batch count %d exceeds what %d bytes can frame", ErrBadFrame, count, len(b))
+		return fmt.Errorf("%w: batch count %d exceeds what %d bytes can frame", ErrBadFrame, count, len(b))
 	}
-	r.Members = make([]runBatchMemberResp, 0, count)
+	r.Members = slices.Grow(r.Members[:0], count)
 	for i := 0; i < count; i++ {
 		var m runBatchMemberResp
 		if len(b) < 1 {
-			return nil, fmt.Errorf("%w: missing member status", ErrBadFrame)
+			return fmt.Errorf("%w: missing member status", ErrBadFrame)
 		}
 		m.Status, b = b[0], b[1:]
 		if m.Output, b, err = readBytes32(b); err != nil {
-			return nil, err
+			return err
 		}
 		var msg []byte
 		if msg, b, err = readBytes16(b); err != nil {
-			return nil, err
+			return err
 		}
 		m.Err = string(msg)
 		if m.Spans, b, err = readSpans(b); err != nil {
-			return nil, err
+			return err
 		}
 		r.Members = append(r.Members, m)
 	}
 	if r.Spans, b, err = readSpans(b); err != nil {
-		return nil, err
+		return err
 	}
 	if len(b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, len(b))
+		return fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, len(b))
 	}
-	return r, nil
+	return nil
 }
 
 // --- heartbeat / drain / stats ---------------------------------------------

@@ -106,33 +106,62 @@ func TestCodecForgedStatsCountRejected(t *testing.T) {
 	}
 }
 
+// decodeRunBatch and decodeRunBatchResp decode into fresh structs: the
+// reference the reused-scratch decoders are held to.
+func decodeRunBatch(b []byte) (*runBatchReq, error) {
+	r := &runBatchReq{}
+	if err := decodeRunBatchInto(b, r); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+func decodeRunBatchResp(b []byte) (*runBatchResp, error) {
+	r := &runBatchResp{}
+	if err := decodeRunBatchRespInto(b, r); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// singletonFrame is a one-member run frame, the singleton session's wire
+// form.
+func singletonFrame(palName string, input []byte) []byte {
+	return appendRunBatch(nil, &runBatchReq{PAL: []byte(palName), Members: []runBatchMember{{Input: input}}})
+}
+
 // A forged field length may not slice past the frame.
 func TestCodecForgedFieldLengthRejected(t *testing.T) {
-	raw := encodeRun(&runReq{PAL: "echo", Input: []byte("abc")})
+	raw := singletonFrame("echo", []byte("abc"))
 	body := append([]byte(nil), raw[1:]...)
-	binary.BigEndian.PutUint16(body[:2], 0xFFFF) // PAL-name length
-	if _, err := decodeRun(body); !errors.Is(err, ErrBadFrame) {
+	binary.BigEndian.PutUint16(body[8:10], 0xFFFF) // PAL-name length, after frame(8)
+	if _, err := decodeRunBatch(body); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("forged name length = %v", err)
 	}
 	body = append([]byte(nil), raw[1:]...)
-	binary.BigEndian.PutUint32(body[6:10], 0xFFFFFFF0) // input length
-	if _, err := decodeRun(body); !errors.Is(err, ErrBadFrame) {
+	// Input length: after frame(8) + name(2+4) + traceCtx(16) + count(2).
+	binary.BigEndian.PutUint32(body[32:36], 0xFFFFFFF0)
+	if _, err := decodeRunBatch(body); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("forged input length = %v", err)
 	}
 }
 
 func TestCodecRunRoundTripAndTrailing(t *testing.T) {
-	rr, err := decodeRun(encodeRun(&runReq{PAL: "p", Input: []byte("in")})[1:])
-	if err != nil || rr.PAL != "p" || string(rr.Input) != "in" {
+	rr, err := decodeRunBatch(singletonFrame("p", []byte("in"))[1:])
+	if err != nil || string(rr.PAL) != "p" || len(rr.Members) != 1 || string(rr.Members[0].Input) != "in" {
 		t.Fatalf("run round trip = %+v, %v", rr, err)
 	}
-	raw := append(encodeRun(&runReq{PAL: "p"})[1:], 0xEE)
-	if _, err := decodeRun(raw); !errors.Is(err, ErrBadFrame) {
+	raw := append(singletonFrame("p", nil)[1:], 0xEE)
+	if _, err := decodeRunBatch(raw); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("trailing bytes = %v", err)
 	}
-	resp, err := decodeRunResp(encodeRunResp(&runResp{Status: runOK, Output: []byte("o"), Err: "e"})[1:])
-	if err != nil || resp.Status != runOK || string(resp.Output) != "o" || resp.Err != "e" {
+	one := &runBatchResp{Members: []runBatchMemberResp{{Status: runOK, Output: []byte("o"), Err: "e"}}}
+	resp, err := decodeRunBatchResp(appendRunBatchResp(nil, one)[1:])
+	if err != nil || len(resp.Members) != 1 {
 		t.Fatalf("run resp round trip = %+v, %v", resp, err)
+	}
+	if mr := resp.Members[0]; mr.Status != runOK || string(mr.Output) != "o" || mr.Err != "e" || mr.Spans != nil {
+		t.Fatalf("run resp member = %+v", mr)
 	}
 }
 
@@ -148,15 +177,17 @@ func sampleSpans() []trace.SpanRecord {
 
 func TestCodecSpanRecordsRoundTrip(t *testing.T) {
 	want := sampleSpans()
-	resp, err := decodeRunResp(encodeRunResp(&runResp{Status: runOK, Spans: want})[1:])
+	one := &runBatchResp{Members: []runBatchMemberResp{{Status: runOK, Spans: want}}}
+	resp, err := decodeRunBatchResp(appendRunBatchResp(nil, one)[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Spans) != len(want) {
-		t.Fatalf("span count = %d, want %d", len(resp.Spans), len(want))
+	got := resp.Members[0].Spans
+	if len(got) != len(want) {
+		t.Fatalf("span count = %d, want %d", len(got), len(want))
 	}
 	for i := range want {
-		g, w := resp.Spans[i], want[i]
+		g, w := got[i], want[i]
 		if g.Span != w.Span || g.Parent != w.Parent || g.Name != w.Name ||
 			g.Site != w.Site || g.Start != w.Start || g.Duration != w.Duration || g.Err != w.Err {
 			t.Fatalf("span %d round trip = %+v, want %+v", i, g, w)
@@ -173,12 +204,12 @@ func TestCodecSpanRecordsRoundTrip(t *testing.T) {
 	// The challenge response carries the same blob.
 	cr := sampleChallengeResp()
 	cr.Spans = sampleSpans()
-	got, err := decodeChallengeResp(encodeChallengeResp(cr)[1:])
+	ch, err := decodeChallengeResp(encodeChallengeResp(cr)[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Spans) != 2 || got.Spans[1].Err != "boom" {
-		t.Fatalf("challenge resp spans = %+v", got.Spans)
+	if len(ch.Spans) != 2 || ch.Spans[1].Err != "boom" {
+		t.Fatalf("challenge resp spans = %+v", ch.Spans)
 	}
 }
 
@@ -186,19 +217,21 @@ func TestCodecSpanRecordsRoundTrip(t *testing.T) {
 // attribute count may not size an attribute slice: both are clamped against
 // the remaining frame bytes. Span blobs arrive from untrusted hosts.
 func TestCodecForgedSpanCountsRejected(t *testing.T) {
-	raw := encodeRunResp(&runResp{Status: runOK, Spans: sampleSpans()})[1:]
-	// Span count sits after status(1) + output len(4) + err len(2).
+	one := &runBatchResp{Members: []runBatchMemberResp{{Status: runOK, Spans: sampleSpans()}}}
+	raw := appendRunBatchResp(nil, one)[1:]
+	// The member's span count sits after frame(8) + count(2) + status(1) +
+	// output len(4) + err len(2).
 	body := append([]byte(nil), raw...)
-	binary.BigEndian.PutUint16(body[7:9], 0xFFFF)
-	if _, err := decodeRunResp(body); !errors.Is(err, ErrBadFrame) || !strings.Contains(err.Error(), "span count") {
+	binary.BigEndian.PutUint16(body[17:19], 0xFFFF)
+	if _, err := decodeRunBatchResp(body); !errors.Is(err, ErrBadFrame) || !strings.Contains(err.Error(), "span count") {
 		t.Fatalf("forged span count = %v, want clamp rejection", err)
 	}
 	// Attr count of the first record sits after the fixed span header plus
 	// its name, site, and error fields.
 	body = append([]byte(nil), raw...)
-	off := 9 + 8 + 8 + 2 + len("host.run") + 2 + len("host0") + 8 + 8 + 2
+	off := 19 + 8 + 8 + 2 + len("host.run") + 2 + len("host0") + 8 + 8 + 2
 	binary.BigEndian.PutUint16(body[off:off+2], 0xFFFF)
-	if _, err := decodeRunResp(body); !errors.Is(err, ErrBadFrame) || !strings.Contains(err.Error(), "attr count") {
+	if _, err := decodeRunBatchResp(body); !errors.Is(err, ErrBadFrame) || !strings.Contains(err.Error(), "attr count") {
 		t.Fatalf("forged attr count = %v, want clamp rejection", err)
 	}
 }
@@ -215,13 +248,13 @@ func TestCodecHeartbeatAndStatsRoundTrip(t *testing.T) {
 }
 
 func TestCodecErrorFrames(t *testing.T) {
-	if _, err := decodeResp(encodeErrorResp("boom"), kindRunResp); err == nil || !strings.Contains(err.Error(), "boom") {
+	if _, err := decodeResp(encodeErrorResp("boom"), kindRunBatchResp); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("error frame = %v", err)
 	}
-	if _, err := decodeResp([]byte{kindStatsResp}, kindRunResp); !errors.Is(err, ErrBadFrame) {
+	if _, err := decodeResp([]byte{kindStatsResp}, kindRunBatchResp); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("wrong kind = %v", err)
 	}
-	if _, err := decodeResp(nil, kindRunResp); !errors.Is(err, ErrBadFrame) {
+	if _, err := decodeResp(nil, kindRunBatchResp); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("empty resp = %v", err)
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,7 +69,7 @@ type ControllerConfig struct {
 	// singleton-fallback discipline as the pool's session coalescer) into one
 	// multi-request runBatch frame — one frame on the wire, one host-pool
 	// batch, one SKINIT + Seal/Unseal for the whole group. 0 or 1 disables
-	// batching (every Run is its own synchronous kindRun exchange).
+	// batching (every Run is its own synchronous one-member frame).
 	MaxBatch int
 	// MaxWait bounds how long the coalescer holds the first Run of a group
 	// open waiting for companions (default 1ms when MaxBatch > 1).
@@ -191,6 +193,7 @@ type Controller struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	members  map[string]*member
+	byName   []*member // members sorted by name; members are never removed
 	expected map[string]expectedPAL
 	ticks    int
 
@@ -291,6 +294,10 @@ func (c *Controller) Admit(host string) error {
 	if m == nil {
 		m = &member{name: host, gauge: c.met.inflight.With(host)}
 		c.members[host] = m
+		i, _ := slices.BinarySearchFunc(c.byName, host, func(m *member, name string) int {
+			return strings.Compare(m.name, name)
+		})
+		c.byName = slices.Insert(c.byName, i, m)
 	}
 	if err != nil {
 		m.state = stateRejected
@@ -434,112 +441,100 @@ func (c *Controller) Run(palName string, input []byte) ([]byte, error) {
 	return out, err
 }
 
-// run is Run's synchronous failover loop (batching disabled). Every dispatch
-// attempt gets its own child span under root, so a resubmitted job's
-// assembled trace shows the orphaned attempt (whose host half died with the
-// host) and the successful sibling side by side.
+// run is Run's synchronous failover loop (batching disabled). The job rides
+// the same one-member frame as a batched singleton, on the caller's
+// goroutine and outside any pipelining window; a failed attempt hands the
+// job back for the next pick. Every dispatch attempt gets its own child
+// span under root, so a resubmitted job's assembled trace shows the
+// orphaned attempt (whose host half died with the host) and the successful
+// sibling side by side.
 func (c *Controller) run(palName string, input []byte, root *trace.Span) ([]byte, error) {
-	tried := make(map[string]bool)
-	for attempt := 0; attempt <= c.cfg.MaxResubmits; attempt++ {
-		m := c.pick(palName, tried)
+	j := getJob(input, root)
+	j.direct = true
+	defer putJob(j)
+	for {
+		s := getFrameScratch()
+		s.jobs = append(s.jobs, j)
+		m := c.pickN(palName, s.jobs)
 		if m == nil {
+			s.release()
 			return nil, fmt.Errorf("%w: %s", ErrNoHosts, palName)
 		}
-		att := root.Child("attempt")
-		att.SetAttr("host", m.name)
-		out, err, retry, down := c.callRun(m, palName, input, att)
-		c.finishCallN(m, 1)
-		if !retry {
-			if err != nil {
-				att.EndErr(err)
-				return nil, err
-			}
-			c.noteSessions(m, 1)
-			att.End()
-			return out, nil
-		}
-		// Died mid-call, protocol garbage, or a refusal: the attempt span
-		// survives as the orphaned half of a partial trace, the whole trace is
-		// pinned for the recorder, and the job moves to a survivor.
-		att.EndErr(err)
-		root.Trigger("failover-resubmit")
-		if down {
-			c.hostLost(m, err)
-		}
-		tried[m.name] = true
-		c.noteResubmit()
-	}
-	return nil, fmt.Errorf("%w: %s (failover budget exhausted)", ErrNoHosts, palName)
-}
-
-// callRun performs one singleton kindRun exchange with m on the pooled
-// frame path (encode scratch and reply buffer both recycled — the fabric's
-// zero-alloc discipline). out is an owned copy, safe after the buffers are
-// recycled. retry reports that the member could not take the job (the
-// caller's failover policy decides where it goes next); down additionally
-// reports the member must be marked lost (dead or talking garbage, versus a
-// clean refusal).
-func (c *Controller) callRun(m *member, palName string, input []byte, att *trace.Span) (out []byte, err error, retry, down bool) {
-	tid, pid := att.Context()
-	scratch := getFrameBuf()
-	enc := appendRun((*scratch)[:0], &runReq{
-		PAL: palName, Input: input,
-		Trace: traceCtx{TraceID: tid, Parent: pid},
-	})
-	reply := getFrameBuf()
-	raw, cerr := c.port.CallAppend(m.name, enc, (*reply)[:0])
-	*scratch = enc[:0]
-	putFrameBuf(scratch)
-	defer func() {
-		if raw != nil {
-			*reply = raw
-		}
-		putFrameBuf(reply)
-	}()
-	if cerr != nil {
-		// Died mid-call: the reply — and the host's span records with it —
-		// is gone.
-		return nil, cerr, true, true
-	}
-	body, derr := decodeResp(raw, kindRunResp)
-	if derr == nil {
-		var rr *runResp
-		if rr, derr = decodeRunResp(body); derr == nil {
-			att.Adopt(rr.Spans)
-			switch rr.Status {
-			case runOK:
-				// rr.Output aliases the pooled reply buffer; copy before it
-				// recycles.
-				return append([]byte(nil), rr.Output...), nil, false, false
-			case runPALError:
-				c.met.runsErr.Inc()
-				return nil, &PALError{Host: m.name, Msg: rr.Err}, false, false
-			default:
-				// Draining, lost, or unknown PAL: this member cannot take
-				// the job right now; try a survivor.
-				return nil, fmt.Errorf("host refused (status %d): %s", rr.Status, rr.Err), true, false
-			}
+		c.callFrame(m, nil, palName, s)
+		if o := <-j.done; !o.retry {
+			return o.out, o.err
 		}
 	}
-	// Protocol garbage from an admitted member: treat like a crash.
-	return nil, derr, true, true
 }
 
 // --- batched dispatch -------------------------------------------------------
 
-// fabJob is one queued Run riding the wire-frame coalescer. done is
+// fabJob is one Run riding the frame path. Jobs are pooled: the Run that
+// took a job returns it only after receiving its one outcome from done, and
+// every queue and frame lets go of a job before delivering to it. done is
 // buffered: outcome delivery never blocks a frame goroutine.
 type fabJob struct {
 	input    []byte
 	root     *trace.Span
 	tried    map[string]bool
 	attempts int
-	done     chan fabOut
+	// direct marks a job driven by run's own failover loop (batching
+	// disabled): a retry hands it back through done instead of re-enqueueing.
+	direct bool
+	done   chan fabOut
 }
 
 type fabOut struct {
-	out []byte
-	err error
+	out   []byte
+	err   error
+	retry bool // direct jobs only: try the next host
+}
+
+var fabJobs = sync.Pool{New: func() any { return &fabJob{done: make(chan fabOut, 1)} }}
+
+func getJob(input []byte, root *trace.Span) *fabJob {
+	j := fabJobs.Get().(*fabJob)
+	j.input, j.root = input, root
+	return j
+}
+
+func putJob(j *fabJob) {
+	j.input, j.root = nil, nil
+	clear(j.tried)
+	j.attempts, j.direct = 0, false
+	fabJobs.Put(j)
+}
+
+// frameScratch is one frame's working set on the controller: its jobs, their
+// attempt spans, the request and its encoding, the reply buffer and the
+// decoded reply. Scratches are pooled, so a steady-state frame allocates
+// nothing of its own; callFrame releases its scratch when it returns.
+type frameScratch struct {
+	jobs  []*fabJob
+	atts  []*trace.Span
+	req   runBatchReq
+	enc   []byte
+	reply []byte
+	resp  runBatchResp
+}
+
+var frameScratches = sync.Pool{New: func() any { return new(frameScratch) }}
+
+func getFrameScratch() *frameScratch { return frameScratches.Get().(*frameScratch) }
+
+// release drops the frame's references to jobs, spans, inputs and reply
+// records, then recycles the scratch unless it has grown outsized.
+func (s *frameScratch) release() {
+	clear(s.jobs)
+	clear(s.atts)
+	clear(s.req.Members)
+	clear(s.resp.Members)
+	s.jobs, s.atts = s.jobs[:0], s.atts[:0]
+	s.req.Members, s.resp.Members, s.resp.Spans = s.req.Members[:0], s.resp.Members[:0], nil
+	if cap(s.enc) > maxPooledBytes || cap(s.reply) > maxPooledBytes || cap(s.resp.Members) > maxPooledMembers {
+		return
+	}
+	frameScratches.Put(s)
 }
 
 // hostLane is one host's pipelining window: a frame dispatch acquires a
@@ -593,22 +588,42 @@ func (c *Controller) queueFor(palName string) chan *fabJob {
 // runBatched enqueues one Run on its PAL's coalescer and waits for the
 // outcome.
 func (c *Controller) runBatched(palName string, input []byte, root *trace.Span) ([]byte, error) {
-	j := &fabJob{input: input, root: root, done: make(chan fabOut, 1)}
-	select {
-	case c.queueFor(palName) <- j:
-	case <-c.stop:
-		return nil, ErrClosed
-	}
+	j := getJob(input, root)
+	c.enqueue(palName, j)
 	o := <-j.done
+	putJob(j)
 	return o.out, o.err
+}
+
+// enqueue hands a job to its PAL's dispatcher, or fails it with ErrClosed
+// once Close has begun. A job that lands in the queue after Close may find
+// the dispatcher already swept and gone, so its enqueuer sweeps the queue
+// too: every queued job is delivered exactly once, by whoever receives it.
+func (c *Controller) enqueue(palName string, j *fabJob) {
+	q := c.queueFor(palName)
+	select {
+	case q <- j:
+	case <-c.stop:
+		j.done <- fabOut{err: ErrClosed}
+		return
+	}
+	select {
+	case <-c.stop:
+		c.failPending(q)
+	default:
+	}
 }
 
 // dispatch is one PAL's coalescing dispatcher: gather a group (sched.Gather,
 // the pool's group-commit discipline on a channel), pick a host, and issue
 // the group as pipelined frames. The dispatcher itself never touches the
 // wire — frame goroutines do — so gathering the next group overlaps the
-// previous frames' round trips.
+// previous frames' round trips. It owns its gather buffer and hold timer,
+// reused for every group; the timer starts stopped and Gather arms it.
 func (c *Controller) dispatch(palName string, q chan *fabJob) {
+	var group []*fabJob
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
 	for {
 		var first *fabJob
 		select {
@@ -617,10 +632,12 @@ func (c *Controller) dispatch(palName string, q chan *fabJob) {
 			c.failPending(q)
 			return
 		}
-		group, reason := sched.Gather(c.coal, first, q)
+		var reason string
+		group, reason = sched.Gather(c.coal, first, q, group, timer)
 		c.met.batchFlush[reason].Inc()
 		c.met.batchSize.ObserveExemplar(float64(len(group)), firstRootHex(group))
 		c.dispatchGroup(palName, group)
+		clear(group)
 	}
 }
 
@@ -640,26 +657,27 @@ func (c *Controller) failPending(q chan *fabJob) {
 
 // dispatchGroup splits a gathered group into frames bounded by what one
 // batched session's input page can hold (core.BatchInputFits — the same
-// bound the pool's coalescer applies) and issues each frame to a host.
+// bound the pool's coalescer applies) and issues each frame to a host. Each
+// frame copies its jobs into its own scratch, so the gather buffer is free
+// for the next group as soon as this returns.
 func (c *Controller) dispatchGroup(palName string, group []*fabJob) {
 	for len(group) > 0 {
-		sizes := []int{len(group[0].input)}
-		n := 1
-		for n < len(group) {
-			next := append(sizes, len(group[n].input))
-			if !core.BatchInputFits(0, next...) {
-				break
-			}
-			sizes = next
+		// BatchInputFits is additive over its arguments, so the framed size
+		// of the members already taken rides in its header slot.
+		n, framed := 1, 4+len(group[0].input)
+		for n < len(group) && core.BatchInputFits(framed, len(group[n].input)) {
+			framed += 4 + len(group[n].input)
 			n++
 		}
-		frame := group[:n]
+		s := getFrameScratch()
+		s.jobs = append(s.jobs, group[:n]...)
 		group = group[n:]
-		m := c.pickN(palName, triedUnion(frame), len(frame))
+		m := c.pickN(palName, s.jobs)
 		if m == nil {
-			for _, j := range frame {
+			for _, j := range s.jobs {
 				j.done <- fabOut{err: fmt.Errorf("%w: %s", ErrNoHosts, palName)}
 			}
+			s.release()
 			continue
 		}
 		lane := c.laneFor(m.name)
@@ -667,24 +685,8 @@ func (c *Controller) dispatchGroup(palName string, group []*fabJob) {
 		// number of outstanding frames per host is bounded before goroutines
 		// are spawned for them.
 		lane.acquire(c.met)
-		go c.callFrame(m, lane, palName, frame)
+		go c.callFrame(m, lane, palName, s)
 	}
-}
-
-// triedUnion merges the members' failover exclusion sets: a frame carrying
-// any job that already failed on a host avoids that host for the whole
-// frame.
-func triedUnion(frame []*fabJob) map[string]bool {
-	var u map[string]bool
-	for _, j := range frame {
-		for h := range j.tried {
-			if u == nil {
-				u = make(map[string]bool)
-			}
-			u[h] = true
-		}
-	}
-	return u
 }
 
 // firstRootHex returns the first traced job's trace ID for exemplar
@@ -698,77 +700,62 @@ func firstRootHex(group []*fabJob) string {
 	return ""
 }
 
-// callFrame issues one frame: a singleton rides the legacy kindRun exchange
-// (bit-identical to the unbatched fabric), a group rides one runBatch frame.
-// The lane token is released as soon as the wire exchange returns — before
-// decode, fan-out, or resubmission — so a retry that blocks re-enqueueing
-// never wedges the host's window.
-func (c *Controller) callFrame(m *member, lane *hostLane, palName string, frame []*fabJob) {
-	if len(frame) == 1 {
-		c.callSingle(m, lane, palName, frame[0])
-		return
-	}
+// callFrame issues one runBatch frame and settles every member: delivered
+// final (an output or a PAL error) or resubmitted. A one-member frame is a
+// singleton session on the host, so batched singletons and run's unbatched
+// loop (lane == nil) share this one exchange. The lane token is released as
+// soon as the wire exchange returns — before decode, fan-out, or
+// resubmission — so a retry that blocks re-enqueueing never wedges the
+// host's window. A delivered or resubmitted job may be recycled at once, so
+// the frame never touches a job after settling it.
+func (c *Controller) callFrame(m *member, lane *hostLane, palName string, s *frameScratch) {
+	defer s.release()
 	fid := c.frameID.Add(1)
-	atts := make([]*trace.Span, len(frame))
-	var ftc traceCtx
-	for i, j := range frame {
+	n := len(s.jobs)
+	s.req.Frame, s.req.Trace = fid, traceCtx{}
+	s.req.PAL = append(s.req.PAL[:0], palName...)
+	for _, j := range s.jobs {
 		att := j.root.Child("attempt")
 		att.SetAttr("host", m.name)
-		att.SetAttrInt("batch", int64(len(frame)))
-		att.SetAttrInt("frame", int64(fid))
-		atts[i] = att
-		if ftc.TraceID == 0 {
-			tid, pid := att.Context()
-			ftc = traceCtx{TraceID: tid, Parent: pid}
+		if n > 1 {
+			att.SetAttrInt("batch", int64(n))
+			att.SetAttrInt("frame", int64(fid))
+		}
+		tid, pid := att.Context()
+		tc := traceCtx{TraceID: tid, Parent: pid}
+		if s.req.Trace.TraceID == 0 {
+			s.req.Trace = tc
+		}
+		s.atts = append(s.atts, att)
+		s.req.Members = append(s.req.Members, runBatchMember{Input: j.input, Trace: tc})
+	}
+	s.enc = appendRunBatch(s.enc[:0], &s.req)
+	raw, err := c.port.CallAppend(m.name, s.enc, s.reply[:0])
+	if lane != nil {
+		lane.release()
+	}
+	c.finishCallN(m, n)
+	if err == nil {
+		s.reply = raw
+		var body []byte
+		if body, err = decodeResp(raw, kindRunBatchResp); err == nil {
+			err = decodeRunBatchRespInto(body, &s.resp)
+		}
+		if err == nil && (s.resp.Frame != fid || len(s.resp.Members) != n) {
+			err = fmt.Errorf("%w: batch reply mismatch (frame %d for %d, %d members for %d)",
+				ErrBadFrame, s.resp.Frame, fid, len(s.resp.Members), n)
 		}
 	}
-	req := &runBatchReq{Frame: fid, PAL: palName, Trace: ftc,
-		Members: make([]runBatchMember, len(frame))}
-	for i, j := range frame {
-		tid, pid := atts[i].Context()
-		req.Members[i] = runBatchMember{Input: j.input, Trace: traceCtx{TraceID: tid, Parent: pid}}
-	}
-	scratch := getFrameBuf()
-	enc := appendRunBatch((*scratch)[:0], req)
-	reply := getFrameBuf()
-	raw, cerr := c.port.CallAppend(m.name, enc, (*reply)[:0])
-	*scratch = enc[:0]
-	putFrameBuf(scratch)
-	lane.release()
-	c.finishCallN(m, len(frame))
-	if cerr != nil {
-		// Died mid-call: the whole reply frame is lost, completed members and
-		// all — every member resubmits (the empty-completed-prefix case).
-		putFrameBuf(reply)
-		for i, j := range frame {
-			atts[i].EndErr(cerr)
+	if err != nil {
+		// Died mid-call (the whole reply frame is lost, completed members and
+		// all) or protocol garbage from an admitted member (treated like a
+		// crash): every member resubmits.
+		for i, j := range s.jobs {
+			s.atts[i].EndErr(err)
 			j.root.Trigger("failover-resubmit")
 		}
-		c.hostLost(m, cerr)
-		for _, j := range frame {
-			c.retryJob(palName, j, m.name)
-		}
-		return
-	}
-	body, derr := decodeResp(raw, kindRunBatchResp)
-	var br *runBatchResp
-	if derr == nil {
-		br, derr = decodeRunBatchResp(body)
-	}
-	if derr == nil && (br.Frame != fid || len(br.Members) != len(frame)) {
-		derr = fmt.Errorf("%w: batch reply mismatch (frame %d for %d, %d members for %d)",
-			ErrBadFrame, br.Frame, fid, len(br.Members), len(frame))
-	}
-	if derr != nil {
-		// Protocol garbage from an admitted member: treat like a crash.
-		*reply = raw
-		putFrameBuf(reply)
-		for i, j := range frame {
-			atts[i].EndErr(derr)
-			j.root.Trigger("failover-resubmit")
-		}
-		c.hostLost(m, derr)
-		for _, j := range frame {
+		c.hostLost(m, err)
+		for _, j := range s.jobs {
 			c.retryJob(palName, j, m.name)
 		}
 		return
@@ -779,29 +766,31 @@ func (c *Controller) callFrame(m *member, lane *hostLane, palName string, frame 
 	// resubmit individually, so only the incomplete suffix travels again.
 	adopted := false
 	ok := 0
-	for i, j := range frame {
-		mr := &br.Members[i]
-		atts[i].Adopt(mr.Spans)
-		if !adopted && atts[i] != nil {
+	for i, j := range s.jobs {
+		mr, att := &s.resp.Members[i], s.atts[i]
+		att.Adopt(mr.Spans)
+		if !adopted && att != nil {
 			// The frame-level host segment (host.runBatch + the shared
 			// session's spans) splices under the first traced attempt.
-			atts[i].Adopt(br.Spans)
+			att.Adopt(s.resp.Spans)
 			adopted = true
 		}
 		switch mr.Status {
 		case runOK:
 			ok++
-			atts[i].End()
+			att.End()
 			// mr.Output aliases the pooled reply buffer; copy before it
 			// recycles.
 			j.done <- fabOut{out: append([]byte(nil), mr.Output...)}
 		case runPALError:
 			c.met.runsErr.Inc()
 			perr := &PALError{Host: m.name, Msg: mr.Err}
-			atts[i].EndErr(perr)
+			att.EndErr(perr)
 			j.done <- fabOut{err: perr}
 		default:
-			atts[i].EndErr(fmt.Errorf("host refused (status %d): %s", mr.Status, mr.Err))
+			// Draining, lost, or unknown PAL: this member cannot take the job
+			// right now; try a survivor.
+			att.EndErr(fmt.Errorf("host refused (status %d): %s", mr.Status, mr.Err))
 			j.root.Trigger("failover-resubmit")
 			c.retryJob(palName, j, m.name)
 		}
@@ -809,40 +798,12 @@ func (c *Controller) callFrame(m *member, lane *hostLane, palName string, frame 
 	if ok > 0 {
 		c.noteSessions(m, ok)
 	}
-	*reply = raw
-	putFrameBuf(reply)
 }
 
-// callSingle is callFrame's singleton fallback: the legacy kindRun exchange
-// with the batched path's failover plumbing.
-func (c *Controller) callSingle(m *member, lane *hostLane, palName string, j *fabJob) {
-	att := j.root.Child("attempt")
-	att.SetAttr("host", m.name)
-	out, err, retry, down := c.callRun(m, palName, j.input, att)
-	lane.release()
-	c.finishCallN(m, 1)
-	if !retry {
-		if err != nil {
-			att.EndErr(err)
-			j.done <- fabOut{err: err}
-			return
-		}
-		c.noteSessions(m, 1)
-		att.End()
-		j.done <- fabOut{out: out}
-		return
-	}
-	att.EndErr(err)
-	j.root.Trigger("failover-resubmit")
-	if down {
-		c.hostLost(m, err)
-	}
-	c.retryJob(palName, j, m.name)
-}
-
-// retryJob excludes the failed host and re-enqueues the job on its PAL's
-// coalescer, failing it once the failover budget is spent. Callers must not
-// hold a lane token: the re-enqueue may block on a full queue.
+// retryJob excludes the failed host and sends the job on — back to run's
+// loop for a direct job, else re-enqueued on its PAL's coalescer — failing
+// it once the failover budget is spent. Callers must not hold a lane
+// token: the re-enqueue may block on a full queue.
 func (c *Controller) retryJob(palName string, j *fabJob, host string) {
 	if j.tried == nil {
 		j.tried = make(map[string]bool)
@@ -850,14 +811,13 @@ func (c *Controller) retryJob(palName string, j *fabJob, host string) {
 	j.tried[host] = true
 	j.attempts++
 	c.noteResubmit()
-	if j.attempts > c.cfg.MaxResubmits {
+	switch {
+	case j.attempts > c.cfg.MaxResubmits:
 		j.done <- fabOut{err: fmt.Errorf("%w: %s (failover budget exhausted)", ErrNoHosts, palName)}
-		return
-	}
-	select {
-	case c.queueFor(palName) <- j:
-	case <-c.stop:
-		j.done <- fabOut{err: ErrClosed}
+	case j.direct:
+		j.done <- fabOut{retry: true}
+	default:
+		c.enqueue(palName, j)
 	}
 }
 
@@ -886,25 +846,16 @@ func (c *Controller) noteResubmit() {
 	c.met.resubmits.Inc()
 }
 
-// pick selects and reserves (inflight++) an eligible member for a PAL.
-func (c *Controller) pick(palName string, tried map[string]bool) *member {
-	return c.pickN(palName, tried, 1)
-}
-
-// pickN is pick reserving n in-flight slots at once — a whole frame's worth
-// for a batched dispatch.
-func (c *Controller) pickN(palName string, tried map[string]bool, n int) *member {
+// pickN selects an eligible member for a PAL — admitted, serving the PAL,
+// and not yet failed by any job of the frame — and reserves (inflight += n)
+// a whole frame's worth of in-flight slots on it.
+func (c *Controller) pickN(palName string, frame []*fabJob) *member {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var eligible []*member
-	names := make([]string, 0, len(c.members))
-	for name := range c.members {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		m := c.members[name]
-		if m.state == stateAdmitted && m.pals[palName] && !tried[name] {
+	var buf [16]*member
+	eligible := buf[:0]
+	for _, m := range c.byName {
+		if m.state == stateAdmitted && m.pals[palName] && !triedBy(frame, m.name) {
 			eligible = append(eligible, m)
 		}
 	}
@@ -918,9 +869,20 @@ func (c *Controller) pickN(palName string, tried map[string]bool, n int) *member
 		i = sched.LeastLoaded(len(eligible), func(j int) int64 { return eligible[j].inflight })
 	}
 	m := eligible[i]
-	m.inflight += int64(n)
+	m.inflight += int64(len(frame))
 	m.gauge.Set(float64(m.inflight))
 	return m
+}
+
+// triedBy reports whether any job of a frame already failed on host: a frame
+// carrying such a job avoids that host for the whole frame.
+func triedBy(frame []*fabJob, host string) bool {
+	for _, j := range frame {
+		if j.tried[host] {
+			return true
+		}
+	}
+	return false
 }
 
 // finishCallN releases n member reservations and wakes drain waiters.
@@ -957,12 +919,11 @@ func (c *Controller) Tick() {
 	c.ticks++
 	reattest := c.cfg.ReattestEvery > 0 && c.ticks%c.cfg.ReattestEvery == 0
 	var live []*member
-	for _, m := range c.members {
+	for _, m := range c.byName {
 		if m.state == stateAdmitted || m.state == stateDraining {
 			live = append(live, m)
 		}
 	}
-	sort.Slice(live, func(i, j int) bool { return live[i].name < live[j].name })
 	c.mu.Unlock()
 
 	// Heartbeats ride the priority lane: a direct port.Call that never enters
@@ -1072,14 +1033,8 @@ func (c *Controller) Drain(host string) error {
 func (c *Controller) Hosts() []HostStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]HostStatus, 0, len(c.members))
-	names := make([]string, 0, len(c.members))
-	for name := range c.members {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		m := c.members[name]
+	out := make([]HostStatus, 0, len(c.byName))
+	for _, m := range c.byName {
 		hs := HostStatus{
 			Name:       m.name,
 			State:      m.state.String(),

@@ -259,12 +259,15 @@ func TestFabricReadmissionAfterDrainAndRestart(t *testing.T) {
 	if _, err := r.ctrl.Run("echo", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	// The drained host refuses direct traffic too.
-	if raw := r.hosts[0].handle(encodeRun(&runReq{PAL: "echo"})); raw[0] == kindRunResp {
-		rr, err := decodeRunResp(raw[1:])
-		if err != nil || rr.Status != runDraining {
+	// The drained host refuses direct traffic too: a singleton run frame
+	// comes back with the draining status.
+	if raw := r.hosts[0].handle(singletonFrame("echo", nil)); raw[0] == kindRunBatchResp {
+		rr, err := decodeRunBatchResp(raw[1:])
+		if err != nil || len(rr.Members) != 1 || rr.Members[0].Status != runDraining {
 			t.Fatalf("drained host run status = %+v, %v; want draining", rr, err)
 		}
+	} else {
+		t.Fatalf("drained host answered kind %d, want a run reply", raw[0])
 	}
 
 	// "Restart": the old process goes away, a new host attaches under the

@@ -185,8 +185,6 @@ func (h *Host) handle(req []byte) []byte {
 	switch req[0] {
 	case kindChallenge:
 		return h.handleChallenge(req[1:])
-	case kindRun:
-		return h.handleRun(req[1:])
 	case kindRunBatch:
 		return h.handleRunBatch(req[1:])
 	case kindHeartbeat:
@@ -257,70 +255,122 @@ func sessionObserver(seg *trace.Span) core.Observer {
 	return trace.NewSessionObserver(seg)
 }
 
-// handleRun executes one session through the host's pool.
-func (h *Host) handleRun(body []byte) []byte {
-	r, err := decodeRun(body)
-	if err != nil {
+// hostScratch is one runBatch frame's working set on the host: the decoded
+// request (aliasing the frame), the session inputs, the member segments and
+// observers, and the reply being built. Scratches are pooled, so a
+// steady-state frame allocates only its exact-size reply.
+type hostScratch struct {
+	req  runBatchReq
+	reqs [][]byte
+	segs []*trace.Span
+	obs  []core.Observer
+	resp runBatchResp
+}
+
+var hostScratches = sync.Pool{New: func() any { return new(hostScratch) }}
+
+// release drops the frame's references to inputs, spans and outputs, then
+// recycles the scratch unless a forged member count has grown it outsized.
+func (s *hostScratch) release() {
+	clear(s.req.Members)
+	clear(s.reqs)
+	clear(s.segs)
+	clear(s.obs)
+	clear(s.resp.Members)
+	s.req.PAL, s.req.Members = nil, s.req.Members[:0]
+	s.reqs, s.segs, s.obs = s.reqs[:0], s.segs[:0], s.obs[:0]
+	s.resp.Members, s.resp.Spans = s.resp.Members[:0], nil
+	if cap(s.req.Members) > maxPooledMembers {
+		return
+	}
+	hostScratches.Put(s)
+}
+
+// refuse answers every member of the frame with one refusal status
+// (draining, unknown PAL), keeping the frame echo and member count the
+// controller validates.
+func (s *hostScratch) refuse(status byte, msg string) {
+	for range s.req.Members {
+		s.resp.Members = append(s.resp.Members, runBatchMemberResp{Status: status, Err: msg})
+	}
+}
+
+// handleRunBatch serves the one run frame kind. A one-member frame is a
+// singleton session (runOne); a larger frame runs as ONE batched pool
+// session (runBatch). The reply is encoded into one exact-size buffer: the
+// switch copies it out, and a handler's return value cannot be recycled.
+func (h *Host) handleRunBatch(body []byte) []byte {
+	s := hostScratches.Get().(*hostScratch)
+	defer s.release()
+	if err := decodeRunBatchInto(body, &s.req); err != nil {
 		return encodeErrorResp(err.Error())
 	}
-	if h.draining.Load() {
-		return encodeRunResp(&runResp{Status: runDraining, Err: "host draining"})
+	if len(s.req.Members) == 0 {
+		return encodeErrorResp("empty batch")
 	}
+	s.resp.Frame = s.req.Frame
 	h.palMu.Lock()
-	p := h.pals[r.PAL]
+	p := h.pals[string(s.req.PAL)]
 	h.palMu.Unlock()
-	if p == nil {
-		return encodeRunResp(&runResp{Status: runUnknownPAL, Err: "PAL not registered: " + r.PAL})
+	switch {
+	case h.draining.Load():
+		s.refuse(runDraining, "host draining")
+	case p == nil:
+		s.refuse(runUnknownPAL, "PAL not registered: "+string(s.req.PAL))
+	case len(s.req.Members) == 1:
+		h.runOne(p, s)
+	default:
+		h.runBatch(p, s)
 	}
+	return appendRunBatchResp(make([]byte, 0, runBatchRespSize(&s.resp)), &s.resp)
+}
+
+// runOne executes a one-member frame exactly as a singleton session:
+// through pool.Run on the singleton engine, with the member's host.run
+// segment directly under its attempt and no host.runBatch wrapper, so PCR
+// 17, the output and the trace match an unbatched run.
+func (h *Host) runOne(p pal.PAL, s *hostScratch) {
+	m := &s.req.Members[0]
 	// The host segment starts before the attestation read lock, so traces of
 	// slow requests show time spent waiting out a concurrent re-attestation.
-	seg := h.tracer.Join(r.Trace.TraceID, r.Trace.Parent, "host.run")
-	seg.SetAttr("host", h.name)
-	seg.SetAttr("pal", r.PAL)
+	seg := h.tracer.Join(m.Trace.TraceID, m.Trace.Parent, "host.run")
+	if seg != nil {
+		seg.SetAttr("host", h.name)
+		seg.SetAttr("pal", string(s.req.PAL))
+	}
 	h.attestMu.RLock()
-	defer h.attestMu.RUnlock()
 	h.inflight.Add(1)
-	defer h.inflight.Add(-1)
 	res, err := h.pool.Run(p, core.SessionOptions{
-		Input:    r.Input,
+		Input:    m.Input,
 		TraceID:  seg.TraceHex(),
 		Observer: sessionObserver(seg),
 	})
+	h.inflight.Add(-1)
+	h.attestMu.RUnlock()
 	seg.EndErr(err)
+	var mr runBatchMemberResp
 	switch {
 	case errors.Is(err, pool.ErrClosed):
-		return encodeRunResp(&runResp{Status: runLost, Err: err.Error(), Spans: seg.Records()})
+		mr.Status, mr.Err = runLost, err.Error()
 	case err != nil:
-		return encodeRunResp(&runResp{Status: runPALError, Err: err.Error(), Spans: seg.Records()})
+		mr.Status, mr.Err = runPALError, err.Error()
 	case res.PALError != nil:
-		return encodeRunResp(&runResp{Status: runPALError, Err: res.PALError.Error(), Spans: seg.Records()})
+		mr.Status, mr.Err = runPALError, res.PALError.Error()
+	default:
+		h.sessions.Add(1)
+		mr.Status, mr.Output = runOK, res.Outputs
 	}
-	h.sessions.Add(1)
-	return encodeRunResp(&runResp{Status: runOK, Output: res.Outputs, Spans: seg.Records()})
+	mr.Spans = seg.Records()
+	s.resp.Members = append(s.resp.Members, mr)
 }
 
-// handleRunBatch executes one runBatch frame as ONE batched pool session:
-// one SKINIT, one Seal/Unseal for the whole group. Per-member statuses carry
+// runBatch executes a multi-member frame as ONE batched pool session: one
+// SKINIT, one Seal/Unseal for the whole group. Per-member statuses carry
 // the completed-prefix contract back to the controller — members the batch
 // engine finished are final (runOK / runPALError), members an abort
 // interrupted are runLost so only the incomplete suffix is resubmitted.
-func (h *Host) handleRunBatch(body []byte) []byte {
-	r, err := decodeRunBatch(body)
-	if err != nil {
-		return encodeErrorResp(err.Error())
-	}
-	if len(r.Members) == 0 {
-		return encodeErrorResp("empty batch")
-	}
-	if h.draining.Load() {
-		return encodeBatchRefusal(r, runDraining, "host draining")
-	}
-	h.palMu.Lock()
-	p := h.pals[r.PAL]
-	h.palMu.Unlock()
-	if p == nil {
-		return encodeBatchRefusal(r, runUnknownPAL, "PAL not registered: "+r.PAL)
-	}
+func (h *Host) runBatch(p pal.PAL, s *hostScratch) {
+	r := &s.req
 	n := len(r.Members)
 	// The frame-level segment parents under the first traced member's attempt
 	// span; each member's own segment parents under its own attempt — except
@@ -328,37 +378,36 @@ func (h *Host) handleRunBatch(body []byte) []byte {
 	// segment so the exemplar trace reads attempt → host.runBatch → host.run
 	// → session.
 	seg := h.tracer.Join(r.Trace.TraceID, r.Trace.Parent, "host.runBatch")
-	seg.SetAttr("host", h.name)
-	seg.SetAttr("pal", r.PAL)
-	seg.SetAttrInt("batch", int64(n))
+	if seg != nil {
+		seg.SetAttr("host", h.name)
+		seg.SetAttr("pal", string(r.PAL))
+		seg.SetAttrInt("batch", int64(n))
+	}
 	_, segID := seg.Context()
-	reqs := make([][]byte, n)
-	memberSegs := make([]*trace.Span, n)
-	var obs []core.Observer
-	for i, m := range r.Members {
-		reqs[i] = m.Input
+	for i := range r.Members {
+		m := &r.Members[i]
+		s.reqs = append(s.reqs, m.Input)
 		parent := m.Trace.Parent
 		if seg != nil && m.Trace.TraceID == r.Trace.TraceID {
 			parent = segID
 		}
 		ms := h.tracer.Join(m.Trace.TraceID, parent, "host.run")
 		ms.SetAttr("host", h.name)
-		memberSegs[i] = ms
+		s.segs = append(s.segs, ms)
 		if o := sessionObserver(ms); o != nil {
-			obs = append(obs, o)
+			s.obs = append(s.obs, o)
 		}
 	}
 	h.attestMu.RLock()
-	defer h.attestMu.RUnlock()
 	h.inflight.Add(int64(n))
-	defer h.inflight.Add(int64(-n))
-	br, err := h.pool.RunBatch(p, reqs, core.SessionOptions{
+	br, err := h.pool.RunBatch(p, s.reqs, core.SessionOptions{
 		TraceID:  seg.TraceHex(),
-		Observer: core.CombineObservers(obs...),
+		Observer: core.CombineObservers(s.obs...),
 	})
-	resp := &runBatchResp{Frame: r.Frame, Members: make([]runBatchMemberResp, n)}
-	for i := range resp.Members {
-		mr := &resp.Members[i]
+	h.inflight.Add(int64(-n))
+	h.attestMu.RUnlock()
+	for i := 0; i < n; i++ {
+		var mr runBatchMemberResp
 		switch {
 		case errors.Is(err, pool.ErrClosed):
 			mr.Status, mr.Err = runLost, err.Error()
@@ -388,7 +437,7 @@ func (h *Host) handleRunBatch(body []byte) []byte {
 		default:
 			mr.Status, mr.Output = runOK, br.Replies[i].Output
 		}
-		ms := memberSegs[i]
+		ms := s.segs[i]
 		if mr.Status == runOK {
 			h.sessions.Add(1)
 			ms.End()
@@ -396,21 +445,10 @@ func (h *Host) handleRunBatch(body []byte) []byte {
 			ms.EndErr(errors.New(mr.Err))
 		}
 		mr.Spans = ms.Records()
+		s.resp.Members = append(s.resp.Members, mr)
 	}
 	seg.EndErr(err)
-	resp.Spans = seg.Records()
-	return appendRunBatchResp(nil, resp)
-}
-
-// encodeBatchRefusal answers a whole frame with one refusal status per
-// member (draining, unknown PAL) — correct Frame echo and member count, so
-// the controller's reply validation still holds.
-func encodeBatchRefusal(r *runBatchReq, status byte, msg string) []byte {
-	resp := &runBatchResp{Frame: r.Frame, Members: make([]runBatchMemberResp, len(r.Members))}
-	for i := range resp.Members {
-		resp.Members[i] = runBatchMemberResp{Status: status, Err: msg}
-	}
-	return appendRunBatchResp(nil, resp)
+	s.resp.Spans = seg.Records()
 }
 
 // inventory snapshots the host's registered PALs, sorted by name.

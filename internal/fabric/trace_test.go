@@ -155,7 +155,7 @@ func TestFabricAdmissionTrace(t *testing.T) {
 func TestFabricFailoverTraceTwoAttemptsOneRoot(t *testing.T) {
 	r := traceRig(t, 2, ControllerConfig{Seed: "t"})
 	// Find the home host for "echo" deterministically: run once, see who
-	// served it, then make that host die on its next run request.
+	// served it, then make that host die on its next singleton run frame.
 	if _, err := r.ctrl.Run("echo", []byte("warm")); err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +170,10 @@ func TestFabricFailoverTraceTwoAttemptsOneRoot(t *testing.T) {
 	}
 	real := victim.handle
 	victim.port.SetHandler(func(req []byte) []byte {
-		if len(req) > 0 && req[0] == kindRun {
-			victim.port.Close() // dies while serving: the reply is lost
+		if len(req) > 0 && req[0] == kindRunBatch {
+			if br, err := decodeRunBatch(req[1:]); err == nil && len(br.Members) == 1 {
+				victim.port.Close() // dies while serving: the reply is lost
+			}
 		}
 		return real(req)
 	})

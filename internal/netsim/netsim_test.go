@@ -12,6 +12,9 @@ import (
 	"flicker/internal/simtime"
 )
 
+// raceEnabled is set when the race detector is on (race_test.go).
+var raceEnabled bool
+
 func TestSendChargesHalfRTT(t *testing.T) {
 	clock := simtime.New()
 	l := NewLink(clock, 10*time.Millisecond, 0)
@@ -326,5 +329,79 @@ func TestSwitchCallAppendReusesBuffer(t *testing.T) {
 	resp[0] = 'X'
 	if handlerOwned[0] == 'X' {
 		t.Fatal("CallAppend aliased the handler's buffer across the simulated wire")
+	}
+}
+
+// A handler's request slice is valid only while the handler runs: the
+// switch zeroes and recycles its copy once the reply is out, so a handler
+// that keeps req (instead of copying it) reads zeros afterwards.
+func TestSwitchRequestValidOnlyDuringHandler(t *testing.T) {
+	sw := NewSwitch(simtime.New(), time.Millisecond, 0)
+	a, err := sw.Attach("ctrl", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []byte
+	if _, err := sw.Attach("host-0", func(req []byte) []byte {
+		kept = req
+		return append([]byte("re:"), req...)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := a.Call("host-0", []byte("secret"))
+	if err != nil || string(resp) != "re:secret" {
+		t.Fatalf("call = %q, %v", resp, err)
+	}
+	if !bytes.Equal(kept, make([]byte, len("secret"))) {
+		t.Fatalf("request kept past its handler reads %q, want zeros", kept)
+	}
+}
+
+// A handler may return req itself (an echo): the reply is copied out before
+// the request copy is recycled, so every caller gets its own bytes back.
+func TestSwitchEchoHandlerReturnsRequest(t *testing.T) {
+	sw := NewSwitch(simtime.New(), time.Millisecond, 0)
+	a, err := sw.Attach("ctrl", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sw.Attach("echo", func(req []byte) []byte { return req }); err != nil {
+		t.Fatal(err)
+	}
+	reply := make([]byte, 0, 64)
+	for _, in := range []string{"first frame", "second", "a third, longer frame"} {
+		reply, err = a.CallAppend("echo", []byte(in), reply)
+		if err != nil || string(reply) != in {
+			t.Fatalf("echo of %q = %q, %v", in, reply, err)
+		}
+	}
+}
+
+// CallAppend into a reply buffer that is already large enough allocates
+// nothing: the request copy comes from a pool and the reply lands in buf.
+func TestSwitchCallAppendAllocs(t *testing.T) {
+	sw := NewSwitch(simtime.New(), time.Millisecond, 0)
+	a, err := sw.Attach("ctrl", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sw.Attach("echo", func(req []byte) []byte { return req }); err != nil {
+		t.Fatal(err)
+	}
+	frame := make([]byte, 512)
+	reply := make([]byte, 0, 512)
+	avg := testing.AllocsPerRun(200, func() {
+		if reply, err = a.CallAppend("echo", frame, reply); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The race detector makes sync.Pool drop a quarter of what is put back,
+	// so under -race the request copy is sometimes fresh.
+	budget := 0.0
+	if raceEnabled {
+		budget = 1
+	}
+	if avg > budget {
+		t.Fatalf("CallAppend into a sized buffer = %.2f allocs, budget %.0f", avg, budget)
 	}
 }

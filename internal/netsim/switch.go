@@ -84,9 +84,12 @@ func (sw *Switch) Stats() LinkStats {
 
 // Attach registers a named endpoint and returns its port. The handler (may
 // be nil and installed later with SetHandler) serves requests addressed to
-// this port. Attaching a name that is already attached and open is an
-// error; a closed port's name may be reused (a restarted host rejoining
-// the network).
+// this port. The request slice a handler receives is valid only until the
+// handler returns: the switch zeroes and recycles it afterwards, so a
+// handler that keeps request bytes must copy them. A handler may return
+// the request slice itself; the reply is copied out before the recycle.
+// Attaching a name that is already attached and open is an error; a closed
+// port's name may be reused (a restarted host rejoining the network).
 func (sw *Switch) Attach(name string, handler func(req []byte) []byte) (*Port, error) {
 	if name == "" {
 		return nil, errors.New("netsim: empty port name")
@@ -166,20 +169,25 @@ func (p *Port) isClosed() bool {
 // Call performs one request/response exchange with the named destination:
 // request out, destination handler runs, response back. Both legs charge
 // wire time and are accounted from the caller's perspective (request =
-// sent, response = received). The returned response is an owned exact-size
-// frame; steady-state callers use CallAppend to reuse a reply buffer
-// instead.
+// sent, response = received). The handler sees a copy of request that is
+// valid only while it runs (see Attach). The returned response is an owned
+// exact-size frame; steady-state callers use CallAppend to reuse a reply
+// buffer instead.
 func (p *Port) Call(to string, request []byte) ([]byte, error) {
 	return p.CallAppend(to, request, nil)
 }
+
+// reqCopies recycles the request copies CallAppend hands to handlers.
+var reqCopies = sync.Pool{New: func() any { return new([]byte) }}
 
 // CallAppend is Call with a caller-supplied reply buffer: the response is
 // appended to buf[:0] and the filled slice returned, so a caller in a loop
 // (the fabric's frame path) recycles one buffer across exchanges instead
 // of allocating an owned copy per call. A nil buf behaves exactly like
-// Call. The request is still copied before the handler runs — the
-// destination owns its copy for the duration of the call — so the caller's
-// request buffer is reusable as soon as CallAppend returns.
+// Call. The request is still copied before the handler runs, so the
+// caller's request buffer is reusable as soon as CallAppend returns. The
+// copy comes from a pool and is valid only while the handler runs: once
+// the reply has been appended to buf, the copy is zeroed and recycled.
 func (p *Port) CallAppend(to string, request, buf []byte) ([]byte, error) {
 	if p.isClosed() {
 		return nil, fmt.Errorf("%w: %s (local port closed)", ErrUnreachable, p.name)
@@ -195,17 +203,27 @@ func (p *Port) CallAppend(to string, request, buf []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNoHandler, to)
 	}
 	p.sw.charge(len(request), "sent")
-	req := make([]byte, len(request))
-	copy(req, request)
+	rb := reqCopies.Get().(*[]byte)
+	req := append((*rb)[:0], request...)
 	resp := handler(req)
 	// A destination that died while serving cannot answer: the response
 	// frame is lost on the floor, exactly what the controller's failover
 	// path must tolerate.
-	if dst.isClosed() {
+	died := dst.isClosed()
+	var out []byte
+	if !died {
+		p.sw.charge(len(resp), "received")
+		out = append(buf[:0], resp...)
+	}
+	// resp may alias req (an echo handler), so recycle only after the copy.
+	clear(req)
+	if cap(req) <= 1<<20 {
+		*rb = req[:0]
+		reqCopies.Put(rb)
+	}
+	if died {
 		return nil, fmt.Errorf("%w: %s (died mid-call)", ErrUnreachable, to)
 	}
-	p.sw.charge(len(resp), "received")
-	out := append(buf[:0], resp...)
 	p.sw.mu.Lock()
 	p.sw.stats.RoundTrips++
 	rt := p.sw.metRoundTrips

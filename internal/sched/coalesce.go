@@ -52,19 +52,31 @@ func (c Coalescer) Enabled() bool { return c.MaxBatch > 1 }
 // semantics): collect up to c.MaxBatch items starting from first, holding
 // the group open for at most c.MaxWait. Returns the group and its flush
 // reason.
-func Gather[T any](c Coalescer, first T, ch <-chan T) ([]T, string) {
-	group := []T{first}
+//
+// The group is built in buf[:0] and the hold is timed by timer, both owned
+// by the caller and reused across groups, so a steady-state gather
+// allocates nothing. timer must be stopped with its channel drained; Gather
+// leaves it that way. The drain is a non-blocking receive after a failed
+// Stop, which is correct under both the pre-1.23 timer semantics (the
+// fired value sits in the channel) and the newer ones (it never does).
+func Gather[T any](c Coalescer, first T, ch <-chan T, buf []T, timer *time.Timer) ([]T, string) {
+	group := append(buf[:0], first)
 	if !c.Enabled() {
 		return group, FlushFull
 	}
-	timer := time.NewTimer(c.MaxWait)
-	defer timer.Stop()
+	timer.Reset(c.MaxWait)
 	for len(group) < c.MaxBatch {
 		select {
 		case item := <-ch:
 			group = append(group, item)
 		case <-timer.C:
 			return group, FlushTimeout
+		}
+	}
+	if !timer.Stop() {
+		select {
+		case <-timer.C:
+		default:
 		}
 	}
 	return group, FlushFull

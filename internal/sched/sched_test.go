@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"testing"
+	"time"
 )
 
 // Home must match the FNV-1a routing the pool has always used, so the
@@ -79,5 +80,47 @@ func TestPickPrefersHomeThenSpillsThenFails(t *testing.T) {
 	}
 	if got := Pick(key, 0, load, func(int) bool { return false }); got != -1 {
 		t.Fatalf("Pick n=0 = %d, want -1", got)
+	}
+}
+
+// Gather builds each group in the caller's buffer and times the hold with
+// the caller's timer, leaving the timer stopped and drained for the next
+// group: a full flush, then a timeout flush, then a steady state of both
+// that allocates nothing.
+func TestGatherReusesBufferAndTimer(t *testing.T) {
+	c := Coalescer{MaxBatch: 4, MaxWait: 100 * time.Microsecond}
+	ch := make(chan int, 8)
+	buf := make([]int, 0, 4)
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+
+	for i := 1; i <= 3; i++ {
+		ch <- i
+	}
+	group, reason := Gather(c, 0, ch, buf, timer)
+	if reason != FlushFull || fmt.Sprint(group) != "[0 1 2 3]" {
+		t.Fatalf("full gather = %v, %s", group, reason)
+	}
+	if &group[0] != &buf[:1][0] {
+		t.Fatal("full gather did not build the group in the caller's buffer")
+	}
+	group, reason = Gather(c, 9, ch, group, timer)
+	if reason != FlushTimeout || fmt.Sprint(group) != "[9]" {
+		t.Fatalf("lone-item gather = %v, %s, want [9] on timeout", group, reason)
+	}
+
+	avg := testing.AllocsPerRun(50, func() {
+		for i := 1; i <= 3; i++ {
+			ch <- i
+		}
+		if group, reason = Gather(c, 0, ch, group, timer); reason != FlushFull {
+			t.Fatalf("steady full gather flushed on %s", reason)
+		}
+		if group, reason = Gather(c, 0, ch, group, timer); reason != FlushTimeout {
+			t.Fatalf("steady lone gather flushed on %s", reason)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("Gather with a reused buffer and timer = %.2f allocs, want 0", avg)
 	}
 }
