@@ -148,7 +148,9 @@ func cmdRun(args []string) {
 		opts.TraceID = root.TraceHex()
 		opts.Observer = flicker.NewSessionTraceObserver(root)
 	}
+	rec := p.Clock.Record()
 	res, err := p.RunSession(target, opts)
+	charges := rec.Stop()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -170,7 +172,7 @@ func cmdRun(args []string) {
 	fmt.Fprintln(report)
 	fmt.Fprint(report, trace.RenderTimeline(res, 48))
 	fmt.Fprintln(report)
-	fmt.Fprint(report, trace.RenderCharges(p.Clock.ChargesSince(res.Start)))
+	fmt.Fprint(report, trace.RenderCharges(charges))
 	if traced != nil {
 		raw, err := json.MarshalIndent(traceDetail{TraceData: traced, Tree: traced.Tree()}, "", "  ")
 		if err != nil {

@@ -181,16 +181,12 @@ func TestPrivateKeyNeverInMemoryAfterSession(t *testing.T) {
 	// private exponent; search for any 64-byte window of D).
 	// We cannot know D here (that is the point) — instead check that the
 	// SLB window is zeroed.
-	base := uint32(0)
-	for _, c := range a.P.Clock.Charges() {
-		_ = c
-	}
 	// The platform reuses one SLB base; fetch it via a fresh session.
 	res, err := a.P.RunSession(NewCAPAL(a.policy), core.SessionOptions{Input: EncodeKeygen(), TwoStage: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base = res.SLBBase
+	base := res.SLBBase
 	mem, err := a.P.Machine.Mem.Read(base, 64*1024)
 	if err != nil {
 		t.Fatal(err)

@@ -165,16 +165,15 @@ func TestFigure9aSetupTiming(t *testing.T) {
 	// Figure 9a: PAL 1 totals 217.1 ms — SKINIT 14.3, KeyGen 185.7,
 	// Seal 10.2, plus small TPM ops.
 	r := newRig(t)
-	before := r.p.Clock.Now()
+	rec := r.p.Clock.Record()
 	nonce := r.client.FreshNonce()
 	if _, err := r.srv.Setup(nonce); err != nil {
 		t.Fatal(err)
 	}
 	// Setup includes the quote (972.7 ms) which the paper reports
 	// separately; subtract it to get the PAL-side cost.
-	totals := r.p.Clock.ChargesSince(before)
 	var palMs, quoteMs float64
-	for _, c := range totals {
+	for _, c := range rec.Stop() {
 		if c.Label == "tpm.quote" {
 			quoteMs += simtime.Millis(c.Duration)
 		} else {

@@ -92,7 +92,7 @@ func Figure9SSH() (*Table, *Table, error) {
 	client := sshauth.NewClient(ca2.PublicKey(), []byte("bench-client"))
 
 	// --- PAL 1: setup ---
-	start := p.Clock.Now()
+	rec := p.Clock.Record()
 	nonce := client.FreshNonce()
 	sr, err := srv.Setup(nonce)
 	if err != nil {
@@ -101,7 +101,7 @@ func Figure9SSH() (*Table, *Table, error) {
 	if err := client.TrustSetup(sr, nonce); err != nil {
 		return nil, nil, err
 	}
-	charges := p.Clock.ChargesSince(start)
+	charges := rec.Stop()
 	skinit1 := sumLabel(charges, "cpu.skinit") + sumLabel(charges, "tpm.hashdata")
 	keygen := sumLabel(charges, "cpu.keygen")
 	seal := sumLabel(charges, "tpm.seal")
@@ -131,12 +131,14 @@ func Figure9SSH() (*Table, *Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	start = p.Clock.Now()
-	if err := srv.Login("alice", ct, loginNonce); err != nil {
+	start := p.Clock.Now()
+	rec = p.Clock.Record()
+	err = srv.Login("alice", ct, loginNonce)
+	charges = rec.Stop()
+	if err != nil {
 		return nil, nil, err
 	}
 	total2 := p.Clock.Now() - start
-	charges = p.Clock.ChargesSince(start)
 	t2 := &Table{
 		ID:    "Figure 9b",
 		Title: "SSH Login PAL (PAL 2) breakdown",
@@ -169,12 +171,13 @@ func CASignLatency() (*Table, error) {
 	}
 	csr := &ca.CSR{Subject: "host.bench", PublicKey: palcrypto.MarshalPublicKey(&key.RSAPublicKey)}
 	start := p.Clock.Now()
+	rec := p.Clock.Record()
 	cert, err := authority.Sign(csr)
+	charges := rec.Stop()
 	if err != nil {
 		return nil, err
 	}
 	total := p.Clock.Now() - start
-	charges := p.Clock.ChargesSince(start)
 	if err := authority.Validate(cert); err != nil {
 		return nil, err
 	}

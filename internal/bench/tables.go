@@ -28,7 +28,9 @@ func Table1RootkitBreakdown() (*Table, error) {
 	link := paperRTTLink(p)
 
 	start := p.Clock.Now()
+	rec := p.Clock.Record()
 	out := admin.Query(link, host, p.Kernel.MeasurableRegions())
+	charges := rec.Stop()
 	if out.Err != nil {
 		return nil, fmt.Errorf("bench: table 1 query: %w", out.Err)
 	}
@@ -36,7 +38,6 @@ func Table1RootkitBreakdown() (*Table, error) {
 		return nil, fmt.Errorf("bench: table 1 query returned %+v", out)
 	}
 	total := p.Clock.Now() - start
-	charges := p.Clock.ChargesSince(start)
 
 	skinit := sumLabel(charges, "cpu.skinit") + sumLabel(charges, "tpm.hashdata")
 	extend := sumLabel(charges, "tpm.extend")
@@ -230,7 +231,7 @@ func Table4DistcompOverhead() (*Table, error) {
 			return nil, err
 		}
 		// One continuation session with the requested work budget.
-		start := p.Clock.Now()
+		rec := p.Clock.Record()
 		contRes, err := p.RunSession(distcomp.NewFactorPAL(), core.SessionOptions{
 			Input: distcomp.EncodeRequest(&distcomp.Request{
 				SealedKey:  resp.SealedKey,
@@ -239,10 +240,10 @@ func Table4DistcompOverhead() (*Table, error) {
 			}),
 			TwoStage: true,
 		})
+		charges := rec.Stop()
 		if err != nil || contRes.PALError != nil {
 			return nil, fmt.Errorf("bench: table 4 continue: %v %v", err, contRes.PALError)
 		}
-		charges := p.Clock.ChargesSince(start)
 		total := contRes.Duration()
 		app := sumLabel(charges, "app.work")
 		overheadFrac := 100 * float64(total-app) / float64(total)

@@ -1,4 +1,4 @@
-// Package memory simulates the platform's physical memory system: a flat
+// Package memory simulates the platform's physical memory system: a sparse
 // physical address space, the Device Exclusion Vector (DEV) that SKINIT
 // programs to block DMA into the Secure Loader Block, and DMA-capable
 // devices that issue bus transactions.
@@ -20,13 +20,20 @@ import (
 // granularity, as on real SVM hardware.
 const PageSize = 4096
 
-// PhysMem is the machine's physical memory: a flat byte-addressable array
+// PhysMem is the machine's physical memory: a byte-addressable page table
 // plus the DEV. All accesses go through accessor methods so protection can
 // be enforced uniformly for CPU-originated and device-originated traffic.
+//
+// RAM is sparse. A page that was never written is nil and reads as zeros;
+// the first CPU or DMA write allocates it, and it stays resident from then
+// on, so a platform's heap follows the pages its sessions touch (the SLB
+// window and a few parameter pages) rather than its simulated RAM size, and
+// warm sessions allocate nothing. Reads, which run under the read lock,
+// never allocate a page.
 type PhysMem struct {
-	mu   sync.RWMutex
-	data []byte
-	dev  []bool // one bit per page; true = DMA excluded
+	mu    sync.RWMutex
+	pages []*[PageSize]byte // nil = never written, reads as zeros
+	dev   []bool            // one bit per page; true = DMA excluded
 
 	// Write-generation tracking: writeSeq is a monotonic mutation counter
 	// and pageGen[p] records the writeSeq of the last mutation touching
@@ -64,7 +71,7 @@ func New(size int) *PhysMem {
 	}
 	pages := (size + PageSize - 1) / PageSize
 	m := &PhysMem{
-		data:    make([]byte, pages*PageSize),
+		pages:   make([]*[PageSize]byte, pages),
 		dev:     make([]bool, pages),
 		pageGen: make([]uint64, pages),
 	}
@@ -126,7 +133,21 @@ func (m *PhysMem) recordDMA(device, op, result string, n int) {
 
 // Size returns the size of physical memory in bytes.
 func (m *PhysMem) Size() int {
-	return len(m.data)
+	return len(m.pages) * PageSize
+}
+
+// ResidentPages returns how many pages hold an allocated backing array:
+// every page ever written, since pages are never freed.
+func (m *PhysMem) ResidentPages() int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	n := 0
+	for _, pg := range m.pages {
+		if pg != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // AccessError describes a rejected memory transaction.
@@ -142,7 +163,7 @@ func (e *AccessError) Error() string {
 }
 
 func (m *PhysMem) checkRange(addr uint32, n int) error {
-	if n < 0 || int(addr) > len(m.data) || int(addr)+n > len(m.data) {
+	if n < 0 || int(addr) > m.Size() || int(addr)+n > m.Size() {
 		return &AccessError{Addr: addr, Len: n, Reason: "out of physical memory"}
 	}
 	return nil
@@ -157,7 +178,7 @@ func (m *PhysMem) Read(addr uint32, n int) ([]byte, error) {
 		return nil, err
 	}
 	out := make([]byte, n)
-	copy(out, m.data[addr:int(addr)+n])
+	m.readLocked(addr, out)
 	return out, nil
 }
 
@@ -170,8 +191,60 @@ func (m *PhysMem) ReadInto(addr uint32, dst []byte) error {
 	if err := m.checkRange(addr, len(dst)); err != nil {
 		return err
 	}
-	copy(dst, m.data[addr:])
+	m.readLocked(addr, dst)
 	return nil
+}
+
+// span splits the run of n bytes at addr at its off'th byte into the page
+// holding that byte, the run's offset lo into it, and the length k of the
+// run's part in that page. Callers step off by k.
+func span(addr uint32, n, off int) (p, lo, k int) {
+	a := int(addr) + off
+	p, lo = a/PageSize, a%PageSize
+	return p, lo, min(PageSize-lo, n-off)
+}
+
+// readLocked copies len(dst) bytes at addr into dst, absent pages as zeros.
+// Callers hold m.mu (read or write) and have validated the range.
+func (m *PhysMem) readLocked(addr uint32, dst []byte) {
+	for off := 0; off < len(dst); {
+		p, lo, k := span(addr, len(dst), off)
+		if pg := m.pages[p]; pg != nil {
+			copy(dst[off:off+k], pg[lo:])
+		} else {
+			clear(dst[off : off+k])
+		}
+		off += k
+	}
+}
+
+// pageLocked returns page p, allocating it on its first write. Callers hold
+// m.mu for writing.
+func (m *PhysMem) pageLocked(p int) *[PageSize]byte {
+	if m.pages[p] == nil {
+		m.pages[p] = new([PageSize]byte)
+	}
+	return m.pages[p]
+}
+
+// writeLocked stores b at addr and bumps the generation of the pages it
+// covers. Callers hold m.mu for writing and have validated the range.
+func (m *PhysMem) writeLocked(addr uint32, b []byte) {
+	for off := 0; off < len(b); {
+		p, lo, k := span(addr, len(b), off)
+		copy(m.pageLocked(p)[lo:], b[off:off+k])
+		off += k
+	}
+	m.bumpLocked(addr, len(b))
+}
+
+// pageRange returns the pages [first, end) that the n bytes at addr cover;
+// an empty range covers none, not the page holding addr-1.
+func pageRange(addr uint32, n int) (first, end int) {
+	if n <= 0 {
+		return 0, 0
+	}
+	return int(addr) / PageSize, (int(addr)+n-1)/PageSize + 1
 }
 
 // bumpLocked marks the pages covering [addr, addr+n) as mutated. Callers
@@ -181,7 +254,8 @@ func (m *PhysMem) bumpLocked(addr uint32, n int) {
 		return
 	}
 	m.writeSeq++
-	for p := int(addr) / PageSize; p <= (int(addr)+n-1)/PageSize; p++ {
+	first, end := pageRange(addr, n)
+	for p := first; p < end; p++ {
 		m.pageGen[p] = m.writeSeq
 	}
 }
@@ -195,11 +269,12 @@ func (m *PhysMem) bumpLocked(addr uint32, n int) {
 func (m *PhysMem) Generation(addr uint32, n int) uint64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if n <= 0 || m.checkRange(addr, n) != nil {
+	if m.checkRange(addr, n) != nil {
 		return 0
 	}
 	var g uint64
-	for p := int(addr) / PageSize; p <= (int(addr)+n-1)/PageSize; p++ {
+	first, end := pageRange(addr, n)
+	for p := first; p < end; p++ {
 		if m.pageGen[p] > g {
 			g = m.pageGen[p]
 		}
@@ -214,8 +289,7 @@ func (m *PhysMem) Write(addr uint32, b []byte) error {
 	if err := m.checkRange(addr, len(b)); err != nil {
 		return err
 	}
-	copy(m.data[addr:], b)
-	m.bumpLocked(addr, len(b))
+	m.writeLocked(addr, b)
 	return nil
 }
 
@@ -223,7 +297,8 @@ func (m *PhysMem) Write(addr uint32, b []byte) error {
 // first and only copies (and bumps the write generation of) pages whose
 // content actually differs. Placing an identical staged image is therefore
 // generation-neutral, which is what keeps SKINIT's measurement cache warm
-// across back-to-back sessions of the same PAL.
+// across back-to-back sessions of the same PAL. Zeros written onto an
+// absent page change nothing and allocate nothing.
 func (m *PhysMem) WriteIfChanged(addr uint32, b []byte) (changed bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -231,36 +306,47 @@ func (m *PhysMem) WriteIfChanged(addr uint32, b []byte) (changed bool, err error
 		return false, err
 	}
 	for off := 0; off < len(b); {
-		end := (int(addr)+off)/PageSize*PageSize + PageSize - int(addr)
-		if end > len(b) {
-			end = len(b)
+		p, lo, k := span(addr, len(b), off)
+		chunk := b[off : off+k]
+		var same bool
+		if pg := m.pages[p]; pg != nil {
+			same = bytes.Equal(pg[lo:lo+k], chunk)
+		} else {
+			same = allZero(chunk)
 		}
-		if !bytes.Equal(m.data[int(addr)+off:int(addr)+end], b[off:end]) {
-			copy(m.data[int(addr)+off:], b[off:end])
-			m.bumpLocked(addr+uint32(off), end-off)
+		if !same {
+			m.writeLocked(addr+uint32(off), chunk)
 			changed = true
 		}
-		off = end
+		off += k
 	}
 	return changed, nil
 }
 
 // Zero clears n bytes starting at addr; used by the SLB Core's cleanup phase
-// to erase PAL secrets before the OS resumes.
+// to erase PAL secrets before the OS resumes. It bumps the write generation
+// of every covered page, absent ones included; a scrubbed page stays
+// resident.
 func (m *PhysMem) Zero(addr uint32, n int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.checkRange(addr, n); err != nil {
 		return err
 	}
-	clear(m.data[addr : int(addr)+n])
+	for off := 0; off < n; {
+		p, lo, k := span(addr, n, off)
+		if pg := m.pages[p]; pg != nil {
+			clear(pg[lo : lo+k])
+		}
+		off += k
+	}
 	m.bumpLocked(addr, n)
 	return nil
 }
 
 // ZeroIfDirty clears n bytes starting at addr like Zero, but only touches
 // (and bumps the write generation of) pages holding a nonzero byte. Erasing
-// an already-clean range is generation-neutral.
+// an already-clean range, or an absent page, is generation-neutral.
 func (m *PhysMem) ZeroIfDirty(addr uint32, n int) (changed bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -268,17 +354,13 @@ func (m *PhysMem) ZeroIfDirty(addr uint32, n int) (changed bool, err error) {
 		return false, err
 	}
 	for off := 0; off < n; {
-		end := (int(addr)+off)/PageSize*PageSize + PageSize - int(addr)
-		if end > n {
-			end = n
-		}
-		chunk := m.data[int(addr)+off : int(addr)+end]
-		if !allZero(chunk) {
-			clear(chunk)
-			m.bumpLocked(addr+uint32(off), end-off)
+		p, lo, k := span(addr, n, off)
+		if pg := m.pages[p]; pg != nil && !allZero(pg[lo:lo+k]) {
+			clear(pg[lo : lo+k])
+			m.bumpLocked(addr+uint32(off), k)
 			changed = true
 		}
-		off = end
+		off += k
 	}
 	return changed, nil
 }
@@ -293,28 +375,32 @@ func allZero(b []byte) bool {
 
 // DEVProtect marks the pages covering [addr, addr+n) as DMA-excluded.
 // SKINIT calls this for the 64 KB starting at the SLB base; preparatory code
-// in the first 64 KB may call it again to extend protection upward.
+// in the first 64 KB may call it again to extend protection upward. An empty
+// range covers no page.
 func (m *PhysMem) DEVProtect(addr uint32, n int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.checkRange(addr, n); err != nil {
 		return err
 	}
-	for p := int(addr) / PageSize; p <= (int(addr)+n-1)/PageSize; p++ {
+	first, end := pageRange(addr, n)
+	for p := first; p < end; p++ {
 		m.dev[p] = true
 	}
 	return nil
 }
 
 // DEVClear removes DMA exclusion from the pages covering [addr, addr+n);
-// the SLB Core clears its protections just before resuming the OS.
+// the SLB Core clears its protections just before resuming the OS. An empty
+// range covers no page.
 func (m *PhysMem) DEVClear(addr uint32, n int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.checkRange(addr, n); err != nil {
 		return err
 	}
-	for p := int(addr) / PageSize; p <= (int(addr)+n-1)/PageSize; p++ {
+	first, end := pageRange(addr, n)
+	for p := first; p < end; p++ {
 		m.dev[p] = false
 	}
 	return nil
@@ -327,7 +413,8 @@ func (m *PhysMem) DEVProtected(addr uint32, n int) bool {
 	if m.checkRange(addr, n) != nil || n == 0 {
 		return false
 	}
-	for p := int(addr) / PageSize; p <= (int(addr)+n-1)/PageSize; p++ {
+	first, end := pageRange(addr, n)
+	for p := first; p < end; p++ {
 		if !m.dev[p] {
 			return false
 		}
@@ -337,7 +424,8 @@ func (m *PhysMem) DEVProtected(addr uint32, n int) bool {
 
 // devBlocks reports whether any page of [addr, addr+n) is DMA-excluded.
 func (m *PhysMem) devBlocks(addr uint32, n int) bool {
-	for p := int(addr) / PageSize; p <= (int(addr)+n-1)/PageSize; p++ {
+	first, end := pageRange(addr, n)
+	for p := first; p < end; p++ {
 		if m.dev[p] {
 			return true
 		}
@@ -354,14 +442,14 @@ func (m *PhysMem) DMARead(device string, addr uint32, n int) ([]byte, error) {
 		m.recordDMA(device, "read", "bad-range", n)
 		return nil, err
 	}
-	if n > 0 && m.devBlocks(addr, n) {
+	if m.devBlocks(addr, n) {
 		m.recordDMA(device, "read", "dev-blocked", n)
 		return nil, &AccessError{Addr: addr, Len: n,
 			Reason: fmt.Sprintf("DEV blocks DMA read by %q", device)}
 	}
 	m.recordDMA(device, "read", "ok", n)
 	out := make([]byte, n)
-	copy(out, m.data[addr:int(addr)+n])
+	m.readLocked(addr, out)
 	return out, nil
 }
 
@@ -373,14 +461,13 @@ func (m *PhysMem) DMAWrite(device string, addr uint32, b []byte) error {
 		m.recordDMA(device, "write", "bad-range", len(b))
 		return err
 	}
-	if len(b) > 0 && m.devBlocks(addr, len(b)) {
+	if m.devBlocks(addr, len(b)) {
 		m.recordDMA(device, "write", "dev-blocked", len(b))
 		return &AccessError{Addr: addr, Len: len(b),
 			Reason: fmt.Sprintf("DEV blocks DMA write by %q", device)}
 	}
 	m.recordDMA(device, "write", "ok", len(b))
-	copy(m.data[addr:], b)
-	m.bumpLocked(addr, len(b))
+	m.writeLocked(addr, b)
 	return nil
 }
 

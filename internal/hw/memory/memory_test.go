@@ -405,3 +405,33 @@ func TestGenerationMonotonicNoABA(t *testing.T) {
 		t.Fatal("generation repeated after tamper-and-restore (ABA)")
 	}
 }
+
+// An empty range covers no page: DEVProtect and DEVClear with n == 0 leave
+// every page as it was, whether addr is page-aligned, mid-page, zero, or the
+// end of memory. (Computing the last page as (addr+n-1)/PageSize would
+// touch the page holding addr-1.)
+func TestDEVEmptyRangeIsNoOp(t *testing.T) {
+	const pages = 4
+	for _, addr := range []uint32{0, PageSize, 5000, 2*PageSize - 1, pages * PageSize} {
+		m := New(pages * PageSize)
+		if err := m.DEVProtect(addr, 0); err != nil {
+			t.Fatalf("DEVProtect(%d, 0): %v", addr, err)
+		}
+		for p := 0; p < pages; p++ {
+			if m.DEVProtected(uint32(p*PageSize), PageSize) {
+				t.Errorf("DEVProtect(%d, 0) excluded page %d", addr, p)
+			}
+		}
+		if err := m.DEVProtect(0, pages*PageSize); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.DEVClear(addr, 0); err != nil {
+			t.Fatalf("DEVClear(%d, 0): %v", addr, err)
+		}
+		for p := 0; p < pages; p++ {
+			if !m.DEVProtected(uint32(p*PageSize), PageSize) {
+				t.Errorf("DEVClear(%d, 0) un-excluded page %d", addr, p)
+			}
+		}
+	}
+}

@@ -5,14 +5,18 @@
 // RDTSC on real hardware. This package replaces the hardware with calibrated
 // latency profiles: every simulated hardware operation (an SKINIT, a TPM
 // command, a stretch of CPU work) charges time to a Clock, and the benchmark
-// harness reads session traces off the Clock to regenerate the paper's rows.
-// Because the clock is purely logical, runs are deterministic and fast
-// regardless of how many simulated seconds they cover.
+// harness records the charges of the sessions it measures to regenerate the
+// paper's rows. Because the clock is purely logical, runs are deterministic
+// and fast regardless of how many simulated seconds they cover.
+//
+// The clock keeps no log: a charge goes to the charge hook and to every open
+// Recording, and is then forgotten, so a clock's memory does not grow with
+// the sessions it has timed.
 package simtime
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -22,13 +26,13 @@ import (
 type Clock struct {
 	mu       sync.Mutex
 	now      time.Duration
-	charges  []Charge
 	noise    *noiseSource
 	onCharge func(Charge)
+	open     []*Recording
 }
 
-// Charge records a single latency contribution, used by the benchmark
-// harness to break down session cost per operation (Tables 1, 4; Figure 9).
+// Charge is a single latency contribution, used by the benchmark harness to
+// break down session cost per operation (Tables 1, 4; Figure 9).
 type Charge struct {
 	At       time.Duration // simulated time at which the charge began
 	Duration time.Duration
@@ -55,8 +59,9 @@ func (c *Clock) Now() time.Duration {
 	return c.now
 }
 
-// Advance moves the clock forward by d, recording a labeled charge.
-// It returns the charged duration (after noise, if enabled).
+// Advance moves the clock forward by d, passing a labeled charge to the hook
+// and to every open Recording. It returns the charged duration (after noise,
+// if enabled).
 func (c *Clock) Advance(d time.Duration, label string) time.Duration {
 	if d < 0 {
 		panic(fmt.Sprintf("simtime: negative advance %v (%s)", d, label))
@@ -66,7 +71,9 @@ func (c *Clock) Advance(d time.Duration, label string) time.Duration {
 		d = c.noise.perturb(d)
 	}
 	ch := Charge{At: c.now, Duration: d, Label: label}
-	c.charges = append(c.charges, ch)
+	for _, r := range c.open {
+		r.charges = append(r.charges, ch)
+	}
 	c.now += d
 	hook := c.onCharge
 	c.mu.Unlock()
@@ -77,69 +84,42 @@ func (c *Clock) Advance(d time.Duration, label string) time.Duration {
 }
 
 // SetOnCharge installs fn as the clock's charge hook: every Advance invokes
-// it with the recorded charge, outside the clock's lock (the hook may call
-// Now or Charges). The session layer uses this to attribute charges to the
-// currently-open timeline phase. Passing nil removes the hook.
+// it with the charge, outside the clock's lock (the hook may call Now). The
+// session layer uses this to attribute charges to the currently-open
+// timeline phase. Passing nil removes the hook.
 func (c *Clock) SetOnCharge(fn func(Charge)) {
 	c.mu.Lock()
 	c.onCharge = fn
 	c.mu.Unlock()
 }
 
-// Charges returns a copy of all recorded charges in order.
-func (c *Clock) Charges() []Charge {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Charge, len(c.charges))
-	copy(out, c.charges)
-	return out
+// Recording collects the charges a clock makes while it is open, from
+// Clock.Record until Stop. Recordings may overlap; each sees every charge of
+// its own window.
+type Recording struct {
+	c       *Clock
+	charges []Charge
 }
 
-// ChargesSince returns a copy of the charges that began at or after t.
-func (c *Clock) ChargesSince(t time.Duration) []Charge {
+// Record opens a Recording of the charges Advance makes from now on.
+func (c *Clock) Record() *Recording {
+	r := &Recording{c: c}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []Charge
-	for _, ch := range c.charges {
-		if ch.At >= t {
-			out = append(out, ch)
-		}
-	}
-	return out
+	c.open = append(c.open, r)
+	c.mu.Unlock()
+	return r
 }
 
-// Reset rewinds the clock to zero and discards all charges.
-func (c *Clock) Reset() {
+// Stop closes the recording and returns its charges in order. Stopping a
+// closed recording returns the same charges again.
+func (r *Recording) Stop() []Charge {
+	c := r.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.now = 0
-	c.charges = nil
-}
-
-// TotalByLabel aggregates charge durations by label.
-func (c *Clock) TotalByLabel() map[string]time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]time.Duration)
-	for _, ch := range c.charges {
-		out[ch.Label] += ch.Duration
+	if i := slices.Index(c.open, r); i >= 0 {
+		c.open = slices.Delete(c.open, i, i+1)
 	}
-	return out
-}
-
-// Breakdown renders a sorted per-label cost table, for session traces.
-func (c *Clock) Breakdown() string {
-	totals := c.TotalByLabel()
-	labels := make([]string, 0, len(totals))
-	for l := range totals {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	s := ""
-	for _, l := range labels {
-		s += fmt.Sprintf("%-28s %10.3f ms\n", l, Millis(totals[l]))
-	}
-	return s
+	return r.charges
 }
 
 // Millis converts a duration to floating-point milliseconds, the unit the

@@ -13,19 +13,20 @@ func TestClockStartsAtZero(t *testing.T) {
 	if got := c.Now(); got != 0 {
 		t.Fatalf("new clock Now() = %v, want 0", got)
 	}
-	if n := len(c.Charges()); n != 0 {
-		t.Fatalf("new clock has %d charges, want 0", n)
+	if n := len(c.Record().Stop()); n != 0 {
+		t.Fatalf("new clock recorded %d charges, want 0", n)
 	}
 }
 
 func TestClockAdvanceAccumulates(t *testing.T) {
 	c := New()
+	rec := c.Record()
 	c.Advance(5*time.Millisecond, "a")
 	c.Advance(7*time.Millisecond, "b")
 	if got, want := c.Now(), 12*time.Millisecond; got != want {
 		t.Fatalf("Now() = %v, want %v", got, want)
 	}
-	ch := c.Charges()
+	ch := rec.Stop()
 	if len(ch) != 2 {
 		t.Fatalf("got %d charges, want 2", len(ch))
 	}
@@ -46,42 +47,62 @@ func TestClockNegativeAdvancePanics(t *testing.T) {
 	New().Advance(-time.Millisecond, "bad")
 }
 
-func TestClockTotalByLabel(t *testing.T) {
-	c := New()
-	c.Advance(time.Millisecond, "tpm")
-	c.Advance(2*time.Millisecond, "cpu")
-	c.Advance(3*time.Millisecond, "tpm")
-	totals := c.TotalByLabel()
-	if totals["tpm"] != 4*time.Millisecond {
-		t.Errorf("tpm total = %v, want 4ms", totals["tpm"])
-	}
-	if totals["cpu"] != 2*time.Millisecond {
-		t.Errorf("cpu total = %v, want 2ms", totals["cpu"])
-	}
-}
-
-func TestClockChargesSince(t *testing.T) {
+func TestRecordingWindow(t *testing.T) {
 	c := New()
 	c.Advance(time.Millisecond, "a")
-	mark := c.Now()
+	rec := c.Record()
 	c.Advance(time.Millisecond, "b")
-	since := c.ChargesSince(mark)
-	if len(since) != 1 || since[0].Label != "b" {
-		t.Fatalf("ChargesSince = %+v, want single 'b'", since)
+	got := rec.Stop()
+	c.Advance(time.Millisecond, "c")
+	if len(got) != 1 || got[0].Label != "b" || got[0].At != time.Millisecond {
+		t.Fatalf("recording = %+v, want single 'b' at 1ms", got)
+	}
+	if again := rec.Stop(); len(again) != 1 || again[0] != got[0] {
+		t.Fatalf("second Stop = %+v, want %+v", again, got)
 	}
 }
 
-func TestClockReset(t *testing.T) {
+func TestRecordingsOverlap(t *testing.T) {
 	c := New()
-	c.Advance(time.Second, "x")
-	c.Reset()
-	if c.Now() != 0 || len(c.Charges()) != 0 {
-		t.Fatal("Reset did not clear state")
+	outer := c.Record()
+	c.Advance(time.Millisecond, "a")
+	inner := c.Record()
+	c.Advance(time.Millisecond, "b")
+	innerCh := inner.Stop()
+	c.Advance(time.Millisecond, "c")
+	outerCh := outer.Stop()
+	if len(innerCh) != 1 || innerCh[0].Label != "b" {
+		t.Fatalf("inner = %+v, want single 'b'", innerCh)
+	}
+	var labels string
+	for _, ch := range outerCh {
+		labels += ch.Label
+	}
+	if labels != "abc" {
+		t.Fatalf("outer labels = %q, want \"abc\"", labels)
+	}
+}
+
+// The clock keeps no log: with no recording open, Advance retains nothing,
+// however many charges it makes.
+func TestClockKeepsNoLog(t *testing.T) {
+	c := New()
+	var seen int
+	c.SetOnCharge(func(Charge) { seen++ })
+	if n := testing.AllocsPerRun(1000, func() { c.Advance(time.Microsecond, "x") }); n != 0 {
+		t.Fatalf("Advance allocated %v times per call, want 0", n)
+	}
+	if seen != 1001 {
+		t.Fatalf("hook saw %d charges, want 1001", seen)
+	}
+	if n := len(c.open); n != 0 {
+		t.Fatalf("%d recordings open, want 0", n)
 	}
 }
 
 func TestClockConcurrentAdvance(t *testing.T) {
 	c := New()
+	rec := c.Record()
 	var wg sync.WaitGroup
 	for i := 0; i < 50; i++ {
 		wg.Add(1)
@@ -96,6 +117,43 @@ func TestClockConcurrentAdvance(t *testing.T) {
 	if got, want := c.Now(), 5000*time.Microsecond; got != want {
 		t.Fatalf("concurrent total = %v, want %v", got, want)
 	}
+	if n := len(rec.Stop()); n != 5000 {
+		t.Fatalf("recording holds %d charges, want 5000", n)
+	}
+}
+
+// Recordings open and close while other goroutines advance the clock; each
+// sees a gap-free run of the clock's charges.
+func TestRecordingConcurrentWithAdvance(t *testing.T) {
+	c := New()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 200; j++ {
+				c.Advance(time.Microsecond, "w")
+			}
+		}()
+	}
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 50; j++ {
+				rec := c.Record()
+				c.Advance(time.Microsecond, "r")
+				ch := rec.Stop()
+				for k := 1; k < len(ch); k++ {
+					if ch[k].At != ch[k-1].At+ch[k-1].Duration {
+						t.Errorf("recording has a gap: %+v then %+v", ch[k-1], ch[k])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestNoiseDeterministic(t *testing.T) {
@@ -144,6 +202,7 @@ func TestMillisRoundTrip(t *testing.T) {
 func TestClockSumInvariant(t *testing.T) {
 	f := func(durs []uint16) bool {
 		c := New()
+		rec := c.Record()
 		var want time.Duration
 		for _, d := range durs {
 			dd := time.Duration(d) * time.Microsecond
@@ -154,7 +213,7 @@ func TestClockSumInvariant(t *testing.T) {
 			return false
 		}
 		var sum time.Duration
-		for _, ch := range c.Charges() {
+		for _, ch := range rec.Stop() {
 			sum += ch.Duration
 		}
 		return sum == want
@@ -207,25 +266,4 @@ func TestProfileOrdering(t *testing.T) {
 	if !(f.TPMUnseal < i.TPMUnseal && i.TPMUnseal < b.TPMUnseal) {
 		t.Error("expected future < infineon < broadcom unseal latency")
 	}
-}
-
-func TestBreakdownContainsLabels(t *testing.T) {
-	c := New()
-	c.Advance(time.Millisecond, "skinit")
-	c.Advance(2*time.Millisecond, "quote")
-	s := c.Breakdown()
-	for _, want := range []string{"skinit", "quote"} {
-		if !contains(s, want) {
-			t.Errorf("breakdown missing %q:\n%s", want, s)
-		}
-	}
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
