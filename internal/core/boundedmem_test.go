@@ -50,3 +50,16 @@ func TestSessionMemoryBounded(t *testing.T) {
 	t.Logf("live heap %+d B over %d sessions (%.1f B/session); %d pages resident",
 		grew, sessions, float64(grew)/sessions, resident)
 }
+
+// BenchmarkNewPlatform measures a platform's set-up, the cost flickerbench
+// reports as setup_s before any request runs. Profile it with
+//
+//	go test -run '^$' -bench NewPlatform -cpuprofile cpu.out ./internal/core/
+func BenchmarkNewPlatform(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewPlatform(PlatformConfig{Seed: "flickerbench"}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -29,11 +29,14 @@ const PageSize = 4096
 // on, so a platform's heap follows the pages its sessions touch (the SLB
 // window and a few parameter pages) rather than its simulated RAM size, and
 // warm sessions allocate nothing. Reads, which run under the read lock,
-// never allocate a page.
+// never allocate a page, except inside a mapped image (see Map): an absent
+// image page is generated on its first touch, read or write, under the
+// write lock, and is an ordinary resident page from then on.
 type PhysMem struct {
-	mu    sync.RWMutex
-	pages []*[PageSize]byte // nil = never written, reads as zeros
-	dev   []bool            // one bit per page; true = DMA excluded
+	mu     sync.RWMutex
+	pages  []*[PageSize]byte // nil = never touched; reads as zeros, or as its image
+	dev    []bool            // one bit per page; true = DMA excluded
+	images []image           // mapped ranges, newest last
 
 	// Write-generation tracking: writeSeq is a monotonic mutation counter
 	// and pageGen[p] records the writeSeq of the last mutation touching
@@ -137,7 +140,8 @@ func (m *PhysMem) Size() int {
 }
 
 // ResidentPages returns how many pages hold an allocated backing array:
-// every page ever written, since pages are never freed.
+// every page ever written, zeroed, or touched inside a mapped image. Pages
+// are never freed, except that Map drops the resident pages it covers.
 func (m *PhysMem) ResidentPages() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -169,10 +173,88 @@ func (m *PhysMem) checkRange(addr uint32, n int) error {
 	return nil
 }
 
+// image is a page-aligned range of memory whose absent pages hold fill's
+// bytes rather than zeros.
+type image struct {
+	first, end int // pages [first, end)
+	fill       func(off int, page *[PageSize]byte)
+}
+
+// Map places a lazily generated image at [addr, addr+n), which must be
+// page-aligned: an absent page at byte off of the range holds the bytes
+// fill writes into a fresh zeroed page given off. fill runs on the page's
+// first touch (any read, write or zeroing of it) under the write lock, and
+// must write only into the page it is given. Map is a Write whose bytes are
+// produced on demand: it drops the range's resident pages and bumps its
+// write generation once, and generating a page later bumps nothing.
+func (m *PhysMem) Map(addr uint32, n int, fill func(off int, page *[PageSize]byte)) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.checkRange(addr, n); err != nil {
+		return err
+	}
+	if addr%PageSize != 0 || n%PageSize != 0 {
+		return &AccessError{Addr: addr, Len: n, Reason: "image not page-aligned"}
+	}
+	first, end := pageRange(addr, n)
+	clear(m.pages[first:end])
+	m.images = append(m.images, image{first, end, fill})
+	m.bumpLocked(addr, n)
+	return nil
+}
+
+// imageAt returns the newest image covering page p, or nil.
+func (m *PhysMem) imageAt(p int) *image {
+	for i := len(m.images) - 1; i >= 0; i-- {
+		if img := &m.images[i]; p >= img.first && p < img.end {
+			return img
+		}
+	}
+	return nil
+}
+
+// faultLocked returns page p, generating it first if it is an absent image
+// page; an absent page outside every image stays nil. Callers hold m.mu for
+// writing.
+func (m *PhysMem) faultLocked(p int) *[PageSize]byte {
+	if m.pages[p] == nil {
+		if img := m.imageAt(p); img != nil {
+			pg := new([PageSize]byte)
+			img.fill((p-img.first)*PageSize, pg)
+			m.pages[p] = pg
+		}
+	}
+	return m.pages[p]
+}
+
+// rlock takes the read lock with every image page of [addr, addr+n)
+// resident, generating absent ones under the write lock first. A range the
+// caller will reject (out of memory, or DEV-blocked for a DMA read) has
+// nothing generated.
+func (m *PhysMem) rlock(addr uint32, n int, dma bool) {
+	m.mu.RLock()
+	if m.checkRange(addr, n) != nil || dma && m.devBlocks(addr, n) {
+		return
+	}
+	first, end := pageRange(addr, n)
+	for p := first; p < end; p++ {
+		if m.pages[p] == nil && m.imageAt(p) != nil {
+			m.mu.RUnlock()
+			m.mu.Lock()
+			for ; p < end; p++ {
+				m.faultLocked(p)
+			}
+			m.mu.Unlock()
+			m.mu.RLock()
+			return
+		}
+	}
+}
+
 // Read copies n bytes starting at addr. CPU-originated reads are never
 // blocked by the DEV (the DEV filters only device traffic).
 func (m *PhysMem) Read(addr uint32, n int) ([]byte, error) {
-	m.mu.RLock()
+	m.rlock(addr, n, false)
 	defer m.mu.RUnlock()
 	if err := m.checkRange(addr, n); err != nil {
 		return nil, err
@@ -186,7 +268,7 @@ func (m *PhysMem) Read(addr uint32, n int) ([]byte, error) {
 // caller that owns the buffer, such as the fixed-size SLB and input-page
 // headers read on every session.
 func (m *PhysMem) ReadInto(addr uint32, dst []byte) error {
-	m.mu.RLock()
+	m.rlock(addr, len(dst), false)
 	defer m.mu.RUnlock()
 	if err := m.checkRange(addr, len(dst)); err != nil {
 		return err
@@ -205,7 +287,8 @@ func span(addr uint32, n, off int) (p, lo, k int) {
 }
 
 // readLocked copies len(dst) bytes at addr into dst, absent pages as zeros.
-// Callers hold m.mu (read or write) and have validated the range.
+// Callers hold m.mu (read or write), have validated the range and have
+// made its image pages resident.
 func (m *PhysMem) readLocked(addr uint32, dst []byte) {
 	for off := 0; off < len(dst); {
 		p, lo, k := span(addr, len(dst), off)
@@ -218,10 +301,10 @@ func (m *PhysMem) readLocked(addr uint32, dst []byte) {
 	}
 }
 
-// pageLocked returns page p, allocating it on its first write. Callers hold
-// m.mu for writing.
+// pageLocked returns page p for a write, generating it from its image or
+// allocating it zeroed on its first touch. Callers hold m.mu for writing.
 func (m *PhysMem) pageLocked(p int) *[PageSize]byte {
-	if m.pages[p] == nil {
+	if m.faultLocked(p) == nil {
 		m.pages[p] = new([PageSize]byte)
 	}
 	return m.pages[p]
@@ -298,7 +381,8 @@ func (m *PhysMem) Write(addr uint32, b []byte) error {
 // content actually differs. Placing an identical staged image is therefore
 // generation-neutral, which is what keeps SKINIT's measurement cache warm
 // across back-to-back sessions of the same PAL. Zeros written onto an
-// absent page change nothing and allocate nothing.
+// absent page change nothing and allocate nothing; an absent image page is
+// compared against its image's bytes.
 func (m *PhysMem) WriteIfChanged(addr uint32, b []byte) (changed bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -309,7 +393,7 @@ func (m *PhysMem) WriteIfChanged(addr uint32, b []byte) (changed bool, err error
 		p, lo, k := span(addr, len(b), off)
 		chunk := b[off : off+k]
 		var same bool
-		if pg := m.pages[p]; pg != nil {
+		if pg := m.faultLocked(p); pg != nil {
 			same = bytes.Equal(pg[lo:lo+k], chunk)
 		} else {
 			same = allZero(chunk)
@@ -326,7 +410,7 @@ func (m *PhysMem) WriteIfChanged(addr uint32, b []byte) (changed bool, err error
 // Zero clears n bytes starting at addr; used by the SLB Core's cleanup phase
 // to erase PAL secrets before the OS resumes. It bumps the write generation
 // of every covered page, absent ones included; a scrubbed page stays
-// resident.
+// resident, and a scrubbed image page reads as zeros from then on.
 func (m *PhysMem) Zero(addr uint32, n int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -335,7 +419,7 @@ func (m *PhysMem) Zero(addr uint32, n int) error {
 	}
 	for off := 0; off < n; {
 		p, lo, k := span(addr, n, off)
-		if pg := m.pages[p]; pg != nil {
+		if pg := m.faultLocked(p); pg != nil {
 			clear(pg[lo : lo+k])
 		}
 		off += k
@@ -355,7 +439,7 @@ func (m *PhysMem) ZeroIfDirty(addr uint32, n int) (changed bool, err error) {
 	}
 	for off := 0; off < n; {
 		p, lo, k := span(addr, n, off)
-		if pg := m.pages[p]; pg != nil && !allZero(pg[lo:lo+k]) {
+		if pg := m.faultLocked(p); pg != nil && !allZero(pg[lo:lo+k]) {
 			clear(pg[lo : lo+k])
 			m.bumpLocked(addr+uint32(off), k)
 			changed = true
@@ -436,7 +520,7 @@ func (m *PhysMem) devBlocks(addr uint32, n int) bool {
 // DMARead performs a device-originated read. It fails with an AccessError
 // if any touched page is DEV-protected.
 func (m *PhysMem) DMARead(device string, addr uint32, n int) ([]byte, error) {
-	m.mu.RLock()
+	m.rlock(addr, n, true)
 	defer m.mu.RUnlock()
 	if err := m.checkRange(addr, n); err != nil {
 		m.recordDMA(device, "read", "bad-range", n)

@@ -16,6 +16,7 @@ import (
 	"sync"
 
 	"flicker/internal/hw/cpu"
+	"flicker/internal/hw/memory"
 	"flicker/internal/palcrypto"
 	"flicker/internal/simtime"
 )
@@ -71,7 +72,7 @@ type Kernel struct {
 	devs map[string]*BlockDev
 }
 
-// Boot constructs a kernel on the machine, writing the kernel image into
+// Boot constructs a kernel on the machine, placing the kernel image in
 // physical memory. The image bytes are deterministic in the seed so that
 // known-good measurements are stable.
 func Boot(m *cpu.Machine, clock *simtime.Clock, profile *simtime.Profile, seed string) (*Kernel, error) {
@@ -87,10 +88,17 @@ func Boot(m *cpu.Machine, clock *simtime.Clock, profile *simtime.Profile, seed s
 		sysfs:       make(map[string]SysfsNode),
 		devs:        make(map[string]*BlockDev),
 	}
-	// Kernel text: pseudo-random but deterministic content.
-	text := palcrypto.NewPRNG([]byte("kernel-text|" + seed)).Bytes(KernelTextLen)
-	if err := m.Mem.Write(KernelTextBase, text); err != nil {
-		return nil, fmt.Errorf("kernel: writing text: %w", err)
+	// Kernel text: pseudo-random but deterministic content, byte off being
+	// byte off of the "kernel-text|"+seed stream. It is mapped rather than
+	// written, so only the pages something touches are ever generated.
+	text := *palcrypto.NewPRNG([]byte("kernel-text|" + seed))
+	fill := func(off int, page *[memory.PageSize]byte) {
+		g := text
+		g.Seek(off)
+		g.Read(page[:])
+	}
+	if err := m.Mem.Map(KernelTextBase, KernelTextLen, fill); err != nil {
+		return nil, fmt.Errorf("kernel: mapping text: %w", err)
 	}
 	// Syscall table: each entry points somewhere inside the text segment.
 	tbl := &tableBuilder{}
@@ -195,22 +203,25 @@ func (k *Kernel) Compromised() bool {
 
 // InstallRootkit hooks syscall table entries the way kernel rootkits do:
 // it overwrites entry slots to point at attacker code planted in the module
-// arena. Returns the name recorded for the rootkit.
+// arena. Every index is checked before anything changes, so a rejected call
+// leaves memory, the table and Rootkits as they were.
 func (k *Kernel) InstallRootkit(name string, entries []int) error {
+	for _, e := range entries {
+		if e < 0 || e >= NumSyscalls {
+			return fmt.Errorf("kernel: syscall index %d out of range", e)
+		}
+	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	k.compromised = true
 	// Plant the malicious handler body.
 	body := palcrypto.NewPRNG([]byte("rootkit|" + name)).Bytes(256)
 	base := k.nextModBase
 	if err := k.M.Mem.Write(base, body); err != nil {
 		return err
 	}
+	k.compromised = true
 	k.nextModBase += 4096
 	for _, e := range entries {
-		if e < 0 || e >= NumSyscalls {
-			return fmt.Errorf("kernel: syscall index %d out of range", e)
-		}
 		t := &tableBuilder{}
 		t.addr(base)
 		if err := k.M.Mem.Write(SyscallTableBase+uint32(4*e), t.b); err != nil {

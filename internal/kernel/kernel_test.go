@@ -124,6 +124,45 @@ func TestRootkitChangesMeasurement(t *testing.T) {
 	}
 }
 
+// A rejected InstallRootkit changes nothing: not the memory (no planted
+// body, no hooked entry), not the module arena cursor, not the ground truth
+// that Rootkits and Compromised report.
+func TestInstallRootkitRejectsWithoutChange(t *testing.T) {
+	k, m, _ := bootKernel(t, 1)
+	snap := func() ([]byte, uint64) {
+		b, err := m.Mem.Read(SyscallTableBase, HeapBase-SyscallTableBase)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b, m.Mem.Generation(0, HeapBase)
+	}
+	mem0, gen0 := snap()
+	for _, entries := range [][]int{{3, NumSyscalls}, {-1, 3}, {NumSyscalls + 7}} {
+		if err := k.InstallRootkit("bad", entries); err == nil {
+			t.Fatalf("InstallRootkit(%v) accepted", entries)
+		}
+	}
+	if mem, gen := snap(); !bytes.Equal(mem, mem0) || gen != gen0 {
+		t.Fatal("rejected InstallRootkit changed memory")
+	}
+	if len(k.Rootkits()) != 0 || k.Compromised() {
+		t.Fatalf("rejected InstallRootkit recorded rootkits %v, compromised %v", k.Rootkits(), k.Compromised())
+	}
+	// The arena cursor did not move: a good install lands where it would
+	// on a fresh kernel.
+	fresh, fm, _ := bootKernel(t, 1)
+	for _, kk := range []*Kernel{k, fresh} {
+		if err := kk.InstallRootkit("good", []int{3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, _ := m.Mem.Read(SyscallTableBase, HeapBase-SyscallTableBase)
+	b, _ := fm.Mem.Read(SyscallTableBase, HeapBase-SyscallTableBase)
+	if !bytes.Equal(a, b) {
+		t.Fatal("install after a rejected call differs from one on a fresh kernel")
+	}
+}
+
 func TestPatchKernelText(t *testing.T) {
 	k, m, _ := bootKernel(t, 1)
 	orig, _ := m.Mem.Read(KernelTextBase+0x500, 4)

@@ -38,11 +38,12 @@ func (p *PRNG) Read(b []byte) (int, error) {
 	n := len(b)
 	for len(b) > 0 {
 		if p.off == SHA1Size {
-			var in [SHA1Size + 8]byte
-			copy(in[:], p.seed[:])
-			binary.BigEndian.PutUint64(in[SHA1Size:], p.ctr)
-			p.ctr++
-			p.block = SHA1Sum(in[:])
+			if len(b) >= SHA1Size {
+				p.next((*[SHA1Size]byte)(b))
+				b = b[SHA1Size:]
+				continue
+			}
+			p.next(&p.block)
 			p.off = 0
 		}
 		c := copy(b, p.block[p.off:])
@@ -50,6 +51,38 @@ func (p *PRNG) Read(b []byte) (int, error) {
 		b = b[c:]
 	}
 	return n, nil
+}
+
+// Seek positions the generator at byte off of its output stream, so the
+// next Read returns what Bytes(off+n)[off:] would. The stream is SHA-1 in
+// counter mode, so byte off is byte off%20 of block off/20 and seeking
+// costs at most one block.
+func (p *PRNG) Seek(off int) {
+	p.ctr = uint64(off / SHA1Size)
+	p.off = SHA1Size
+	if r := off % SHA1Size; r != 0 {
+		p.next(&p.block)
+		p.off = r
+	}
+}
+
+// next writes output block ctr, SHA1(seed‖ctr), into out and advances ctr.
+// The 28-byte message always pads to a single 64-byte block, so it
+// compresses that block directly rather than streaming through Write and
+// Sum.
+func (p *PRNG) next(out *[SHA1Size]byte) {
+	var blk [SHA1BlockSize]byte
+	copy(blk[:], p.seed[:])
+	binary.BigEndian.PutUint64(blk[SHA1Size:], p.ctr)
+	blk[SHA1Size+8] = 0x80
+	binary.BigEndian.PutUint64(blk[SHA1BlockSize-8:], (SHA1Size+8)*8)
+	p.ctr++
+	var s SHA1
+	s.Reset()
+	s.block(blk[:])
+	for i, v := range s.h {
+		binary.BigEndian.PutUint32(out[i*4:], v)
+	}
 }
 
 // Bytes returns n fresh pseudo-random bytes.
