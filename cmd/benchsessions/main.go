@@ -311,7 +311,7 @@ func runPoolBatched(n, shards, maxBatch int) (modeResult, error) {
 	if err != nil {
 		return modeResult{}, err
 	}
-	r.Sessions = int(pool.Stats().Sessions)
+	r.Sessions = int(pool.Metrics().Snapshot().Sum("flicker_sessions_total", "ok"))
 	r.Batch = maxBatch
 	r.NsPerOp /= float64(n)
 	r.SessionsPerSec = float64(n) * r.SessionsPerSec

@@ -1,9 +1,10 @@
-// flicker serve: run Flicker sessions while exposing the platform's
-// observability surface over HTTP — Prometheus text exposition on /metrics,
-// a JSON view of Platform.Stats() plus the full registry on /stats, the
+// flicker serve: run Flicker sessions while exposing the observability
+// surface over HTTP — Prometheus text exposition on /metrics, a summary
+// derived from the registry plus the full registry snapshot on /stats, the
 // security event log on /events (filterable with ?n= and ?kind=), a
-// liveness probe on /healthz, and — when -trace-sample > 0 — the
-// distributed-trace flight recorder on /traces and /traces/{id}.
+// liveness probe on /healthz, the distributed-trace flight recorder on
+// /traces and /traces/{id} (when -trace-sample > 0) and, for an in-process
+// fabric, member attestation status on /hosts.
 package main
 
 import (
@@ -20,26 +21,79 @@ import (
 	"flicker"
 )
 
-// statsResponse is the /stats payload: session aggregates plus every metric
-// family in the registry.
+// statsResponse is the /stats payload: a summary computed from the
+// registry snapshot, and the snapshot itself.
 type statsResponse struct {
-	Sessions flicker.SessionStats    `json:"sessions"`
-	Metrics  flicker.MetricsSnapshot `json:"metrics"`
-}
-
-// healthResponse is the /healthz payload.
-type healthResponse struct {
-	Status   string `json:"status"`
-	Sessions int    `json:"sessions"`
-	Aborted  int    `json:"aborted"`
-	Shards   int    `json:"shards,omitempty"`
-}
-
-// poolStatsResponse is the /stats payload in sharded mode: fleet-level
-// aggregates plus the shared registry.
-type poolStatsResponse struct {
-	Pool    flicker.PoolStats       `json:"pool"`
+	Summary statsSummary            `json:"summary"`
 	Metrics flicker.MetricsSnapshot `json:"metrics"`
+}
+
+// statsSummary is the /stats headline. Every number is the sum of the
+// /metrics samples named beside it, so the summary is a view of the
+// registry and never a second count. A tier the process does not run
+// (the fabric) reads 0.
+type statsSummary struct {
+	Sessions       float64            `json:"sessions"`         // flicker_sessions_total{result="ok"}
+	Aborted        float64            `json:"aborted"`          // flicker_sessions_total{result="aborted"}
+	AbortedByPhase map[string]float64 `json:"aborted_by_phase"` // flicker_session_aborts_total, by phase
+	PhaseSeconds   map[string]float64 `json:"phase_seconds"`    // flicker_session_phase_seconds_sum, by phase
+	ImageBuilds    float64            `json:"image_builds"`     // flicker_slb_image_cache_total{result="build"}
+	ImageCacheHits float64            `json:"image_cache_hits"` // flicker_slb_image_cache_total{result="hit"}
+
+	FabricRuns               float64 `json:"fabric_runs"`                // flicker_fabric_runs_total{result="ok"}
+	FabricAdmissionsOK       float64 `json:"fabric_admissions_ok"`       // flicker_fabric_admissions_total{result="ok"}
+	FabricAdmissionsRejected float64 `json:"fabric_admissions_rejected"` // flicker_fabric_admissions_total{result="rejected"}
+	FabricResubmits          float64 `json:"fabric_resubmits"`           // flicker_fabric_resubmits_total
+}
+
+// summarize computes the /stats summary from a registry snapshot. It is the
+// same for every serve mode: one platform, a sharded pool and a fabric all
+// report into one registry.
+func summarize(snap flicker.MetricsSnapshot) statsSummary {
+	return statsSummary{
+		Sessions:                 snap.Sum("flicker_sessions_total", "ok"),
+		Aborted:                  snap.Sum("flicker_sessions_total", "aborted"),
+		AbortedByPhase:           byPhase(snap, "flicker_session_aborts_total"),
+		PhaseSeconds:             byPhase(snap, "flicker_session_phase_seconds"),
+		ImageBuilds:              snap.Sum("flicker_slb_image_cache_total", "build"),
+		ImageCacheHits:           snap.Sum("flicker_slb_image_cache_total", "hit"),
+		FabricRuns:               snap.Sum("flicker_fabric_runs_total", "ok"),
+		FabricAdmissionsOK:       snap.Sum("flicker_fabric_admissions_total", "ok"),
+		FabricAdmissionsRejected: snap.Sum("flicker_fabric_admissions_total", "rejected"),
+		FabricResubmits:          snap.Sum("flicker_fabric_resubmits_total"),
+	}
+}
+
+// byPhase sums a phase-labeled family per phase.
+func byPhase(snap flicker.MetricsSnapshot, family string) map[string]float64 {
+	out := make(map[string]float64)
+	for _, f := range snap.Families {
+		if f.Name != family {
+			continue
+		}
+		for _, s := range f.Series {
+			phase := s.Labels["phase"]
+			out[phase] = snap.Sum(family, phase)
+		}
+	}
+	return out
+}
+
+// healthResponse is the /healthz payload. With a fabric controller the
+// probe is fleet-aware: Sessions counts the runs completed through the
+// controller, Fleet reports membership, and Status is "degraded" while
+// some members are lost or draining and "down" when none can take work.
+type healthResponse struct {
+	Status   string       `json:"status"`
+	Sessions float64      `json:"sessions"`
+	Aborted  float64      `json:"aborted"`
+	Fleet    *fleetHealth `json:"fleet,omitempty"`
+}
+
+// fleetHealth is the fabric membership part of /healthz.
+type fleetHealth struct {
+	Hosts int `json:"hosts"`
+	Live  int `json:"live"`
 }
 
 // traceSummary is one row of the /traces listing.
@@ -68,9 +122,6 @@ type traceDetail struct {
 // endpoint surface is stable across configurations.
 func addTraceEndpoints(mux *http.ServeMux, fr *flicker.TraceFlightRecorder) {
 	mux.HandleFunc("/traces", func(w http.ResponseWriter, r *http.Request) {
-		if !allowGet(w, r) {
-			return
-		}
 		q := r.URL.Query()
 		n, _ := strconv.Atoi(q.Get("n"))
 		out := make([]traceSummary, 0, 16)
@@ -90,9 +141,6 @@ func addTraceEndpoints(mux *http.ServeMux, fr *flicker.TraceFlightRecorder) {
 		writeJSON(w, out)
 	})
 	mux.HandleFunc("/traces/", func(w http.ResponseWriter, r *http.Request) {
-		if !allowGet(w, r) {
-			return
-		}
 		id := strings.TrimPrefix(r.URL.Path, "/traces/")
 		td := fr.Get(id)
 		if td == nil {
@@ -106,20 +154,13 @@ func addTraceEndpoints(mux *http.ServeMux, fr *flicker.TraceFlightRecorder) {
 // eventsHandler serves the security event log with ?n= (most recent n) and
 // ?kind= (exact event kind) filters. Events linked to a trace carry its
 // trace_id, resolvable at /traces/{id}.
-func eventsHandler(get func() []flicker.SecurityEvent) http.HandlerFunc {
+func eventsHandler(events *flicker.SecurityEventLog) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if !allowGet(w, r) {
-			return
-		}
-		evs := get()
+		var evs []flicker.SecurityEvent
 		if kind := r.URL.Query().Get("kind"); kind != "" {
-			kept := evs[:0:0]
-			for _, ev := range evs {
-				if ev.Kind == kind {
-					kept = append(kept, ev)
-				}
-			}
-			evs = kept
+			evs = events.EventsByKind(kind)
+		} else {
+			evs = events.Events()
 		}
 		if n, _ := strconv.Atoi(r.URL.Query().Get("n")); n > 0 && len(evs) > n {
 			evs = evs[len(evs)-n:]
@@ -131,147 +172,60 @@ func eventsHandler(get func() []flicker.SecurityEvent) http.HandlerFunc {
 	}
 }
 
-// newPoolServeMux is newServeMux for a sharded pool: the same endpoint
-// surface, backed by the shared registry and event log all shards fold
-// into.
-func newPoolServeMux(p *flicker.Pool, fr *flicker.TraceFlightRecorder) *http.ServeMux {
+// newServeMux builds the read-only exposition handler over one registry
+// and event log, which every serve mode folds into. fr is the flight
+// recorder behind /traces (nil when tracing is off). A non-nil fabric
+// controller adds /hosts and makes /healthz fleet-aware. Split out from
+// cmdServe so tests can drive it through httptest without binding a port.
+func newServeMux(reg *flicker.MetricsRegistry, events *flicker.SecurityEventLog, fr *flicker.TraceFlightRecorder, ctrl *flicker.FabricController) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if !allowGet(w, r) {
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := p.Metrics().WritePrometheus(w); err != nil {
-			log.Printf("serve: /metrics: %v", err)
-		}
-	})
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		if !allowGet(w, r) {
-			return
-		}
-		writeJSON(w, poolStatsResponse{Pool: p.Stats(), Metrics: p.Metrics().Snapshot()})
-	})
-	mux.HandleFunc("/events", eventsHandler(p.Events().Events))
-	addTraceEndpoints(mux, fr)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if !allowGet(w, r) {
-			return
-		}
-		st := p.Stats()
-		writeJSON(w, healthResponse{
-			Status: "ok", Sessions: st.Sessions, Aborted: st.Aborted, Shards: st.Shards,
-		})
-	})
-	return mux
-}
-
-// fabricStatsResponse is the /stats payload in fabric mode: controller
-// fleet accounting plus the shared registry.
-type fabricStatsResponse struct {
-	Fabric  flicker.FabricStats     `json:"fabric"`
-	Metrics flicker.MetricsSnapshot `json:"metrics"`
-}
-
-// fabricHealthResponse is the fleet-aware /healthz payload: a fabric is
-// healthy while at least one admitted host can take work, degraded while
-// some members are lost/draining, down when none remain.
-type fabricHealthResponse struct {
-	Status   string `json:"status"`
-	Hosts    int    `json:"hosts"`
-	Live     int    `json:"live"`
-	Sessions int64  `json:"sessions"`
-}
-
-// newFabricServeMux is the exposition surface for an in-process fabric
-// cluster: the usual /metrics, /stats, /events, /healthz (all fleet-aware)
-// plus /hosts, which lists every member with its attestation status.
-func newFabricServeMux(ctrl *flicker.FabricController, reg *flicker.MetricsRegistry, events *flicker.SecurityEventLog) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if !allowGet(w, r) {
-			return
-		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := reg.WritePrometheus(w); err != nil {
 			log.Printf("serve: /metrics: %v", err)
 		}
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		if !allowGet(w, r) {
-			return
-		}
-		writeJSON(w, fabricStatsResponse{Fabric: ctrl.Stats(), Metrics: reg.Snapshot()})
+		snap := reg.Snapshot()
+		writeJSON(w, statsResponse{Summary: summarize(snap), Metrics: snap})
 	})
-	mux.HandleFunc("/hosts", func(w http.ResponseWriter, r *http.Request) {
-		if !allowGet(w, r) {
-			return
-		}
-		hosts := ctrl.Hosts()
-		if hosts == nil {
-			hosts = []flicker.FabricHostStatus{}
-		}
-		writeJSON(w, hosts)
-	})
-	mux.HandleFunc("/events", eventsHandler(events.Events))
-	addTraceEndpoints(mux, ctrl.Traces())
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if !allowGet(w, r) {
-			return
-		}
-		st := ctrl.Stats()
-		status := "ok"
-		switch {
-		case st.Live == 0:
-			status = "down"
-		case st.Live < st.Hosts:
-			status = "degraded"
-		}
-		writeJSON(w, fabricHealthResponse{
-			Status: status, Hosts: st.Hosts, Live: st.Live, Sessions: st.Sessions,
-		})
-	})
-	return mux
-}
-
-// newServeMux builds the exposition handler for a platform. Split out from
-// cmdServe so tests can drive it through httptest without binding a port.
-func newServeMux(p *flicker.Platform, fr *flicker.TraceFlightRecorder) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if !allowGet(w, r) {
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := p.Metrics.WritePrometheus(w); err != nil {
-			log.Printf("serve: /metrics: %v", err)
-		}
-	})
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		if !allowGet(w, r) {
-			return
-		}
-		writeJSON(w, statsResponse{Sessions: p.Stats(), Metrics: p.Metrics.Snapshot()})
-	})
-	mux.HandleFunc("/events", eventsHandler(p.Events.Events))
+	mux.HandleFunc("/events", eventsHandler(events))
 	addTraceEndpoints(mux, fr)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if !allowGet(w, r) {
-			return
+		sum := summarize(reg.Snapshot())
+		health := healthResponse{Status: "ok", Sessions: sum.Sessions, Aborted: sum.Aborted}
+		if ctrl != nil {
+			fleet := &fleetHealth{Hosts: len(ctrl.Hosts()), Live: ctrl.Live()}
+			switch {
+			case fleet.Live == 0:
+				health.Status = "down"
+			case fleet.Live < fleet.Hosts:
+				health.Status = "degraded"
+			}
+			health.Sessions = sum.FabricRuns
+			health.Fleet = fleet
 		}
-		st := p.Stats()
-		writeJSON(w, healthResponse{Status: "ok", Sessions: st.Sessions, Aborted: st.Aborted})
+		writeJSON(w, health)
 	})
-	return mux
+	if ctrl != nil {
+		// Hosts never returns nil, so an empty fleet renders as [].
+		mux.HandleFunc("/hosts", func(w http.ResponseWriter, r *http.Request) {
+			writeJSON(w, ctrl.Hosts())
+		})
+	}
+	return readOnly(mux)
 }
 
-// allowGet rejects non-read methods with 405.
-func allowGet(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method == http.MethodGet || r.Method == http.MethodHead {
-		return true
-	}
-	w.Header().Set("Allow", "GET, HEAD")
-	http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-	return false
+// readOnly rejects non-read methods with 405 before any endpoint runs.
+func readOnly(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet && r.Method != http.MethodHead {
+			w.Header().Set("Allow", "GET, HEAD")
+			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+			return
+		}
+		h.ServeHTTP(w, r)
+	})
 }
 
 // writeJSON renders v as indented JSON.
@@ -285,7 +239,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 // localTracer builds the serve-local tracer and flight recorder used by the
-// single-platform and pool modes (a fabric controller owns its own pair).
+// pool modes (a fabric controller owns its own pair).
 // Tracing off (sample <= 0) yields nils; every downstream consumer is
 // nil-safe, so the wrapped runner costs one pointer check per session.
 func localTracer(now func() time.Duration, sample float64, slow time.Duration) (*flicker.Tracer, *flicker.TraceFlightRecorder) {
@@ -322,7 +276,7 @@ func traceRunOnce(tracer *flicker.Tracer, palName string, run func(flicker.Sessi
 // n host agents on one simulated switch, every host quote-verified at
 // admission, all folding into one metrics registry. A background ticker
 // drives heartbeats and periodic re-attestation.
-func buildFabric(n int, palName string, target flicker.PAL, prof *flicker.Profile, sample float64, slow time.Duration, batch int, batchWait time.Duration, window int) (*flicker.FabricController, *http.ServeMux, error) {
+func buildFabric(n int, palName string, target flicker.PAL, prof *flicker.Profile, sample float64, slow time.Duration, batch int, batchWait time.Duration, window int) (*flicker.FabricController, http.Handler, error) {
 	reg := flicker.NewMetricsRegistry()
 	events := flicker.NewSecurityEventLog(0)
 	sw := flicker.NewNetSwitch(2*time.Millisecond, 0)
@@ -373,7 +327,7 @@ func buildFabric(n int, palName string, target flicker.PAL, prof *flicker.Profil
 			ctrl.Tick()
 		}
 	}()
-	return ctrl, newFabricServeMux(ctrl, reg, events), nil
+	return ctrl, newServeMux(reg, events, ctrl.Traces(), ctrl), nil
 }
 
 func cmdServe(args []string) {
@@ -384,9 +338,9 @@ func cmdServe(args []string) {
 	profile := fs.String("profile", "broadcom", "latency profile: broadcom, infineon, future")
 	warm := fs.Int("sessions", 3, "sessions to run before serving (populates the metrics)")
 	interval := fs.Duration("interval", 0, "keep running a session this often while serving (0 = only the warm-up sessions)")
-	shards := fs.Int("shards", 1, "number of independent platforms behind a session pool (1 = single platform)")
+	shards := fs.Int("shards", 1, "number of independent platforms behind the session pool")
 	hosts := fs.Int("hosts", 0, "run an in-process attestation fabric of N quote-verified hosts (0 = no fabric; overrides -shards)")
-	batch := fs.Int("batch", 1, "max requests coalesced into one session per shard (requires -shards mode; >1 enables the coalescer)")
+	batch := fs.Int("batch", 1, "max requests coalesced into one session per shard (>1 enables the coalescer; ignored with -hosts)")
 	batchWait := fs.Duration("batch-wait", 2*time.Millisecond, "how long a shard holds a lone request hoping to form a batch")
 	fabricBatch := fs.Int("fabric-batch", 0, "max same-PAL runs coalesced into one fabric wire frame (0 = singleton frames; requires -hosts)")
 	fabricBatchWait := fs.Duration("fabric-batch-wait", time.Millisecond, "how long the controller holds a lone run hoping to form a wire frame")
@@ -411,14 +365,14 @@ func cmdServe(args []string) {
 		opts.Nonce = nil
 	}
 
-	// Single-platform and sharded-pool modes expose the same endpoints;
-	// sharded mode serves the shared registry all platforms fold into.
+	// Every mode serves the same endpoints over one registry. Without a
+	// fabric, the sessions run on a pool; one shard is a single platform.
 	var (
 		runOnce func() error
-		mux     *http.ServeMux
+		mux     http.Handler
 	)
 	if *hosts > 0 {
-		ctrl, mux2, err := buildFabric(*hosts, *palName, target, prof, *traceSample, *traceSlow, *fabricBatch, *fabricBatchWait, *fabricWindow)
+		ctrl, fabricMux, err := buildFabric(*hosts, *palName, target, prof, *traceSample, *traceSlow, *fabricBatch, *fabricBatchWait, *fabricWindow)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -427,8 +381,8 @@ func cmdServe(args []string) {
 			_, err := ctrl.Run(*palName, []byte(*input))
 			return err
 		}
-		mux = mux2
-	} else if *shards > 1 || *batch > 1 {
+		mux = fabricMux
+	} else {
 		pool, err := flicker.NewPool(flicker.PoolConfig{
 			Shards:   *shards,
 			MaxBatch: *batch,
@@ -446,21 +400,7 @@ func cmdServe(args []string) {
 			}
 			return res.PALError
 		}, opts)
-		mux = newPoolServeMux(pool, rec)
-	} else {
-		p, err := flicker.NewPlatform(flicker.Config{Seed: "serve", Profile: prof})
-		if err != nil {
-			log.Fatal(err)
-		}
-		tracer, rec := localTracer(p.Clock.Now, *traceSample, *traceSlow)
-		runOnce = traceRunOnce(tracer, *palName, func(o flicker.SessionOptions) error {
-			res, err := p.RunSession(target, o)
-			if err != nil {
-				return err
-			}
-			return res.PALError
-		}, opts)
-		mux = newServeMux(p, rec)
+		mux = newServeMux(pool.Metrics(), pool.Events(), rec, nil)
 	}
 
 	for i := 0; i < *warm; i++ {
@@ -469,27 +409,26 @@ func cmdServe(args []string) {
 		}
 	}
 	if *interval > 0 {
-		// In batch mode the coalescer can only form groups from requests
-		// that are in flight together, so submit concurrently (bounded)
-		// instead of one blocking session per tick.
-		inflight := make(chan struct{}, 2*(*batch))
+		// The coalescer can only form groups from requests that are in
+		// flight together, so batch mode keeps up to 2×batch sessions in
+		// flight; otherwise one at a time. A tick that finds every slot
+		// busy is skipped rather than queued.
+		limit := 1
+		if *batch > 1 {
+			limit = 2 * *batch
+		}
+		inflight := make(chan struct{}, limit)
 		go func() {
 			for range time.Tick(*interval) {
-				if *batch > 1 {
-					select {
-					case inflight <- struct{}{}:
-						go func() {
-							defer func() { <-inflight }()
-							if err := runOnce(); err != nil {
-								log.Printf("serve: background session: %v", err)
-							}
-						}()
-					default: // saturated: skip the tick rather than queue unboundedly
-					}
-					continue
-				}
-				if err := runOnce(); err != nil {
-					log.Printf("serve: background session: %v", err)
+				select {
+				case inflight <- struct{}{}:
+					go func() {
+						defer func() { <-inflight }()
+						if err := runOnce(); err != nil {
+							log.Printf("serve: background session: %v", err)
+						}
+					}()
+				default:
 				}
 			}
 		}()
@@ -503,14 +442,11 @@ func cmdServe(args []string) {
 	if *traceSample > 0 {
 		traced = ", /traces + /traces/{id} (flight recorder)"
 	}
+	where, hostsEndpoint := fmt.Sprintf("%d shard(s)", *shards), ""
 	if *hosts > 0 {
-		fmt.Printf("flicker serve: %d warm-up session(s) done on a %d-host fabric; listening on http://%s\n",
-			*warm, *hosts, ln.Addr())
-		fmt.Println("endpoints: /metrics (Prometheus), /stats (JSON), /events (JSON), /healthz, /hosts (attestation status)" + traced)
-	} else {
-		fmt.Printf("flicker serve: %d warm-up session(s) done on %d shard(s); listening on http://%s\n",
-			*warm, *shards, ln.Addr())
-		fmt.Println("endpoints: /metrics (Prometheus), /stats (JSON), /events (JSON), /healthz" + traced)
+		where, hostsEndpoint = fmt.Sprintf("a %d-host fabric", *hosts), ", /hosts (attestation status)"
 	}
+	fmt.Printf("flicker serve: %d warm-up session(s) done on %s; listening on http://%s\n", *warm, where, ln.Addr())
+	fmt.Println("endpoints: /metrics (Prometheus), /stats (JSON), /events (JSON), /healthz" + hostsEndpoint + traced)
 	log.Fatal(http.Serve(ln, mux))
 }

@@ -2,45 +2,30 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
 	"flicker"
 )
 
-// servePlatform boots a platform and runs one demo session so the metrics
-// have samples to expose.
-func servePlatform(t *testing.T) *flicker.Platform {
-	t.Helper()
-	p, err := flicker.NewPlatform(flicker.Config{Seed: "serve-test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	target, err := demoPAL("hello")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.RunSession(target, flicker.SessionOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PALError != nil {
-		t.Fatal(res.PALError)
-	}
-	return p
-}
-
-func get(t *testing.T, mux *http.ServeMux, path string) *httptest.ResponseRecorder {
+func get(t *testing.T, mux http.Handler, path string) *httptest.ResponseRecorder {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
 	return rec
 }
 
+// poolMux is the exposition handler cmdServe builds for a pool.
+func poolMux(p *flicker.Pool) http.Handler {
+	return newServeMux(p.Metrics(), p.Events(), nil, nil)
+}
+
 func TestServeMetricsEndpoint(t *testing.T) {
-	mux := newServeMux(servePlatform(t), nil)
+	mux := poolMux(servePool(t, 1, 1))
 	rec := get(t, mux, "/metrics")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /metrics = %d, want 200", rec.Code)
@@ -68,7 +53,7 @@ func TestServeMetricsEndpoint(t *testing.T) {
 }
 
 func TestServeStatsEndpoint(t *testing.T) {
-	mux := newServeMux(servePlatform(t), nil)
+	mux := poolMux(servePool(t, 1, 1))
 	rec := get(t, mux, "/stats")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /stats = %d, want 200", rec.Code)
@@ -77,8 +62,8 @@ func TestServeStatsEndpoint(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
 		t.Fatalf("decode /stats: %v", err)
 	}
-	if got.Sessions.Sessions != 1 {
-		t.Errorf("stats.sessions.Sessions = %d, want 1", got.Sessions.Sessions)
+	if got.Summary.Sessions != 1 {
+		t.Errorf("stats.summary.sessions = %v, want 1", got.Summary.Sessions)
 	}
 	if len(got.Metrics.Families) == 0 {
 		t.Error("stats.metrics has no families")
@@ -86,7 +71,7 @@ func TestServeStatsEndpoint(t *testing.T) {
 }
 
 func TestServeHealthAndEvents(t *testing.T) {
-	mux := newServeMux(servePlatform(t), nil)
+	mux := poolMux(servePool(t, 1, 1))
 
 	rec := get(t, mux, "/healthz")
 	if rec.Code != http.StatusOK {
@@ -122,7 +107,7 @@ func TestServeHealthAndEvents(t *testing.T) {
 }
 
 func TestServeRejectsWrites(t *testing.T) {
-	mux := newServeMux(servePlatform(t), nil)
+	mux := poolMux(servePool(t, 1, 1))
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/metrics", strings.NewReader("x")))
 	if rec.Code != http.StatusMethodNotAllowed {
@@ -130,7 +115,9 @@ func TestServeRejectsWrites(t *testing.T) {
 	}
 }
 
-// servePool boots a sharded pool and runs a few demo sessions through it.
+// servePool boots a pool the way cmdServe does (one shard is the
+// single-platform mode) and runs a few demo sessions through it so the
+// metrics have samples to expose.
 func servePool(t *testing.T, shards, sessions int) *flicker.Pool {
 	t.Helper()
 	pool, err := flicker.NewPool(flicker.PoolConfig{
@@ -158,7 +145,7 @@ func servePool(t *testing.T, shards, sessions int) *flicker.Pool {
 }
 
 func TestServePoolEndpoints(t *testing.T) {
-	mux := newPoolServeMux(servePool(t, 3, 4), nil)
+	mux := poolMux(servePool(t, 3, 4))
 
 	rec := get(t, mux, "/metrics")
 	if rec.Code != http.StatusOK {
@@ -179,15 +166,17 @@ func TestServePoolEndpoints(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /stats = %d, want 200", rec.Code)
 	}
-	var stats poolStatsResponse
+	var stats statsResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
 		t.Fatalf("decode pool /stats: %v", err)
 	}
-	if stats.Pool.Shards != 3 || stats.Pool.Sessions != 4 {
-		t.Errorf("pool stats = %+v, want 3 shards / 4 sessions", stats.Pool)
+	if stats.Summary.Sessions != 4 {
+		t.Errorf("pool stats = %+v, want 4 sessions", stats.Summary)
 	}
-	if len(stats.Pool.PerShard) != 3 {
-		t.Errorf("per-shard stats = %d entries, want 3", len(stats.Pool.PerShard))
+	// Affinity keeps every session of one PAL on its home shard: one image
+	// link, then cache hits.
+	if stats.Summary.ImageBuilds != 1 || stats.Summary.ImageCacheHits != 3 {
+		t.Errorf("pool image cache = %v builds / %v hits, want 1 / 3", stats.Summary.ImageBuilds, stats.Summary.ImageCacheHits)
 	}
 
 	rec = get(t, mux, "/healthz")
@@ -198,8 +187,8 @@ func TestServePoolEndpoints(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &health); err != nil {
 		t.Fatalf("decode pool /healthz: %v", err)
 	}
-	if health.Status != "ok" || health.Sessions != 4 || health.Shards != 3 {
-		t.Errorf("pool healthz = %+v, want ok/4 sessions/3 shards", health)
+	if health.Status != "ok" || health.Sessions != 4 || health.Fleet != nil {
+		t.Errorf("pool healthz = %+v, want ok/4 sessions and no fleet", health)
 	}
 
 	rec = get(t, mux, "/events")
@@ -216,7 +205,7 @@ func TestServePoolEndpoints(t *testing.T) {
 
 // serveFabric stands up a small in-process fabric and pushes a few
 // sessions through it.
-func serveFabric(t *testing.T, hosts, sessions int, sample float64) (*flicker.FabricController, *http.ServeMux) {
+func serveFabric(t *testing.T, hosts, sessions int, sample float64) (*flicker.FabricController, http.Handler) {
 	t.Helper()
 	target, err := demoPAL("hello")
 	if err != nil {
@@ -258,15 +247,12 @@ func TestServeFabricEndpoints(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /stats = %d, want 200", rec.Code)
 	}
-	var stats fabricStatsResponse
+	var stats statsResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
 		t.Fatalf("decode fabric /stats: %v", err)
 	}
-	if stats.Fabric.Hosts != 2 || stats.Fabric.Live != 2 {
-		t.Errorf("fabric stats = %+v, want 2 hosts / 2 live", stats.Fabric)
-	}
-	if stats.Fabric.Sessions != 3 || stats.Fabric.AdmissionsOK != 2 {
-		t.Errorf("fabric stats = %+v, want 3 sessions / 2 admissions", stats.Fabric)
+	if stats.Summary.FabricRuns != 3 || stats.Summary.FabricAdmissionsOK != 2 {
+		t.Errorf("fabric stats = %+v, want 3 runs / 2 admissions", stats.Summary)
 	}
 
 	rec = get(t, mux, "/hosts")
@@ -293,12 +279,15 @@ func TestServeFabricEndpoints(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /healthz = %d, want 200", rec.Code)
 	}
-	var health fabricHealthResponse
+	var health healthResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &health); err != nil {
 		t.Fatalf("decode fabric /healthz: %v", err)
 	}
-	if health.Status != "ok" || health.Hosts != 2 || health.Live != 2 {
+	if health.Status != "ok" || health.Fleet == nil || health.Fleet.Hosts != 2 || health.Fleet.Live != 2 {
 		t.Errorf("fabric healthz = %+v, want ok/2/2", health)
+	}
+	if health.Sessions != 3 {
+		t.Errorf("fabric healthz sessions = %v, want the 3 controller runs", health.Sessions)
 	}
 
 	rec = httptest.NewRecorder()
@@ -311,17 +300,9 @@ func TestServeFabricEndpoints(t *testing.T) {
 // The /events filters: ?kind= keeps only one event kind, ?n= the most
 // recent n entries.
 func TestServeEventsFilters(t *testing.T) {
-	p := servePlatform(t)
 	// A second session appends a second pcr17-reset event, giving ?n= a
 	// log deep enough to truncate.
-	target, err := demoPAL("hello")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.RunSession(target, flicker.SessionOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	mux := newServeMux(p, nil)
+	mux := poolMux(servePool(t, 1, 2))
 
 	var events []flicker.SecurityEvent
 	if err := json.Unmarshal(get(t, mux, "/events?kind=pcr17-reset").Body.Bytes(), &events); err != nil {
@@ -358,21 +339,18 @@ func TestServeEventsFilters(t *testing.T) {
 	}
 }
 
-// A traced platform serve exposes its flight recorder: /traces lists the
+// A traced pool serve exposes its flight recorder: /traces lists the
 // session roots (filterable by PAL and outcome) and /traces/{id} returns
 // the reassembled span tree.
 func TestServeTraceEndpoints(t *testing.T) {
-	p, err := flicker.NewPlatform(flicker.Config{Seed: "serve-trace-test"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := servePool(t, 1, 0)
 	target, err := demoPAL("hello")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracer, rec := localTracer(p.Clock.Now, 1.0, 0)
+	tracer, rec := localTracer(p.Shard(0).Clock.Now, 1.0, 0)
 	runOnce := traceRunOnce(tracer, "hello", func(o flicker.SessionOptions) error {
-		res, err := p.RunSession(target, o)
+		res, err := p.Run(target, o)
 		if err != nil {
 			return err
 		}
@@ -383,7 +361,7 @@ func TestServeTraceEndpoints(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mux := newServeMux(p, rec)
+	mux := newServeMux(p.Metrics(), p.Events(), rec, nil)
 
 	var list []traceSummary
 	if err := json.Unmarshal(get(t, mux, "/traces?pal=hello&outcome=ok").Body.Bytes(), &list); err != nil {
@@ -431,7 +409,7 @@ func TestServeTraceEndpoints(t *testing.T) {
 // With tracing off the endpoint surface stays stable: /traces serves an
 // empty listing and every ID 404s.
 func TestServeTraceEndpointsDisabled(t *testing.T) {
-	mux := newServeMux(servePlatform(t), nil)
+	mux := poolMux(servePool(t, 1, 1))
 	var list []traceSummary
 	if err := json.Unmarshal(get(t, mux, "/traces").Body.Bytes(), &list); err != nil {
 		t.Fatal(err)
@@ -471,7 +449,7 @@ func TestServeFabricTraceEndpoints(t *testing.T) {
 // down when none remain.
 func TestServeFabricHealthDegrades(t *testing.T) {
 	ctrl, mux := serveFabric(t, 1, 1, 0)
-	var health fabricHealthResponse
+	var health healthResponse
 	if err := json.Unmarshal(get(t, mux, "/healthz").Body.Bytes(), &health); err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +462,181 @@ func TestServeFabricHealthDegrades(t *testing.T) {
 	if err := json.Unmarshal(get(t, mux, "/healthz").Body.Bytes(), &health); err != nil {
 		t.Fatal(err)
 	}
-	if health.Status != "down" || health.Live != 0 {
+	if health.Status != "down" || health.Fleet == nil || health.Fleet.Live != 0 {
 		t.Fatalf("healthz after draining the only host = %+v, want down/0 live", health)
+	}
+}
+
+// sample is one parsed Prometheus text-exposition line.
+type sample struct {
+	name   string
+	labels map[string]string
+	value  float64
+}
+
+// parseExposition reads the samples of a /metrics body, skipping comment
+// lines and exemplar suffixes.
+func parseExposition(t *testing.T, body string) []sample {
+	t.Helper()
+	var out []sample
+	for _, line := range strings.Split(body, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if i := strings.Index(line, " # "); i >= 0 {
+			line = line[:i]
+		}
+		sp := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[sp+1:], 64)
+		if err != nil {
+			t.Fatalf("sample value in %q: %v", line, err)
+		}
+		s := sample{name: line[:sp], labels: map[string]string{}, value: v}
+		if i := strings.IndexByte(s.name, '{'); i >= 0 {
+			rest := s.name[i+1 : len(s.name)-1]
+			s.name = s.name[:i]
+			for rest != "" {
+				key, quoted, _ := strings.Cut(rest, "=")
+				q, err := strconv.QuotedPrefix(quoted)
+				if err != nil {
+					t.Fatalf("label %s in %q: %v", key, line, err)
+				}
+				s.labels[key], _ = strconv.Unquote(q)
+				rest = strings.TrimPrefix(quoted[len(q):], ",")
+			}
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
+// sumSamples adds up the samples of one name whose labels include match.
+func sumSamples(samples []sample, name string, match map[string]string) float64 {
+	var total float64
+	for _, s := range samples {
+		if s.name != name {
+			continue
+		}
+		ok := true
+		for k, v := range match {
+			ok = ok && s.labels[k] == v
+		}
+		if ok {
+			total += s.value
+		}
+	}
+	return total
+}
+
+// Every number on /stats.summary is the sum of the matching /metrics
+// samples, in every serve mode, and /healthz reports the same session
+// count.
+func TestServeStatsMatchesMetrics(t *testing.T) {
+	scalars := map[string]struct {
+		name  string
+		match map[string]string
+	}{
+		"sessions":                   {"flicker_sessions_total", map[string]string{"result": "ok"}},
+		"aborted":                    {"flicker_sessions_total", map[string]string{"result": "aborted"}},
+		"image_builds":               {"flicker_slb_image_cache_total", map[string]string{"result": "build"}},
+		"image_cache_hits":           {"flicker_slb_image_cache_total", map[string]string{"result": "hit"}},
+		"fabric_runs":                {"flicker_fabric_runs_total", map[string]string{"result": "ok"}},
+		"fabric_admissions_ok":       {"flicker_fabric_admissions_total", map[string]string{"result": "ok"}},
+		"fabric_admissions_rejected": {"flicker_fabric_admissions_total", map[string]string{"result": "rejected"}},
+		"fabric_resubmits":           {"flicker_fabric_resubmits_total", nil},
+	}
+	perPhase := map[string]string{
+		"aborted_by_phase": "flicker_session_aborts_total",
+		"phase_seconds":    "flicker_session_phase_seconds_sum",
+	}
+	target, err := demoPAL("hello")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// pooled runs sessions on a pool, one of them aborted in skinit.
+	pooled := func(shards int) func(t *testing.T) http.Handler {
+		return func(t *testing.T) http.Handler {
+			p := servePool(t, shards, 3)
+			if _, err := p.Run(target, flicker.SessionOptions{FailPhase: "skinit"}); !errors.Is(err, flicker.ErrFaultInjected) {
+				t.Fatalf("FailPhase session = %v, want the injected fault", err)
+			}
+			return poolMux(p)
+		}
+	}
+	for _, mode := range []struct {
+		name   string
+		mux    func(t *testing.T) http.Handler
+		fabric bool
+	}{
+		{"single-platform", pooled(1), false},
+		{"3-shard pool", pooled(3), false},
+		{"2-host fabric", func(t *testing.T) http.Handler {
+			_, mux := serveFabric(t, 2, 3, 0)
+			return mux
+		}, true},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			mux := mode.mux(t)
+			samples := parseExposition(t, get(t, mux, "/metrics").Body.String())
+			var stats struct {
+				Summary map[string]json.RawMessage `json:"summary"`
+			}
+			if err := json.Unmarshal(get(t, mux, "/stats").Body.Bytes(), &stats); err != nil {
+				t.Fatal(err)
+			}
+			summary := make(map[string]float64)
+			for key, raw := range stats.Summary {
+				if name, ok := perPhase[key]; ok {
+					var phases map[string]float64
+					if err := json.Unmarshal(raw, &phases); err != nil {
+						t.Fatalf("summary.%s: %v", key, err)
+					}
+					for phase, got := range phases {
+						if want := sumSamples(samples, name, map[string]string{"phase": phase}); got != want {
+							t.Errorf("summary.%s[%s] = %v, /metrics %s sums to %v", key, phase, got, name, want)
+						}
+					}
+					for _, s := range samples {
+						if _, ok := phases[s.labels["phase"]]; s.name == name && !ok {
+							t.Errorf("summary.%s lacks phase %q", key, s.labels["phase"])
+						}
+					}
+					continue
+				}
+				sel, ok := scalars[key]
+				if !ok {
+					t.Errorf("summary.%s has no /metrics derivation in this test", key)
+					continue
+				}
+				var got float64
+				if err := json.Unmarshal(raw, &got); err != nil {
+					t.Fatalf("summary.%s: %v", key, err)
+				}
+				if want := sumSamples(samples, sel.name, sel.match); got != want {
+					t.Errorf("summary.%s = %v, /metrics %s%v sums to %v", key, got, sel.name, sel.match, want)
+				}
+				summary[key] = got
+			}
+			if len(stats.Summary) != len(scalars)+len(perPhase) {
+				t.Errorf("summary has fields %v, want the %d this test derives", stats.Summary, len(scalars)+len(perPhase))
+			}
+
+			var health healthResponse
+			if err := json.Unmarshal(get(t, mux, "/healthz").Body.Bytes(), &health); err != nil {
+				t.Fatal(err)
+			}
+			want := summary["sessions"]
+			if mode.fabric {
+				want = summary["fabric_runs"]
+				if want != 3 {
+					t.Errorf("fabric_runs = %v, want 3", want)
+				}
+			} else if summary["sessions"] != 3 || summary["aborted"] != 1 {
+				t.Errorf("sessions/aborted = %v/%v, want 3/1", summary["sessions"], summary["aborted"])
+			}
+			if health.Sessions != want {
+				t.Errorf("/healthz sessions = %v, /stats summary says %v", health.Sessions, want)
+			}
+		})
 	}
 }

@@ -110,10 +110,6 @@ type Observer = core.Observer
 // SessionMeta identifies a session to observers.
 type SessionMeta = core.SessionMeta
 
-// SessionStats aggregates sessions run on a platform: counts, per-phase
-// totals, and p50/max latency. Read with Platform.Stats().
-type SessionStats = core.SessionStats
-
 // MetricsRegistry is the platform-wide metrics registry (counters, gauges,
 // latency histograms) every simulated layer reports into. Access it via
 // Platform.Metrics; scrape with WritePrometheus or Snapshot.
@@ -142,9 +138,6 @@ type Pool = pool.Pool
 
 // PoolConfig describes a session pool.
 type PoolConfig = pool.Config
-
-// PoolStats aggregates sessions across a pool's shards.
-type PoolStats = pool.Stats
 
 // NewPool boots a pool of cfg.Shards platforms.
 func NewPool(cfg PoolConfig) (*Pool, error) { return pool.New(cfg) }
@@ -280,9 +273,6 @@ type FabricHostConfig = fabric.HostConfig
 func NewFabricHost(sw *NetSwitch, ca *PrivacyCA, cfg FabricHostConfig) (*FabricHost, error) {
 	return fabric.NewHost(sw, ca, cfg)
 }
-
-// FabricStats is the controller's fleet-wide accounting snapshot.
-type FabricStats = fabric.Stats
 
 // FabricHostStatus is one member's externally visible admission state.
 type FabricHostStatus = fabric.HostStatus

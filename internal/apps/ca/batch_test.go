@@ -50,13 +50,14 @@ func TestSignBatch(t *testing.T) {
 		testCSR("db.corp.example"),
 		testCSR("web.corp.example"),
 	}
-	before := a.P.Stats().Sessions
+	sessions := func() float64 { return a.P.Metrics.Snapshot().Sum("flicker_sessions_total", "ok") }
+	before := sessions()
 	certs, errs, err := a.SignBatch(csrs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.P.Stats().Sessions - before; got != 1 {
-		t.Fatalf("SignBatch ran %d sessions for 3 CSRs, want 1", got)
+	if got := sessions() - before; got != 1 {
+		t.Fatalf("SignBatch ran %v sessions for 3 CSRs, want 1", got)
 	}
 	for i, cert := range certs {
 		if errs[i] != nil {

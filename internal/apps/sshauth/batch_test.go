@@ -42,10 +42,11 @@ func TestLoginBatch(t *testing.T) {
 	}
 	attempts[3] = LoginAttempt{User: "mallory", Ciphertext: ct3, Nonce: n3}
 
-	before := r.p.Stats().Sessions
+	sessions := func() float64 { return r.p.Metrics.Snapshot().Sum("flicker_sessions_total", "ok") }
+	before := sessions()
 	errs := r.srv.LoginBatch(attempts)
-	if got := r.p.Stats().Sessions - before; got != 1 {
-		t.Fatalf("LoginBatch ran %d sessions for 4 attempts, want 1", got)
+	if got := sessions() - before; got != 1 {
+		t.Fatalf("LoginBatch ran %v sessions for 4 attempts, want 1", got)
 	}
 	if errs[0] != nil {
 		t.Errorf("alice (correct): %v", errs[0])

@@ -179,9 +179,8 @@ func TestBatchAbortMidBatchPrefix(t *testing.T) {
 	if res.PALError != nil || string(res.Outputs) != "echo:after" {
 		t.Fatalf("post-abort session = (%q, %v)", res.Outputs, res.PALError)
 	}
-	st := p.Stats()
-	if st.Aborted != 1 {
-		t.Fatalf("Aborted = %d, want 1", st.Aborted)
+	if n := p.Metrics.Snapshot().Sum("flicker_sessions_total", "aborted"); n != 1 {
+		t.Fatalf("aborted sessions = %v, want 1", n)
 	}
 }
 
@@ -379,8 +378,8 @@ func TestBatchInputValidation(t *testing.T) {
 	if !errors.Is(err, ErrBatchTooLarge) {
 		t.Errorf("oversized batch err = %v, want ErrBatchTooLarge", err)
 	}
-	if n := p.Stats().Sessions; n != 0 {
-		t.Errorf("rejected batches ran %d sessions", n)
+	if n := p.Metrics.Snapshot().Sum("flicker_sessions_total"); n != 0 {
+		t.Errorf("rejected batches ran %v sessions", n)
 	}
 	// BatchInputFits agrees with the encoder.
 	if !BatchInputFits(0, 10, 10) {

@@ -11,29 +11,8 @@ import (
 	"bytes"
 	"testing"
 
-	"flicker/internal/metrics"
 	"flicker/internal/pal"
 )
-
-// counterValue sums a labeled counter family's series matching the given
-// label value (any label position).
-func counterValue(reg *metrics.Registry, family, labelValue string) float64 {
-	var total float64
-	for _, f := range reg.Snapshot().Families {
-		if f.Name != family {
-			continue
-		}
-		for _, s := range f.Series {
-			for _, v := range s.Labels {
-				if v == labelValue {
-					total += s.Value
-					break
-				}
-			}
-		}
-	}
-	return total
-}
 
 // TestMeasureCacheHitBitIdentical runs the same PAL twice: the first launch
 // misses the cache and streams the SLB, the second hits and uses the
@@ -47,7 +26,7 @@ func TestMeasureCacheHitBitIdentical(t *testing.T) {
 	if err != nil || cold.PALError != nil {
 		t.Fatalf("cold session: %v %v", err, cold.PALError)
 	}
-	misses := counterValue(p.Metrics, "flicker_skinit_measure_cache_total", "miss")
+	misses := p.Metrics.Snapshot().Sum("flicker_skinit_measure_cache_total", "miss")
 	if misses == 0 {
 		t.Fatal("cold launch did not record a measurement cache miss")
 	}
@@ -56,7 +35,7 @@ func TestMeasureCacheHitBitIdentical(t *testing.T) {
 	if err != nil || warm.PALError != nil {
 		t.Fatalf("warm session: %v %v", err, warm.PALError)
 	}
-	hits := counterValue(p.Metrics, "flicker_skinit_measure_cache_total", "hit")
+	hits := p.Metrics.Snapshot().Sum("flicker_skinit_measure_cache_total", "hit")
 	if hits == 0 {
 		t.Fatal("second launch of an unchanged image did not hit the measurement cache")
 	}
@@ -145,7 +124,7 @@ func TestTamperAfterWarmSessionChangesPCR17(t *testing.T) {
 			if _, err := p.RunSession(helloPAL(), SessionOptions{}); err != nil {
 				t.Fatal(err)
 			}
-			if counterValue(p.Metrics, "flicker_skinit_measure_cache_total", "hit") == 0 {
+			if p.Metrics.Snapshot().Sum("flicker_skinit_measure_cache_total", "hit") == 0 {
 				t.Fatal("warm-up did not populate the measurement cache")
 			}
 

@@ -86,9 +86,8 @@ func TestAbortedSessionMetrics(t *testing.T) {
 	if n := len(p.Events.EventsByKind(metrics.EventSessionAbort)); n != 1 {
 		t.Errorf("session-abort events = %d, want 1", n)
 	}
-	st := p.Stats()
-	if st.AbortedByPhase["skinit"] != 1 {
-		t.Errorf("AbortedByPhase = %v, want skinit:1", st.AbortedByPhase)
+	if n := p.Metrics.Snapshot().Sum("flicker_session_aborts_total", "skinit"); n != 1 {
+		t.Errorf("skinit aborts = %v, want 1", n)
 	}
 }
 
@@ -128,7 +127,6 @@ func TestMetricsConcurrentSessions(t *testing.T) {
 					p.Metrics.WritePrometheus(&buf)
 					p.Metrics.Snapshot()
 					p.Events.Events()
-					p.Stats()
 				}
 			}
 		}()
@@ -144,7 +142,7 @@ func TestMetricsConcurrentSessions(t *testing.T) {
 	if !strings.Contains(buf.String(), want) {
 		t.Errorf("exposition missing %q after %d sessions", want, total)
 	}
-	if st := p.Stats(); st.Sessions != total {
-		t.Errorf("Stats().Sessions = %d, want %d", st.Sessions, total)
+	if n := p.Metrics.Snapshot().Sum("flicker_sessions_total", "ok"); n != float64(total) {
+		t.Errorf("completed sessions = %v, want %d", n, total)
 	}
 }

@@ -7,7 +7,6 @@ package core
 // callbacks support the simTPM-style TPM performance analyses in PAPERS.md.
 
 import (
-	"sort"
 	"time"
 
 	"flicker/internal/simtime"
@@ -119,11 +118,6 @@ func (p *Platform) RemoveObserver(o Observer) {
 	}
 }
 
-// observerList snapshots the registered observers for one session.
-func (p *Platform) observerList() []Observer {
-	return p.observersInto(nil)
-}
-
 // observersInto copies the observer list into dst's backing storage,
 // growing it only when the list got longer — the session hot path hands in
 // a per-platform scratch slice so a warm session does not allocate here.
@@ -134,84 +128,4 @@ func (p *Platform) observersInto(dst []Observer) []Observer {
 		return dst[:0]
 	}
 	return append(dst[:0], p.observers...)
-}
-
-// SessionStats aggregates all sessions run on a platform.
-type SessionStats struct {
-	// Sessions counts sessions that completed their full pipeline
-	// (including those whose PAL returned an application-level error).
-	Sessions int
-	// Aborted counts sessions torn down by an infrastructure failure.
-	Aborted int
-	// AbortedByPhase breaks Aborted down by the phase that failed, so
-	// fault-matrix runs show where sessions die.
-	AbortedByPhase map[string]int
-	// ImageBuilds and ImageCacheHits account for the SLB image cache:
-	// builds is how many times an image was actually linked, hits how many
-	// sessions reused a cached one.
-	ImageBuilds    int
-	ImageCacheHits int
-	// PhaseTotal sums simulated time per phase name across all sessions,
-	// including the partial phases of aborted ones (an aborted session's
-	// spent time is real platform time; dropping it would hide where
-	// fault-matrix runs burn their cycles).
-	PhaseTotal map[string]time.Duration
-	// Total is the summed simulated duration of all completed sessions;
-	// P50 and Max describe the per-session distribution.
-	Total time.Duration
-	P50   time.Duration
-	Max   time.Duration
-}
-
-// Stats returns a snapshot of the platform's aggregate session statistics.
-func (p *Platform) Stats() SessionStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	st := SessionStats{
-		Sessions:       len(p.sessionDurations),
-		Aborted:        p.sessionsAborted,
-		AbortedByPhase: make(map[string]int, len(p.abortsByPhase)),
-		ImageBuilds:    p.imageBuilds,
-		ImageCacheHits: p.imageCacheHits,
-		PhaseTotal:     make(map[string]time.Duration, len(p.phaseTotal)),
-	}
-	for k, v := range p.abortsByPhase {
-		st.AbortedByPhase[k] = v
-	}
-	for k, v := range p.phaseTotal {
-		st.PhaseTotal[k] = v
-	}
-	if n := len(p.sessionDurations); n > 0 {
-		sorted := make([]time.Duration, n)
-		copy(sorted, p.sessionDurations)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		st.P50 = sorted[n/2]
-		st.Max = sorted[n-1]
-		for _, d := range sorted {
-			st.Total += d
-		}
-	}
-	return st
-}
-
-// recordSession folds one finished session into the aggregate statistics.
-// Aborted sessions keep their phase attribution: the partial phases they ran
-// (including the failed one) count toward PhaseTotal, and the failing phase
-// is tallied in AbortedByPhase.
-func (p *Platform) recordSession(res *SessionResult, failure error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, ph := range res.Phases {
-		p.phaseTotal[ph.Name] += ph.Duration
-	}
-	if failure != nil {
-		p.sessionsAborted++
-		if n := len(res.Phases); n > 0 {
-			// runPhase records the failing phase before unwinding, so the
-			// last recorded phase is where the session died.
-			p.abortsByPhase[res.Phases[n-1].Name]++
-		}
-		return
-	}
-	p.sessionDurations = append(p.sessionDurations, res.Duration())
 }

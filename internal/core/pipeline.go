@@ -210,7 +210,6 @@ func (p *Platform) runPipeline(pipe *sessionPipeline, pl pal.PAL, opts SessionOp
 		for _, o := range obs {
 			o.SessionEnd(st.res.SessionID, p.Clock.Now(), failure)
 		}
-		p.recordSession(st.res, failure)
 	}()
 
 	for i := range pipe.phases {

@@ -206,20 +206,20 @@ func TestImageCacheAcrossSessions(t *testing.T) {
 			t.Fatalf("session %d: %v %v", i, err, res.PALError)
 		}
 	}
-	st := p.Stats()
-	if st.ImageBuilds != 1 {
-		t.Errorf("5 sessions linked %d images, want 1", st.ImageBuilds)
+	builds := func() float64 { return p.Metrics.Snapshot().Sum("flicker_slb_image_cache_total", "build") }
+	if got := builds(); got != 1 {
+		t.Errorf("5 sessions linked %v images, want 1", got)
 	}
-	if st.ImageCacheHits != 4 {
-		t.Errorf("cache hits = %d, want 4", st.ImageCacheHits)
+	if got := p.Metrics.Snapshot().Sum("flicker_slb_image_cache_total", "hit"); got != 4 {
+		t.Errorf("cache hits = %v, want 4", got)
 	}
 	// Link options are part of the key: a two-stage session needs its own
 	// build, as does a different PAL.
 	if _, err := p.RunSession(helloPAL(), SessionOptions{TwoStage: true}); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Stats().ImageBuilds; got != 2 {
-		t.Errorf("two-stage session reused the classic image (builds = %d)", got)
+	if got := builds(); got != 2 {
+		t.Errorf("two-stage session reused the classic image (builds = %v)", got)
 	}
 	other := &pal.Func{
 		PALName: "other",
@@ -229,8 +229,8 @@ func TestImageCacheAcrossSessions(t *testing.T) {
 	if _, err := p.RunSession(other, SessionOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Stats().ImageBuilds; got != 3 {
-		t.Errorf("distinct PAL did not get its own build (builds = %d)", got)
+	if got := builds(); got != 3 {
+		t.Errorf("distinct PAL did not get its own build (builds = %v)", got)
 	}
 	// The cached image is measurement-identical to a fresh link.
 	res, err := p.RunSession(helloPAL(), SessionOptions{})
@@ -268,46 +268,54 @@ func TestRegistryPathNeverRelinks(t *testing.T) {
 			t.Fatalf("launch %d outputs = %q, %v", i, out, err)
 		}
 	}
-	if got := p.Stats().ImageBuilds; got != 1 {
-		t.Errorf("registry path linked %d images across 2 launches, want 1", got)
+	if got := p.Metrics.Snapshot().Sum("flicker_slb_image_cache_total", "build"); got != 1 {
+		t.Errorf("registry path linked %v images across 2 launches, want 1", got)
 	}
 }
 
+// The platform's session aggregates live in its metrics registry: outcome
+// counts, per-phase simulated time (aborted partials included) and aborts
+// by the phase that failed.
 func TestSessionStatsAggregation(t *testing.T) {
 	p := newPlatform(t)
 	var ids []uint64
+	var completed time.Duration
 	for i := 0; i < 3; i++ {
 		res, err := p.RunSession(helloPAL(), SessionOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, res.SessionID)
+		completed += res.Duration()
 	}
 	if _, err := p.RunSession(helloPAL(), SessionOptions{FailPhase: "skinit"}); !errors.Is(err, ErrFaultInjected) {
 		t.Fatalf("err = %v", err)
 	}
-	st := p.Stats()
-	if st.Sessions != 3 || st.Aborted != 1 {
-		t.Fatalf("sessions = %d, aborted = %d", st.Sessions, st.Aborted)
+	snap := p.Metrics.Snapshot()
+	if ok, aborted := snap.Sum("flicker_sessions_total", "ok"), snap.Sum("flicker_sessions_total", "aborted"); ok != 3 || aborted != 1 {
+		t.Fatalf("sessions = %v, aborted = %v", ok, aborted)
 	}
-	if st.P50 <= 0 || st.Max < st.P50 || st.Total < st.Max {
-		t.Errorf("latency stats inconsistent: p50=%v max=%v total=%v", st.P50, st.Max, st.Total)
-	}
-	var phaseSum time.Duration
-	for _, name := range []string{"accept", "init-slb", "suspend-os", "skinit", "pal-exec", "cleanup", "extend-pcr", "resume-os"} {
-		if _, ok := st.PhaseTotal[name]; !ok {
-			t.Errorf("PhaseTotal missing %q", name)
+	phases := make(map[string]bool)
+	for _, f := range snap.Families {
+		if f.Name == "flicker_session_phase_seconds" {
+			for _, s := range f.Series {
+				phases[s.Labels["phase"]] = true
+			}
 		}
-		phaseSum += st.PhaseTotal[name]
 	}
-	// PhaseTotal includes the aborted session's partial phases (accept
-	// through the failed skinit), so it exceeds the completed-sessions total
-	// by exactly that partial time.
-	if phaseSum <= st.Total {
-		t.Errorf("phase totals sum to %v, want > completed-sessions total %v (aborted partials must count)", phaseSum, st.Total)
+	for _, name := range []string{"accept", "init-slb", "suspend-os", "skinit", "pal-exec", "cleanup", "extend-pcr", "resume-os"} {
+		if !phases[name] {
+			t.Errorf("flicker_session_phase_seconds has no %q series", name)
+		}
 	}
-	if got := st.AbortedByPhase["skinit"]; got != 1 {
-		t.Errorf("AbortedByPhase[skinit] = %d, want 1 (have %v)", got, st.AbortedByPhase)
+	// The phase sums include the aborted session's partial phases (accept
+	// through the failed skinit), so they exceed the completed sessions'
+	// total by exactly that partial time.
+	if phaseSum := snap.Sum("flicker_session_phase_seconds"); phaseSum <= completed.Seconds() {
+		t.Errorf("phase totals sum to %vs, want > completed-sessions total %v (aborted partials must count)", phaseSum, completed)
+	}
+	if got := snap.Sum("flicker_session_aborts_total", "skinit"); got != 1 {
+		t.Errorf("skinit aborts = %v, want 1", got)
 	}
 	for i := 1; i < len(ids); i++ {
 		if ids[i] != ids[i-1]+1 {
@@ -504,9 +512,9 @@ func TestMixedPipelineRace(t *testing.T) {
 			t.Fatalf("racing session failed: %v", err)
 		}
 	}
-	st := p.Stats()
-	if st.Sessions != 2*n || st.Aborted != 0 {
-		t.Fatalf("sessions = %d, aborted = %d", st.Sessions, st.Aborted)
+	snap := p.Metrics.Snapshot()
+	if ok, aborted := snap.Sum("flicker_sessions_total", "ok"), snap.Sum("flicker_sessions_total", "aborted"); ok != 2*n || aborted != 0 {
+		t.Fatalf("sessions = %v, aborted = %v", ok, aborted)
 	}
 	checkPlatformHealthy(t, p, "after mixed race")
 }

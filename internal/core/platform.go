@@ -8,7 +8,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"flicker/internal/flickermod"
 	"flicker/internal/hw/cpu"
@@ -75,18 +74,15 @@ type Platform struct {
 
 	// imageCache memoizes built SLB images by PAL identity and link
 	// options, so repeated sessions for the same PAL do not relink the
-	// image on the hot path.
-	imageCache     map[imageKey]*slb.Image
-	imageBuilds    int
-	imageCacheHits int
+	// image on the hot path. imageBuilds and imageHits are this platform's
+	// cells of flicker_slb_image_cache_total.
+	imageCache  map[imageKey]*slb.Image
+	imageBuilds *metrics.Counter
+	imageHits   *metrics.Counter
 
-	// observability and aggregate statistics (see observer.go).
-	observers        []Observer
-	sessionSeq       uint64
-	sessionDurations []time.Duration
-	phaseTotal       map[string]time.Duration
-	sessionsAborted  int
-	abortsByPhase    map[string]int
+	// observability (see observer.go).
+	observers  []Observer
+	sessionSeq uint64
 
 	// sessionMu serializes Flicker sessions — classic and partitioned
 	// alike: the flicker-module owns a single SLB buffer and the machine
@@ -205,21 +201,23 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 		return nil, fmt.Errorf("core: flicker-module: %w", err)
 	}
 	p := &Platform{
-		Clock:         clock,
-		Profile:       cfg.Profile,
-		TPM:           tp,
-		Bus:           bus,
-		Machine:       machine,
-		Kernel:        k,
-		Mod:           mod,
-		Metrics:       reg,
-		Events:        events,
-		traceTag:      traceTag,
-		registry:      make(map[tpm.Digest]*registeredPAL),
-		imageCache:    make(map[imageKey]*slb.Image),
-		phaseTotal:    make(map[string]time.Duration),
-		abortsByPhase: make(map[string]int),
+		Clock:      clock,
+		Profile:    cfg.Profile,
+		TPM:        tp,
+		Bus:        bus,
+		Machine:    machine,
+		Kernel:     k,
+		Mod:        mod,
+		Metrics:    reg,
+		Events:     events,
+		traceTag:   traceTag,
+		registry:   make(map[tpm.Digest]*registeredPAL),
+		imageCache: make(map[imageKey]*slb.Image),
 	}
+	imageCache := reg.Counter("flicker_slb_image_cache_total",
+		"SLB image cache lookups: build = the image was linked, hit = a cached link was reused.", "result")
+	p.imageBuilds = imageCache.With("build").Cell()
+	p.imageHits = imageCache.With("hit").Cell()
 	p.scratch.palClient = tpm.NewClient(bus, tis.Locality2, []byte("pal-tpm"))
 	p.scratch.slbClient = tpm.NewClient(bus, tis.Locality2, []byte("slbcore-extend"))
 	p.AddObserver(newMetricsBridge(reg, events))
@@ -266,11 +264,9 @@ func (p *Platform) imageFor(pl pal.PAL, twoStage bool) (*slb.Image, error) {
 	}
 	p.mu.Lock()
 	im, ok := p.imageCache[key]
-	if ok {
-		p.imageCacheHits++
-	}
 	p.mu.Unlock()
 	if ok {
+		p.imageHits.Inc()
 		return im, nil
 	}
 	im, err := BuildImage(pl, twoStage)
@@ -278,9 +274,9 @@ func (p *Platform) imageFor(pl pal.PAL, twoStage bool) (*slb.Image, error) {
 		return nil, err
 	}
 	p.mu.Lock()
-	p.imageBuilds++
 	p.imageCache[key] = im
 	p.mu.Unlock()
+	p.imageBuilds.Inc()
 	return im, nil
 }
 

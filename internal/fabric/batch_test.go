@@ -93,7 +93,7 @@ func TestFabricBatchedOutputsBitIdenticalToSingleton(t *testing.T) {
 
 	// Amortization: the batch host executed fewer physical sessions than
 	// runs (1 admission session + one per flushed frame).
-	phys := r.hosts[0].pool.Stats().Sessions
+	phys := int(r.hosts[0].pool.Metrics().Snapshot().Sum("flicker_sessions_total", "ok"))
 	if phys >= runs+1 {
 		t.Fatalf("batched fabric ran %d physical sessions for %d runs — nothing coalesced", phys, runs)
 	}
@@ -228,8 +228,8 @@ func TestFabricBatchSuffixOnlyResubmission(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	// Exactly the forged suffix was resubmitted, nothing else.
-	if st := r.ctrl.Stats(); int(st.Resubmits) != len(rewritten) {
-		t.Fatalf("resubmits = %d, want %d (the forged suffix only)", st.Resubmits, len(rewritten))
+	if n := r.metric("flicker_fabric_resubmits_total"); int(n) != len(rewritten) {
+		t.Fatalf("resubmits = %v, want %d (the forged suffix only)", n, len(rewritten))
 	}
 	// And each resubmitted member traveled to a host that had not already
 	// failed it: its input shows up exactly twice across the fleet, on two
@@ -315,11 +315,10 @@ func TestFabricBatchFrameEchoMismatchIsGarbage(t *testing.T) {
 	if !forged.Load() {
 		t.Fatal("no batch frame ever formed")
 	}
-	st := r.ctrl.Stats()
-	if st.Resubmits == 0 {
+	if r.metric("flicker_fabric_resubmits_total") == 0 {
 		t.Fatal("frame-echo garbage caused no resubmission")
 	}
-	for _, hs := range st.PerHost {
+	for _, hs := range r.ctrl.Hosts() {
 		if hs.Name == victim.Load().Name() && hs.State != "lost" {
 			t.Fatalf("garbage-talking host state = %s, want lost", hs.State)
 		}
@@ -621,7 +620,7 @@ func TestFabricBatchConcurrentTrafficRace(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 5; i++ {
 			r.ctrl.Tick()
-			r.ctrl.Stats()
+			r.reg.Snapshot()
 			r.ctrl.Hosts()
 		}
 	}()

@@ -41,8 +41,8 @@ const (
 	kindHeartbeatResp
 	kindDrain
 	kindDrainResp
-	kindStats
-	kindStatsResp
+	_ // 9 and 10: the retired stats pair; hosts report through the metrics registry
+	_
 	kindError
 	kindRunBatch
 	kindRunBatchResp
@@ -139,14 +139,6 @@ type heartbeatResp struct {
 	InFlight uint32
 	Sessions uint64
 	Draining bool
-}
-
-// hostStats is a host's cumulative accounting for /stats.
-type hostStats struct {
-	Sessions uint64
-	Aborted  uint64
-	InFlight uint32
-	PALs     []string
 }
 
 // --- primitive append/read helpers -----------------------------------------
@@ -647,54 +639,6 @@ func decodeHeartbeatResp(b []byte) (*heartbeatResp, error) {
 		return nil, fmt.Errorf("%w: bad heartbeat flags", ErrBadFrame)
 	}
 	r.Draining = b[0]&1 != 0
-	return r, nil
-}
-
-func encodeStatsResp(r *hostStats) []byte {
-	b := []byte{kindStatsResp}
-	b = binary.BigEndian.AppendUint64(b, r.Sessions)
-	b = binary.BigEndian.AppendUint64(b, r.Aborted)
-	b = binary.BigEndian.AppendUint32(b, r.InFlight)
-	b = appendU32(b, len(r.PALs))
-	for _, name := range r.PALs {
-		b = appendBytes16(b, []byte(name))
-	}
-	return b
-}
-
-func decodeStatsResp(b []byte) (*hostStats, error) {
-	r := &hostStats{}
-	var err error
-	if r.Sessions, b, err = readU64(b); err != nil {
-		return nil, err
-	}
-	if r.Aborted, b, err = readU64(b); err != nil {
-		return nil, err
-	}
-	if r.InFlight, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	count, rest, err := readU32(b)
-	if err != nil {
-		return nil, err
-	}
-	// Same forged-count clamp as the inventory: each name costs at least
-	// its 2-byte length word.
-	n := int(count)
-	if n > len(rest)/2 {
-		return nil, fmt.Errorf("%w: PAL count %d exceeds what %d bytes can frame", ErrBadFrame, count, len(rest))
-	}
-	r.PALs = make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		var name []byte
-		if name, rest, err = readBytes16(rest); err != nil {
-			return nil, err
-		}
-		r.PALs = append(r.PALs, string(name))
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, len(rest))
-	}
 	return r, nil
 }
 

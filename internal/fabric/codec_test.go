@@ -95,17 +95,6 @@ func TestCodecForgedPALCountRejected(t *testing.T) {
 	}
 }
 
-func TestCodecForgedStatsCountRejected(t *testing.T) {
-	raw := encodeStatsResp(&hostStats{Sessions: 7, PALs: []string{"echo"}})
-	body := append([]byte(nil), raw[1:]...)
-	// The count word sits after sessions(8) + aborted(8) + inflight(4).
-	binary.BigEndian.PutUint32(body[20:24], 1<<30)
-	_, err := decodeStatsResp(body)
-	if !errors.Is(err, ErrBadFrame) || !strings.Contains(err.Error(), "PAL count") {
-		t.Fatalf("forged stats count decode = %v, want clamp rejection", err)
-	}
-}
-
 // decodeRunBatch and decodeRunBatchResp decode into fresh structs: the
 // reference the reused-scratch decoders are held to.
 func decodeRunBatch(b []byte) (*runBatchReq, error) {
@@ -236,14 +225,30 @@ func TestCodecForgedSpanCountsRejected(t *testing.T) {
 	}
 }
 
-func TestCodecHeartbeatAndStatsRoundTrip(t *testing.T) {
+func TestCodecHeartbeatRoundTrip(t *testing.T) {
 	hb, err := decodeHeartbeatResp(encodeHeartbeatResp(&heartbeatResp{InFlight: 3, Sessions: 99, Draining: true})[1:])
 	if err != nil || hb.InFlight != 3 || hb.Sessions != 99 || !hb.Draining {
 		t.Fatalf("heartbeat round trip = %+v, %v", hb, err)
 	}
-	st, err := decodeStatsResp(encodeStatsResp(&hostStats{Sessions: 5, Aborted: 1, InFlight: 2, PALs: []string{"a", "b"}})[1:])
-	if err != nil || st.Sessions != 5 || st.Aborted != 1 || st.InFlight != 2 || len(st.PALs) != 2 {
-		t.Fatalf("stats round trip = %+v, %v", st, err)
+}
+
+// Retired frame kinds stay reserved: a host answers the old singleton run
+// pair (3, 4) and the old stats pair (9, 10) with kindError, never with a
+// reply a stale controller could misread; kindError (11) is never a request
+// either. The live kinds keep their wire numbers.
+func TestHostRejectsRetiredKinds(t *testing.T) {
+	if kindHeartbeat != 5 || kindDrainResp != 8 || kindError != 11 || kindRunBatch != 12 || kindRunBatchResp != 13 {
+		t.Fatal("frame kinds renumbered")
+	}
+	r := newFabRig(t, 1, ControllerConfig{Seed: "t"})
+	for _, kind := range []byte{3, 4, 9, 10, kindError} {
+		raw := r.hosts[0].handle([]byte{kind})
+		if raw[0] != kindError {
+			t.Fatalf("kind %d answered with kind %d, want kindError", kind, raw[0])
+		}
+		if _, err := decodeResp(raw, kindHeartbeatResp); err == nil || !strings.Contains(err.Error(), "unknown frame kind") {
+			t.Fatalf("kind %d reply = %v, want an unknown-kind error", kind, err)
+		}
 	}
 }
 
@@ -251,7 +256,7 @@ func TestCodecErrorFrames(t *testing.T) {
 	if _, err := decodeResp(encodeErrorResp("boom"), kindRunBatchResp); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("error frame = %v", err)
 	}
-	if _, err := decodeResp([]byte{kindStatsResp}, kindRunBatchResp); !errors.Is(err, ErrBadFrame) {
+	if _, err := decodeResp([]byte{kindHeartbeatResp}, kindRunBatchResp); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("wrong kind = %v", err)
 	}
 	if _, err := decodeResp(nil, kindRunBatchResp); !errors.Is(err, ErrBadFrame) {

@@ -164,17 +164,6 @@ type HostStatus struct {
 	LastError  string   `json:"last_error,omitempty"`
 }
 
-// Stats is the controller's fleet-wide accounting snapshot.
-type Stats struct {
-	Hosts              int          `json:"hosts"`
-	Live               int          `json:"live"`
-	AdmissionsOK       int64        `json:"admissions_ok"`
-	AdmissionsRejected int64        `json:"admissions_rejected"`
-	Resubmits          int64        `json:"resubmits"`
-	Sessions           int64        `json:"sessions"`
-	PerHost            []HostStatus `json:"per_host"`
-}
-
 // Controller admits hosts into the fabric via quote-verified attestation
 // and schedules sessions across the admitted fleet.
 type Controller struct {
@@ -208,11 +197,6 @@ type Controller struct {
 	queues   map[string]chan *fabJob
 	laneMu   sync.Mutex
 	lanes    map[string]*hostLane
-
-	admissionsOK       int64
-	admissionsRejected int64
-	resubmits          int64
-	sessions           int64
 }
 
 // NewController attaches a controller to the switch. The privacy CA's
@@ -303,7 +287,6 @@ func (c *Controller) Admit(host string) error {
 		m.state = stateRejected
 		m.lastErr = err.Error()
 		m.pals = nil
-		c.admissionsRejected++
 		c.met.admissionRejected.Inc()
 		return fmt.Errorf("fabric: admission of %s rejected: %w", host, err)
 	}
@@ -317,7 +300,6 @@ func (c *Controller) Admit(host string) error {
 	m.lastErr = ""
 	m.attestedAt = c.sw.Clock().Now()
 	m.gauge.Set(0)
-	c.admissionsOK++
 	c.met.admissionOK.Inc()
 	c.met.hostUp.Inc()
 	return nil
@@ -810,7 +792,7 @@ func (c *Controller) retryJob(palName string, j *fabJob, host string) {
 	}
 	j.tried[host] = true
 	j.attempts++
-	c.noteResubmit()
+	c.met.resubmits.Inc()
 	switch {
 	case j.attempts > c.cfg.MaxResubmits:
 		j.done <- fabOut{err: fmt.Errorf("%w: %s (failover budget exhausted)", ErrNoHosts, palName)}
@@ -821,11 +803,11 @@ func (c *Controller) retryJob(palName string, j *fabJob, host string) {
 	}
 }
 
-// noteSessions credits n completed sessions to a member.
+// noteSessions credits n completed sessions to a member (its /hosts row)
+// and to flicker_fabric_runs_total.
 func (c *Controller) noteSessions(m *member, n int) {
 	c.mu.Lock()
 	m.sessions += int64(n)
-	c.sessions += int64(n)
 	c.mu.Unlock()
 	c.met.runsOK.Add(float64(n))
 }
@@ -837,13 +819,6 @@ func (c *Controller) noteSessions(m *member, n int) {
 func (c *Controller) Close() error {
 	c.stopOnce.Do(func() { close(c.stop) })
 	return nil
-}
-
-func (c *Controller) noteResubmit() {
-	c.mu.Lock()
-	c.resubmits++
-	c.mu.Unlock()
-	c.met.resubmits.Inc()
 }
 
 // pickN selects an eligible member for a PAL — admitted, serving the PAL,
@@ -1065,25 +1040,4 @@ func (c *Controller) Live() int {
 		}
 	}
 	return n
-}
-
-// Stats snapshots the controller's fleet-wide accounting.
-func (c *Controller) Stats() Stats {
-	per := c.Hosts()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := Stats{
-		Hosts:              len(c.members),
-		AdmissionsOK:       c.admissionsOK,
-		AdmissionsRejected: c.admissionsRejected,
-		Resubmits:          c.resubmits,
-		Sessions:           c.sessions,
-		PerHost:            per,
-	}
-	for _, m := range c.members {
-		if m.state == stateAdmitted {
-			st.Live++
-		}
-	}
-	return st
 }

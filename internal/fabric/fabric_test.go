@@ -75,6 +75,12 @@ func newFabRig(t *testing.T, n int, ccfg ControllerConfig) *fabRig {
 	return r
 }
 
+// metric reads the controller's registry: the summed series of one family
+// whose label values include values.
+func (r *fabRig) metric(family string, values ...string) float64 {
+	return r.reg.Snapshot().Sum(family, values...)
+}
+
 func (r *fabRig) addHost(t *testing.T, name string, admission pal.PAL) *Host {
 	t.Helper()
 	h, err := NewHost(r.sw, r.ca, HostConfig{
@@ -112,16 +118,15 @@ func TestFabricAdmitAndRun(t *testing.T) {
 			t.Fatalf("output = %q", out)
 		}
 	}
-	st := r.ctrl.Stats()
-	if st.Sessions != 6 {
-		t.Fatalf("Stats().Sessions = %d, want 6", st.Sessions)
+	if n := r.metric("flicker_fabric_runs_total", "ok"); n != 6 {
+		t.Fatalf("completed runs = %v, want 6", n)
 	}
-	if st.AdmissionsOK != 2 || st.AdmissionsRejected != 0 {
-		t.Fatalf("admissions = %d ok / %d rejected, want 2/0", st.AdmissionsOK, st.AdmissionsRejected)
+	if ok, rej := r.metric("flicker_fabric_admissions_total", "ok"), r.metric("flicker_fabric_admissions_total", "rejected"); ok != 2 || rej != 0 {
+		t.Fatalf("admissions = %v ok / %v rejected, want 2/0", ok, rej)
 	}
 	// Affinity: with no load, every "echo" session lands on one member.
 	busy := 0
-	for _, hs := range st.PerHost {
+	for _, hs := range r.ctrl.Hosts() {
 		if hs.Sessions > 0 {
 			busy++
 			if hs.Sessions != 6 {
@@ -166,11 +171,10 @@ func TestFabricTamperedHostRejectedAndNeverScheduled(t *testing.T) {
 	if n := evil.sessions.Load(); n != 0 {
 		t.Fatalf("rejected host executed %d sessions, want 0", n)
 	}
-	st := r.ctrl.Stats()
-	if st.AdmissionsRejected != 1 {
-		t.Fatalf("AdmissionsRejected = %d, want 1", st.AdmissionsRejected)
+	if n := r.metric("flicker_fabric_admissions_total", "rejected"); n != 1 {
+		t.Fatalf("rejected admissions = %v, want 1", n)
 	}
-	for _, hs := range st.PerHost {
+	for _, hs := range r.ctrl.Hosts() {
 		if hs.Name == "evil" && hs.State != "rejected" {
 			t.Fatalf("evil host state = %s, want rejected", hs.State)
 		}
@@ -328,8 +332,7 @@ func TestFabricFailoverLosesNoAcceptedJobs(t *testing.T) {
 	if done.Load() != jobs {
 		t.Fatalf("completed %d/%d jobs", done.Load(), jobs)
 	}
-	st := r.ctrl.Stats()
-	for _, hs := range st.PerHost {
+	for _, hs := range r.ctrl.Hosts() {
 		if hs.Name == "host1" && hs.State != "lost" && hs.State != "admitted" {
 			t.Fatalf("killed host state = %s", hs.State)
 		}
@@ -419,8 +422,8 @@ func TestFabricPALErrorIsNotResubmitted(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("Run(fail) = %v, want *PALError", err)
 	}
-	if st := r.ctrl.Stats(); st.Resubmits != 0 {
-		t.Fatalf("PAL error caused %d resubmits, want 0", st.Resubmits)
+	if n := r.metric("flicker_fabric_resubmits_total"); n != 0 {
+		t.Fatalf("PAL error caused %v resubmits, want 0", n)
 	}
 }
 
@@ -504,7 +507,7 @@ func TestFabricConcurrentTrafficRace(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 5; i++ {
 			r.ctrl.Tick()
-			r.ctrl.Stats()
+			r.reg.Snapshot()
 			r.ctrl.Hosts()
 		}
 	}()

@@ -139,7 +139,7 @@ func TestFabricPooledJobsNeverCrossDeliver(t *testing.T) {
 		if forged.Load() == 0 {
 			t.Fatal("no multi-member frame formed")
 		}
-		if r.ctrl.Stats().Resubmits == 0 {
+		if r.metric("flicker_fabric_resubmits_total") == 0 {
 			t.Fatal("forged runLost suffixes caused no resubmission")
 		}
 	})

@@ -197,8 +197,6 @@ func (h *Host) handle(req []byte) []byte {
 	case kindDrain:
 		h.draining.Store(true)
 		return encodeEmpty(kindDrainResp)
-	case kindStats:
-		return encodeStatsResp(h.stats())
 	default:
 		return encodeErrorResp(fmt.Sprintf("unknown frame kind %d", req[0]))
 	}
@@ -465,19 +463,4 @@ func (h *Host) inventory() []hostPAL {
 		inv = append(inv, hostPAL{Name: name, Launch: h.launch[name]})
 	}
 	return inv
-}
-
-// stats sums the host's per-shard platform accounting.
-func (h *Host) stats() *hostStats {
-	st := &hostStats{InFlight: uint32(h.inflight.Load()), Sessions: h.sessions.Load()}
-	for i := 0; i < h.pool.Shards(); i++ {
-		st.Aborted += uint64(h.pool.Shard(i).Stats().Aborted)
-	}
-	h.palMu.Lock()
-	for name := range h.pals {
-		st.PALs = append(st.PALs, name)
-	}
-	h.palMu.Unlock()
-	sort.Strings(st.PALs)
-	return st
 }

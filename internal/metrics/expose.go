@@ -163,6 +163,48 @@ func (r *Registry) Snapshot() Snapshot {
 	return snap
 }
 
+// Sum adds up one family's series whose label values include every given
+// value (in any label position; no values selects every series). A counter
+// or gauge series contributes its value, a histogram series the sum of its
+// observations. An absent family sums to 0.
+func (s Snapshot) Sum(family string, labelValues ...string) float64 {
+	var total float64
+	for _, f := range s.Families {
+		if f.Name != family {
+			continue
+		}
+		for _, ss := range f.Series {
+			if !hasLabelValues(ss.Labels, labelValues) {
+				continue
+			}
+			if f.Type == KindHistogram.String() {
+				total += ss.Sum
+			} else {
+				total += ss.Value
+			}
+		}
+	}
+	return total
+}
+
+// hasLabelValues reports whether every wanted value is one of the labels'
+// values.
+func hasLabelValues(labels map[string]string, want []string) bool {
+	for _, w := range want {
+		found := false
+		for _, v := range labels {
+			if v == w {
+				found = true
+				break
+			}
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
+}
+
 // WriteJSON renders the snapshot as indented JSON.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

@@ -97,6 +97,43 @@ func TestSnapshotJSON(t *testing.T) {
 	}
 }
 
+// Snapshot.Sum selects series by label values in any position, folds
+// cell-backed series in, and reads a histogram as its observation sum.
+func TestSnapshotSum(t *testing.T) {
+	r := NewRegistry()
+	v := r.Counter("s_total", "s", "pipeline", "result")
+	v.With("classic", "ok").Add(3)
+	v.With("batch", "ok").Add(2)
+	v.With("classic", "aborted").Inc()
+	v.With("batch", "ok").Cell().Add(4)
+	h := r.Histogram("p_seconds", "p", []float64{1}, "phase")
+	h.With("skinit").Observe(0.25)
+	h.With("skinit").Observe(0.5)
+	h.With("accept").Observe(2)
+	r.Gauge("g", "g").With().Set(-1.5)
+	snap := r.Snapshot()
+	for _, c := range []struct {
+		family string
+		values []string
+		want   float64
+	}{
+		{"s_total", nil, 10},
+		{"s_total", []string{"ok"}, 9},
+		{"s_total", []string{"classic"}, 4},
+		{"s_total", []string{"ok", "batch"}, 6},
+		{"s_total", []string{"aborted", "batch"}, 0},
+		{"s_total", []string{"partitioned"}, 0},
+		{"p_seconds", []string{"skinit"}, 0.75},
+		{"p_seconds", nil, 2.75},
+		{"g", nil, -1.5},
+		{"absent_total", nil, 0},
+	} {
+		if got := snap.Sum(c.family, c.values...); got != c.want {
+			t.Errorf("Sum(%q, %q) = %v, want %v", c.family, c.values, got, c.want)
+		}
+	}
+}
+
 func TestNilRegistryIsUsable(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x_total", "x").With()

@@ -45,8 +45,8 @@ func TestPoolRunBatch(t *testing.T) {
 		t.Fatalf("batch PCR17 = %s, singleton = %s", got, wantPCR)
 	}
 	// One physical session for the whole batch.
-	if st := p.Stats(); st.Sessions != 1 {
-		t.Fatalf("Stats().Sessions = %d, want 1 for the whole batch", st.Sessions)
+	if n := poolSessions(p); n != 1 {
+		t.Fatalf("completed sessions = %d, want 1 for the whole batch", n)
 	}
 
 	if _, err := p.RunBatch(hello, nil, core.SessionOptions{}); err == nil {

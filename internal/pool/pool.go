@@ -187,10 +187,8 @@ type Pool struct {
 	metSubmitHome     *metrics.Counter
 	metSubmitOverflow *metrics.Counter
 	metRejected       *metrics.Counter
-	// Base (locked) handles for the per-shard celled series; kept for
-	// reads — Count/Sum on these fold every shard's cell in.
-	metBatchSize  *metrics.Histogram
-	metBatchFlush map[string]*metrics.Counter
+	// metQueueDelay is the base handle of the shards' queue-delay cells;
+	// its Count and Sum fold every cell in.
 	metQueueDelay *metrics.Histogram
 }
 
@@ -237,18 +235,13 @@ func New(cfg Config) (*Pool, error) {
 		metSubmitOverflow: submit.With("overflow").Cell(),
 		metRejected: reg.Counter("flicker_pool_rejected_total",
 			"TryRun submissions rejected because every shard queue was full.").With().Cell(),
-		metBatchSize: reg.Histogram("flicker_pool_batch_size",
-			"Jobs coalesced per flushed group (1 = singleton fallback).",
-			[]float64{1, 2, 4, 8, 16, 32}).With(),
-		metBatchFlush: map[string]*metrics.Counter{
-			sched.FlushFull:    flush.With(sched.FlushFull),
-			sched.FlushTimeout: flush.With(sched.FlushTimeout),
-			sched.FlushDrain:   flush.With(sched.FlushDrain),
-		},
-		metQueueDelay: reg.Histogram("flicker_pool_queue_delay_seconds",
-			"Wall-clock time a job spent queued before its session started.",
-			[]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1}).With(),
 	}
+	batchSize := reg.Histogram("flicker_pool_batch_size",
+		"Jobs coalesced per flushed group (1 = singleton fallback).",
+		[]float64{1, 2, 4, 8, 16, 32}).With()
+	p.metQueueDelay = reg.Histogram("flicker_pool_queue_delay_seconds",
+		"Wall-clock time a job spent queued before its session started.",
+		[]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1}).With()
 	for i := 0; i < cfg.Shards; i++ {
 		scfg := cfg.Platform
 		scfg.Seed = fmt.Sprintf("%s-shard%d", seed, i)
@@ -264,11 +257,11 @@ func New(cfg Config) (*Pool, error) {
 			wake:       make(chan struct{}, 1),
 			space:      make(chan struct{}, 1),
 			queueDelay: p.metQueueDelay.Cell(),
-			batchSize:  p.metBatchSize.Cell(),
+			batchSize:  batchSize.Cell(),
 			batchFlush: map[string]*metrics.Counter{
-				sched.FlushFull:    p.metBatchFlush[sched.FlushFull].Cell(),
-				sched.FlushTimeout: p.metBatchFlush[sched.FlushTimeout].Cell(),
-				sched.FlushDrain:   p.metBatchFlush[sched.FlushDrain].Cell(),
+				sched.FlushFull:    flush.With(sched.FlushFull).Cell(),
+				sched.FlushTimeout: flush.With(sched.FlushTimeout).Cell(),
+				sched.FlushDrain:   flush.With(sched.FlushDrain).Cell(),
 			},
 		})
 	}
@@ -324,6 +317,7 @@ func (p *Pool) worker(s *shard) {
 			return
 		}
 		if p.maxBatch <= 1 {
+			s.queueDelay.ObserveDurationExemplar(p.now().Sub(j.enq), j.opts.TraceID)
 			p.runSingleton(s, j)
 			continue
 		}
@@ -333,9 +327,9 @@ func (p *Pool) worker(s *shard) {
 }
 
 // runSingleton executes one job as its own session (or, for a pre-formed
-// batch job, one batched session).
+// batch job, one batched session). The caller has already observed the
+// job's queue delay.
 func (p *Pool) runSingleton(s *shard, j *job) {
-	s.queueDelay.ObserveDurationExemplar(p.now().Sub(j.enq), j.opts.TraceID)
 	if j.batch != nil {
 		p.runBatchJob(s, j)
 		return
@@ -454,24 +448,12 @@ func (p *Pool) flush(s *shard, group []*job, reason string) {
 		}
 		s.batchSize.ObserveExemplar(float64(len(part)), firstTraceID(part))
 		if len(part) == 1 {
-			p.runSingletonNoDelay(s, part[0])
+			p.runSingleton(s, part[0])
 			continue
 		}
 		s.batchFlush[reason].Inc()
 		p.runBatch(s, part)
 	}
-}
-
-// runSingletonNoDelay is runSingleton minus the queue-delay observation
-// (flush already recorded it for the whole group).
-func (p *Pool) runSingletonNoDelay(s *shard, j *job) {
-	if j.batch != nil {
-		p.runBatchJob(s, j)
-		return
-	}
-	res, err := s.platform.RunSession(j.pl, j.opts)
-	s.pending.Add(-1)
-	j.done <- result{res: res, err: err}
 }
 
 // runBatch executes a partition as one batched session and fans the
@@ -640,46 +622,45 @@ func (p *Pool) submit(pl pal.PAL, opts core.SessionOptions, batch [][]byte, wait
 	// holds off the drain exit), and offers a space token after each pop
 	// while waiters is nonzero, so a blocked submitter always lands.
 	home.pending.Add(1)
-	for {
-		if home.push(j) {
-			p.metSubmitHome.Inc()
-			return j, nil
-		}
+	for !home.push(j) {
 		home.waiters.Add(1)
 		// Re-try after registering: a pop between the failed push and the
 		// registration would otherwise strand us before the first token.
 		if home.push(j) {
 			home.waiters.Add(-1)
-			p.metSubmitHome.Inc()
-			return j, nil
+			break
 		}
 		<-home.space
 		home.waiters.Add(-1)
 	}
+	p.metSubmitHome.Inc()
+	return j, nil
 }
 
 // Run executes one session on the PAL's affinity shard (or, under load, the
 // least-loaded shard), blocking for queue space when the pool is saturated.
 func (p *Pool) Run(pl pal.PAL, opts core.SessionOptions) (*core.SessionResult, error) {
-	j, err := p.submit(pl, opts, nil, true)
-	if err != nil {
-		return nil, err
-	}
-	r := <-j.done
-	p.putJob(j)
+	r := p.do(pl, opts, nil, true)
 	return r.res, r.err
 }
 
 // TryRun is Run without backpressure: it returns ErrSaturated instead of
 // blocking when every shard queue is full.
 func (p *Pool) TryRun(pl pal.PAL, opts core.SessionOptions) (*core.SessionResult, error) {
-	j, err := p.submit(pl, opts, nil, false)
+	r := p.do(pl, opts, nil, false)
+	return r.res, r.err
+}
+
+// do submits one job (a pre-formed group when batch is non-nil) and waits
+// for its reply: the one body behind Run, TryRun and RunBatch.
+func (p *Pool) do(pl pal.PAL, opts core.SessionOptions, batch [][]byte, wait bool) result {
+	j, err := p.submit(pl, opts, batch, wait)
 	if err != nil {
-		return nil, err
+		return result{err: err}
 	}
 	r := <-j.done
 	p.putJob(j)
-	return r.res, r.err
+	return r
 }
 
 // RunBatch executes a pre-formed group of requests as ONE batched session on
@@ -695,12 +676,7 @@ func (p *Pool) RunBatch(pl pal.PAL, reqs [][]byte, opts core.SessionOptions) (*c
 		return nil, errors.New("pool: empty batch")
 	}
 	opts.Input = nil
-	j, err := p.submit(pl, opts, reqs, true)
-	if err != nil {
-		return nil, err
-	}
-	r := <-j.done
-	p.putJob(j)
+	r := p.do(pl, opts, reqs, true)
 	return r.br, r.err
 }
 
@@ -728,29 +704,3 @@ func (p *Pool) Metrics() *metrics.Registry { return p.metrics }
 
 // Events returns the shared security event log.
 func (p *Pool) Events() *metrics.EventLog { return p.events }
-
-// Stats aggregates the fleet.
-type Stats struct {
-	// Shards is the pool width.
-	Shards int `json:"shards"`
-	// Sessions and Aborted sum core.SessionStats over all shards.
-	Sessions int `json:"sessions"`
-	Aborted  int `json:"aborted"`
-	// Pending is the current queued + in-flight session count.
-	Pending int `json:"pending"`
-	// PerShard holds each platform's own aggregates, indexed by shard.
-	PerShard []core.SessionStats `json:"per_shard"`
-}
-
-// Stats snapshots the pool's aggregate session statistics.
-func (p *Pool) Stats() Stats {
-	st := Stats{Shards: len(p.shards)}
-	for _, s := range p.shards {
-		ps := s.platform.Stats()
-		st.Sessions += ps.Sessions
-		st.Aborted += ps.Aborted
-		st.Pending += int(s.pending.Load())
-		st.PerShard = append(st.PerShard, ps)
-	}
-	return st
-}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,6 +23,37 @@ func testPAL(name string) pal.PAL {
 			return append([]byte(name+":"), input...), nil
 		},
 	}
+}
+
+// poolSessions reads the pool-wide count of completed sessions from the
+// registry every shard reports into.
+func poolSessions(p *Pool) int {
+	return int(p.Metrics().Snapshot().Sum("flicker_sessions_total", "ok"))
+}
+
+// sessionCount is a test observer counting the sessions that completed on
+// one platform.
+type sessionCount struct{ n atomic.Int64 }
+
+func (c *sessionCount) SessionStart(core.SessionMeta)                 {}
+func (c *sessionCount) PhaseStart(uint64, string, time.Duration)      {}
+func (c *sessionCount) Charge(uint64, string, simtime.Charge)         {}
+func (c *sessionCount) PhaseEnd(uint64, string, time.Duration, error) {}
+func (c *sessionCount) SessionEnd(_ uint64, _ time.Duration, err error) {
+	if err == nil {
+		c.n.Add(1)
+	}
+}
+
+// countShards attaches a sessionCount to every shard, indexed by shard.
+// Attach it before the sessions it should count.
+func countShards(p *Pool) []*sessionCount {
+	out := make([]*sessionCount, p.Shards())
+	for i := range out {
+		out[i] = &sessionCount{}
+		p.Shard(i).AddObserver(out[i])
+	}
+	return out
 }
 
 func newPool(t *testing.T, shards, queueLen int) *Pool {
@@ -52,12 +84,11 @@ func TestPoolRunsSessions(t *testing.T) {
 			t.Fatalf("outputs = %q", res.Outputs)
 		}
 	}
-	st := p.Stats()
-	if st.Sessions != 8 {
-		t.Fatalf("Stats().Sessions = %d, want 8", st.Sessions)
+	if n := poolSessions(p); n != 8 {
+		t.Fatalf("completed sessions = %d, want 8", n)
 	}
-	if st.Shards != 4 {
-		t.Fatalf("Stats().Shards = %d, want 4", st.Shards)
+	if n := p.Shards(); n != 4 {
+		t.Fatalf("Shards() = %d, want 4", n)
 	}
 }
 
@@ -65,6 +96,7 @@ func TestPoolRunsSessions(t *testing.T) {
 // shard, keeping that platform's image and measurement caches warm.
 func TestPoolAffinityRouting(t *testing.T) {
 	p := newPool(t, 4, 4)
+	counts := countShards(p)
 	hello := testPAL("hello")
 	for i := 0; i < 6; i++ {
 		if _, err := p.Run(hello, core.SessionOptions{}); err != nil {
@@ -72,20 +104,21 @@ func TestPoolAffinityRouting(t *testing.T) {
 		}
 	}
 	busy := 0
-	for i := 0; i < p.Shards(); i++ {
-		st := p.Shard(i).Stats()
-		if st.Sessions > 0 {
+	for _, c := range counts {
+		if n := c.n.Load(); n > 0 {
 			busy++
-			if st.Sessions != 6 {
-				t.Errorf("home shard ran %d sessions, want all 6", st.Sessions)
-			}
-			if st.ImageBuilds != 1 {
-				t.Errorf("home shard linked the image %d times, want 1", st.ImageBuilds)
+			if n != 6 {
+				t.Errorf("home shard ran %d sessions, want all 6", n)
 			}
 		}
 	}
 	if busy != 1 {
 		t.Fatalf("sessions spread over %d shards under no load, want 1 (affinity)", busy)
+	}
+	// One shard ran everything, so the pool-wide build count is the home
+	// shard's.
+	if n := p.Metrics().Snapshot().Sum("flicker_slb_image_cache_total", "build"); n != 1 {
+		t.Errorf("home shard linked the image %v times, want 1", n)
 	}
 	// Different PAL names spread across shards rather than piling onto one.
 	homes := make(map[*shard]bool)
@@ -134,8 +167,8 @@ func TestPoolBackpressure(t *testing.T) {
 	if !sawSaturated {
 		t.Log("TryRun never saw saturation (scheduler drained too fast); rejection path untested this run")
 	}
-	if st := p.Stats(); st.Sessions < 8 {
-		t.Fatalf("only %d sessions completed", st.Sessions)
+	if n := poolSessions(p); n < 8 {
+		t.Fatalf("only %d sessions completed", n)
 	}
 }
 
@@ -179,8 +212,8 @@ func TestPoolDrainOnClose(t *testing.T) {
 	}
 }
 
-// The -race hammer: sessions for several PALs racing with Stats() and
-// metrics scrapes across all shards.
+// The -race hammer: sessions for several PALs racing with registry
+// snapshots and event-log reads across all shards.
 func TestPoolConcurrentHammer(t *testing.T) {
 	p := newPool(t, 4, 4)
 	pals := []pal.PAL{testPAL("a"), testPAL("b"), testPAL("c"), testPAL("d")}
@@ -202,7 +235,7 @@ func TestPoolConcurrentHammer(t *testing.T) {
 			}
 		}(w)
 	}
-	// Concurrent observers: Stats and full metric scrapes while sessions run.
+	// Concurrent observers: full metric scrapes while sessions run.
 	stop := make(chan struct{})
 	var obs sync.WaitGroup
 	obs.Add(1)
@@ -213,7 +246,6 @@ func TestPoolConcurrentHammer(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				p.Stats()
 				p.Metrics().Snapshot()
 				p.Events().Events()
 			}
@@ -222,8 +254,8 @@ func TestPoolConcurrentHammer(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	obs.Wait()
-	if st := p.Stats(); st.Sessions != 80 {
-		t.Fatalf("Sessions = %d, want 80", st.Sessions)
+	if n := poolSessions(p); n != 80 {
+		t.Fatalf("completed sessions = %d, want 80", n)
 	}
 }
 
@@ -236,60 +268,38 @@ func TestPoolSharedMetricsRegistry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var submitted float64
-	for _, f := range p.Metrics().Snapshot().Families {
-		if f.Name == "flicker_pool_submissions_total" {
-			for _, s := range f.Series {
-				submitted += s.Value
-			}
-		}
-	}
-	if int(submitted) != 9 {
+	if submitted := p.Metrics().Snapshot().Sum("flicker_pool_submissions_total"); submitted != 9 {
 		t.Fatalf("flicker_pool_submissions_total = %v, want 9", submitted)
 	}
-	if st := p.Stats(); st.Sessions != 9 {
-		t.Fatalf("Stats().Sessions = %d, want 9", st.Sessions)
+	if n := poolSessions(p); n != 9 {
+		t.Fatalf("completed sessions = %d, want 9", n)
 	}
 }
 
 // --- Coalescer --------------------------------------------------------------
 
-// snapshotCounter sums a counter family's series, optionally filtered to one
-// label value.
-func snapshotCounter(p *Pool, family, labelValue string) float64 {
-	var total float64
-	for _, f := range p.Metrics().Snapshot().Families {
-		if f.Name != family {
-			continue
-		}
-		for _, s := range f.Series {
-			if labelValue != "" {
-				match := false
-				for _, v := range s.Labels {
-					if v == labelValue {
-						match = true
-					}
-				}
-				if !match {
-					continue
-				}
-			}
-			total += s.Value
-		}
-	}
-	return total
+// waitSubmitted polls until n jobs have been published to the shard rings
+// (flicker_pool_submissions_total), so a test can pin the queue order.
+func waitSubmitted(t *testing.T, p *Pool, n int) {
+	t.Helper()
+	waitFor(t, func() bool { return submitted(p) == n }, fmt.Sprintf("%d submissions", n))
 }
 
-// waitPending polls until the pool reports n queued + in-flight jobs.
-func waitPending(t *testing.T, p *Pool, n int) {
+// submitted reads flicker_pool_submissions_total over both routes.
+func submitted(p *Pool) int {
+	return int(p.Metrics().Snapshot().Sum("flicker_pool_submissions_total"))
+}
+
+// waitFor polls cond for up to two seconds.
+func waitFor(t *testing.T, cond func() bool, what string) {
 	t.Helper()
 	for i := 0; i < 2000; i++ {
-		if p.Stats().Pending == n {
+		if cond() {
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("Pending never reached %d (now %d)", n, p.Stats().Pending)
+	t.Fatalf("never reached %s", what)
 }
 
 // The coalescer: jobs queued behind a busy worker flush as ONE batched
@@ -349,7 +359,7 @@ func TestPoolCoalescesQueuedJobs(t *testing.T) {
 			results[i] = res
 		}(i)
 	}
-	waitPending(t, p, 6) // blocker in flight + 5 queued
+	waitSubmitted(t, p, 6) // blocker in flight + 5 queued
 	close(release)
 	wg.Wait()
 
@@ -366,10 +376,10 @@ func TestPoolCoalescesQueuedJobs(t *testing.T) {
 		}
 	}
 	// 3 sessions total: the blocker, ONE batch of 4, and the nonce singleton.
-	if n := p.Shard(0).Stats().Sessions; n != 3 {
+	if n := poolSessions(p); n != 3 {
 		t.Errorf("shard ran %d sessions for 6 jobs, want 3 (coalesced)", n)
 	}
-	if v := snapshotCounter(p, "flicker_pool_batch_flush_total", ""); v != 1 {
+	if v := p.Metrics().Snapshot().Sum("flicker_pool_batch_flush_total"); v != 1 {
 		t.Errorf("flicker_pool_batch_flush_total = %v, want 1", v)
 	}
 	if results[4].Pipeline != "classic" {
@@ -452,7 +462,7 @@ func TestPoolBatchScalesTimerBudget(t *testing.T) {
 			}
 			results[i] = res
 		}(i)
-		waitPending(t, p, 2+i) // blocker in flight + i+1 queued, in order
+		waitSubmitted(t, p, 2+i) // blocker in flight + i+1 queued, in order
 	}
 	release()
 	wg.Wait()
@@ -468,7 +478,7 @@ func TestPoolBatchScalesTimerBudget(t *testing.T) {
 		}
 	}
 	// The 4 jobs shared ONE batched session (plus the blocker's singleton).
-	if n := p.Shard(0).Stats().Sessions; n != 2 {
+	if n := poolSessions(p); n != 2 {
 		t.Errorf("shard ran %d sessions, want 2 (blocker + one batch)", n)
 	}
 }
@@ -522,7 +532,7 @@ func TestPoolBatchTimeoutPreservesCompletedPrefix(t *testing.T) {
 			}
 			results[i] = res
 		}(i)
-		waitPending(t, p, 2+i) // pin the queue (and therefore batch) order
+		waitSubmitted(t, p, 2+i) // pin the queue (and therefore batch) order
 	}
 	release()
 	wg.Wait()
@@ -551,7 +561,7 @@ func TestPoolBatchTimeoutPreservesCompletedPrefix(t *testing.T) {
 			t.Errorf("job %d outputs = %q, want none", i, results[i].Outputs)
 		}
 	}
-	if n := p.Shard(0).Stats().Sessions; n != 2 {
+	if n := poolSessions(p); n != 2 {
 		t.Errorf("shard ran %d sessions, want 2 (blocker + one batch)", n)
 	}
 }
@@ -564,10 +574,10 @@ func TestPoolDefaultIsSingleton(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := p.Shard(0).Stats().Sessions; n != 4 {
+	if n := poolSessions(p); n != 4 {
 		t.Fatalf("sessions = %d, want 4", n)
 	}
-	if v := snapshotCounter(p, "flicker_pool_batch_flush_total", ""); v != 0 {
+	if v := p.Metrics().Snapshot().Sum("flicker_pool_batch_flush_total"); v != 0 {
 		t.Fatalf("batch flushes = %v with MaxBatch unset", v)
 	}
 }
@@ -604,6 +614,7 @@ func TestPoolOverflowSpill(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	counts := countShards(p)
 
 	// Find names homed on shard 0.
 	nameOn := func(idx int, prefix string) string {
@@ -644,7 +655,7 @@ func TestPoolOverflowSpill(t *testing.T) {
 			t.Errorf("queued job: %v", err)
 		}
 	}()
-	waitPending(t, p, 2)
+	waitSubmitted(t, p, 2)
 	// ...so this submission must spill to shard 1 and complete while the
 	// home worker is still pinned.
 	res, err := p.Run(testPAL(spillName), core.SessionOptions{})
@@ -654,10 +665,10 @@ func TestPoolOverflowSpill(t *testing.T) {
 	if string(res.Outputs) != spillName+":" {
 		t.Fatalf("spilled outputs = %q", res.Outputs)
 	}
-	if v := snapshotCounter(p, "flicker_pool_submissions_total", "overflow"); v < 1 {
+	if v := p.Metrics().Snapshot().Sum("flicker_pool_submissions_total", "overflow"); v < 1 {
 		t.Errorf("overflow submissions = %v, want >= 1", v)
 	}
-	if n := p.Shard(1).Stats().Sessions; n != 1 {
+	if n := counts[1].n.Load(); n != 1 {
 		t.Errorf("overflow shard ran %d sessions, want 1", n)
 	}
 	close(release)

@@ -150,8 +150,8 @@ func TestPoolCloseDrainHammer(t *testing.T) {
 		if accepted.Load() != completed.Load() {
 			t.Fatalf("accepted %d jobs but %d completed", accepted.Load(), completed.Load())
 		}
-		if st := p.Stats(); int64(st.Sessions) < completed.Load() {
-			t.Fatalf("platforms ran %d sessions, fewer than %d completed replies", st.Sessions, completed.Load())
+		if n := poolSessions(p); int64(n) < completed.Load() {
+			t.Fatalf("platforms ran %d sessions, fewer than %d completed replies", n, completed.Load())
 		}
 		if _, err := p.Run(testPAL("late"), core.SessionOptions{}); !errors.Is(err, ErrClosed) {
 			t.Fatalf("Run after drain = %v, want ErrClosed", err)
@@ -192,9 +192,10 @@ func TestPoolBackpressureDuringClose(t *testing.T) {
 		wg.Add(1)
 		go func(i int) { defer wg.Done(); _, errs[i] = p.Run(testPAL("queued"), core.SessionOptions{}) }(i)
 	}
-	// Blocker in flight + one job in the ring slot + four submitters blocked
-	// on backpressure (pending counts blocked submissions too).
-	waitPending(t, p, 6)
+	// Blocker in flight + one job in the ring slot (two submissions) + four
+	// submitters registered as blocked on backpressure.
+	waitFor(t, func() bool { return submitted(p) == 2 && p.shards[0].waiters.Load() == 4 },
+		"2 submissions and 4 blocked submitters")
 	closed := make(chan error, 1)
 	go func() { closed <- p.Close() }()
 	close(release)

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"flicker/internal/core"
-	"flicker/internal/metrics"
 )
 
 // TestShardPCR17BitIdentical: the same PAL yields the same Measurement,
@@ -57,26 +56,13 @@ func TestShardPCR17BitIdentical(t *testing.T) {
 	}
 }
 
-// familyTotal sums every series of one family in a snapshot.
-func familyTotal(snap metrics.Snapshot, family string) (total float64, series int) {
-	for _, f := range snap.Families {
-		if f.Name != family {
-			continue
-		}
-		for _, s := range f.Series {
-			total += s.Value
-			series++
-		}
-	}
-	return total, series
-}
-
 // TestShardMetricFoldOnScrape: sessions spread over every shard write
 // through per-shard cells (platform instruments and pool submit counters
 // alike), and a registry scrape folds them into exactly the fleet totals —
 // the /stats and Prometheus surfaces need no per-shard plumbing.
 func TestShardMetricFoldOnScrape(t *testing.T) {
 	p := newPool(t, 4, 8)
+	counts := countShards(p)
 	// Distinct PAL names until every shard has run at least one session.
 	const sessions = 32
 	for i := 0; i < sessions; i++ {
@@ -86,8 +72,8 @@ func TestShardMetricFoldOnScrape(t *testing.T) {
 	}
 	busy := 0
 	perShard := 0
-	for i := 0; i < p.Shards(); i++ {
-		if n := p.Shard(i).Stats().Sessions; n > 0 {
+	for _, c := range counts {
+		if n := int(c.n.Load()); n > 0 {
 			busy++
 			perShard += n
 		}
@@ -96,20 +82,20 @@ func TestShardMetricFoldOnScrape(t *testing.T) {
 		t.Fatalf("only %d of %d shards ran sessions; fold not exercised fleet-wide", busy, p.Shards())
 	}
 	if perShard != sessions {
-		t.Fatalf("per-shard Stats sum to %d sessions, want %d", perShard, sessions)
+		t.Fatalf("per-shard session counts sum to %d sessions, want %d", perShard, sessions)
 	}
 
 	snap := p.Metrics().Snapshot()
-	if got, _ := familyTotal(snap, "flicker_sessions_total"); int(got) != sessions {
+	if got := snap.Sum("flicker_sessions_total"); int(got) != sessions {
 		t.Errorf("flicker_sessions_total folds to %v, want %d (per-shard sum)", got, sessions)
 	}
-	if got, _ := familyTotal(snap, "flicker_pool_submissions_total"); int(got) != sessions {
+	if got := snap.Sum("flicker_pool_submissions_total"); int(got) != sessions {
 		t.Errorf("flicker_pool_submissions_total folds to %v, want %d", got, sessions)
 	}
 	// Each session issues a fixed TPM command sequence per platform; the
 	// folded fleet-wide dispatch count must be an exact multiple spread
 	// over the same series labels a single platform would emit.
-	tpmTotal, _ := familyTotal(snap, "flicker_tpm_commands_total")
+	tpmTotal := snap.Sum("flicker_tpm_commands_total")
 	if tpmTotal == 0 || int(tpmTotal)%sessions != 0 {
 		t.Errorf("flicker_tpm_commands_total folds to %v, want a per-session multiple of %d", tpmTotal, sessions)
 	}
