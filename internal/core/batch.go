@@ -33,6 +33,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"flicker/internal/pal"
 	"flicker/internal/slb"
@@ -73,33 +74,75 @@ type BatchResult struct {
 	Completed int
 }
 
-// batchRun threads the decoded request group through the pipeline and
-// collects what the request loop produced, surviving even when the session
-// itself aborts (the completed-prefix contract).
+// batchRun is the platform's batch scratch, reused by every batched session
+// under sessionMu: the framed input page, the decoded requests, the
+// plain-PAL adapter, and the caller's result, which the request loop fills
+// in even when the session itself aborts (the completed-prefix contract).
 type batchRun struct {
-	bp      pal.BatchPAL
-	replies []pal.BatchReply
-	trailer []byte
+	bp    pal.BatchPAL
+	plain pal.PerRequest
+	frame []byte
+	reqs  [][]byte
+	out   *BatchResult
+}
+
+// clear ends a batched session's use of the scratch: the frame and request
+// slots are zeroed, so no request bytes outlive their session, and the
+// result and PAL are dropped. It runs on success and on abort alike.
+func (br *batchRun) clear() {
+	clear(br.frame)
+	clear(br.reqs[:cap(br.reqs)])
+	br.frame, br.reqs = br.frame[:0], br.reqs[:0]
+	br.bp, br.plain.PAL, br.out = nil, nil, nil
+}
+
+// batchAlloc co-allocates a BatchResult with its SessionResult and, for a
+// batch of one, the timeline and reply slots: the pipeline's phases plus
+// one request span, and one reply.
+type batchAlloc struct {
+	out    BatchResult
+	res    SessionResult
+	phases [maxPipelinePhases + 1]Phase
+	reply  [1]pal.BatchReply
+}
+
+// newBatchResult returns an empty result for n requests. A larger batch
+// sizes its timeline and replies once, so the request spans never regrow
+// them. Replies and the session are fresh memory the caller owns.
+func newBatchResult(n int) *BatchResult {
+	a := &batchAlloc{}
+	a.out.Session = &a.res
+	a.res.Phases, a.out.Replies = a.phases[:0], a.reply[:0]
+	if n > 1 {
+		a.res.Phases = make([]Phase, 0, maxPipelinePhases+n)
+		a.out.Replies = make([]pal.BatchReply, 0, n)
+	}
+	return &a.out
 }
 
 // RunSessionBatch executes the request group in one classic session. The
 // returned BatchResult is non-nil even on session abort, reporting the
 // completed prefix; the error mirrors RunSession's (infrastructure
 // failures only — request-level failures land in the replies, and
-// batch-level PAL failures in Session.PALError).
+// batch-level PAL failures in Session.PALError). A group that overflows
+// the input page fails with ErrBatchTooLarge before the session starts.
 func (p *Platform) RunSessionBatch(pl pal.PAL, batch Batch, opts SessionOptions) (*BatchResult, error) {
 	if len(batch.Requests) == 0 {
 		return nil, errors.New("core: empty batch")
 	}
-	framed, err := encodeBatchInput(batch.Header, batch.Requests)
-	if err != nil {
+	p.sessionMu.Lock()
+	defer p.sessionMu.Unlock()
+	br := &p.scratch.batch
+	defer br.clear()
+	var err error
+	if br.frame, err = appendBatchInput(br.frame[:0], batch.Header, batch.Requests); err != nil {
 		return nil, err
 	}
-	br := &batchRun{bp: pal.AsBatch(pl)}
-	opts.Input = framed
-	opts.batch = br
-	res, err := p.runPipeline(&classicBatchPipeline, pl, opts)
-	out := &BatchResult{Session: res, Replies: br.replies, Trailer: br.trailer, Completed: len(br.replies)}
+	out := newBatchResult(len(batch.Requests))
+	br.bp, br.out = pal.AsBatchWith(pl, &br.plain), out
+	opts.Input, opts.batch = br.frame, br
+	out.Session, err = p.runLocked(&classicBatchPipeline, pl, opts, out.Session)
+	out.Completed = len(out.Replies)
 	return out, err
 }
 
@@ -133,13 +176,14 @@ func palExecBatchBody(st *sessionState) error {
 	}
 	env := st.env
 	br := st.opts.batch
-	header, reqs, err := decodeBatchInput(framed)
+	header, reqs, err := decodeBatchInput(framed, br.reqs[:0])
+	br.reqs = reqs
 	if err != nil {
 		// The input page no longer holds a well-formed frame: abort.
 		env.ExitSandbox()
 		return err
 	}
-	br.replies = make([]pal.BatchReply, 0, len(reqs))
+	res := br.out
 	bctx, oerr := br.bp.OpenBatch(env, header, len(reqs))
 	if oerr != nil {
 		st.palErr = fmt.Errorf("core: batch open: %w", oerr)
@@ -161,21 +205,20 @@ func palExecBatchBody(st *sessionState) error {
 			if rerr == nil && out == nil {
 				out = env.Output()
 			}
-			br.replies = append(br.replies, pal.BatchReply{Output: out, Err: rerr})
+			res.Replies = append(res.Replies, pal.BatchReply{Output: out, Err: rerr})
 			if env.TimedOut() {
 				// The SLB Core's session timer fired: stop executing, as
 				// a singleton would. Completed requests keep their
 				// replies; the interrupted one reports the timeout.
 				if rerr == nil {
-					br.replies[i].Err = pal.ErrPALTimeout
-					br.replies[i].Output = nil
+					res.Replies[i] = pal.BatchReply{Err: pal.ErrPALTimeout}
 				}
 				st.palErr = pal.ErrPALTimeout
 				break
 			}
 		}
 		if st.palErr == nil {
-			br.trailer, err = br.bp.CloseBatch(env, bctx)
+			res.Trailer, err = br.bp.CloseBatch(env, bctx)
 			if err != nil {
 				st.palErr = fmt.Errorf("core: batch close: %w", err)
 			}
@@ -183,7 +226,7 @@ func palExecBatchBody(st *sessionState) error {
 	}
 	env.ExitSandbox()
 	if st.palErr == nil {
-		st.palOut, err = encodeBatchOutput(br.replies, br.trailer)
+		st.palOut, err = encodeBatchOutput(res.Replies, res.Trailer)
 		if err != nil {
 			st.palErr = err
 		} else if err := st.writeOutputPage(st.palOut); err != nil {
@@ -233,26 +276,33 @@ func BatchInputFits(headerLen int, reqLens ...int) bool {
 	return total <= slb.PageSize-4
 }
 
-func encodeBatchInput(header []byte, reqs [][]byte) ([]byte, error) {
+// appendBatchInput frames the header and requests for the input page,
+// appending to dst. A group that would overflow the page is rejected before
+// anything is appended.
+func appendBatchInput(dst, header []byte, reqs [][]byte) ([]byte, error) {
 	total := batchInputOverhead + len(header)
 	for _, r := range reqs {
 		total += 4 + len(r)
 	}
 	if total > slb.PageSize-4 {
-		return nil, fmt.Errorf("%w: %d requests frame to %d bytes", ErrBatchTooLarge, len(reqs), total)
+		return dst, fmt.Errorf("%w: %d requests frame to %d bytes", ErrBatchTooLarge, len(reqs), total)
 	}
-	out := make([]byte, 0, total)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(header)))
-	out = append(out, header...)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(reqs)))
+	dst = binary.BigEndian.AppendUint32(slices.Grow(dst, total), uint32(len(header)))
+	dst = append(dst, header...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(reqs)))
 	for _, r := range reqs {
-		out = binary.BigEndian.AppendUint32(out, uint32(len(r)))
-		out = append(out, r...)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(r)))
+		dst = append(dst, r...)
 	}
-	return out, nil
+	return dst, nil
 }
 
-func decodeBatchInput(b []byte) (header []byte, reqs [][]byte, err error) {
+// decodeBatchInput parses an input-page frame, appending the requests,
+// which alias b, to reqs. It returns reqs even on error, so a caller's
+// scratch keeps its storage. The count word is untrusted: a count the
+// remaining bytes cannot frame (at least a length word per request) is
+// rejected before any request is taken.
+func decodeBatchInput(b []byte, reqs [][]byte) (header []byte, _ [][]byte, err error) {
 	take := func() ([]byte, error) {
 		if len(b) < 4 {
 			return nil, errors.New("core: truncated batch input frame")
@@ -266,27 +316,25 @@ func decodeBatchInput(b []byte) (header []byte, reqs [][]byte, err error) {
 		return f, nil
 	}
 	if header, err = take(); err != nil {
-		return nil, nil, err
+		return nil, reqs, err
 	}
 	if len(b) < 4 {
-		return nil, nil, errors.New("core: truncated batch input count")
+		return nil, reqs, errors.New("core: truncated batch input count")
 	}
 	count := binary.BigEndian.Uint32(b)
 	b = b[4:]
-	// The count word is untrusted: cap the preallocation by what the
-	// remaining bytes could possibly frame (>= 4 bytes per request), so a
-	// forged count cannot force a huge allocation before the per-entry
-	// truncation checks reject the frame.
-	reqs = make([][]byte, 0, min(int(count), len(b)/4))
-	for i := uint32(0); i < count; i++ {
+	if uint64(count) > uint64(len(b)/4) {
+		return nil, reqs, fmt.Errorf("core: batch input count %d exceeds its %d-byte frame", count, len(b))
+	}
+	for range count {
 		r, err := take()
 		if err != nil {
-			return nil, nil, err
+			return nil, reqs, err
 		}
 		reqs = append(reqs, r)
 	}
 	if len(b) != 0 {
-		return nil, nil, errors.New("core: trailing bytes after batch input frame")
+		return nil, reqs, errors.New("core: trailing bytes after batch input frame")
 	}
 	return header, reqs, nil
 }
@@ -358,11 +406,14 @@ func DecodeBatchOutput(b []byte) ([]pal.BatchReply, []byte, error) {
 	}
 	count := binary.BigEndian.Uint32(b)
 	b = b[4:]
-	// Verifier-side parse of untrusted bytes: cap the preallocation by what
-	// the remaining bytes could possibly frame (>= 5 bytes per reply), so a
-	// forged count cannot force a huge allocation.
-	replies := make([]pal.BatchReply, 0, min(int(count), len(b)/5))
-	for i := uint32(0); i < count; i++ {
+	// Verifier-side parse of untrusted bytes: a count the remaining bytes
+	// cannot frame (at least 5 bytes per reply) is rejected before it sizes
+	// the reply slice.
+	if uint64(count) > uint64(len(b)/5) {
+		return nil, nil, fmt.Errorf("core: batch output count %d exceeds its %d-byte frame", count, len(b))
+	}
+	replies := make([]pal.BatchReply, 0, count)
+	for range count {
 		if len(b) < 5 {
 			return nil, nil, errors.New("core: truncated batch reply")
 		}

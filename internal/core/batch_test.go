@@ -356,7 +356,7 @@ func TestBatchNoStaleStagedOutput(t *testing.T) {
 func TestBatchDecodeForgedCount(t *testing.T) {
 	// Input frame: empty header, then a count claiming 2^32-1 requests.
 	in := []byte{0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF}
-	if _, _, err := decodeBatchInput(in); err == nil {
+	if _, _, err := decodeBatchInput(in, nil); err == nil {
 		t.Error("forged input count accepted")
 	}
 	// Output frame: a count claiming 2^32-1 replies and no payload.

@@ -60,6 +60,19 @@ type sessionPipeline struct {
 
 // sessionState threads the mutable session context through the phases.
 type sessionState struct {
+	sessionVars
+
+	teardowns []func(*sessionState)
+
+	// phaseMu guards curPhase, which the clock's charge hook reads to
+	// attribute charges to the open phase.
+	phaseMu  sync.Mutex
+	curPhase string
+}
+
+// sessionVars is the part of sessionState that every session starts from
+// zero; reset assigns it whole.
+type sessionVars struct {
 	p    *Platform
 	pl   pal.PAL
 	opts SessionOptions
@@ -89,13 +102,6 @@ type sessionState struct {
 	// obs is the observer list for this session, captured once by
 	// runPipeline; the batch body uses it to emit per-request spans.
 	obs []Observer
-
-	teardowns []func(*sessionState)
-
-	// phaseMu guards curPhase, which the clock's charge hook reads to
-	// attribute charges to the open phase.
-	phaseMu  sync.Mutex
-	curPhase string
 }
 
 func (st *sessionState) setPhase(name string) {
@@ -120,26 +126,9 @@ func (st *sessionState) runTeardowns() {
 }
 
 // reset reinitializes the scratch session state for a new session, keeping
-// the teardown slice's backing storage (and the phase mutex) in place.
-// Fields are cleared individually rather than by struct assignment because
-// phaseMu must not be copied.
+// the teardown slice's backing storage and the phase mutex in place.
 func (st *sessionState) reset(p *Platform, pl pal.PAL, opts SessionOptions) {
-	st.p = p
-	st.pl = pl
-	st.opts = opts
-	st.res = nil
-	st.im = nil
-	st.slbBase = 0
-	st.saved = nil
-	st.ll = nil
-	st.env = nil
-	st.palOut = nil
-	st.palErr = nil
-	st.windowDirty = false
-	st.pcrOpen = false
-	st.aborted = false
-	st.windowWiped = false
-	st.obs = nil
+	st.sessionVars = sessionVars{p: p, pl: pl, opts: opts}
 	st.teardowns = st.teardowns[:0]
 	st.setPhase("")
 }
@@ -147,25 +136,24 @@ func (st *sessionState) reset(p *Platform, pl pal.PAL, opts SessionOptions) {
 // runPipeline executes a phase list for one session. This is the single
 // implementation of the session timeline: RunSession and
 // RunSessionConcurrent differ only in the phase lists they pass in.
-func (p *Platform) runPipeline(pipe *sessionPipeline, pl pal.PAL, opts SessionOptions) (res *SessionResult, err error) {
+func (p *Platform) runPipeline(pipe *sessionPipeline, pl pal.PAL, opts SessionOptions) (*SessionResult, error) {
 	// The flicker-module owns a single SLB buffer and the machine supports
 	// one late launch at a time; all sessions — classic and partitioned —
 	// queue here exactly as concurrent ioctls against the real module would.
 	p.sessionMu.Lock()
 	defer p.sessionMu.Unlock()
+	return p.runLocked(pipe, pl, opts, newSessionResult())
+}
 
-	// The session state is per-platform scratch reused across sessions
-	// (sessionMu serializes them); only the SessionResult — which the
-	// caller retains — is freshly allocated, together with its phase
-	// timeline in one allocation.
+// runLocked is runPipeline for a caller that holds sessionMu and supplies
+// the fresh, empty SessionResult the session fills in. The session state is
+// per-platform scratch reused across sessions; only the result, which the
+// caller retains, is new.
+func (p *Platform) runLocked(pipe *sessionPipeline, pl pal.PAL, opts SessionOptions, res *SessionResult) (*SessionResult, error) {
 	st := &p.scratch.st
 	st.reset(p, pl, opts)
-	st.res = newSessionResult(SessionResult{
-		Start:     p.Clock.Now(),
-		Nonce:     opts.Nonce,
-		SessionID: p.nextSessionID(),
-		Pipeline:  pipe.name,
-	})
+	res.Start, res.Nonce, res.SessionID, res.Pipeline = p.Clock.Now(), opts.Nonce, p.nextSessionID(), pipe.name
+	st.res = res
 	obs := p.observersInto(p.scratch.obs)
 	if opts.Observer != nil {
 		obs = append(obs, opts.Observer)

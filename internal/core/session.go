@@ -113,10 +113,10 @@ type sessionAlloc struct {
 	phases [maxPipelinePhases]Phase
 }
 
-// newSessionResult returns a heap copy of r whose Phases is empty with
-// room for maxPipelinePhases entries, in one allocation.
-func newSessionResult(r SessionResult) *SessionResult {
-	a := &sessionAlloc{res: r}
+// newSessionResult returns an empty SessionResult whose Phases has room
+// for maxPipelinePhases entries, in one allocation.
+func newSessionResult() *SessionResult {
+	a := &sessionAlloc{}
 	a.res.Phases = a.phases[:0]
 	return &a.res
 }

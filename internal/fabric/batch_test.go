@@ -146,8 +146,8 @@ func TestFabricBatchFailoverLosesNoAcceptedJobs(t *testing.T) {
 }
 
 // rewriteBatchResp decodes a kindRunBatchResp frame, applies fn, and
-// re-encodes it — the interposition hook the failover tests use to forge
-// host behavior at the wire.
+// re-encodes it over raw, in the caller's reply buffer — the interposition
+// hook the failover tests use to forge host behavior at the wire.
 func rewriteBatchResp(t *testing.T, raw []byte, fn func(*runBatchResp)) []byte {
 	t.Helper()
 	if len(raw) == 0 || raw[0] != kindRunBatchResp {
@@ -159,7 +159,7 @@ func rewriteBatchResp(t *testing.T, raw []byte, fn func(*runBatchResp)) []byte {
 		return raw
 	}
 	fn(br)
-	return appendRunBatchResp(nil, br)
+	return append(raw[:0], appendRunBatchResp(nil, br)...)
 }
 
 // When a batch aborts mid-frame, the host reports the completed prefix as
@@ -178,15 +178,15 @@ func TestFabricBatchSuffixOnlyResubmission(t *testing.T) {
 	for _, h := range r.hosts {
 		h := h
 		real := h.handle
-		h.port.SetHandler(func(req []byte) []byte {
+		h.port.SetHandler(func(dst, req []byte) []byte {
 			// Every run frame, singletons included, is a runBatch frame.
 			if len(req) == 0 || req[0] != kindRunBatch {
-				return real(req)
+				return real(dst, req)
 			}
 			br, err := decodeRunBatch(req[1:])
 			if err != nil {
 				t.Errorf("interposer decode: %v", err)
-				return real(req)
+				return real(dst, req)
 			}
 			var inputs []string
 			for _, m := range br.Members {
@@ -195,7 +195,7 @@ func TestFabricBatchSuffixOnlyResubmission(t *testing.T) {
 			mu.Lock()
 			received[h.name] = append(received[h.name], inputs...)
 			mu.Unlock()
-			resp := real(append([]byte(nil), req...))
+			resp := real(dst, append([]byte(nil), req...))
 			if len(br.Members) >= 2 && forged.CompareAndSwap(false, true) {
 				// Forge an abort that interrupted the second half: the
 				// prefix stays as the host produced it, the suffix comes
@@ -293,13 +293,12 @@ func TestFabricBatchFrameEchoMismatchIsGarbage(t *testing.T) {
 	for _, h := range r.hosts {
 		h := h
 		real := h.handle
-		h.port.SetHandler(func(req []byte) []byte {
-			resp := real(req)
+		h.port.SetHandler(func(dst, req []byte) []byte {
+			resp := real(dst, req)
 			if len(req) > 0 && req[0] == kindRunBatch && forged.CompareAndSwap(false, true) {
 				victim.Store(h)
 				// Flip a bit of the echoed frame ID (first 8 bytes after the
 				// kind byte).
-				resp = append([]byte(nil), resp...)
 				resp[8] ^= 0xFF
 			}
 			return resp

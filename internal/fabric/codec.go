@@ -374,8 +374,9 @@ func decodeChallenge(b []byte) (tpm.Digest, traceCtx, error) {
 	return nonce, tc, nil
 }
 
-func encodeChallengeResp(r *challengeResp) []byte {
-	b := []byte{kindChallengeResp}
+// appendChallengeResp encodes an admission reply into caller-owned scratch.
+func appendChallengeResp(b []byte, r *challengeResp) []byte {
+	b = append(b, kindChallengeResp)
 	b = appendU32(b, len(r.PALs))
 	for _, p := range r.PALs {
 		b = appendBytes16(b, []byte(p.Name))
@@ -548,7 +549,7 @@ func appendRunBatchResp(b []byte, r *runBatchResp) []byte {
 }
 
 // runBatchRespSize is the exact length appendRunBatchResp writes for r, so a
-// host can encode its reply into one right-sized buffer.
+// host grows a caller's reply buffer at most once.
 func runBatchRespSize(r *runBatchResp) int {
 	n := 1 + 8 + 2 + spansSize(r.Spans)
 	for i := range r.Members {
@@ -615,8 +616,8 @@ func decodeRunBatchRespInto(b []byte, r *runBatchResp) error {
 
 func encodeEmpty(kind byte) []byte { return []byte{kind} }
 
-func encodeHeartbeatResp(r *heartbeatResp) []byte {
-	b := []byte{kindHeartbeatResp}
+func appendHeartbeatResp(b []byte, r *heartbeatResp) []byte {
+	b = append(b, kindHeartbeatResp)
 	b = binary.BigEndian.AppendUint32(b, r.InFlight)
 	b = binary.BigEndian.AppendUint64(b, r.Sessions)
 	flags := byte(0)
@@ -644,8 +645,8 @@ func decodeHeartbeatResp(b []byte) (*heartbeatResp, error) {
 
 // --- error frames -----------------------------------------------------------
 
-func encodeErrorResp(msg string) []byte {
-	return appendBytes16([]byte{kindError}, []byte(msg))
+func appendErrorResp(b []byte, msg string) []byte {
+	return appendBytes16(append(b, kindError), []byte(msg))
 }
 
 // decodeResp strips and validates the response kind byte, converting

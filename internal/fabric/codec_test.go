@@ -60,7 +60,7 @@ func sampleChallengeResp() *challengeResp {
 
 func TestCodecChallengeRespRoundTrip(t *testing.T) {
 	want := sampleChallengeResp()
-	raw := encodeChallengeResp(want)
+	raw := appendChallengeResp(nil, want)
 	body, err := decodeResp(raw, kindChallengeResp)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestCodecChallengeRespRoundTrip(t *testing.T) {
 // A forged 32-bit PAL count may not drive the inventory allocation: the
 // count is clamped against what the remaining bytes could possibly frame.
 func TestCodecForgedPALCountRejected(t *testing.T) {
-	raw := encodeChallengeResp(sampleChallengeResp())
+	raw := appendChallengeResp(nil, sampleChallengeResp())
 	body := append([]byte(nil), raw[1:]...)
 	binary.BigEndian.PutUint32(body[:4], 0xFFFFFFFF)
 	_, err := decodeChallengeResp(body)
@@ -193,7 +193,7 @@ func TestCodecSpanRecordsRoundTrip(t *testing.T) {
 	// The challenge response carries the same blob.
 	cr := sampleChallengeResp()
 	cr.Spans = sampleSpans()
-	ch, err := decodeChallengeResp(encodeChallengeResp(cr)[1:])
+	ch, err := decodeChallengeResp(appendChallengeResp(nil, cr)[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestCodecForgedSpanCountsRejected(t *testing.T) {
 }
 
 func TestCodecHeartbeatRoundTrip(t *testing.T) {
-	hb, err := decodeHeartbeatResp(encodeHeartbeatResp(&heartbeatResp{InFlight: 3, Sessions: 99, Draining: true})[1:])
+	hb, err := decodeHeartbeatResp(appendHeartbeatResp(nil, &heartbeatResp{InFlight: 3, Sessions: 99, Draining: true})[1:])
 	if err != nil || hb.InFlight != 3 || hb.Sessions != 99 || !hb.Draining {
 		t.Fatalf("heartbeat round trip = %+v, %v", hb, err)
 	}
@@ -242,7 +242,7 @@ func TestHostRejectsRetiredKinds(t *testing.T) {
 	}
 	r := newFabRig(t, 1, ControllerConfig{Seed: "t"})
 	for _, kind := range []byte{3, 4, 9, 10, kindError} {
-		raw := r.hosts[0].handle([]byte{kind})
+		raw := r.hosts[0].handle(nil, []byte{kind})
 		if raw[0] != kindError {
 			t.Fatalf("kind %d answered with kind %d, want kindError", kind, raw[0])
 		}
@@ -253,7 +253,7 @@ func TestHostRejectsRetiredKinds(t *testing.T) {
 }
 
 func TestCodecErrorFrames(t *testing.T) {
-	if _, err := decodeResp(encodeErrorResp("boom"), kindRunBatchResp); err == nil || !strings.Contains(err.Error(), "boom") {
+	if _, err := decodeResp(appendErrorResp(nil, "boom"), kindRunBatchResp); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("error frame = %v", err)
 	}
 	if _, err := decodeResp([]byte{kindHeartbeatResp}, kindRunBatchResp); !errors.Is(err, ErrBadFrame) {

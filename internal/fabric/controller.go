@@ -435,14 +435,13 @@ func (c *Controller) run(palName string, input []byte, root *trace.Span) ([]byte
 	j.direct = true
 	defer putJob(j)
 	for {
-		s := getFrameScratch()
+		s := c.getFrameScratch(palName)
 		s.jobs = append(s.jobs, j)
-		m := c.pickN(palName, s.jobs)
-		if m == nil {
+		if s.m = c.pickN(palName, s.jobs); s.m == nil {
 			s.release()
 			return nil, fmt.Errorf("%w: %s", ErrNoHosts, palName)
 		}
-		c.callFrame(m, nil, palName, s)
+		c.callFrame(s)
 		if o := <-j.done; !o.retry {
 			return o.out, o.err
 		}
@@ -487,30 +486,48 @@ func putJob(j *fabJob) {
 	fabJobs.Put(j)
 }
 
-// frameScratch is one frame's working set on the controller: its jobs, their
-// attempt spans, the request and its encoding, the reply buffer and the
-// decoded reply. Scratches are pooled, so a steady-state frame allocates
-// nothing of its own; callFrame releases its scratch when it returns.
+// frameScratch is one frame's working set on the controller: where it goes
+// (controller, member, lane, PAL), its jobs, their attempt spans, the
+// request and its encoding, the reply buffer and the decoded reply.
+// Scratches are pooled, so a steady-state frame allocates nothing of its
+// own; callFrame releases its scratch when it returns.
 type frameScratch struct {
+	c     *Controller
+	m     *member
+	lane  *hostLane
+	pal   string
 	jobs  []*fabJob
 	atts  []*trace.Span
 	req   runBatchReq
 	enc   []byte
 	reply []byte
 	resp  runBatchResp
+	// issue is the scratch's frame goroutine body, built once per scratch,
+	// so `go s.issue()` spawns a frame without allocating a wrapper.
+	issue func()
 }
 
 var frameScratches = sync.Pool{New: func() any { return new(frameScratch) }}
 
-func getFrameScratch() *frameScratch { return frameScratches.Get().(*frameScratch) }
+// getFrameScratch returns a scratch addressed to c's PAL palName.
+func (c *Controller) getFrameScratch(palName string) *frameScratch {
+	s := frameScratches.Get().(*frameScratch)
+	if s.issue == nil {
+		s.issue = func() { s.c.callFrame(s) }
+	}
+	s.c, s.pal = c, palName
+	return s
+}
 
-// release drops the frame's references to jobs, spans, inputs and reply
-// records, then recycles the scratch unless it has grown outsized.
+// release drops the frame's references to its destination, jobs, spans,
+// inputs and reply records, then recycles the scratch unless it has grown
+// outsized.
 func (s *frameScratch) release() {
 	clear(s.jobs)
 	clear(s.atts)
 	clear(s.req.Members)
 	clear(s.resp.Members)
+	s.c, s.m, s.lane, s.pal = nil, nil, nil, ""
 	s.jobs, s.atts = s.jobs[:0], s.atts[:0]
 	s.req.Members, s.resp.Members, s.resp.Spans = s.req.Members[:0], s.resp.Members[:0], nil
 	if cap(s.enc) > maxPooledBytes || cap(s.reply) > maxPooledBytes || cap(s.resp.Members) > maxPooledMembers {
@@ -651,23 +668,22 @@ func (c *Controller) dispatchGroup(palName string, group []*fabJob) {
 			framed += 4 + len(group[n].input)
 			n++
 		}
-		s := getFrameScratch()
+		s := c.getFrameScratch(palName)
 		s.jobs = append(s.jobs, group[:n]...)
 		group = group[n:]
-		m := c.pickN(palName, s.jobs)
-		if m == nil {
+		if s.m = c.pickN(palName, s.jobs); s.m == nil {
 			for _, j := range s.jobs {
 				j.done <- fabOut{err: fmt.Errorf("%w: %s", ErrNoHosts, palName)}
 			}
 			s.release()
 			continue
 		}
-		lane := c.laneFor(m.name)
+		s.lane = c.laneFor(s.m.name)
 		// Window backpressure is applied here, in the dispatcher, so the
 		// number of outstanding frames per host is bounded before goroutines
 		// are spawned for them.
-		lane.acquire(c.met)
-		go c.callFrame(m, lane, palName, s)
+		s.lane.acquire(c.met)
+		go s.issue()
 	}
 }
 
@@ -682,16 +698,17 @@ func firstRootHex(group []*fabJob) string {
 	return ""
 }
 
-// callFrame issues one runBatch frame and settles every member: delivered
-// final (an output or a PAL error) or resubmitted. A one-member frame is a
-// singleton session on the host, so batched singletons and run's unbatched
-// loop (lane == nil) share this one exchange. The lane token is released as
-// soon as the wire exchange returns — before decode, fan-out, or
-// resubmission — so a retry that blocks re-enqueueing never wedges the
+// callFrame issues one runBatch frame to its member and settles every job:
+// delivered final (an output or a PAL error) or resubmitted. A one-member
+// frame is a singleton session on the host, so batched singletons and run's
+// unbatched loop (no lane) share this one exchange. The lane token is
+// released as soon as the wire exchange returns — before decode, fan-out,
+// or resubmission — so a retry that blocks re-enqueueing never wedges the
 // host's window. A delivered or resubmitted job may be recycled at once, so
 // the frame never touches a job after settling it.
-func (c *Controller) callFrame(m *member, lane *hostLane, palName string, s *frameScratch) {
+func (c *Controller) callFrame(s *frameScratch) {
 	defer s.release()
+	m, lane, palName := s.m, s.lane, s.pal
 	fid := c.frameID.Add(1)
 	n := len(s.jobs)
 	s.req.Frame, s.req.Trace = fid, traceCtx{}

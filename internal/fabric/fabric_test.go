@@ -219,17 +219,17 @@ func TestFabricReplayedQuoteRejected(t *testing.T) {
 	// replay it for every later challenge.
 	var cached atomic.Pointer[[]byte]
 	real := h.handle
-	h.port.SetHandler(func(req []byte) []byte {
+	h.port.SetHandler(func(dst, req []byte) []byte {
 		if len(req) > 0 && req[0] == kindChallenge {
 			if old := cached.Load(); old != nil {
-				return *old
+				return append(dst, *old...)
 			}
-			resp := real(req)
+			resp := real(dst, req)
 			cp := append([]byte(nil), resp...)
 			cached.Store(&cp)
 			return resp
 		}
-		return real(req)
+		return real(dst, req)
 	})
 
 	if err := r.ctrl.Admit(h.Name()); err != nil {
@@ -265,7 +265,7 @@ func TestFabricReadmissionAfterDrainAndRestart(t *testing.T) {
 	}
 	// The drained host refuses direct traffic too: a singleton run frame
 	// comes back with the draining status.
-	if raw := r.hosts[0].handle(singletonFrame("echo", nil)); raw[0] == kindRunBatchResp {
+	if raw := r.hosts[0].handle(nil, singletonFrame("echo", nil)); raw[0] == kindRunBatchResp {
 		rr, err := decodeRunBatchResp(raw[1:])
 		if err != nil || len(rr.Members) != 1 || rr.Members[0].Status != runDraining {
 			t.Fatalf("drained host run status = %+v, %v; want draining", rr, err)
@@ -381,14 +381,14 @@ func TestFabricPeriodicReattestation(t *testing.T) {
 	// host1 goes rogue: all later challenges get a garbage quote.
 	h := r.hosts[1]
 	real := h.handle
-	h.port.SetHandler(func(req []byte) []byte {
+	h.port.SetHandler(func(dst, req []byte) []byte {
 		if len(req) > 0 && req[0] == kindChallenge {
-			resp := real(req)
+			resp := real(dst, req)
 			// Flip a bit in the tail (the signature field).
 			resp[len(resp)-1] ^= 0xFF
 			return resp
 		}
-		return real(req)
+		return real(dst, req)
 	})
 	r.ctrl.Tick()
 	r.ctrl.Tick() // tick 4: re-attest fails for host1

@@ -74,16 +74,16 @@ func interpose(t *testing.T, r *fabRig, fn func(h *Host, req *runBatchReq, resp 
 	for _, h := range r.hosts {
 		h := h
 		real := h.handle
-		h.port.SetHandler(func(raw []byte) []byte {
+		h.port.SetHandler(func(dst, raw []byte) []byte {
 			if len(raw) == 0 || raw[0] != kindRunBatch {
-				return real(raw)
+				return real(dst, raw)
 			}
 			req, err := decodeRunBatch(raw[1:])
 			if err != nil {
 				t.Errorf("interposer decode: %v", err)
-				return real(raw)
+				return real(dst, raw)
 			}
-			return fn(h, req, real(raw))
+			return fn(h, req, real(dst, raw))
 		})
 	}
 }
@@ -258,15 +258,17 @@ func TestFabricBatchedRunAllocs(t *testing.T) {
 		round()
 	}
 	perRun := testing.AllocsPerRun(50, round) / callers
-	// Measured 5.25 allocs per Run: the output copy each caller keeps, plus
-	// a quarter of each four-member frame's own cost — the frame goroutine,
-	// the exact-size host reply, and the batch session's framing, result and
-	// PAL output (about 17 together). The budget is that plus ~25%. Under
-	// -race, sync.Pool drops a quarter of what is put back, so pooled jobs,
-	// scratch and request copies are sometimes fresh (6.75-7.25 read).
-	budget := 6.5
+	// Measured 3.50 allocs per Run: the output copy each caller keeps, plus
+	// a quarter of each four-member frame's own cost — the batch session's
+	// co-allocated result, timeline, replies, LateLaunch, input read-back
+	// and output frame, and the four PAL outputs (10 together). Frames are
+	// issued without a wrapper closure and the host encodes its reply into
+	// the controller's pooled reply buffer. The budget is that plus ~25%.
+	// Under -race, sync.Pool drops a quarter of what is put back, so pooled
+	// jobs, scratch and request copies are sometimes fresh (6.00-6.75 read).
+	budget := 4.4
 	if raceEnabled {
-		budget = 9
+		budget = 8.5
 	}
 	if perRun > budget {
 		t.Errorf("steady-state batched Run = %.2f allocs, budget %.1f", perRun, budget)

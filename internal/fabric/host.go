@@ -3,6 +3,7 @@ package fabric
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -131,7 +132,7 @@ func NewHost(sw *netsim.Switch, ca *attest.PrivacyCA, cfg HostConfig) (*Host, er
 		p.Close()
 		return nil, err
 	}
-	port, err := sw.Attach(cfg.Name, h.handle)
+	port, err := sw.AttachHandler(cfg.Name, h.handle)
 	if err != nil {
 		p.Close()
 		return nil, err
@@ -176,29 +177,29 @@ func (h *Host) Close() error {
 	return h.pool.Close()
 }
 
-// handle serves one RPC frame. It runs on the caller's goroutine (netsim's
-// synchronous call model); concurrency comes from concurrent callers.
-func (h *Host) handle(req []byte) []byte {
+// handle serves one RPC frame, appending the reply to dst (the caller's
+// reply buffer). It runs on the caller's goroutine (netsim's synchronous
+// call model); concurrency comes from concurrent callers.
+func (h *Host) handle(dst, req []byte) []byte {
 	if len(req) == 0 {
-		return encodeErrorResp("empty frame")
+		return appendErrorResp(dst, "empty frame")
 	}
 	switch req[0] {
 	case kindChallenge:
-		return h.handleChallenge(req[1:])
+		return h.handleChallenge(dst, req[1:])
 	case kindRunBatch:
-		return h.handleRunBatch(req[1:])
+		return h.handleRunBatch(dst, req[1:])
 	case kindHeartbeat:
-		resp := &heartbeatResp{
+		return appendHeartbeatResp(dst, &heartbeatResp{
 			InFlight: uint32(h.inflight.Load()),
 			Sessions: h.sessions.Load(),
 			Draining: h.draining.Load(),
-		}
-		return encodeHeartbeatResp(resp)
+		})
 	case kindDrain:
 		h.draining.Store(true)
-		return encodeEmpty(kindDrainResp)
+		return append(dst, kindDrainResp)
 	default:
-		return encodeErrorResp(fmt.Sprintf("unknown frame kind %d", req[0]))
+		return appendErrorResp(dst, fmt.Sprintf("unknown frame kind %d", req[0]))
 	}
 }
 
@@ -207,10 +208,10 @@ func (h *Host) handle(req []byte) []byte {
 // Quote the resulting PCR-17 under the same nonce. The write lock excludes
 // session traffic for the duration so no other session's measurements leak
 // into (or race) the quoted value.
-func (h *Host) handleChallenge(body []byte) []byte {
+func (h *Host) handleChallenge(dst, body []byte) []byte {
 	nonce, tc, err := decodeChallenge(body)
 	if err != nil {
-		return encodeErrorResp(err.Error())
+		return appendErrorResp(dst, err.Error())
 	}
 	// Join the controller's admission trace (nil segment when untraced); the
 	// segment covers the attestation lock wait, the admission session, and
@@ -227,15 +228,15 @@ func (h *Host) handleChallenge(body []byte) []byte {
 	})
 	if err != nil {
 		seg.EndErr(err)
-		return encodeErrorResp(fmt.Sprintf("admission session: %v", err))
+		return appendErrorResp(dst, fmt.Sprintf("admission session: %v", err))
 	}
 	att, err := h.daemon.Quote(nonce)
 	if err != nil {
 		seg.EndErr(err)
-		return encodeErrorResp(fmt.Sprintf("quote: %v", err))
+		return appendErrorResp(dst, fmt.Sprintf("quote: %v", err))
 	}
 	seg.End()
-	return encodeChallengeResp(&challengeResp{
+	return appendChallengeResp(dst, &challengeResp{
 		PALs:    h.inventory(),
 		Output:  res.Outputs,
 		SLBBase: res.SLBBase,
@@ -255,8 +256,9 @@ func sessionObserver(seg *trace.Span) core.Observer {
 
 // hostScratch is one runBatch frame's working set on the host: the decoded
 // request (aliasing the frame), the session inputs, the member segments and
-// observers, and the reply being built. Scratches are pooled, so a
-// steady-state frame allocates only its exact-size reply.
+// observers, and the reply being built. Scratches are pooled, and the reply
+// is encoded into the caller's buffer, so a steady-state frame allocates
+// nothing of its own.
 type hostScratch struct {
 	req  runBatchReq
 	reqs [][]byte
@@ -295,16 +297,15 @@ func (s *hostScratch) refuse(status byte, msg string) {
 
 // handleRunBatch serves the one run frame kind. A one-member frame is a
 // singleton session (runOne); a larger frame runs as ONE batched pool
-// session (runBatch). The reply is encoded into one exact-size buffer: the
-// switch copies it out, and a handler's return value cannot be recycled.
-func (h *Host) handleRunBatch(body []byte) []byte {
+// session (runBatch). The reply is appended to dst, grown at most once.
+func (h *Host) handleRunBatch(dst, body []byte) []byte {
 	s := hostScratches.Get().(*hostScratch)
 	defer s.release()
 	if err := decodeRunBatchInto(body, &s.req); err != nil {
-		return encodeErrorResp(err.Error())
+		return appendErrorResp(dst, err.Error())
 	}
 	if len(s.req.Members) == 0 {
-		return encodeErrorResp("empty batch")
+		return appendErrorResp(dst, "empty batch")
 	}
 	s.resp.Frame = s.req.Frame
 	h.palMu.Lock()
@@ -320,7 +321,7 @@ func (h *Host) handleRunBatch(body []byte) []byte {
 	default:
 		h.runBatch(p, s)
 	}
-	return appendRunBatchResp(make([]byte, 0, runBatchRespSize(&s.resp)), &s.resp)
+	return appendRunBatchResp(slices.Grow(dst, runBatchRespSize(&s.resp)), &s.resp)
 }
 
 // runOne executes a one-member frame exactly as a singleton session:

@@ -169,13 +169,13 @@ func TestFabricFailoverTraceTwoAttemptsOneRoot(t *testing.T) {
 		t.Fatal("no host served the warmup run")
 	}
 	real := victim.handle
-	victim.port.SetHandler(func(req []byte) []byte {
+	victim.port.SetHandler(func(dst, req []byte) []byte {
 		if len(req) > 0 && req[0] == kindRunBatch {
 			if br, err := decodeRunBatch(req[1:]); err == nil && len(br.Members) == 1 {
 				victim.port.Close() // dies while serving: the reply is lost
 			}
 		}
-		return real(req)
+		return real(dst, req)
 	})
 	out, err := r.ctrl.Run("echo", []byte("failover"))
 	if err != nil || string(out) != "echo:failover" {
@@ -262,15 +262,15 @@ func TestFabricReattestEvictionTraceAndEvent(t *testing.T) {
 	r := traceRig(t, 2, ControllerConfig{Seed: "t", ReattestEvery: 1, Events: events})
 	h := r.hosts[1]
 	real := h.handle
-	h.port.SetHandler(func(req []byte) []byte {
+	h.port.SetHandler(func(dst, req []byte) []byte {
 		if len(req) > 0 && req[0] == kindChallenge {
-			resp := real(req)
+			resp := real(dst, req)
 			// Corrupt a byte inside the PAL inventory (first entry's name):
 			// the advertised inventory no longer matches a registered build.
 			resp[10] ^= 0xFF
 			return resp
 		}
-		return real(req)
+		return real(dst, req)
 	})
 	r.ctrl.Tick()
 	if r.ctrl.Live() != 1 {

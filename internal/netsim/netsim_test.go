@@ -405,3 +405,45 @@ func TestSwitchCallAppendAllocs(t *testing.T) {
 		t.Fatalf("CallAppend into a sized buffer = %.2f allocs, budget %.0f", avg, budget)
 	}
 }
+
+// An append-style handler writes its reply straight into the caller's
+// buffer: CallAppend returns buf's own storage when it is large enough, a
+// nil buffer gets an owned reply, and neither path allocates a copy.
+func TestSwitchHandlerAppendsIntoCallerBuffer(t *testing.T) {
+	sw := NewSwitch(simtime.New(), time.Millisecond, 0)
+	a, err := sw.Attach("ctrl", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sw.AttachHandler("re", func(dst, req []byte) []byte {
+		return append(append(dst, "re:"...), req...)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, 64)
+	reply, err := a.CallAppend("re", []byte("frame"), buf)
+	if err != nil || string(reply) != "re:frame" {
+		t.Fatalf("reply = %q, %v", reply, err)
+	}
+	if &reply[0] != &buf[:1][0] {
+		t.Error("the reply did not land in the caller's buffer")
+	}
+	owned, err := a.Call("re", []byte("x"))
+	if err != nil || string(owned) != "re:x" {
+		t.Fatalf("Call reply = %q, %v", owned, err)
+	}
+	frame := make([]byte, 32)
+	avg := testing.AllocsPerRun(200, func() {
+		if reply, err = a.CallAppend("re", frame, reply); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Under -race, sync.Pool sometimes hands out a fresh request copy.
+	budget := 0.0
+	if raceEnabled {
+		budget = 1
+	}
+	if avg > budget {
+		t.Fatalf("CallAppend to an append handler = %.2f allocs, budget %.0f", avg, budget)
+	}
+}

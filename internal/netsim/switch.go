@@ -82,15 +82,32 @@ func (sw *Switch) Stats() LinkStats {
 	return sw.stats
 }
 
-// Attach registers a named endpoint and returns its port. The handler (may
-// be nil and installed later with SetHandler) serves requests addressed to
-// this port. The request slice a handler receives is valid only until the
-// handler returns: the switch zeroes and recycles it afterwards, so a
-// handler that keeps request bytes must copy them. A handler may return
-// the request slice itself; the reply is copied out before the recycle.
-// Attaching a name that is already attached and open is an error; a closed
-// port's name may be reused (a restarted host rejoining the network).
+// Handler serves the requests addressed to a port. It appends its reply to
+// dst and returns the extended slice, as tis.Handler.AppendResponse does, so
+// the reply lands directly in the caller's buffer (CallAppend's buf). The
+// request slice is valid only until the handler returns: the switch zeroes
+// and recycles it afterwards, so a handler that keeps request bytes must
+// copy them, and a reply must never alias the request.
+type Handler func(dst, req []byte) []byte
+
+// Attach registers a named endpoint whose handler returns its reply as a
+// slice of its own: the switch copies the reply out, so the handler may
+// return the request slice itself. A nil handler may be installed later
+// with SetHandler. See AttachHandler.
 func (sw *Switch) Attach(name string, handler func(req []byte) []byte) (*Port, error) {
+	var h Handler
+	if handler != nil {
+		h = func(dst, req []byte) []byte { return append(dst, handler(req)...) }
+	}
+	return sw.AttachHandler(name, h)
+}
+
+// AttachHandler registers a named endpoint and returns its port. The
+// handler (may be nil and installed later with SetHandler) serves requests
+// addressed to this port. Attaching a name that is already attached and
+// open is an error; a closed port's name may be reused (a restarted host
+// rejoining the network).
+func (sw *Switch) AttachHandler(name string, handler Handler) (*Port, error) {
 	if name == "" {
 		return nil, errors.New("netsim: empty port name")
 	}
@@ -137,7 +154,7 @@ type Port struct {
 	name string
 
 	mu      sync.Mutex
-	handler func(req []byte) []byte
+	handler Handler
 	closed  bool
 }
 
@@ -145,7 +162,7 @@ type Port struct {
 func (p *Port) Name() string { return p.name }
 
 // SetHandler installs (or replaces) the request handler.
-func (p *Port) SetHandler(h func(req []byte) []byte) {
+func (p *Port) SetHandler(h Handler) {
 	p.mu.Lock()
 	p.handler = h
 	p.mu.Unlock()
@@ -170,9 +187,9 @@ func (p *Port) isClosed() bool {
 // request out, destination handler runs, response back. Both legs charge
 // wire time and are accounted from the caller's perspective (request =
 // sent, response = received). The handler sees a copy of request that is
-// valid only while it runs (see Attach). The returned response is an owned
-// exact-size frame; steady-state callers use CallAppend to reuse a reply
-// buffer instead.
+// valid only while it runs (see Handler). The returned response is an
+// owned frame; steady-state callers use CallAppend to reuse a reply buffer
+// instead.
 func (p *Port) Call(to string, request []byte) ([]byte, error) {
 	return p.CallAppend(to, request, nil)
 }
@@ -180,14 +197,15 @@ func (p *Port) Call(to string, request []byte) ([]byte, error) {
 // reqCopies recycles the request copies CallAppend hands to handlers.
 var reqCopies = sync.Pool{New: func() any { return new([]byte) }}
 
-// CallAppend is Call with a caller-supplied reply buffer: the response is
-// appended to buf[:0] and the filled slice returned, so a caller in a loop
-// (the fabric's frame path) recycles one buffer across exchanges instead
-// of allocating an owned copy per call. A nil buf behaves exactly like
-// Call. The request is still copied before the handler runs, so the
-// caller's request buffer is reusable as soon as CallAppend returns. The
-// copy comes from a pool and is valid only while the handler runs: once
-// the reply has been appended to buf, the copy is zeroed and recycled.
+// CallAppend is Call with a caller-supplied reply buffer: the destination's
+// handler appends its response to buf[:0] and the filled slice is returned,
+// so a caller in a loop (the fabric's frame path) recycles one buffer across
+// exchanges and the reply is never copied. A nil buf behaves exactly like
+// Call. On error the contents of buf are unspecified. The request is copied
+// before the handler runs, so the caller's request buffer is reusable as
+// soon as CallAppend returns. The copy comes from a pool and is valid only
+// while the handler runs: once the handler returns, the copy is zeroed and
+// recycled.
 func (p *Port) CallAppend(to string, request, buf []byte) ([]byte, error) {
 	if p.isClosed() {
 		return nil, fmt.Errorf("%w: %s (local port closed)", ErrUnreachable, p.name)
@@ -205,29 +223,23 @@ func (p *Port) CallAppend(to string, request, buf []byte) ([]byte, error) {
 	p.sw.charge(len(request), "sent")
 	rb := reqCopies.Get().(*[]byte)
 	req := append((*rb)[:0], request...)
-	resp := handler(req)
-	// A destination that died while serving cannot answer: the response
-	// frame is lost on the floor, exactly what the controller's failover
-	// path must tolerate.
-	died := dst.isClosed()
-	var out []byte
-	if !died {
-		p.sw.charge(len(resp), "received")
-		out = append(buf[:0], resp...)
-	}
-	// resp may alias req (an echo handler), so recycle only after the copy.
+	resp := handler(buf[:0], req)
 	clear(req)
 	if cap(req) <= 1<<20 {
 		*rb = req[:0]
 		reqCopies.Put(rb)
 	}
-	if died {
+	// A destination that died while serving cannot answer: the response
+	// frame is lost on the floor, exactly what the controller's failover
+	// path must tolerate.
+	if dst.isClosed() {
 		return nil, fmt.Errorf("%w: %s (died mid-call)", ErrUnreachable, to)
 	}
+	p.sw.charge(len(resp), "received")
 	p.sw.mu.Lock()
 	p.sw.stats.RoundTrips++
 	rt := p.sw.metRoundTrips
 	p.sw.mu.Unlock()
 	rt.Inc()
-	return out, nil
+	return resp, nil
 }

@@ -50,26 +50,33 @@ type BatchPAL interface {
 // are returned as-is; plain PALs get a run-per-request adapter, which gives
 // every request exactly the semantics of a singleton session body — this is
 // what lets the pool coalesce arbitrary PALs without changing behavior.
-func AsBatch(p PAL) BatchPAL {
+func AsBatch(p PAL) BatchPAL { return AsBatchWith(p, new(PerRequest)) }
+
+// AsBatchWith is AsBatch with a caller-owned adapter: a plain PAL is
+// installed in a, and a is returned. A caller that keeps one adapter (the
+// session engine's per-platform scratch) adapts plain PALs without
+// allocating.
+func AsBatchWith(p PAL, a *PerRequest) BatchPAL {
 	if bp, ok := p.(BatchPAL); ok {
 		return bp
 	}
-	return &runPerRequest{p}
+	a.PAL = p
+	return a
 }
 
-// runPerRequest adapts a plain PAL to BatchPAL by calling Run once per
+// PerRequest adapts a plain PAL to BatchPAL by calling Run once per
 // request. It carries no cross-request state, so it accepts no header.
-type runPerRequest struct{ PAL }
+type PerRequest struct{ PAL }
 
-func (r *runPerRequest) OpenBatch(env *Env, header []byte, n int) (any, error) {
+func (r *PerRequest) OpenBatch(env *Env, header []byte, n int) (any, error) {
 	if len(header) > 0 {
 		return nil, fmt.Errorf("pal: %s does not accept a batch header", r.Name())
 	}
 	return nil, nil
 }
 
-func (r *runPerRequest) RunRequest(env *Env, _ any, _ int, input []byte) ([]byte, error) {
+func (r *PerRequest) RunRequest(env *Env, _ any, _ int, input []byte) ([]byte, error) {
 	return r.PAL.Run(env, input)
 }
 
-func (r *runPerRequest) CloseBatch(*Env, any) ([]byte, error) { return nil, nil }
+func (r *PerRequest) CloseBatch(*Env, any) ([]byte, error) { return nil, nil }

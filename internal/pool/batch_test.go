@@ -62,3 +62,47 @@ func TestPoolRunBatchAfterClose(t *testing.T) {
 		t.Fatal("RunBatch on closed pool succeeded")
 	}
 }
+
+// batchSizeHist reads the pool's flicker_pool_batch_size histogram: how
+// many groups it observed and their summed size.
+func batchSizeHist(p *Pool) (count uint64, sum float64) {
+	for _, f := range p.Metrics().Snapshot().Families {
+		if f.Name == "flicker_pool_batch_size" {
+			for _, s := range f.Series {
+				count, sum = count+s.Count, sum+s.Sum
+			}
+		}
+	}
+	return count, sum
+}
+
+// A pre-formed RunBatch group is one observation of
+// flicker_pool_batch_size at its real size, whether or not the pool
+// coalesces. In a coalescing pool such a group flushes as a partition of
+// its own, and must not also be recorded there as a singleton.
+func TestPoolRunBatchObservedOncePerGroup(t *testing.T) {
+	hello := testPAL("hello")
+	for _, maxBatch := range []int{1, 4} {
+		t.Run(fmt.Sprintf("MaxBatch=%d", maxBatch), func(t *testing.T) {
+			p, err := New(Config{Shards: 1, QueueLen: 4, MaxBatch: maxBatch, Platform: core.PlatformConfig{Seed: "pool-test"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			sizes := []int{3, 1, 5}
+			for _, n := range sizes {
+				reqs := make([][]byte, n)
+				for i := range reqs {
+					reqs[i] = []byte{byte('a' + i)}
+				}
+				if br, err := p.RunBatch(hello, reqs, core.SessionOptions{}); err != nil || br.Completed != n {
+					t.Fatalf("RunBatch of %d: %v", n, err)
+				}
+			}
+			if count, sum := batchSizeHist(p); count != uint64(len(sizes)) || sum != 9 {
+				t.Fatalf("flicker_pool_batch_size holds %d observations summing to %v; want %d summing to 9",
+					count, sum, len(sizes))
+			}
+		})
+	}
+}

@@ -446,7 +446,11 @@ func (p *Pool) flush(s *shard, group []*job, reason string) {
 				sizes = append(sizes, len(group[k].opts.Input))
 			}
 		}
-		s.batchSize.ObserveExemplar(float64(len(part)), firstTraceID(part))
+		if part[0].batch == nil {
+			// A pre-formed RunBatch group records its real size once, in
+			// runBatchJob.
+			s.batchSize.ObserveExemplar(float64(len(part)), firstTraceID(part))
+		}
 		if len(part) == 1 {
 			p.runSingleton(s, part[0])
 			continue
