@@ -7,6 +7,7 @@ import (
 	"flicker/internal/apps/distcomp"
 	"flicker/internal/apps/rootkit"
 	"flicker/internal/core"
+	"flicker/internal/hw/cpu"
 	"flicker/internal/simtime"
 )
 
@@ -119,8 +120,8 @@ func Table2SkinitVsSize() (*Table, error) {
 				}
 			}
 			start := p.Clock.Now()
-			ll, err := p.Machine.SKINIT(0, base)
-			if err != nil {
+			var ll cpu.LateLaunch
+			if err := p.Machine.SKINIT(0, base, &ll); err != nil {
 				return nil, err
 			}
 			measured = p.Clock.Now() - start

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"flicker/internal/pal"
+	"flicker/internal/simtime"
 )
 
 // TestMeasureCacheHitBitIdentical runs the same PAL twice: the first launch
@@ -150,35 +151,71 @@ func TestTamperAfterWarmSessionChangesPCR17(t *testing.T) {
 	}
 }
 
-// TestSessionAllocsRegression guards the allocation budget of the cached
-// hot path: a warm classic session must stay within budget so the per-
-// session garbage stays off the scale-out path.
-func TestSessionAllocsRegression(t *testing.T) {
-	p := newPlatform(t)
+// TestSessionAllocs pins what a warm session allocates: exactly the two
+// blocks it hands back to its caller, the SessionResult (co-allocated with
+// its timeline) and the Outputs the PAL returns. Everything else is
+// per-platform scratch: the session state with its launch record, the
+// observer list, the PAL environment, the locality-2 drivers and their
+// response buffers, the module's saved state and the output framing. The
+// SLB is hashed where it sits, so a measure-cache miss costs nothing more
+// than a hit, which the alternating case checks: with two PALs taking turns
+// on one platform, every launch misses. The classic pipeline, the
+// partitioned one and the alternating pair all cost 2, with or without
+// -race.
+func TestSessionAllocs(t *testing.T) {
 	hello := helloPAL()
-	if _, err := p.RunSession(hello, SessionOptions{}); err != nil {
+	other := &pal.Func{
+		PALName: "other",
+		Binary:  pal.DescriptorCode("other", "1.0", nil, nil),
+		Fn: func(*pal.Env, []byte) ([]byte, error) {
+			return []byte("Hello from the other PAL"), nil
+		},
+	}
+	future, err := NewPlatform(PlatformConfig{Seed: "core-test", Profile: simtime.ProfileFuture()})
+	if err != nil {
 		t.Fatal(err)
 	}
-	avg := testing.AllocsPerRun(50, func() {
-		res, err := p.RunSession(hello, SessionOptions{})
-		if err != nil || res.PALError != nil {
-			t.Fatalf("%v %v", err, res.PALError)
-		}
-	})
-	// The seed ran ~167 allocs/op; measurement caching brought the warm
-	// path under 160, TPM client scratch-buffer reuse to ~95, and the
-	// per-platform session scratch (cached locality-2 drivers, reused Env
-	// and session state, zero-alloc SHA-1/PRNG) to ~19. Caller-owned TPM
-	// response buffers, the machine's locality-4 frame scratch, the
-	// module's reused saved state, stack-read SLB and input-page headers
-	// and the co-allocated phase timeline took it to 3, with or without
-	// -race: the SessionResult, the LateLaunch and the PAL's own output (a
-	// non-empty input adds its fresh copy, which the PAL may alias into
-	// its outputs). The budget is that plus ~25%, so a response frame, a
-	// per-session client or an env rebuild that comes back trips it.
-	const budget = 4
-	if avg > budget {
-		t.Errorf("warm session costs %.0f allocs, budget %d", avg, budget)
+	for _, tc := range []struct {
+		name string
+		p    *Platform
+		pals []pal.PAL // more than one: each launch misses the cache
+		run  func(*Platform, pal.PAL, SessionOptions) (*SessionResult, error)
+	}{
+		{"classic", newPlatform(t), []pal.PAL{hello}, (*Platform).RunSession},
+		{"partitioned", future, []pal.PAL{hello}, (*Platform).RunSessionConcurrent},
+		{"alternating", newPlatform(t), []pal.PAL{hello, other}, (*Platform).RunSession},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			i := 0
+			session := func() {
+				pl := tc.pals[i%len(tc.pals)]
+				i++
+				res, err := tc.run(tc.p, pl, SessionOptions{})
+				if err != nil || res.PALError != nil {
+					t.Fatalf("%s: %v %v", pl.Name(), err, res.PALError)
+				}
+			}
+			for range tc.pals {
+				session()
+			}
+			misses := func() float64 {
+				return tc.p.Metrics.Snapshot().Sum("flicker_skinit_measure_cache_total", "miss")
+			}
+			before := misses()
+			const runs = 50
+			avg := testing.AllocsPerRun(runs, session)
+			// AllocsPerRun makes one warm-up call before the measured ones.
+			want := 0.0
+			if len(tc.pals) > 1 {
+				want = runs + 1
+			}
+			if got := misses() - before; got != want {
+				t.Fatalf("%v measure-cache misses in %d sessions, want %v", got, runs+1, want)
+			}
+			if avg != 2 {
+				t.Errorf("warm %s session costs %.2f allocs, want exactly 2", tc.name, avg)
+			}
+		})
 	}
 }
 
@@ -223,12 +260,12 @@ func TestSealSessionAllocs(t *testing.T) {
 	// The seed path ran ~296 allocs: a heap HMAC per MAC, growing MAC and
 	// envelope buffers, heap session records and nonces, and math/big's Exp
 	// state. With those on the stack or in TPM-owned scratch it measured
-	// 24; with the response frames in the drivers' own buffers it measures
-	// 5, with or without -race: the SessionResult, the LateLaunch, the
-	// input copy, and the two results the client copies out — the sealed
-	// blob and the unsealed plaintext, which is the PAL's output. The
-	// budget is that plus ~25%.
-	const budget = 6
+	// 24; with the response frames in the drivers' own buffers it measured
+	// 5, and with the launch record in the session state it measures 4,
+	// with or without -race: the SessionResult, the input copy, and the two
+	// results the client copies out — the sealed blob and the unsealed
+	// plaintext, which is the PAL's output. The budget is that plus ~25%.
+	const budget = 5
 	if avg > budget {
 		t.Errorf("warm seal session costs %.0f allocs, budget %d", avg, budget)
 	}

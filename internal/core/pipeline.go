@@ -71,7 +71,8 @@ type sessionState struct {
 }
 
 // sessionVars is the part of sessionState that every session starts from
-// zero; reset assigns it whole.
+// zero; reset assigns it whole, and runLocked zeroes it again when the
+// session ends, so no record of a finished session stays on the platform.
 type sessionVars struct {
 	p    *Platform
 	pl   pal.PAL
@@ -81,7 +82,7 @@ type sessionVars struct {
 	im      *slb.Image
 	slbBase uint32
 	saved   *flickermod.SavedState
-	ll      *cpu.LateLaunch
+	ll      cpu.LateLaunch // the session's launch record, filled by SKINIT
 	env     *pal.Env
 	palOut  []byte
 	palErr  error
@@ -198,6 +199,7 @@ func (p *Platform) runLocked(pipe *sessionPipeline, pl pal.PAL, opts SessionOpti
 		for _, o := range obs {
 			o.SessionEnd(st.res.SessionID, p.Clock.Now(), failure)
 		}
+		st.sessionVars = sessionVars{}
 	}()
 
 	for i := range pipe.phases {
@@ -312,28 +314,25 @@ func saveContextBody(st *sessionState) error {
 // skinitBody runs the late launch; launched marks PCR 17 as holding an
 // uncapped measurement until the extend phase completes.
 func skinitBody(st *sessionState) error {
-	ll, err := st.p.Machine.SKINIT(0, st.slbBase)
-	if err != nil {
+	if err := st.p.Machine.SKINIT(0, st.slbBase, &st.ll); err != nil {
 		return err
 	}
-	st.launched(ll)
+	st.launched()
 	return nil
 }
 
 // skinitPartitionedBody is skinitBody for multicore-isolation hardware.
 func skinitPartitionedBody(st *sessionState) error {
-	ll, err := st.p.Machine.SKINITPartitioned(0, st.slbBase)
-	if err != nil {
+	if err := st.p.Machine.SKINITPartitioned(0, st.slbBase, &st.ll); err != nil {
 		return err
 	}
-	st.launched(ll)
+	st.launched()
 	return nil
 }
 
-func (st *sessionState) launched(ll *cpu.LateLaunch) {
-	st.ll = ll
+func (st *sessionState) launched() {
 	st.pcrOpen = true
-	st.res.Measurement = ll.Measurement
+	st.res.Measurement = st.ll.Measurement
 }
 
 // setupPALEnv is the pal-exec prologue shared by the singleton and batch
@@ -589,7 +588,7 @@ func zeroWindowTeardown(st *sessionState) {
 // (an aborted session must never attest as complete), restore the kernel
 // context, and end the launch. No-op once the orderly resume phase has run.
 func launchTeardown(st *sessionState) {
-	if st.ll == nil || st.ll.Ended() {
+	if !st.ll.Active() {
 		return
 	}
 	zeroWindowTeardown(st)

@@ -224,7 +224,7 @@ func TestSuspendFailsWithBusyAP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.SKINIT(0, base); err == nil {
+	if err := m.SKINIT(0, base, new(cpu.LateLaunch)); err == nil {
 		t.Fatal("SKINIT succeeded with an unwritten SLB header")
 	}
 	mod.ResumeOS(st)

@@ -187,9 +187,11 @@ type Machine struct {
 	mu            sync.Mutex
 	cores         []*Core
 	debugDisabled bool
-	secureActive  bool
-	pendingIRQs   []int
-	secureStash   *SecureStash
+	// active is the running launch's record, nil when none is: the machine
+	// supports one late launch at a time.
+	active      *LateLaunch
+	pendingIRQs []int
+	secureStash *SecureStash
 
 	// measureCache memoizes SLB measurements by (base, length) and the
 	// memory's write generation for that range: an unchanged staged image
@@ -197,7 +199,7 @@ type Machine struct {
 	// window invalidates the entry (see measureSLB).
 	measureCache map[measureKey]measureEntry
 	// l4 is the locality-4 sequence's frame scratch. Only measureSLB uses
-	// it, after SKINIT has set secureActive, so at most one launch holds it.
+	// it, after SKINIT has claimed active, so at most one launch holds it.
 	l4 tpm.L4Scratch
 
 	// Late-launch instrumentation (see Instrument); always non-nil,
@@ -286,12 +288,13 @@ func (m *Machine) Instrument(reg *metrics.Registry, events *metrics.EventLog) {
 // the SLB digest (what PCR 17 was extended with) and the resulting PCR 17
 // value. It memoizes (base, length, write-generation) → digest: when the
 // staged bytes are provably unchanged since the last launch, the TPM is
-// driven through the HASH_START/HASH_DIGEST fast path instead of re-reading
-// and re-hashing up to 60 KB. The cached and streamed paths are
-// bit-identical in PCR 17 and in simulated time charged; any write, patch,
-// or DMA store into the window bumps the range's generation and forces a
-// full re-hash, so tampering is never masked. fault classifies an error for
-// recordSKINIT ("bad-slb" or "measure-fault").
+// driven through the HASH_START/HASH_DIGEST fast path instead of re-hashing
+// up to 60 KB, and a miss hashes the bytes where they sit, without copying
+// them out. The cached and streamed paths are bit-identical in PCR 17 and in
+// simulated time charged; any write, patch, or DMA store into the window
+// bumps the range's generation and forces a full re-hash, so tampering is
+// never masked. fault classifies an error for recordSKINIT ("bad-slb" or
+// "measure-fault").
 //
 // Callers invoke this after DEVProtect, so DMA cannot move the bytes
 // between the generation sample and the hash; a CPU-side race would bump
@@ -312,12 +315,14 @@ func (m *Machine) measureSLB(slbBase uint32, length uint16) (digest, pcr17 tpm.D
 		return ent.digest, pcr17, "", nil
 	}
 	miss.Inc()
-	slb, err := m.Mem.Read(slbBase, int(length))
-	if err != nil {
+	// The SLB is hashed where it sits, page by page under the memory's
+	// read lock, so no write can land between two pieces of one digest.
+	var h palcrypto.SHA1
+	h.Reset()
+	if err := m.Mem.Scan(slbBase, int(length), func(b []byte) { h.Write(b) }); err != nil {
 		return tpm.Digest{}, tpm.Digest{}, "bad-slb", err
 	}
-	sum := palcrypto.SHA1Sum(slb)
-	copy(digest[:], sum[:])
+	h.SumInto(&digest)
 	// The digest is computed once on the launching CPU and handed to the
 	// TPM with the byte count; the TPM charges the full per-byte transfer
 	// cost, so Table 2's linear SKINIT latency is preserved exactly.
@@ -377,7 +382,7 @@ func (m *Machine) DebugDisabled() bool {
 func (m *Machine) SecureSessionActive() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.secureActive
+	return m.active != nil
 }
 
 // SendINITIPI delivers an INIT inter-processor interrupt to an AP. The AP
@@ -469,11 +474,12 @@ func (m *Machine) PendingInterruptCount() int {
 const SLBMaxLen = 64 * 1024
 
 // LateLaunch is the hardware context created by a successful SKINIT. The
-// session layer keeps it until the SLB Core resumes the OS.
+// caller owns the record: SKINIT fills the one it is given, and the session
+// layer keeps it until the SLB Core resumes the OS. The zero record is not
+// active; a record is active from the SKINIT that fills it until End.
 type LateLaunch struct {
 	m       *Machine
 	core    *Core
-	ended   bool
 	savedIF bool
 
 	// SLBBase is the physical address passed to SKINIT.
@@ -491,75 +497,90 @@ type LateLaunch struct {
 	Partitioned bool
 }
 
-// SKINIT executes the late-launch instruction on the given core.
-func (m *Machine) SKINIT(coreID int, slbBase uint32) (*LateLaunch, error) {
+// errLaunchEnded is End's and ExtendProtection's answer for a record that
+// holds no active launch: ended, zeroed, or never filled.
+var errLaunchEnded = errors.New("cpu: late launch already ended")
+
+// SKINIT executes the late-launch instruction on the given core and fills
+// ll, which must not hold an active launch, with the launch it starts.
+func (m *Machine) SKINIT(coreID int, slbBase uint32, ll *LateLaunch) error {
 	if coreID < 0 || coreID >= len(m.cores) {
-		return nil, fmt.Errorf("cpu: invalid core %d", coreID)
+		return fmt.Errorf("cpu: invalid core %d", coreID)
 	}
 	core := m.cores[coreID]
 
 	// Precondition: privileged instruction.
 	if core.Ring() != 0 {
 		m.recordSKINIT("classic", "not-ring0", "cpu: SKINIT from ring != 0")
-		return nil, errors.New("cpu: SKINIT is privileged (#GP: not ring 0)")
+		return errors.New("cpu: SKINIT is privileged (#GP: not ring 0)")
 	}
 	// Precondition: BSP only.
 	if !core.IsBSP {
 		m.recordSKINIT("classic", "not-bsp", fmt.Sprintf("cpu: SKINIT on AP %d", core.ID))
-		return nil, errors.New("cpu: SKINIT can only be run on the BSP")
+		return errors.New("cpu: SKINIT can only be run on the BSP")
 	}
 	// Precondition: every AP has accepted an INIT IPI.
 	for _, c := range m.cores[1:] {
 		if c.State() != CoreInitHalted {
 			m.recordSKINIT("classic", "ap-not-init",
 				fmt.Sprintf("cpu: SKINIT with AP %d %s", c.ID, c.State()))
-			return nil, fmt.Errorf("cpu: AP %d not in INIT state (is %s); SKINIT handshake would fail",
+			return fmt.Errorf("cpu: AP %d not in INIT state (is %s); SKINIT handshake would fail",
 				c.ID, c.State())
 		}
 	}
+	return m.launch("classic", core, slbBase, ll)
+}
+
+// launch is the part of SKINIT that both variants share once the core's
+// preconditions hold: the active-launch checks, the SLB header, the DEV,
+// interrupts and debug access, the measurement and the mode switch. On
+// success it fills ll; on failure ll is unchanged and nothing stays active.
+func (m *Machine) launch(variant string, core *Core, slbBase uint32, ll *LateLaunch) error {
+	if ll.Active() {
+		m.recordSKINIT(variant, "active", "cpu: SKINIT into an active launch record")
+		return errors.New("cpu: launch record still active")
+	}
 	m.mu.Lock()
-	if m.secureActive {
+	if m.active != nil {
 		m.mu.Unlock()
-		m.recordSKINIT("classic", "active", "cpu: SKINIT while a late launch is active")
-		return nil, errors.New("cpu: late launch already active")
+		m.recordSKINIT(variant, "active", "cpu: SKINIT while a late launch is active")
+		return errors.New("cpu: late launch already active")
 	}
 	m.mu.Unlock()
 
 	// Read and validate the SLB header: length and entry point words.
 	var hdr [4]byte
 	if err := m.Mem.ReadInto(slbBase, hdr[:]); err != nil {
-		m.recordSKINIT("classic", "bad-slb", "cpu: SLB header unreadable")
-		return nil, fmt.Errorf("cpu: SLB header: %w", err)
+		m.recordSKINIT(variant, "bad-slb", "cpu: SLB header unreadable")
+		return fmt.Errorf("cpu: SLB header: %w", err)
 	}
 	length := binary.LittleEndian.Uint16(hdr[0:2])
 	entry := binary.LittleEndian.Uint16(hdr[2:4])
 	if length == 0 {
-		m.recordSKINIT("classic", "bad-slb", "cpu: SLB length is zero")
-		return nil, errors.New("cpu: SLB length is zero")
+		m.recordSKINIT(variant, "bad-slb", "cpu: SLB length is zero")
+		return errors.New("cpu: SLB length is zero")
 	}
 	if entry >= length {
-		m.recordSKINIT("classic", "bad-slb", "cpu: SLB entry point beyond length")
-		return nil, fmt.Errorf("cpu: SLB entry point %#x beyond length %#x", entry, length)
+		m.recordSKINIT(variant, "bad-slb", "cpu: SLB entry point beyond length")
+		return fmt.Errorf("cpu: SLB entry point %#x beyond length %#x", entry, length)
 	}
 
 	// Hardware protections: DEV over the full 64 KB window regardless of
 	// the SLB's declared length ("SKINIT enables the Device Exclusion
 	// Vector for the entire 64 KB of memory starting from the base of the
 	// SLB, even if the SLB's length is less than 64 KB").
-	devLen := SLBMaxLen
-	if int(slbBase)+devLen > m.Mem.Size() {
-		devLen = m.Mem.Size() - int(slbBase)
-	}
-	if err := m.Mem.DEVProtect(slbBase, devLen); err != nil {
-		m.recordSKINIT("classic", "dev-fault", "cpu: DEV setup failed")
-		return nil, fmt.Errorf("cpu: DEV setup: %w", err)
+	if err := m.Mem.DEVProtect(slbBase, m.devWindow(slbBase)); err != nil {
+		m.recordSKINIT(variant, "dev-fault", "cpu: DEV setup failed")
+		return fmt.Errorf("cpu: DEV setup: %w", err)
 	}
 
+	// Only the launching core masks interrupts; for a partitioned launch
+	// the other cores keep taking them.
 	savedIF := core.InterruptsEnabled()
 	core.SetInterrupts(false)
 	m.mu.Lock()
 	m.debugDisabled = true
-	m.secureActive = true
+	m.active = ll
 	m.mu.Unlock()
 
 	// CPU state change cost (mode switch, DEV programming): the sub-1ms
@@ -571,21 +592,21 @@ func (m *Machine) SKINIT(coreID int, slbBase uint32) (*LateLaunch, error) {
 	// unchanged staged image hits the write-generation measurement cache.
 	meas, pcr17, fault, err := m.measureSLB(slbBase, length)
 	if err != nil {
-		m.abortLaunch(core, slbBase, savedIF)
+		m.endLaunch(core, slbBase, savedIF)
 		if fault == "bad-slb" {
-			m.recordSKINIT("classic", "bad-slb", "cpu: SLB body unreadable")
-			return nil, fmt.Errorf("cpu: SLB read: %w", err)
+			m.recordSKINIT(variant, "bad-slb", "cpu: SLB body unreadable")
+			return fmt.Errorf("cpu: SLB read: %w", err)
 		}
-		m.recordSKINIT("classic", "measure-fault", "cpu: locality-4 SLB measurement failed")
-		return nil, fmt.Errorf("cpu: SLB measurement: %w", err)
+		m.recordSKINIT(variant, "measure-fault", "cpu: locality-4 SLB measurement failed")
+		return fmt.Errorf("cpu: SLB measurement: %w", err)
 	}
 
 	// Enter flat 32-bit protected mode, paging disabled, at the entry point.
 	core.SetPaging(false)
 	core.SetSegments(slbBase, uint32(SLBMaxLen-1))
 
-	m.recordSKINIT("classic", "ok", "")
-	return &LateLaunch{
+	m.recordSKINIT(variant, "ok", "")
+	*ll = LateLaunch{
 		m:           m,
 		core:        core,
 		savedIF:     savedIF,
@@ -594,49 +615,62 @@ func (m *Machine) SKINIT(coreID int, slbBase uint32) (*LateLaunch, error) {
 		Entry:       entry,
 		Measurement: meas,
 		PCR17:       pcr17,
-	}, nil
+		Partitioned: variant == "partitioned",
+	}
+	return nil
 }
 
-// abortLaunch unwinds partial SKINIT state after a mid-flight failure.
-func (m *Machine) abortLaunch(core *Core, slbBase uint32, savedIF bool) {
-	m.Mem.DEVClear(slbBase, SLBMaxLen)
+// devWindow returns the length of the DEV window SKINIT programs at
+// slbBase: 64 KB, or less where physical memory ends first.
+func (m *Machine) devWindow(slbBase uint32) int {
+	return min(SLBMaxLen, m.Mem.Size()-int(slbBase))
+}
+
+// endLaunch drops a launch's hardware protections, on End or after a
+// mid-flight SKINIT failure: the DEV window is cleared, the core's
+// interrupt flag restored, debug access re-enabled, and no launch is
+// active any more.
+func (m *Machine) endLaunch(core *Core, slbBase uint32, savedIF bool) {
+	m.Mem.DEVClear(slbBase, m.devWindow(slbBase))
 	core.SetInterrupts(savedIF)
 	m.mu.Lock()
 	m.debugDisabled = false
-	m.secureActive = false
+	m.active = nil
 	m.mu.Unlock()
 }
 
 // Core returns the core the launch is running on.
 func (l *LateLaunch) Core() *Core { return l.core }
 
+// Active reports whether l holds the machine's running launch: filled by a
+// successful SKINIT and not ended since.
+func (l *LateLaunch) Active() bool {
+	if l.m == nil {
+		return false
+	}
+	l.m.mu.Lock()
+	defer l.m.mu.Unlock()
+	return l.m.active == l
+}
+
 // ExtendProtection adds DEV protection beyond the initial 64 KB, the
 // mechanism the paper describes for PALs larger than the SLB window.
 func (l *LateLaunch) ExtendProtection(addr uint32, n int) error {
-	if l.ended {
-		return errors.New("cpu: late launch already ended")
+	if !l.Active() {
+		return errLaunchEnded
 	}
 	return l.m.Mem.DEVProtect(addr, n)
 }
 
 // End tears down the hardware protections: the SLB Core calls this as the
 // final step of Resume OS, after secrets are erased. Interrupts return to
-// their pre-SKINIT state and debug access is restored.
+// their pre-SKINIT state and debug access is restored. End fails on a
+// record that holds no active launch, and then changes nothing: a stale
+// record cannot end a later launch.
 func (l *LateLaunch) End() error {
-	if l.ended {
-		return errors.New("cpu: late launch already ended")
+	if !l.Active() {
+		return errLaunchEnded
 	}
-	l.ended = true
-	if err := l.m.Mem.DEVClear(l.SLBBase, SLBMaxLen); err != nil {
-		return err
-	}
-	l.core.SetInterrupts(l.savedIF)
-	l.m.mu.Lock()
-	l.m.debugDisabled = false
-	l.m.secureActive = false
-	l.m.mu.Unlock()
+	l.m.endLaunch(l.core, l.SLBBase, l.savedIF)
 	return nil
 }
-
-// Ended reports whether End has been called.
-func (l *LateLaunch) Ended() bool { return l.ended }

@@ -63,8 +63,8 @@ func TestSKINITHappyPath(t *testing.T) {
 	slb := writeSLB(t, m, 0x10000, 1000)
 	parkAPs(t, m)
 
-	ll, err := m.SKINIT(0, 0x10000)
-	if err != nil {
+	var ll LateLaunch
+	if err := m.SKINIT(0, 0x10000, &ll); err != nil {
 		t.Fatalf("SKINIT: %v", err)
 	}
 	// Header parsed.
@@ -122,7 +122,7 @@ func TestSKINITRequiresRing0(t *testing.T) {
 	m, _, _ := testMachine(t, 1)
 	writeSLB(t, m, 0x10000, 100)
 	m.BSP().SetRing(3)
-	if _, err := m.SKINIT(0, 0x10000); err == nil || !strings.Contains(err.Error(), "privileged") {
+	if err := m.SKINIT(0, 0x10000, new(LateLaunch)); err == nil || !strings.Contains(err.Error(), "privileged") {
 		t.Fatalf("ring-3 SKINIT: %v", err)
 	}
 }
@@ -131,7 +131,7 @@ func TestSKINITRequiresBSP(t *testing.T) {
 	m, _, _ := testMachine(t, 2)
 	writeSLB(t, m, 0x10000, 100)
 	parkAPs(t, m)
-	if _, err := m.SKINIT(1, 0x10000); err == nil || !strings.Contains(err.Error(), "BSP") {
+	if err := m.SKINIT(1, 0x10000, new(LateLaunch)); err == nil || !strings.Contains(err.Error(), "BSP") {
 		t.Fatalf("AP SKINIT: %v", err)
 	}
 }
@@ -140,14 +140,14 @@ func TestSKINITRequiresAPsInINIT(t *testing.T) {
 	m, _, _ := testMachine(t, 4)
 	writeSLB(t, m, 0x10000, 100)
 	// APs still running: must fail.
-	if _, err := m.SKINIT(0, 0x10000); err == nil {
+	if err := m.SKINIT(0, 0x10000, new(LateLaunch)); err == nil {
 		t.Fatal("SKINIT with running APs accepted")
 	}
 	// Idle but not INIT'd: still fails.
 	for _, c := range m.Cores()[1:] {
 		m.SetCoreIdle(c.ID, true)
 	}
-	if _, err := m.SKINIT(0, 0x10000); err == nil {
+	if err := m.SKINIT(0, 0x10000, new(LateLaunch)); err == nil {
 		t.Fatal("SKINIT with idle-but-not-INIT APs accepted")
 	}
 	// INIT everyone: succeeds.
@@ -156,8 +156,8 @@ func TestSKINITRequiresAPsInINIT(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ll, err := m.SKINIT(0, 0x10000)
-	if err != nil {
+	var ll LateLaunch
+	if err := m.SKINIT(0, 0x10000, &ll); err != nil {
 		t.Fatal(err)
 	}
 	ll.End()
@@ -191,7 +191,7 @@ func TestSKINITHeaderValidation(t *testing.T) {
 	m, _, _ := testMachine(t, 1)
 	// Zero length.
 	m.Mem.Write(0x10000, []byte{0, 0, 0, 0})
-	if _, err := m.SKINIT(0, 0x10000); err == nil {
+	if err := m.SKINIT(0, 0x10000, new(LateLaunch)); err == nil {
 		t.Error("zero-length SLB accepted")
 	}
 	// Entry beyond length.
@@ -199,11 +199,11 @@ func TestSKINITHeaderValidation(t *testing.T) {
 	binary.LittleEndian.PutUint16(hdr[0:2], 8)
 	binary.LittleEndian.PutUint16(hdr[2:4], 100)
 	m.Mem.Write(0x10000, hdr)
-	if _, err := m.SKINIT(0, 0x10000); err == nil {
+	if err := m.SKINIT(0, 0x10000, new(LateLaunch)); err == nil {
 		t.Error("entry>length SLB accepted")
 	}
 	// Header outside physical memory.
-	if _, err := m.SKINIT(0, uint32(m.Mem.Size())); err == nil {
+	if err := m.SKINIT(0, uint32(m.Mem.Size()), new(LateLaunch)); err == nil {
 		t.Error("out-of-range SLB base accepted")
 	}
 }
@@ -211,12 +211,12 @@ func TestSKINITHeaderValidation(t *testing.T) {
 func TestSKINITBlocksNestedLaunch(t *testing.T) {
 	m, _, _ := testMachine(t, 1)
 	writeSLB(t, m, 0x10000, 100)
-	ll, err := m.SKINIT(0, 0x10000)
-	if err != nil {
+	var ll LateLaunch
+	if err := m.SKINIT(0, 0x10000, &ll); err != nil {
 		t.Fatal(err)
 	}
 	writeSLB(t, m, 0x30000, 100)
-	if _, err := m.SKINIT(0, 0x30000); err == nil {
+	if err := m.SKINIT(0, 0x30000, new(LateLaunch)); err == nil {
 		t.Fatal("nested SKINIT accepted")
 	}
 	ll.End()
@@ -226,8 +226,8 @@ func TestDMABlockedDuringSession(t *testing.T) {
 	m, _, _ := testMachine(t, 1)
 	writeSLB(t, m, 0x10000, 100)
 	nic := m.Mem.AttachDevice("evil-nic")
-	ll, err := m.SKINIT(0, 0x10000)
-	if err != nil {
+	var ll LateLaunch
+	if err := m.SKINIT(0, 0x10000, &ll); err != nil {
 		t.Fatal(err)
 	}
 	// The whole 64 KB window is excluded, even though the SLB is tiny.
@@ -247,8 +247,8 @@ func TestExtendProtection(t *testing.T) {
 	m, _, _ := testMachine(t, 1)
 	writeSLB(t, m, 0x10000, 100)
 	dev := m.Mem.AttachDevice("dev")
-	ll, err := m.SKINIT(0, 0x10000)
-	if err != nil {
+	var ll LateLaunch
+	if err := m.SKINIT(0, 0x10000, &ll); err != nil {
 		t.Fatal(err)
 	}
 	upper := uint32(0x10000 + SLBMaxLen)
@@ -273,7 +273,8 @@ func TestExtendProtection(t *testing.T) {
 func TestInterruptsQueueDuringSession(t *testing.T) {
 	m, _, _ := testMachine(t, 1)
 	writeSLB(t, m, 0x10000, 100)
-	ll, _ := m.SKINIT(0, 0x10000)
+	var ll LateLaunch
+	m.SKINIT(0, 0x10000, &ll)
 	m.PendInterrupt(1)  // keyboard
 	m.PendInterrupt(14) // disk
 	if got := m.DrainInterrupts(); got != nil {
@@ -297,8 +298,8 @@ func TestSKINITTimingMatchesTable2Model(t *testing.T) {
 		m, _, clock := testMachine(t, 1)
 		slb := writeSLB(t, m, 0x10000, total-4)
 		before := clock.Now()
-		ll, err := m.SKINIT(0, 0x10000)
-		if err != nil {
+		var ll LateLaunch
+		if err := m.SKINIT(0, 0x10000, &ll); err != nil {
 			t.Fatal(err)
 		}
 		got := clock.Now() - before
@@ -317,8 +318,8 @@ func TestSKINITMeasuresOnlyDeclaredLength(t *testing.T) {
 	short := writeSLB(t, m, 0x10000, 732) // 736-byte SLB
 	// Garbage beyond the declared length must not affect the measurement.
 	m.Mem.Write(0x10000+736, bytes.Repeat([]byte{0x55}, 1024))
-	ll, err := m.SKINIT(0, 0x10000)
-	if err != nil {
+	var ll LateLaunch
+	if err := m.SKINIT(0, 0x10000, &ll); err != nil {
 		t.Fatal(err)
 	}
 	want := tpm.ExtendDigest(tpm.Digest{}, palcrypto.SHA1Sum(short))
@@ -356,7 +357,7 @@ func TestSKINITAbortRestoresState(t *testing.T) {
 	if err := m.Mem.Write(base, hdr); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.SKINIT(0, base); err == nil {
+	if err := m.SKINIT(0, base, new(LateLaunch)); err == nil {
 		t.Fatal("SKINIT with out-of-memory SLB accepted")
 	}
 	if m.SecureSessionActive() || m.DebugDisabled() {
@@ -367,8 +368,8 @@ func TestSKINITAbortRestoresState(t *testing.T) {
 	}
 	// A clean launch works afterwards.
 	writeSLB(t, m, 0x10000, 100)
-	ll, err := m.SKINIT(0, 0x10000)
-	if err != nil {
+	var ll LateLaunch
+	if err := m.SKINIT(0, 0x10000, &ll); err != nil {
 		t.Fatal(err)
 	}
 	ll.End()

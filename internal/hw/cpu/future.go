@@ -1,7 +1,6 @@
 package cpu
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -23,83 +22,27 @@ var ErrNoMulticoreIsolation = errors.New("cpu: this hardware has no multicore se
 var ErrNoHWContext = errors.New("cpu: this hardware has no protected PAL context store")
 
 // SKINITPartitioned performs a late launch that isolates only the launching
-// core: the other cores keep executing untrusted code, and interrupts stay
-// enabled for them. The DEV still protects the SLB's 64 KB against DMA, and
-// PCR 17 is reset and extended exactly as with SKINIT.
+// core, filling ll as SKINIT does: the other cores keep executing untrusted
+// code, and interrupts stay enabled for them. The DEV still protects the
+// SLB's 64 KB against DMA, and PCR 17 is reset and extended exactly as with
+// SKINIT.
 //
 // Requires Profile.MulticoreIsolation (a [19] recommendation); on 2008-era
 // profiles it fails and callers must use SKINIT with full OS suspension.
-func (m *Machine) SKINITPartitioned(coreID int, slbBase uint32) (*LateLaunch, error) {
+func (m *Machine) SKINITPartitioned(coreID int, slbBase uint32, ll *LateLaunch) error {
 	if !m.profile.MulticoreIsolation {
 		m.recordSKINIT("partitioned", "no-multicore", "cpu: partitioned launch without hardware support")
-		return nil, ErrNoMulticoreIsolation
+		return ErrNoMulticoreIsolation
 	}
 	if coreID < 0 || coreID >= len(m.cores) {
-		return nil, fmt.Errorf("cpu: invalid core %d", coreID)
+		return fmt.Errorf("cpu: invalid core %d", coreID)
 	}
 	core := m.cores[coreID]
 	if core.Ring() != 0 {
 		m.recordSKINIT("partitioned", "not-ring0", "cpu: SKINIT from ring != 0")
-		return nil, errors.New("cpu: SKINIT is privileged (#GP: not ring 0)")
+		return errors.New("cpu: SKINIT is privileged (#GP: not ring 0)")
 	}
-	m.mu.Lock()
-	if m.secureActive {
-		m.mu.Unlock()
-		m.recordSKINIT("partitioned", "active", "cpu: SKINIT while a late launch is active")
-		return nil, errors.New("cpu: late launch already active")
-	}
-	m.mu.Unlock()
-
-	var hdr [4]byte
-	if err := m.Mem.ReadInto(slbBase, hdr[:]); err != nil {
-		m.recordSKINIT("partitioned", "bad-slb", "cpu: SLB header unreadable")
-		return nil, fmt.Errorf("cpu: SLB header: %w", err)
-	}
-	length := binary.LittleEndian.Uint16(hdr[0:2])
-	entry := binary.LittleEndian.Uint16(hdr[2:4])
-	if length == 0 {
-		m.recordSKINIT("partitioned", "bad-slb", "cpu: SLB length is zero")
-		return nil, errors.New("cpu: SLB length is zero")
-	}
-	if entry >= length {
-		m.recordSKINIT("partitioned", "bad-slb", "cpu: SLB entry point beyond length")
-		return nil, fmt.Errorf("cpu: SLB entry point %#x beyond length %#x", entry, length)
-	}
-	devLen := SLBMaxLen
-	if int(slbBase)+devLen > m.Mem.Size() {
-		devLen = m.Mem.Size() - int(slbBase)
-	}
-	if err := m.Mem.DEVProtect(slbBase, devLen); err != nil {
-		m.recordSKINIT("partitioned", "dev-fault", "cpu: DEV setup failed")
-		return nil, fmt.Errorf("cpu: DEV setup: %w", err)
-	}
-	savedIF := core.InterruptsEnabled()
-	core.SetInterrupts(false) // only the secure core masks interrupts
-	m.mu.Lock()
-	m.debugDisabled = true
-	m.secureActive = true
-	m.mu.Unlock()
-	m.clock.Advance(m.profile.CPUStateChange, "cpu.skinit")
-
-	meas, pcr17, fault, err := m.measureSLB(slbBase, length)
-	if err != nil {
-		m.abortLaunch(core, slbBase, savedIF)
-		if fault == "bad-slb" {
-			m.recordSKINIT("partitioned", "bad-slb", "cpu: SLB body unreadable")
-			return nil, fmt.Errorf("cpu: SLB read: %w", err)
-		}
-		m.recordSKINIT("partitioned", "measure-fault", "cpu: locality-4 SLB measurement failed")
-		return nil, fmt.Errorf("cpu: SLB measurement: %w", err)
-	}
-	core.SetPaging(false)
-	core.SetSegments(slbBase, uint32(SLBMaxLen-1))
-	m.recordSKINIT("partitioned", "ok", "")
-	return &LateLaunch{
-		m: m, core: core, savedIF: savedIF,
-		SLBBase: slbBase, SLBLen: length, Entry: entry,
-		Measurement: meas, PCR17: pcr17,
-		Partitioned: true,
-	}, nil
+	return m.launch("partitioned", core, slbBase, ll)
 }
 
 // SecureStash is the hardware-protected PAL context store of [19]: a

@@ -31,8 +31,8 @@ func TestPartitionedLaunchHappyPath(t *testing.T) {
 	m, tp, _ := futureMachine(t, 2)
 	slb := writeSLB(t, m, 0x10000, 500)
 	// NO AP parking — the whole point.
-	ll, err := m.SKINITPartitioned(0, 0x10000)
-	if err != nil {
+	var ll LateLaunch
+	if err := m.SKINITPartitioned(0, 0x10000, &ll); err != nil {
 		t.Fatal(err)
 	}
 	if !ll.Partitioned {
@@ -69,7 +69,7 @@ func TestPartitionedLaunchHappyPath(t *testing.T) {
 func TestPartitionedLaunchGatedByProfile(t *testing.T) {
 	m, _, _ := testMachine(t, 2) // Broadcom profile
 	writeSLB(t, m, 0x10000, 100)
-	if _, err := m.SKINITPartitioned(0, 0x10000); !errors.Is(err, ErrNoMulticoreIsolation) {
+	if err := m.SKINITPartitioned(0, 0x10000, new(LateLaunch)); !errors.Is(err, ErrNoMulticoreIsolation) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -79,25 +79,25 @@ func TestPartitionedLaunchValidation(t *testing.T) {
 	// Ring 3 rejected.
 	writeSLB(t, m, 0x10000, 100)
 	m.BSP().SetRing(3)
-	if _, err := m.SKINITPartitioned(0, 0x10000); err == nil {
+	if err := m.SKINITPartitioned(0, 0x10000, new(LateLaunch)); err == nil {
 		t.Error("ring-3 partitioned launch accepted")
 	}
 	m.BSP().SetRing(0)
 	// Bad header rejected.
 	m.Mem.Write(0x30000, []byte{0, 0, 0, 0})
-	if _, err := m.SKINITPartitioned(0, 0x30000); err == nil {
+	if err := m.SKINITPartitioned(0, 0x30000, new(LateLaunch)); err == nil {
 		t.Error("zero-length SLB accepted")
 	}
 	// Invalid core.
-	if _, err := m.SKINITPartitioned(9, 0x10000); err == nil {
+	if err := m.SKINITPartitioned(9, 0x10000, new(LateLaunch)); err == nil {
 		t.Error("invalid core accepted")
 	}
 	// Nested launch rejected.
-	ll, err := m.SKINITPartitioned(0, 0x10000)
-	if err != nil {
+	var ll LateLaunch
+	if err := m.SKINITPartitioned(0, 0x10000, &ll); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.SKINITPartitioned(0, 0x10000); err == nil {
+	if err := m.SKINITPartitioned(0, 0x10000, new(LateLaunch)); err == nil {
 		t.Error("nested partitioned launch accepted")
 	}
 	ll.End()
@@ -111,8 +111,8 @@ func TestStashLifecycle(t *testing.T) {
 		t.Fatal("stash writable outside a session")
 	}
 	writeSLB(t, m, 0x10000, 100)
-	ll, err := m.SKINITPartitioned(0, 0x10000)
-	if err != nil {
+	var ll LateLaunch
+	if err := m.SKINITPartitioned(0, 0x10000, &ll); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.StashWrite(id, []byte("checkpoint")); err != nil {
@@ -148,7 +148,8 @@ func TestStashLifecycle(t *testing.T) {
 	if _, err := m.StashRead(id); err == nil {
 		t.Error("stash readable after session end")
 	}
-	ll2, _ := m.SKINITPartitioned(0, 0x10000)
+	var ll2 LateLaunch
+	m.SKINITPartitioned(0, 0x10000, &ll2)
 	got, err = m.StashRead(id)
 	if err != nil || !bytes.Equal(got, []byte("small")) {
 		t.Fatalf("stash lost across sessions: %q %v", got, err)
@@ -160,8 +161,8 @@ func TestStashGatedByProfile(t *testing.T) {
 	m, _, _ := testMachine(t, 1) // Broadcom
 	writeSLB(t, m, 0x10000, 100)
 	parkAPs(t, m)
-	ll, err := m.SKINIT(0, 0x10000)
-	if err != nil {
+	var ll LateLaunch
+	if err := m.SKINIT(0, 0x10000, &ll); err != nil {
 		t.Fatal(err)
 	}
 	defer ll.End()
@@ -177,8 +178,8 @@ func TestStashGatedByProfile(t *testing.T) {
 func TestStashChargesContextCost(t *testing.T) {
 	m, _, clock := futureMachine(t, 1)
 	writeSLB(t, m, 0x10000, 100)
-	ll, err := m.SKINITPartitioned(0, 0x10000)
-	if err != nil {
+	var ll LateLaunch
+	if err := m.SKINITPartitioned(0, 0x10000, &ll); err != nil {
 		t.Fatal(err)
 	}
 	defer ll.End()

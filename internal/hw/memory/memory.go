@@ -277,6 +277,32 @@ func (m *PhysMem) ReadInto(addr uint32, dst []byte) error {
 	return nil
 }
 
+// Scan passes the n bytes at addr to fn in address order, one piece per
+// page, without copying them: ReadInto for a caller that only streams the
+// bytes, such as SKINIT hashing the SLB where it sits. It takes the same
+// read lock and range check as Read, an image page is generated on its
+// first touch as it is for Read, and an absent page is passed as the
+// shared zero page. Like every CPU-originated read it is never blocked by
+// the DEV. fn runs under the read lock: it must not modify or keep the
+// slice, and must not call back into the memory.
+func (m *PhysMem) Scan(addr uint32, n int, fn func([]byte)) error {
+	m.rlock(addr, n, false)
+	defer m.mu.RUnlock()
+	if err := m.checkRange(addr, n); err != nil {
+		return err
+	}
+	for off := 0; off < n; {
+		p, lo, k := span(addr, n, off)
+		if pg := m.pages[p]; pg != nil {
+			fn(pg[lo : lo+k])
+		} else {
+			fn(zeroPage[:k])
+		}
+		off += k
+	}
+	return nil
+}
+
 // span splits the run of n bytes at addr at its off'th byte into the page
 // holding that byte, the run's offset lo into it, and the length k of the
 // run's part in that page. Callers step off by k.

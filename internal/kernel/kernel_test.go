@@ -313,8 +313,8 @@ func TestBlockCopyDefersDuringSession(t *testing.T) {
 	slb[0] = 64 // length
 	slb[2] = 4  // entry
 	m.Mem.Write(slbBase, slb)
-	ll, err := m.SKINIT(0, slbBase)
-	if err != nil {
+	var ll cpu.LateLaunch
+	if err := m.SKINIT(0, slbBase, &ll); err != nil {
 		t.Fatal(err)
 	}
 	n, err := cp.Pump(4096)
@@ -351,8 +351,8 @@ func TestUnsafeDriverFaultsAgainstDEV(t *testing.T) {
 	slb[0] = 64
 	slb[2] = 4
 	m.Mem.Write(slbBase, slb)
-	ll, err := m.SKINIT(0, slbBase)
-	if err != nil {
+	var ll cpu.LateLaunch
+	if err := m.SKINIT(0, slbBase, &ll); err != nil {
 		t.Fatal(err)
 	}
 	defer ll.End()
