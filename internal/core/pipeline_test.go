@@ -340,6 +340,11 @@ type orderObserver struct {
 	open    string
 	charges map[string]int // phase -> charge count
 	badAttr int
+	// charged sums each phase's charge durations; phaseErr and sessionErr
+	// keep the errors PhaseEnd and SessionEnd reported.
+	charged    map[string]time.Duration
+	phaseErr   map[string]error
+	sessionErr error
 }
 
 func (o *orderObserver) SessionStart(m SessionMeta) {
@@ -362,6 +367,10 @@ func (o *orderObserver) Charge(sid uint64, phase string, c simtime.Charge) {
 		o.badAttr++
 	}
 	o.charges[phase]++
+	if o.charged == nil {
+		o.charged = make(map[string]time.Duration)
+	}
+	o.charged[phase] += c.Duration
 }
 
 func (o *orderObserver) PhaseEnd(sid uint64, phase string, at time.Duration, err error) {
@@ -369,12 +378,19 @@ func (o *orderObserver) PhaseEnd(sid uint64, phase string, at time.Duration, err
 	defer o.mu.Unlock()
 	o.events = append(o.events, "end:"+phase)
 	o.open = ""
+	if err != nil {
+		if o.phaseErr == nil {
+			o.phaseErr = make(map[string]error)
+		}
+		o.phaseErr[phase] = err
+	}
 }
 
 func (o *orderObserver) SessionEnd(sid uint64, at time.Duration, err error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.events = append(o.events, "session-end")
+	o.sessionErr = err
 }
 
 func TestObserverCallbackOrderAndChargeAttribution(t *testing.T) {
@@ -407,6 +423,12 @@ func TestObserverCallbackOrderAndChargeAttribution(t *testing.T) {
 			t.Errorf("no charges attributed to %q", ph)
 		}
 	}
+	// A phase's charges sum to at most its duration.
+	for _, ph := range res.Phases {
+		if o.charged[ph.Name] > ph.Duration {
+			t.Errorf("phase %q charges %v exceed its %v duration", ph.Name, o.charged[ph.Name], ph.Duration)
+		}
+	}
 	// A removed observer sees nothing further.
 	before := len(o.events)
 	p.RemoveObserver(o)
@@ -437,6 +459,16 @@ func TestObserverSeesAbortedSessions(t *testing.T) {
 	}
 	if !found {
 		t.Error("no PhaseEnd for the faulted phase")
+	}
+	// Both the session and its faulted phase report the injected fault.
+	if !errors.Is(o.sessionErr, ErrFaultInjected) {
+		t.Errorf("SessionEnd error = %v, want the injected fault", o.sessionErr)
+	}
+	if !errors.Is(o.phaseErr["skinit"], ErrFaultInjected) {
+		t.Errorf("PhaseEnd(skinit) error = %v, want the injected fault", o.phaseErr["skinit"])
+	}
+	if len(o.phaseErr) != 1 {
+		t.Errorf("phase errors = %v, want only the faulted skinit", o.phaseErr)
 	}
 }
 
