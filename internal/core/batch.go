@@ -74,11 +74,20 @@ type BatchResult struct {
 	Completed int
 }
 
-// batchRun is the platform's batch scratch, reused by every batched session
-// under sessionMu: the framed input page, the decoded requests, the
+// framedPAL runs a request group as one PAL: a batched session is the
+// classic phase list with a framedPAL as its PAL, so the engine's one
+// pal-exec body runs it like any other. Run decodes the framed input page,
+// opens the batch, runs each request as a "request" span, closes the batch
+// and returns the framed output page. The embedded PAL is the wrapped one:
+// its name, code and image identify the session.
+//
+// A framedPAL is the platform's batch scratch, reused by every batched
+// session under sessionMu: the input frame, the decoded requests, the
 // plain-PAL adapter, and the caller's result, which the request loop fills
-// in even when the session itself aborts (the completed-prefix contract).
-type batchRun struct {
+// in even when the session aborts (the completed-prefix contract).
+type framedPAL struct {
+	pal.PAL
+	st    *sessionState
 	bp    pal.BatchPAL
 	plain pal.PerRequest
 	frame []byte
@@ -88,12 +97,82 @@ type batchRun struct {
 
 // clear ends a batched session's use of the scratch: the frame and request
 // slots are zeroed, so no request bytes outlive their session, and the
-// result and PAL are dropped. It runs on success and on abort alike.
-func (br *batchRun) clear() {
-	clear(br.frame)
-	clear(br.reqs[:cap(br.reqs)])
-	br.frame, br.reqs = br.frame[:0], br.reqs[:0]
-	br.bp, br.plain.PAL, br.out = nil, nil, nil
+// result and PALs are dropped. It runs on success and on abort alike.
+func (f *framedPAL) clear() {
+	clear(f.frame)
+	clear(f.reqs[:cap(f.reqs)])
+	f.frame, f.reqs = f.frame[:0], f.reqs[:0]
+	f.PAL, f.bp, f.plain.PAL, f.st, f.out = nil, nil, nil, nil, nil
+}
+
+// sessionAbort is returned by a framedPAL's Run for a failure that must
+// abort the session instead of becoming its PALError: an injected request
+// fault, or an input page that no longer holds a well-formed frame.
+// palExecBody unwraps it and aborts with err.
+type sessionAbort struct{ err error }
+
+func (a sessionAbort) Error() string { return a.err.Error() }
+
+// Run executes the request group. Request-level errors go into the
+// replies; OpenBatch, CloseBatch and timeout failures are returned as the
+// session's PAL error.
+func (f *framedPAL) Run(env *pal.Env, frame []byte) ([]byte, error) {
+	header, reqs, err := decodeBatchInput(frame, f.reqs[:0])
+	f.reqs = reqs
+	if err != nil {
+		return nil, sessionAbort{err}
+	}
+	st, res := f.st, f.out
+	bctx, err := f.bp.OpenBatch(env, header, len(reqs))
+	if err != nil {
+		return nil, fmt.Errorf("core: batch open: %w", err)
+	}
+	for i, req := range reqs {
+		// The injector sees each request boundary, so tests can kill the
+		// session mid-batch and exercise the prefix contract.
+		if st.opts.Injector != nil {
+			if err := st.opts.Injector(fmt.Sprintf("request[%d]", i)); err != nil {
+				return nil, sessionAbort{err}
+			}
+		}
+		// Each request starts with a clean output register, as a singleton
+		// session's fresh Env would: the fallback below must never hand one
+		// request a reply staged by an earlier one.
+		env.ResetOutput()
+		// The request is an observer-visible span: the PAL's charges
+		// attribute to it, and it lands in the session timeline, so a trace
+		// shows N request spans inside pal-exec. Request errors are
+		// reply-level, not session aborts, so PhaseEnd sees nil.
+		start := st.p.Clock.Now()
+		st.setPhase(phaseRequest)
+		for _, o := range st.obs {
+			o.PhaseStart(st.res.SessionID, phaseRequest, start)
+		}
+		out, rerr := f.bp.RunRequest(env, bctx, i, req)
+		end := st.p.Clock.Now()
+		st.res.Phases = append(st.res.Phases, Phase{Name: phaseRequest, Start: start, Duration: end - start})
+		for _, o := range st.obs {
+			o.PhaseEnd(st.res.SessionID, phaseRequest, end, nil)
+		}
+		st.setPhase("pal-exec")
+		if rerr == nil && out == nil {
+			out = env.Output()
+		}
+		res.Replies = append(res.Replies, pal.BatchReply{Output: out, Err: rerr})
+		if env.TimedOut() {
+			// The SLB Core's session timer fired: stop executing, as a
+			// singleton would. Completed requests keep their replies; the
+			// interrupted one reports the timeout.
+			if rerr == nil {
+				res.Replies[i] = pal.BatchReply{Err: pal.ErrPALTimeout}
+			}
+			return nil, pal.ErrPALTimeout
+		}
+	}
+	if res.Trailer, err = f.bp.CloseBatch(env, bctx); err != nil {
+		return nil, fmt.Errorf("core: batch close: %w", err)
+	}
+	return encodeBatchOutput(res.Replies, res.Trailer)
 }
 
 // batchAlloc co-allocates a BatchResult with its SessionResult and, for a
@@ -120,6 +199,23 @@ func newBatchResult(n int) *BatchResult {
 	return &a.out
 }
 
+// Reply returns request i's outcome: its own reply, unless a batch-level
+// PAL error (Session.PALError) reached it, in which case that error is the
+// reply. A shared-timer timeout reaches only the request it interrupted and
+// the ones after it: a request that completed before the timer fired keeps
+// its reply. On an aborted session (Session nil) only the completed prefix,
+// i < Completed, has a reply.
+func (b *BatchResult) Reply(i int) pal.BatchReply {
+	if b.Session == nil || b.Session.PALError == nil {
+		return b.Replies[i]
+	}
+	err := b.Session.PALError
+	if errors.Is(err, pal.ErrPALTimeout) && i < b.Completed && b.Replies[i].Err == nil {
+		return b.Replies[i]
+	}
+	return pal.BatchReply{Err: err}
+}
+
 // RunSessionBatch executes the request group in one classic session. The
 // returned BatchResult is non-nil even on session abort, reporting the
 // completed prefix; the error mirrors RunSession's (infrastructure
@@ -132,133 +228,24 @@ func (p *Platform) RunSessionBatch(pl pal.PAL, batch Batch, opts SessionOptions)
 	}
 	p.sessionMu.Lock()
 	defer p.sessionMu.Unlock()
-	br := &p.scratch.batch
-	defer br.clear()
+	f := &p.scratch.framed
+	defer f.clear()
 	var err error
-	if br.frame, err = appendBatchInput(br.frame[:0], batch.Header, batch.Requests); err != nil {
+	if f.frame, err = appendBatchInput(f.frame[:0], batch.Header, batch.Requests); err != nil {
 		return nil, err
 	}
 	out := newBatchResult(len(batch.Requests))
-	br.bp, br.out = pal.AsBatchWith(pl, &br.plain), out
-	opts.Input, opts.batch = br.frame, br
-	out.Session, err = p.runLocked(&classicBatchPipeline, pl, opts, out.Session)
+	f.PAL, f.bp, f.st, f.out = pl, pal.AsBatchWith(pl, &f.plain), &p.scratch.st, out
+	opts.Input = f.frame
+	out.Session, err = p.runLocked(&classicBatchPipeline, f, opts, out.Session)
 	out.Completed = len(out.Replies)
 	return out, err
 }
 
-// classicBatchPipeline is the classic Figure 2 timeline with the request
-// loop in place of the single PAL call. Every other phase — and therefore
-// the launch measurement chain and the teardown matrix — is shared with
-// RunSession.
-var classicBatchPipeline = sessionPipeline{
-	name: "classic-batch",
-	phases: []phaseSpec{
-		{name: "accept", body: acceptBody},
-		{name: "init-slb", body: initSLBBody, teardown: zeroWindowTeardown},
-		{name: "suspend-os", body: suspendOSBody, teardown: resumeOSTeardown},
-		{name: "skinit", body: skinitBody, teardown: launchTeardown},
-		{name: "pal-exec", body: palExecBatchBody},
-		{name: "cleanup", body: cleanupBody},
-		{name: "extend-pcr", body: extendPCRBody},
-		{name: "resume-os", body: resumeOSBody},
-	},
-}
-
-// palExecBatchBody is the batch variant of palExecBody: same environment
-// setup, then OpenBatch, the request loop, CloseBatch, and the framed
-// output write. Request-level errors go into the replies; OpenBatch /
-// CloseBatch / timeout failures become the session's PALError; only
-// injected faults and memory faults abort the session.
-func palExecBatchBody(st *sessionState) error {
-	framed, err := setupPALEnv(st)
-	if err != nil {
-		return err
-	}
-	env := st.env
-	br := st.opts.batch
-	header, reqs, err := decodeBatchInput(framed, br.reqs[:0])
-	br.reqs = reqs
-	if err != nil {
-		// The input page no longer holds a well-formed frame: abort.
-		env.ExitSandbox()
-		return err
-	}
-	res := br.out
-	bctx, oerr := br.bp.OpenBatch(env, header, len(reqs))
-	if oerr != nil {
-		st.palErr = fmt.Errorf("core: batch open: %w", oerr)
-	} else {
-		for i, req := range reqs {
-			// The injector sees each request boundary, so tests can kill
-			// the session mid-batch and exercise the prefix contract.
-			if st.opts.Injector != nil {
-				if ierr := st.opts.Injector(fmt.Sprintf("request[%d]", i)); ierr != nil {
-					env.ExitSandbox()
-					return ierr
-				}
-			}
-			// Each request starts with a clean output register, as a
-			// singleton session's fresh Env would: the fallback below must
-			// never hand one request a reply staged by an earlier one.
-			env.ResetOutput()
-			out, rerr := st.runBatchRequest(bctx, i, req)
-			if rerr == nil && out == nil {
-				out = env.Output()
-			}
-			res.Replies = append(res.Replies, pal.BatchReply{Output: out, Err: rerr})
-			if env.TimedOut() {
-				// The SLB Core's session timer fired: stop executing, as
-				// a singleton would. Completed requests keep their
-				// replies; the interrupted one reports the timeout.
-				if rerr == nil {
-					res.Replies[i] = pal.BatchReply{Err: pal.ErrPALTimeout}
-				}
-				st.palErr = pal.ErrPALTimeout
-				break
-			}
-		}
-		if st.palErr == nil {
-			res.Trailer, err = br.bp.CloseBatch(env, bctx)
-			if err != nil {
-				st.palErr = fmt.Errorf("core: batch close: %w", err)
-			}
-		}
-	}
-	env.ExitSandbox()
-	if st.palErr == nil {
-		st.palOut, err = encodeBatchOutput(res.Replies, res.Trailer)
-		if err != nil {
-			st.palErr = err
-		} else if err := st.writeOutputPage(st.palOut); err != nil {
-			return err
-		}
-	}
-	if v, err := env.PCR17(); err == nil {
-		st.res.PCR17AtLaunch = v
-	}
-	return nil
-}
-
-// runBatchRequest executes one request as an observer-visible span. Charges
-// the PAL incurs during the request attribute to the "request" phase, and
-// the span lands in the session timeline, so a trace of a batched session
-// shows N request spans inside pal-exec. Request errors are reply-level,
-// not session aborts, so PhaseEnd sees nil.
-func (st *sessionState) runBatchRequest(bctx any, i int, req []byte) ([]byte, error) {
-	start := st.p.Clock.Now()
-	st.setPhase(phaseRequest)
-	for _, o := range st.obs {
-		o.PhaseStart(st.res.SessionID, phaseRequest, start)
-	}
-	out, err := st.opts.batch.bp.RunRequest(st.env, bctx, i, req)
-	end := st.p.Clock.Now()
-	st.res.Phases = append(st.res.Phases, Phase{Name: phaseRequest, Start: start, Duration: end - start})
-	for _, o := range st.obs {
-		o.PhaseEnd(st.res.SessionID, phaseRequest, end, nil)
-	}
-	st.setPhase("pal-exec")
-	return out, err
-}
+// classicBatchPipeline runs a batched session: the classic phase list, with
+// a framedPAL as the PAL. It differs from classicPipeline only in its name,
+// which SessionResult.Pipeline, the sessions metric and traces report.
+var classicBatchPipeline = sessionPipeline{name: "classic-batch", phases: classicPipeline.phases}
 
 // --- Wire framing -----------------------------------------------------------
 

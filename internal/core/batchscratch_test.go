@@ -49,7 +49,7 @@ func snapshotBatch(br *BatchResult) batchSnapshot {
 // no request bytes, request slices, PAL or result.
 func requireBatchScratchEmpty(t *testing.T, p *Platform) {
 	t.Helper()
-	br := &p.scratch.batch
+	br := &p.scratch.framed
 	if i := bytes.IndexFunc(br.frame[:cap(br.frame)], func(r rune) bool { return r != 0 }); i >= 0 {
 		t.Errorf("batch frame scratch byte %d is nonzero after the session", i)
 	}
@@ -58,7 +58,7 @@ func requireBatchScratchEmpty(t *testing.T, p *Platform) {
 			t.Errorf("batch request slot %d still holds %q after the session", i, r)
 		}
 	}
-	if br.bp != nil || br.plain.PAL != nil || br.out != nil {
+	if br.PAL != nil || br.bp != nil || br.plain.PAL != nil || br.st != nil || br.out != nil {
 		t.Error("batch scratch still references the PAL or the result after the session")
 	}
 }

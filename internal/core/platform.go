@@ -104,7 +104,7 @@ type Platform struct {
 		slbClient *tpm.Client // SLB Core's locality-2 driver (unauth commands)
 		seed      []byte      // per-session client nonce-seed scratch
 		page      []byte      // output-page framing scratch
-		batch     batchRun    // batched sessions' frame and request scratch
+		framed    framedPAL   // batched sessions' PAL: frame and request scratch
 		chargeFn  func(simtime.Charge)
 	}
 }

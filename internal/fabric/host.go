@@ -410,31 +410,20 @@ func (h *Host) runBatch(p pal.PAL, s *hostScratch) {
 		switch {
 		case errors.Is(err, pool.ErrClosed):
 			mr.Status, mr.Err = runLost, err.Error()
-		case err != nil:
-			// The shared session aborted. Members before the interruption
-			// point keep their replies (the batch engine's completed-prefix
-			// contract); interrupted members report runLost and travel again.
-			switch {
-			case br != nil && i < br.Completed && br.Replies[i].Err == nil:
-				mr.Status, mr.Output = runOK, br.Replies[i].Output
-			case br != nil && i < br.Completed:
-				mr.Status, mr.Err = runPALError, br.Replies[i].Err.Error()
-			default:
-				mr.Status, mr.Err = runLost, err.Error()
-			}
-		case br.Session.PALError != nil:
-			// Batch-level PAL failure: the shared timer's completed prefix
-			// keeps its replies (mirroring the pool's singleton narrowing);
-			// everyone else sees the PAL error — final, never resubmitted.
-			if errors.Is(br.Session.PALError, pal.ErrPALTimeout) && i < br.Completed && br.Replies[i].Err == nil {
-				mr.Status, mr.Output = runOK, br.Replies[i].Output
-			} else {
-				mr.Status, mr.Err = runPALError, br.Session.PALError.Error()
-			}
-		case br.Replies[i].Err != nil:
-			mr.Status, mr.Err = runPALError, br.Replies[i].Err.Error()
+		case err != nil && (br == nil || i >= br.Completed):
+			// The shared session aborted before this member's request
+			// completed: it reports runLost and travels again. Members
+			// before the interruption point keep their replies below (the
+			// batch engine's completed-prefix contract).
+			mr.Status, mr.Err = runLost, err.Error()
 		default:
-			mr.Status, mr.Output = runOK, br.Replies[i].Output
+			// A batch-level PAL failure that reached this member is final,
+			// never resubmitted.
+			if rep := br.Reply(i); rep.Err != nil {
+				mr.Status, mr.Err = runPALError, rep.Err.Error()
+			} else {
+				mr.Status, mr.Output = runOK, rep.Output
+			}
 		}
 		ms := s.segs[i]
 		if mr.Status == runOK {
