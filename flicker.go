@@ -103,8 +103,8 @@ func DecodeBatchOutput(b []byte) ([]BatchReply, []byte, error) {
 
 // Observer receives structured session lifecycle events (session and phase
 // boundaries, clock charges attributed to the open phase). Attach with
-// Platform.AddObserver; internal/trace.Recorder is a ready-made JSON
-// exporter.
+// Platform.AddObserver; NewSessionTraceObserver turns the stream into
+// Tracer spans, the JSON that `flicker run -trace-json` prints.
 type Observer = core.Observer
 
 // SessionMeta identifies a session to observers.

@@ -63,3 +63,33 @@ func TestRenderCharges(t *testing.T) {
 		t.Errorf("empty charges: %s", out)
 	}
 }
+
+func TestRenderTimelineZeroDurationPhase(t *testing.T) {
+	// A phase shorter than one cell still renders a visible bar.
+	res := &core.SessionResult{
+		Start: 0,
+		End:   100 * time.Millisecond,
+		Phases: []core.Phase{
+			{Name: "big", Start: 0, Duration: 100 * time.Millisecond},
+			{Name: "tiny", Start: 100 * time.Millisecond, Duration: 0},
+		},
+	}
+	out := RenderTimeline(res, 40)
+	for _, line := range strings.Split(out, "\n") {
+		if strings.Contains(line, "tiny") && !strings.Contains(line, "#") {
+			t.Errorf("zero-duration phase has no bar: %q", line)
+		}
+	}
+}
+
+func TestRenderChargesTieBreak(t *testing.T) {
+	// Equal-cost labels sort alphabetically, so output is deterministic.
+	charges := []simtime.Charge{
+		{Label: "b.op", Duration: time.Millisecond},
+		{Label: "a.op", Duration: time.Millisecond},
+	}
+	out := RenderCharges(charges)
+	if strings.Index(out, "a.op") > strings.Index(out, "b.op") {
+		t.Errorf("tie not broken alphabetically:\n%s", out)
+	}
+}
