@@ -204,7 +204,7 @@ type tags struct {
 	params uint64 // bitset of the enclosing function's parameters
 }
 
-func (t tags) empty() bool     { return !t.wire && !t.secret && t.params == 0 }
+func (t tags) empty() bool { return !t.wire && !t.secret && t.params == 0 }
 func (t tags) union(o tags) tags {
 	return tags{wire: t.wire || o.wire, secret: t.secret || o.secret, params: t.params | o.params}
 }

@@ -15,11 +15,11 @@ type fabricMetrics struct {
 	admissionOK       *metrics.Counter
 	admissionRejected *metrics.Counter
 
-	hostUp          *metrics.Counter
-	hostDown        *metrics.Counter
-	hostDrained     *metrics.Counter
-	reattestOK      *metrics.Counter
-	reattestFail    *metrics.Counter
+	hostUp       *metrics.Counter
+	hostDown     *metrics.Counter
+	hostDrained  *metrics.Counter
+	reattestOK   *metrics.Counter
+	reattestFail *metrics.Counter
 
 	resubmits *metrics.Counter
 	runsOK    *metrics.Counter

@@ -639,9 +639,6 @@ func (m *Machine) endLaunch(core *Core, slbBase uint32, savedIF bool) {
 	m.mu.Unlock()
 }
 
-// Core returns the core the launch is running on.
-func (l *LateLaunch) Core() *Core { return l.core }
-
 // Active reports whether l holds the machine's running launch: filled by a
 // successful SKINIT and not ended since.
 func (l *LateLaunch) Active() bool {
