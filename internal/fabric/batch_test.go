@@ -630,3 +630,64 @@ func TestFabricBatchConcurrentTrafficRace(t *testing.T) {
 	}()
 	wg.Wait()
 }
+
+// A caller that sends one Run at a time pays one coalescer hold per PAL,
+// not one per Run: after the first Run waits out MaxWait alone, each later
+// Run finds no other Run of its PAL outstanding and is sent at once (an
+// idle flush). A burst after that quiet period still shares a frame: with
+// run x held in the host, the burst's first Run finds x outstanding, so
+// the dispatcher holds it and gathers the other three.
+func TestFabricHoldSkippedForSequentialRuns(t *testing.T) {
+	const maxWait = 250 * time.Millisecond
+	r := batchRig(t, 1, ControllerConfig{Seed: "t", MaxBatch: 4, MaxWait: maxWait})
+	start := time.Now()
+	for i := 0; i < 10; i++ {
+		in := fmt.Sprintf("s%d", i)
+		out, err := r.ctrl.Run("echo", []byte(in))
+		if err != nil || string(out) != "echo:"+in {
+			t.Fatalf("sequential run %d = %q, %v", i, out, err)
+		}
+	}
+	if took := time.Since(start); took >= 2*maxWait {
+		t.Fatalf("10 sequential Runs took %v, want under 2×MaxWait (%v): each Run was held", took, 2*maxWait)
+	}
+	if n := r.metric("flicker_fabric_batch_flush_total", "idle"); n < 9 {
+		t.Fatalf("idle flushes = %v after 10 sequential Runs, want >= 9", n)
+	}
+
+	h := r.hosts[0]
+	real := h.handle
+	entered, release := make(chan struct{}), make(chan struct{})
+	var held atomic.Bool
+	h.port.SetHandler(func(dst, req []byte) []byte {
+		if len(req) > 0 && req[0] == kindRunBatch && held.CompareAndSwap(false, true) {
+			close(entered)
+			<-release
+		}
+		return real(dst, req)
+	})
+	xDone := make(chan error, 1)
+	go func() {
+		out, err := r.ctrl.Run("echo", []byte("x"))
+		if err == nil && string(out) != "echo:x" {
+			err = fmt.Errorf("run x = %q", out)
+		}
+		xDone <- err
+	}()
+	<-entered
+	groups := r.metric("flicker_fabric_batch_flush_total")
+	outs := runAll(t, r.ctrl, 4)
+	n := r.metric("flicker_fabric_batch_flush_total") - groups
+	close(release)
+	if err := <-xDone; err != nil {
+		t.Fatal(err)
+	}
+	for in, out := range outs {
+		if out != "echo:"+in {
+			t.Fatalf("burst output for %q = %q", in, out)
+		}
+	}
+	if n != 1 {
+		t.Fatalf("a lockstep burst of 4 Runs flushed as %v groups, want one frame of 4", n)
+	}
+}

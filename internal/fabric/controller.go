@@ -72,7 +72,11 @@ type ControllerConfig struct {
 	// batching (every Run is its own synchronous one-member frame).
 	MaxBatch int
 	// MaxWait bounds how long the coalescer holds the first Run of a group
-	// open waiting for companions (default 1ms when MaxBatch > 1).
+	// open waiting for companions (default 1ms when MaxBatch > 1). A PAL's
+	// dispatcher skips the hold (sched.Hold) while its Runs arrive alone:
+	// after a hold that gathered no companion, a Run is sent at once while
+	// no other Run of its PAL is outstanding, until a group of two or more
+	// forms again.
 	MaxWait time.Duration
 	// Window is the pipelining depth: how many frames may be outstanding to
 	// one host at once before dispatch blocks (default 4; only meaningful
@@ -194,7 +198,7 @@ type Controller struct {
 	stopOnce sync.Once
 	frameID  atomic.Uint64
 	dispMu   sync.Mutex
-	queues   map[string]chan *fabJob
+	queues   map[string]*palQueue
 	laneMu   sync.Mutex
 	lanes    map[string]*hostLane
 }
@@ -229,7 +233,7 @@ func NewController(sw *netsim.Switch, ca *attest.PrivacyCA, cfg ControllerConfig
 		expected: make(map[string]expectedPAL),
 		coal:     co,
 		stop:     make(chan struct{}),
-		queues:   make(map[string]chan *fabJob),
+		queues:   make(map[string]*palQueue),
 		lanes:    make(map[string]*hostLane),
 	}
 	if cfg.TraceSample > 0 {
@@ -567,29 +571,41 @@ func (c *Controller) laneFor(host string) *hostLane {
 	return l
 }
 
+// palQueue is one PAL's dispatcher queue and the count of its Runs that
+// have not returned yet: queued, being gathered, or on the wire.
+type palQueue struct {
+	q           chan *fabJob
+	outstanding atomic.Int64
+}
+
 // queueFor returns (lazily starting) the dispatcher queue for one PAL.
-func (c *Controller) queueFor(palName string) chan *fabJob {
+func (c *Controller) queueFor(palName string) *palQueue {
 	c.dispMu.Lock()
 	defer c.dispMu.Unlock()
-	q, ok := c.queues[palName]
+	pq, ok := c.queues[palName]
 	if !ok {
 		depth := 4 * c.coal.MaxBatch
 		if depth < 64 {
 			depth = 64
 		}
-		q = make(chan *fabJob, depth)
-		c.queues[palName] = q
-		go c.dispatch(palName, q)
+		pq = &palQueue{q: make(chan *fabJob, depth)}
+		c.queues[palName] = pq
+		go c.dispatch(palName, pq)
 	}
-	return q
+	return pq
 }
 
 // runBatched enqueues one Run on its PAL's coalescer and waits for the
-// outcome.
+// outcome. The Run is outstanding until its outcome is received, so a
+// caller that sends one Run at a time never finds its previous Run still
+// outstanding.
 func (c *Controller) runBatched(palName string, input []byte, root *trace.Span) ([]byte, error) {
+	pq := c.queueFor(palName)
+	pq.outstanding.Add(1)
 	j := getJob(input, root)
-	c.enqueue(palName, j)
+	c.enqueue(pq, j)
 	o := <-j.done
+	pq.outstanding.Add(-1)
 	putJob(j)
 	return o.out, o.err
 }
@@ -598,8 +614,8 @@ func (c *Controller) runBatched(palName string, input []byte, root *trace.Span) 
 // once Close has begun. A job that lands in the queue after Close may find
 // the dispatcher already swept and gone, so its enqueuer sweeps the queue
 // too: every queued job is delivered exactly once, by whoever receives it.
-func (c *Controller) enqueue(palName string, j *fabJob) {
-	q := c.queueFor(palName)
+func (c *Controller) enqueue(pq *palQueue, j *fabJob) {
+	q := pq.q
 	select {
 	case q <- j:
 	case <-c.stop:
@@ -618,9 +634,18 @@ func (c *Controller) enqueue(palName string, j *fabJob) {
 // the group as pipelined frames. The dispatcher itself never touches the
 // wire — frame goroutines do — so gathering the next group overlaps the
 // previous frames' round trips. It owns its gather buffer and hold timer,
-// reused for every group; the timer starts stopped and Gather arms it.
-func (c *Controller) dispatch(palName string, q chan *fabJob) {
+// reused for every group; the timer starts stopped and Gather arms it. Its
+// sched.Hold sends a Run at once, without gathering, when the previous hold
+// gathered no companion and no other Run of the PAL is outstanding. A
+// queued companion is not enough of a signal here: the dispatcher hands
+// frames to goroutines and comes straight back, so under load it usually
+// finds the queue empty while the PAL's earlier Runs are still on the wire.
+// (The pool's worker runs its sessions itself, so there a companion that
+// arrives meanwhile is queued.)
+func (c *Controller) dispatch(palName string, pq *palQueue) {
+	q := pq.q
 	var group []*fabJob
+	var hold sched.Hold
 	timer := time.NewTimer(time.Hour)
 	timer.Stop()
 	for {
@@ -632,7 +657,12 @@ func (c *Controller) dispatch(palName string, q chan *fabJob) {
 			return
 		}
 		var reason string
-		group, reason = sched.Gather(c.coal, first, q, group, timer)
+		if hold.Skip(pq.outstanding.Load() > 1) {
+			group, reason = append(group[:0], first), sched.FlushIdle
+		} else {
+			group, reason = sched.Gather(c.coal, first, q, group, timer)
+		}
+		hold.Record(len(group), reason)
 		c.met.batchFlush[reason].Inc()
 		c.met.batchSize.ObserveExemplar(float64(len(group)), firstRootHex(group))
 		c.dispatchGroup(palName, group)
@@ -816,7 +846,7 @@ func (c *Controller) retryJob(palName string, j *fabJob, host string) {
 	case j.direct:
 		j.done <- fabOut{retry: true}
 	default:
-		c.enqueue(palName, j)
+		c.enqueue(c.queueFor(palName), j)
 	}
 }
 

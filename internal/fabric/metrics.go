@@ -72,6 +72,7 @@ func newFabricMetrics(reg *metrics.Registry) *fabricMetrics {
 			sched.FlushFull:    flush.With(sched.FlushFull).Cell(),
 			sched.FlushTimeout: flush.With(sched.FlushTimeout).Cell(),
 			sched.FlushDrain:   flush.With(sched.FlushDrain).Cell(),
+			sched.FlushIdle:    flush.With(sched.FlushIdle).Cell(),
 		},
 		windowWaits: reg.Counter("flicker_fabric_window_waits_total",
 			"Frame dispatches that blocked on a full per-host in-flight window.").With().Cell(),

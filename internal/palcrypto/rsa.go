@@ -2,10 +2,12 @@ package palcrypto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/big"
+	"math/bits"
 )
 
 // RSAPublicKey is an RSA public key (n, e). Keys come from GenerateRSAKey,
@@ -88,7 +90,10 @@ func wipeInt(x *big.Int) {
 	x.SetInt64(0)
 }
 
-var bigOne = big.NewInt(1)
+var (
+	bigOne = big.NewInt(1)
+	bigTwo = big.NewInt(2)
+)
 
 // GenerateRSAKey generates an RSA keypair of the given modulus bit length
 // using entropy from rand. Primes are produced by rejection sampling with
@@ -132,35 +137,104 @@ func GenerateRSAKey(rand io.Reader, bits int) (*RSAPrivateKey, error) {
 	return nil, errors.New("palcrypto: RSA key generation failed to converge")
 }
 
-// genPrime returns a random prime of exactly the given bit length.
+// genPrime returns a random prime of exactly the given bit length: the
+// first candidate read from rand that ProbablyPrime(20) accepts. Two cheap
+// filters run ahead of it and change no verdict, so the primes are those of
+// the plain ProbablyPrime(20) loop. A candidate divisible by an odd prime
+// below 2048 is composite (every candidate exceeds 2^15). A candidate that
+// fails the base-2 Fermat test also fails the base-2 Miller-Rabin round
+// ProbablyPrime always runs.
 func genPrime(rand io.Reader, bits int) (*big.Int, error) {
 	if bits < 16 {
 		return nil, errors.New("palcrypto: prime too small")
 	}
 	b := make([]byte, (bits+7)/8)
+	var p, pm1, fermat big.Int
 	for {
 		if _, err := io.ReadFull(rand, b); err != nil {
 			return nil, err
 		}
-		// Force exact bit length and oddness.
-		excess := len(b)*8 - bits
-		b[0] &= 0xff >> uint(excess)
-		b[0] |= 0x80 >> uint(excess)
-		// Set the second-highest bit too, so products of two primes
-		// reach the full modulus length more often.
-		if bits > 17 {
-			if excess == 7 {
-				b[1] |= 0x80
-			} else {
-				b[0] |= 0x40 >> uint(excess)
-			}
+		shapePrimeCandidate(b, bits)
+		if hasSmallFactor(b) {
+			continue
 		}
-		b[len(b)-1] |= 1
-		p := new(big.Int).SetBytes(b)
+		p.SetBytes(b)
+		pm1.Sub(&p, bigOne)
+		if fermat.Exp(bigTwo, &pm1, &p).Cmp(bigOne) != 0 {
+			continue
+		}
 		if p.ProbablyPrime(20) {
-			return p, nil
+			return new(big.Int).Set(&p), nil
 		}
 	}
+}
+
+// shapePrimeCandidate turns random bytes into an odd candidate of exactly
+// bits bits with its second-highest bit set too, so products of two primes
+// reach the full modulus length more often.
+func shapePrimeCandidate(b []byte, bits int) {
+	excess := len(b)*8 - bits
+	b[0] &= 0xff >> uint(excess)
+	b[0] |= 0x80 >> uint(excess)
+	if bits > 17 {
+		if excess == 7 {
+			b[1] |= 0x80
+		} else {
+			b[0] |= 0x40 >> uint(excess)
+		}
+	}
+	b[len(b)-1] |= 1
+}
+
+// smallPrimeGroups packs the odd primes below 2048 into groups whose
+// product fits a uint64, so trial division reduces a candidate once per
+// group and tests the group's primes against that 64-bit remainder.
+var smallPrimeGroups = func() (groups []smallPrimeGroup) {
+	const limit = 2048
+	var composite [limit]bool
+	g := smallPrimeGroup{prod: 1}
+	for q := uint64(3); q < limit; q += 2 {
+		if composite[q] {
+			continue
+		}
+		for m := q * q; m < limit; m += 2 * q {
+			composite[m] = true
+		}
+		if hi, _ := bits.Mul64(g.prod, q); hi != 0 {
+			groups = append(groups, g)
+			g = smallPrimeGroup{prod: 1}
+		}
+		g.prod *= q
+		g.primes = append(g.primes, q)
+	}
+	return append(groups, g)
+}()
+
+type smallPrimeGroup struct {
+	prod   uint64
+	primes []uint64
+}
+
+// hasSmallFactor reports whether the big-endian number b is divisible by an
+// odd prime below 2048.
+func hasSmallFactor(b []byte) bool {
+	head := len(b) % 8
+	for _, g := range smallPrimeGroups {
+		var r uint64
+		for _, c := range b[:head] {
+			r = r<<8 | uint64(c)
+		}
+		r %= g.prod
+		for i := head; i < len(b); i += 8 {
+			r = bits.Rem64(r, binary.BigEndian.Uint64(b[i:]), g.prod)
+		}
+		for _, q := range g.primes {
+			if r%q == 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // ErrRSADecryption is returned for any malformed or mis-keyed ciphertext.

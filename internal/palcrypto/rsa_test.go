@@ -2,6 +2,8 @@ package palcrypto
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -57,6 +59,84 @@ func TestGenerateRSAKeyDeterministic(t *testing.T) {
 	}
 	if a.N.Cmp(c.N) == 0 {
 		t.Error("different seeds produced the same key")
+	}
+}
+
+// plainPrime is the prime search without genPrime's pre-filters: the first
+// shaped candidate that ProbablyPrime(20) accepts.
+func plainPrime(t *testing.T, rand io.Reader, bits int) *big.Int {
+	t.Helper()
+	b := make([]byte, (bits+7)/8)
+	for {
+		if _, err := io.ReadFull(rand, b); err != nil {
+			t.Fatal(err)
+		}
+		shapePrimeCandidate(b, bits)
+		if p := new(big.Int).SetBytes(b); p.ProbablyPrime(20) {
+			return p
+		}
+	}
+}
+
+// genPrime's trial division and Fermat pre-test only skip work: over 64
+// seeds, it returns the prime of the plain ProbablyPrime(20) loop, so it
+// also reads the same candidates. Every sixteenth seed searches at 512
+// bits, the rest at 256.
+func TestGenPrimeMatchesPlainSearch(t *testing.T) {
+	for seed := 0; seed < 64; seed++ {
+		bits := 256
+		if seed%16 == 15 {
+			bits = 512
+		}
+		s := []byte(fmt.Sprintf("prime-seed-%d", seed))
+		p, err := genPrime(NewPRNG(s), bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := plainPrime(t, NewPRNG(s), bits); p.Cmp(w) != 0 {
+			t.Fatalf("seed %d, %d bits: genPrime = %x, plain search = %x", seed, bits, p, w)
+		}
+	}
+}
+
+// The trial-division table holds exactly the 308 odd primes below 2048,
+// and hasSmallFactor agrees with big.Int arithmetic.
+func TestHasSmallFactor(t *testing.T) {
+	var primes []*big.Int
+	for q := int64(3); q < 2048; q += 2 {
+		if big.NewInt(q).ProbablyPrime(0) {
+			primes = append(primes, big.NewInt(q))
+		}
+	}
+	var table []*big.Int
+	for _, g := range smallPrimeGroups {
+		prod := uint64(1)
+		for _, q := range g.primes {
+			table = append(table, new(big.Int).SetUint64(q))
+			prod *= q
+		}
+		if prod != g.prod {
+			t.Fatalf("group %v: product %d, want %d", g.primes, g.prod, prod)
+		}
+	}
+	if fmt.Sprint(table) != fmt.Sprint(primes) || len(table) != 308 {
+		t.Fatalf("table holds %d primes %v, want the 308 odd primes below 2048", len(table), table)
+	}
+	rng := NewPRNG([]byte("small-factor"))
+	var r big.Int
+	for i := 0; i < 200; i++ {
+		b := rng.Bytes(1 + i%40)
+		x := new(big.Int).SetBytes(b)
+		want := false
+		for _, q := range primes {
+			if r.Mod(x, q).Sign() == 0 {
+				want = true
+				break
+			}
+		}
+		if got := hasSmallFactor(b); got != want {
+			t.Fatalf("hasSmallFactor(%x) = %v, want %v", b, got, want)
+		}
 	}
 }
 

@@ -66,7 +66,10 @@ type Config struct {
 	MaxBatch int
 	// MaxWait bounds how long a worker holds the first job of a group
 	// open waiting for companions before flushing what it has (default
-	// 1ms; only meaningful when MaxBatch > 1).
+	// 1ms; only meaningful when MaxBatch > 1). A worker skips the hold
+	// (sched.Hold) while its jobs arrive alone: after a hold that gathered
+	// no companion, a job with none queued behind it runs at once, until a
+	// group of two or more forms again.
 	MaxWait time.Duration
 	// WallClock supplies the wall-clock reading used for the queue-delay
 	// metric (default time.Now). Queue delay is real scheduling latency, not
@@ -115,6 +118,13 @@ type shard struct {
 	// worker offers a space token after every pop while waiters > 0.
 	waiters atomic.Int64
 	space   chan struct{}
+
+	// Coalescer state, owned by the worker: the gather buffer and hold
+	// timer reused for every group (the timer is kept stopped and drained
+	// between groups) and the adaptive hold rule.
+	group []*job
+	timer *time.Timer
+	hold  sched.Hold
 
 	// Per-shard cells on the pool's shared series (see metrics/cells.go).
 	queueDelay *metrics.Histogram
@@ -251,17 +261,21 @@ func New(cfg Config) (*Pool, error) {
 		if err != nil {
 			return nil, fmt.Errorf("pool: shard %d: %w", i, err)
 		}
+		timer := time.NewTimer(time.Hour)
+		timer.Stop()
 		p.shards = append(p.shards, &shard{
 			platform:   plat,
 			ring:       newRing(cfg.QueueLen),
 			wake:       make(chan struct{}, 1),
 			space:      make(chan struct{}, 1),
+			timer:      timer,
 			queueDelay: p.metQueueDelay.Cell(),
 			batchSize:  batchSize.Cell(),
 			batchFlush: map[string]*metrics.Counter{
 				sched.FlushFull:    flush.With(sched.FlushFull).Cell(),
 				sched.FlushTimeout: flush.With(sched.FlushTimeout).Cell(),
 				sched.FlushDrain:   flush.With(sched.FlushDrain).Cell(),
+				sched.FlushIdle:    flush.With(sched.FlushIdle).Cell(),
 			},
 		})
 	}
@@ -307,8 +321,9 @@ func (p *Pool) take(s *shard) (*job, bool) {
 }
 
 // worker drains one shard's ring until the pool is closed and drained.
-// With coalescing enabled it gathers a group per iteration; otherwise each
-// job is one singleton session.
+// With coalescing enabled it gathers a group per iteration, or, when the
+// shard's hold rule skips the hold, runs the job alone at once (counted as
+// an idle flush); otherwise each job is one singleton session.
 func (p *Pool) worker(s *shard) {
 	defer p.wg.Done()
 	for {
@@ -321,8 +336,16 @@ func (p *Pool) worker(s *shard) {
 			p.runSingleton(s, j)
 			continue
 		}
-		group, reason := p.gather(s, j)
-		p.flush(s, group, reason)
+		var reason string
+		if s.hold.Skip(!s.ring.empty()) {
+			s.group, reason = append(s.group[:0], j), sched.FlushIdle
+			s.batchFlush[reason].Inc()
+		} else {
+			s.group, reason = p.gather(s, j)
+		}
+		s.hold.Record(len(s.group), reason)
+		p.flush(s, s.group, reason)
+		clear(s.group)
 	}
 }
 
@@ -351,13 +374,15 @@ func (p *Pool) runBatchJob(s *shard, j *job) {
 }
 
 // gather collects up to MaxBatch jobs, holding the first for at most
-// MaxWait (group commit): a burst flushes immediately at MaxBatch, a lone
-// request waits one MaxWait and runs alone, and a draining pool flushes
-// whatever is in hand.
+// MaxWait (group commit): a burst flushes immediately at MaxBatch, a job
+// that gathers no companion flushes alone on timeout, and a draining pool
+// flushes whatever is in hand. It is sched.Gather on the shard's ring: the
+// group is built in the shard's buffer and the hold is timed by the
+// shard's timer, which it leaves stopped and drained.
 func (p *Pool) gather(s *shard, first *job) ([]*job, string) {
-	group := []*job{first}
-	timer := time.NewTimer(p.maxWait)
-	defer timer.Stop()
+	group := append(s.group[:0], first)
+	s.timer.Reset(p.maxWait)
+	defer sched.StopTimer(s.timer)
 	for len(group) < p.maxBatch {
 		if j, ok := s.pop(); ok {
 			group = append(group, j)
@@ -378,7 +403,7 @@ func (p *Pool) gather(s *shard, first *job) ([]*job, string) {
 		select {
 		case <-s.wake:
 			s.sleeping.Store(false)
-		case <-timer.C:
+		case <-s.timer.C:
 			s.sleeping.Store(false)
 			return group, sched.FlushTimeout
 		}

@@ -417,6 +417,66 @@ func pinShardWorker(t *testing.T, p *Pool, wg *sync.WaitGroup) func() {
 	return func() { close(release) }
 }
 
+// A submitter that sends one job at a time pays one coalescer hold, not
+// one per job: after the first job waits out MaxWait alone, each later job
+// finds no companion queued and runs at once (an idle flush). Jobs that
+// queue behind a busy worker after that quiet period still coalesce: the
+// worker finds companions behind the first and gathers them.
+func TestPoolHoldSkippedForSequentialRuns(t *testing.T) {
+	const maxWait = 250 * time.Millisecond
+	p, err := New(Config{
+		Shards:   1,
+		QueueLen: 16,
+		MaxBatch: 4,
+		MaxWait:  maxWait,
+		Platform: core.PlatformConfig{Seed: "pool-hold-test"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	hello := testPAL("hello")
+	start := time.Now()
+	for i := 0; i < 10; i++ {
+		if _, err := p.Run(hello, core.SessionOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if took := time.Since(start); took >= 2*maxWait {
+		t.Fatalf("10 sequential Runs took %v, want under 2×MaxWait (%v): each job was held", took, 2*maxWait)
+	}
+	if n := p.Metrics().Snapshot().Sum("flicker_pool_batch_flush_total", "idle"); n < 9 {
+		t.Fatalf("idle flushes = %v after 10 sequential Runs, want >= 9", n)
+	}
+
+	var wg sync.WaitGroup
+	release := pinShardWorker(t, p, &wg)
+	results := make([]*core.SessionResult, 4)
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, err := p.Run(hello, core.SessionOptions{Input: []byte{byte('a' + i)}})
+			if err != nil {
+				t.Errorf("burst job %d: %v", i, err)
+				return
+			}
+			results[i] = res
+		}(i)
+	}
+	waitSubmitted(t, p, 15) // 10 sequential, the blocker and 4 queued
+	release()
+	wg.Wait()
+	for i, res := range results {
+		if res == nil || res.Pipeline != "classic-batch" {
+			t.Fatalf("burst job %d = %+v, want a coalesced classic-batch session", i, res)
+		}
+	}
+	if n := poolSessions(p); n != 12 {
+		t.Fatalf("sessions = %d, want 12 (10 sequential, the blocker, one batch of 4)", n)
+	}
+}
+
 // Coalescing must not make jobs time out that would succeed as singletons:
 // the batch session arms ONE shared SLB Core timer for the whole group, so
 // its budget scales with the group size.

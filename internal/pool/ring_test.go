@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"flicker/internal/core"
 	"flicker/internal/pal"
@@ -233,6 +234,84 @@ func TestPoolSubmitAllocs(t *testing.T) {
 	const budget = 4
 	if avg > budget {
 		t.Errorf("pool round trip costs %.0f allocs, budget %d", avg, budget)
+	}
+}
+
+// raceEnabled is set when the race detector is on (race_test.go).
+var raceEnabled bool
+
+// TestPoolCoalescedRunAllocs budgets a warm Run through a coalescing pool
+// (MaxBatch 4). Each shard gathers into a reused buffer and times its hold
+// with a reused timer, so a group costs no allocation to gather.
+//   - Lockstep: four persistent callers each issue one Run per round, so
+//     every round is one full four-member batch. Measured 5.25 per Run: a
+//     quarter of the batch session, its flush partitioning and the four
+//     callers' result copies. Per-group gather slices and a timer cost 6.75.
+//     Under -race, sync.Pool drops a quarter of what is put back (5.75-6.00).
+//   - Sequential: one caller, one Run at a time, skips the hold after the
+//     first and runs each job at once, at the 3 allocations of a
+//     non-coalescing round trip (TestPoolSubmitAllocs). Holding every job
+//     cost 7.
+func TestPoolCoalescedRunAllocs(t *testing.T) {
+	hello := testPAL("hello")
+	newCoalescing := func(maxWait time.Duration) *Pool {
+		p, err := New(Config{Shards: 1, QueueLen: 8, MaxBatch: 4, MaxWait: maxWait, Platform: core.PlatformConfig{Seed: "pool-test"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		return p
+	}
+
+	p := newCoalescing(time.Second)
+	const callers = 4
+	start := make([]chan struct{}, callers)
+	finished := make(chan error, callers)
+	for w := range start {
+		start[w] = make(chan struct{})
+		go func(w int) {
+			opts := core.SessionOptions{Input: []byte{byte('a' + w)}}
+			for range start[w] {
+				_, err := p.Run(hello, opts)
+				finished <- err
+			}
+		}(w)
+	}
+	defer func() {
+		for _, ch := range start {
+			close(ch)
+		}
+	}()
+	round := func() {
+		for _, ch := range start {
+			ch <- struct{}{}
+		}
+		for range start {
+			if err := <-finished; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 5; i++ {
+		round()
+	}
+	budget := 6.0
+	if raceEnabled {
+		budget = 7.5
+	}
+	if perRun := testing.AllocsPerRun(50, round) / callers; perRun > budget {
+		t.Errorf("lockstep coalesced Run = %.2f allocs, budget %.1f", perRun, budget)
+	}
+
+	seq := newCoalescing(time.Millisecond)
+	run := func() {
+		if res, err := seq.Run(hello, core.SessionOptions{}); err != nil || res.PALError != nil {
+			t.Fatalf("%v %v", err, res.PALError)
+		}
+	}
+	run()
+	if avg := testing.AllocsPerRun(50, run); avg > 4 {
+		t.Errorf("sequential coalescing-pool Run = %.2f allocs, budget 4", avg)
 	}
 }
 

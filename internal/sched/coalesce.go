@@ -5,13 +5,16 @@ import "time"
 // Group-commit coalescing is the second policy the pool and the fabric
 // controller share (the first is Home/LeastLoaded placement): gather up to
 // MaxBatch compatible work items behind the first one, holding the group
-// open for at most MaxWait, then flush — a burst flushes immediately at
-// MaxBatch, a lone item waits one MaxWait and runs alone (the singleton
-// fallback), and a closing queue flushes whatever is in hand. The pool
-// applies it to shard rings (amortizing SKINIT + Seal/Unseal per session);
-// the controller applies it to wire frames (amortizing the netsim round
-// trip per session). One definition keeps the two amortization tiers
-// honest about implementing the same discipline.
+// open for at most MaxWait, then flush. A burst flushes immediately at
+// MaxBatch, and a closing queue flushes whatever is in hand. The hold adapts
+// (Hold): once a lone item has waited out MaxWait without a companion, the
+// next item is sent at once unless a companion is already waiting, so a
+// caller that sends one item at a time pays one hold, not one per item; any
+// group of two or more re-arms the hold. The pool applies the policy to
+// shard rings (amortizing SKINIT + Seal/Unseal per session); the controller
+// applies it to wire frames (amortizing the netsim round trip per session).
+// One definition keeps the two amortization tiers honest about
+// implementing the same discipline.
 
 // Flush reasons, labeling why a gathered group was released. They are the
 // label values of flicker_pool_batch_flush_total and
@@ -23,6 +26,10 @@ const (
 	FlushTimeout = "timeout"
 	// FlushDrain: the queue is closing; flush what is in hand.
 	FlushDrain = "drain"
+	// FlushIdle: the hold was skipped (Hold.Skip). The previous group was a
+	// lone item flushed on timeout and no companion was waiting, so the item
+	// was sent at once as a group of one.
+	FlushIdle = "idle"
 )
 
 // Coalescer is the group-commit policy knob pair.
@@ -31,7 +38,7 @@ type Coalescer struct {
 	// disables coalescing entirely (every item is a singleton).
 	MaxBatch int
 	// MaxWait bounds how long the first item of a group is held open
-	// waiting for companions.
+	// waiting for companions. Hold decides whether an item is held at all.
 	MaxWait time.Duration
 }
 
@@ -56,9 +63,7 @@ func (c Coalescer) Enabled() bool { return c.MaxBatch > 1 }
 // The group is built in buf[:0] and the hold is timed by timer, both owned
 // by the caller and reused across groups, so a steady-state gather
 // allocates nothing. timer must be stopped with its channel drained; Gather
-// leaves it that way. The drain is a non-blocking receive after a failed
-// Stop, which is correct under both the pre-1.23 timer semantics (the
-// fired value sits in the channel) and the newer ones (it never does).
+// leaves it that way (StopTimer).
 func Gather[T any](c Coalescer, first T, ch <-chan T, buf []T, timer *time.Timer) ([]T, string) {
 	group := append(buf[:0], first)
 	if !c.Enabled() {
@@ -73,11 +78,50 @@ func Gather[T any](c Coalescer, first T, ch <-chan T, buf []T, timer *time.Timer
 			return group, FlushTimeout
 		}
 	}
-	if !timer.Stop() {
+	StopTimer(timer)
+	return group, FlushFull
+}
+
+// StopTimer stops a reused hold timer and leaves its channel drained, ready
+// for the next Reset. The drain is a non-blocking receive after a failed
+// Stop, which is correct under both the pre-1.23 timer semantics (the
+// fired value sits in the channel) and the newer ones (it never does).
+func StopTimer(t *time.Timer) {
+	if !t.Stop() {
 		select {
-		case <-timer.C:
+		case <-t.C:
 		default:
 		}
 	}
-	return group, FlushFull
+}
+
+// Hold is the adaptive part of the group-commit hold: whether the next
+// group's first item is held open for companions or sent at once. A hold
+// that gathered no companion (a group of one flushed on timeout) shows that
+// this queue's items do not arrive together, so the next item is sent at
+// once when no companion is already waiting. Any group of two or more
+// re-arms the hold. The rule reads only what a dispatcher observes: its
+// queue, the work it has in flight and the size of its previous group.
+// MaxWait still bounds every hold. The zero Hold is holding, so the first
+// burst a dispatcher sees coalesces. A Hold belongs to one dispatcher and
+// is not safe for concurrent use.
+type Hold struct {
+	idle bool // the last hold gathered no companion
+}
+
+// Skip reports whether to flush the next group's first item alone, at once,
+// under FlushIdle instead of gathering. waiting reports whether a companion
+// is already waiting: another item queued behind this one, or, where the
+// dispatcher does not itself run the items it sends, another item still in
+// flight, whose sender may send again.
+func (h *Hold) Skip(waiting bool) bool { return h.idle && !waiting }
+
+// Record notes a flushed group of n items and its flush reason.
+func (h *Hold) Record(n int, reason string) {
+	switch {
+	case n > 1:
+		h.idle = false
+	case reason == FlushTimeout:
+		h.idle = true
+	}
 }

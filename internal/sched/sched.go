@@ -1,6 +1,7 @@
 // Package sched is the routing core shared by the single-process session
 // pool (internal/pool) and the controller of the attestation fabric
-// (internal/fabric): key-affinity placement with least-loaded spill.
+// (internal/fabric): key-affinity placement with least-loaded spill, and
+// group-commit coalescing whose hold adapts to its queue (coalesce.go).
 //
 // The policy is the one the pool grew for PAL routing — a PAL's name hashes
 // to a home target, so repeat sessions land where the SLB image cache and

@@ -124,3 +124,75 @@ func TestGatherReusesBufferAndTimer(t *testing.T) {
 		t.Fatalf("Gather with a reused buffer and timer = %.2f allocs, want 0", avg)
 	}
 }
+
+// Hold's state machine: a new Hold holds; a lone item flushed on timeout
+// makes the next item skip the hold unless a companion is queued; an idle
+// flush keeps skipping; any group of two or more re-arms the hold; a lone
+// full or drain flush changes nothing.
+func TestHoldSkipsAfterLoneTimeout(t *testing.T) {
+	var h Hold
+	steps := []struct {
+		n      int
+		reason string
+		skip   bool // Skip(false) after recording the group
+	}{
+		{1, FlushFull, false},
+		{1, FlushDrain, false},
+		{1, FlushTimeout, true},
+		{1, FlushIdle, true},
+		{1, FlushDrain, true},
+		{1, FlushFull, true},
+		{2, FlushTimeout, false},
+		{1, FlushTimeout, true},
+		{4, FlushFull, false},
+		{1, FlushTimeout, true},
+		{3, FlushDrain, false},
+	}
+	if h.Skip(false) {
+		t.Fatal("a new Hold skips the hold; a dispatcher's first burst would not coalesce")
+	}
+	for i, s := range steps {
+		h.Record(s.n, s.reason)
+		if got := h.Skip(false); got != s.skip {
+			t.Fatalf("step %d: after a group of %d flushed on %s, Skip(false) = %v, want %v", i, s.n, s.reason, got, s.skip)
+		}
+		if h.Skip(true) {
+			t.Fatalf("step %d: Skip(true) with a companion queued, want a hold", i)
+		}
+	}
+}
+
+// Hold in front of Gather, as a dispatcher uses it: sequential items pay
+// one MaxWait hold in all, and two items queued together still gather.
+func TestHoldWithGather(t *testing.T) {
+	c := Coalescer{MaxBatch: 4, MaxWait: time.Millisecond}
+	ch := make(chan int, 8)
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	var h Hold
+	var group []int
+	flush := func(first int) string {
+		var reason string
+		if h.Skip(len(ch) > 0) {
+			group, reason = append(group[:0], first), FlushIdle
+		} else {
+			group, reason = Gather(c, first, ch, group, timer)
+		}
+		h.Record(len(group), reason)
+		return reason
+	}
+	var reasons []string
+	for i := 0; i < 4; i++ {
+		reasons = append(reasons, flush(i))
+	}
+	if got := fmt.Sprint(reasons); got != "[timeout idle idle idle]" {
+		t.Fatalf("sequential flush reasons = %s, want one timeout, then idle", got)
+	}
+	ch <- 9
+	if reason := flush(8); reason != FlushTimeout || fmt.Sprint(group) != "[8 9]" {
+		t.Fatalf("queued pair = %v on %s, want [8 9] gathered", group, reason)
+	}
+	if reason := flush(7); reason != FlushTimeout || fmt.Sprint(group) != "[7]" {
+		t.Fatalf("after a pair, a lone item = %v on %s, want a timeout hold", group, reason)
+	}
+}
