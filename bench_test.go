@@ -17,6 +17,7 @@ package flicker
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -480,8 +481,11 @@ func BenchmarkPoolThroughput(b *testing.B) {
 // per-session work (the stand-in for SKINIT + Seal/Unseal on a hardware
 // TPM, scaled down to keep the benchmark quick) dwarfs per-request work,
 // the regime batching exists for — so batch=8 must sustain at least 3×
-// the requests/s of singletons on the same shard count.
+// the requests/s of singletons on the same shard count. Each iteration is
+// a fixed burst of 256 requests from 16 goroutines, so even a one-iteration
+// run (-benchtime=1x) offers the coalescer groups to form.
 func BenchmarkBatchThroughput(b *testing.B) {
+	const senders, perSender = 16, 16
 	paced := &PALFunc{
 		PALName: "paced",
 		Binary:  DescriptorCode("paced", "1.0", nil, nil),
@@ -515,26 +519,35 @@ func BenchmarkBatchThroughput(b *testing.B) {
 		if _, err := pool.Run(entry, SessionOptions{Input: []byte("warm")}); err != nil {
 			b.Fatal(err)
 		}
-		b.SetParallelism(16)
 		b.ResetTimer()
 		start := nowSeconds()
 		var n atomic.Int64
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				i := n.Add(1)
-				res, err := pool.Run(entry, SessionOptions{Input: []byte(fmt.Sprintf("req-%d", i))})
-				if err != nil || res.PALError != nil {
-					b.Errorf("%v %v", err, res.PALError)
-					return
-				}
+		for i := 0; i < b.N; i++ {
+			var wg sync.WaitGroup
+			for g := 0; g < senders; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for k := 0; k < perSender; k++ {
+						res, err := pool.Run(entry, SessionOptions{Input: []byte(fmt.Sprintf("req-%d", n.Add(1)))})
+						if err == nil {
+							err = res.PALError
+						}
+						if err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
 			}
-		})
+			wg.Wait()
+		}
 		b.StopTimer()
 		dt := nowSeconds() - start
 		if dt <= 0 {
 			return 0
 		}
-		rps := float64(b.N) / dt
+		rps := float64(n.Load()) / dt
 		b.ReportMetric(rps, "requests/s")
 		return rps
 	}

@@ -17,9 +17,8 @@ package analysis
 // fields named body and teardown, any casing) is treated as a pipeline
 // definition. A phase stages if its body — followed through same-package
 // calls — reaches a staging operation (PlaceSLB, SetOutput, Write,
-// WriteIfChanged, PublishOutputs); a teardown scrubs if it reaches a scrub
-// operation (Zero, ZeroIfDirty, Wipe, ResetOutput, DEVClear, Erase,
-// Scrub).
+// WriteIfChanged); a teardown scrubs if it reaches a scrub operation (Zero,
+// ZeroIfDirty, Wipe, ResetOutput, DEVClear, Erase, Scrub).
 
 import (
 	"go/ast"
@@ -42,7 +41,7 @@ var ScrubPair = &Analyzer{
 // outlives the call: the SLB window, the staged output register, memory.
 var stagingOps = map[string]bool{
 	"PlaceSLB": true, "SetOutput": true, "Write": true,
-	"WriteIfChanged": true, "PublishOutputs": true,
+	"WriteIfChanged": true,
 }
 
 // scrubOps are operations that erase or reset staged state.

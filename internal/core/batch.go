@@ -72,6 +72,12 @@ type BatchResult struct {
 	// Completed is len(Replies): how many requests executed before the
 	// session finished or aborted.
 	Completed int
+
+	// session is the storage Session points to, and frame the storage of
+	// the framed output page, which is Session.Outputs. Both are kept when
+	// the result is reused.
+	session SessionResult
+	frame   []byte
 }
 
 // framedPAL runs a request group as one PAL: a batched session is the
@@ -172,31 +178,69 @@ func (f *framedPAL) Run(env *pal.Env, frame []byte) ([]byte, error) {
 	if res.Trailer, err = f.bp.CloseBatch(env, bctx); err != nil {
 		return nil, fmt.Errorf("core: batch close: %w", err)
 	}
-	return encodeBatchOutput(res.Replies, res.Trailer)
+	res.frame, err = appendBatchOutput(res.frame[:0], res.Replies, res.Trailer)
+	if err != nil {
+		return nil, err
+	}
+	return res.frame, nil
 }
 
-// batchAlloc co-allocates a BatchResult with its SessionResult and, for a
-// batch of one, the timeline and reply slots: the pipeline's phases plus
-// one request span, and one reply.
+// batchAlloc co-allocates a BatchResult with, for a batch of one, its
+// timeline and reply slots: the pipeline's phases plus one request span,
+// and one reply.
 type batchAlloc struct {
 	out    BatchResult
-	res    SessionResult
 	phases [maxPipelinePhases + 1]Phase
 	reply  [1]pal.BatchReply
 }
 
-// newBatchResult returns an empty result for n requests. A larger batch
-// sizes its timeline and replies once, so the request spans never regrow
-// them. Replies and the session are fresh memory the caller owns.
+// newBatchResult returns a fresh result for n requests: RunSessionBatch's.
+// A batch of one runs in the co-allocated slots; for a larger batch, reset
+// sizes the timeline and replies once, so the request spans never regrow
+// them.
 func newBatchResult(n int) *BatchResult {
 	a := &batchAlloc{}
-	a.out.Session = &a.res
-	a.res.Phases, a.out.Replies = a.phases[:0], a.reply[:0]
-	if n > 1 {
-		a.res.Phases = make([]Phase, 0, maxPipelinePhases+n)
-		a.out.Replies = make([]pal.BatchReply, 0, n)
+	if n == 1 {
+		a.out.session.Phases, a.out.Replies = a.phases[:0], a.reply[:0]
 	}
 	return &a.out
+}
+
+// reset empties b for a batch of n requests, keeping its storage: the
+// timeline and input read-back of its session, the replies and the output
+// frame. Both grow at most once, to the batch's size.
+func (b *BatchResult) reset(n int) {
+	b.session.reset(maxPipelinePhases + n)
+	*b = BatchResult{
+		Session: &b.session,
+		Replies: grow(b.Replies[:0], n),
+		session: b.session,
+		frame:   b.frame[:0],
+	}
+}
+
+// Clear ends the caller's use of a reused result: the input read-back and
+// the output frame, which the replies and trailer may alias, are zeroed,
+// and the replies and every other field are dropped. The storage is kept
+// for the next batch run into b.
+func (b *BatchResult) Clear() {
+	b.session.Clear()
+	clear(b.frame[:cap(b.frame)])
+	clear(b.Replies[:cap(b.Replies)])
+	*b = BatchResult{Replies: b.Replies[:0], session: b.session, frame: b.frame[:0]}
+}
+
+// ReplyInto fills dst with request i's view of the shared session: the
+// session record narrowed to Reply(i), as if the request had run alone.
+// b's session must have completed. The timeline is copied into dst's own
+// storage, and dst keeps its input storage; Outputs aliases b, so dst's
+// outputs live as long as b's.
+func (b *BatchResult) ReplyInto(i int, dst *SessionResult) {
+	rep := b.Reply(i)
+	phases, input := append(dst.Phases[:0], b.Session.Phases...), dst.input
+	*dst = *b.Session
+	dst.Phases, dst.input = phases, input
+	dst.Outputs, dst.PALError = rep.Output, rep.Err
 }
 
 // Reply returns request i's outcome: its own reply, unless a batch-level
@@ -222,9 +266,30 @@ func (b *BatchResult) Reply(i int) pal.BatchReply {
 // failures only — request-level failures land in the replies, and
 // batch-level PAL failures in Session.PALError). A group that overflows
 // the input page fails with ErrBatchTooLarge before the session starts.
+// The result is fresh memory the caller owns.
 func (p *Platform) RunSessionBatch(pl pal.PAL, batch Batch, opts SessionOptions) (*BatchResult, error) {
 	if len(batch.Requests) == 0 {
-		return nil, errors.New("core: empty batch")
+		return nil, errEmptyBatch
+	}
+	out := newBatchResult(len(batch.Requests))
+	err := p.RunSessionBatchInto(out, pl, batch, opts)
+	if errors.Is(err, ErrBatchTooLarge) {
+		return nil, err
+	}
+	return out, err
+}
+
+// errEmptyBatch rejects a batch with no requests.
+var errEmptyBatch = errors.New("core: empty batch")
+
+// RunSessionBatchInto is RunSessionBatch filling out, a caller-supplied
+// result whose storage (timeline, input read-back, replies and output
+// frame) the batch reuses. Everything out holds afterwards stays valid
+// until out is run into again or cleared.
+func (p *Platform) RunSessionBatchInto(out *BatchResult, pl pal.PAL, batch Batch, opts SessionOptions) error {
+	out.reset(len(batch.Requests))
+	if len(batch.Requests) == 0 {
+		return errEmptyBatch
 	}
 	p.sessionMu.Lock()
 	defer p.sessionMu.Unlock()
@@ -232,14 +297,16 @@ func (p *Platform) RunSessionBatch(pl pal.PAL, batch Batch, opts SessionOptions)
 	defer f.clear()
 	var err error
 	if f.frame, err = appendBatchInput(f.frame[:0], batch.Header, batch.Requests); err != nil {
-		return nil, err
+		return err
 	}
-	out := newBatchResult(len(batch.Requests))
 	f.PAL, f.bp, f.st, f.out = pl, pal.AsBatchWith(pl, &f.plain), &p.scratch.st, out
 	opts.Input = f.frame
-	out.Session, err = p.runLocked(&classicBatchPipeline, f, opts, out.Session)
+	err = p.runLocked(&classicBatchPipeline, f, opts, out.Session)
+	if err != nil {
+		out.Session = nil
+	}
 	out.Completed = len(out.Replies)
-	return out, err
+	return err
 }
 
 // classicBatchPipeline runs a batched session: the classic phase list, with
@@ -332,12 +399,13 @@ const (
 	batchReplyErr byte = 1
 )
 
-// encodeBatchOutput frames the replies and trailer for the output page. A
-// successful reply whose payload would overflow the shared page is
-// downgraded in place to a reply-level error — the other replies and,
-// critically, the trailer (carried state) still make it out. Only a frame
-// that cannot fit even its error strings fails the batch.
-func encodeBatchOutput(replies []pal.BatchReply, trailer []byte) ([]byte, error) {
+// appendBatchOutput frames the replies and trailer for the output page,
+// appending to dst. A successful reply whose payload would overflow the
+// shared page is downgraded in place to a reply-level error — the other
+// replies and, critically, the trailer (carried state) still make it out.
+// Only a frame that cannot fit even its error strings fails the batch,
+// before anything is appended.
+func appendBatchOutput(dst []byte, replies []pal.BatchReply, trailer []byte) ([]byte, error) {
 	const capacity = slb.PageSize - 4
 	size := func() int {
 		total := 4 + 4 + len(trailer)
@@ -361,27 +429,26 @@ func encodeBatchOutput(replies []pal.BatchReply, trailer []byte) ([]byte, error)
 				}
 			}
 			if worst < 0 {
-				return nil, fmt.Errorf("core: batch output frame of %d bytes exceeds the 4 KB output page", size())
+				return dst, fmt.Errorf("core: batch output frame of %d bytes exceeds the 4 KB output page", size())
 			}
 			replies[worst] = pal.BatchReply{Err: fmt.Errorf("core: reply of %d bytes overflows the shared output page", worstLen)}
 		}
 	}
-	out := make([]byte, 0, size())
-	out = binary.BigEndian.AppendUint32(out, uint32(len(replies)))
+	dst = binary.BigEndian.AppendUint32(grow(dst, size()), uint32(len(replies)))
 	for _, r := range replies {
-		payload := r.Output
-		status := batchReplyOK
 		if r.Err != nil {
-			status = batchReplyErr
-			payload = []byte(r.Err.Error())
+			msg := r.Err.Error()
+			dst = append(dst, batchReplyErr)
+			dst = binary.BigEndian.AppendUint32(dst, uint32(len(msg)))
+			dst = append(dst, msg...)
+			continue
 		}
-		out = append(out, status)
-		out = binary.BigEndian.AppendUint32(out, uint32(len(payload)))
-		out = append(out, payload...)
+		dst = append(dst, batchReplyOK)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.Output)))
+		dst = append(dst, r.Output...)
 	}
-	out = binary.BigEndian.AppendUint32(out, uint32(len(trailer)))
-	out = append(out, trailer...)
-	return out, nil
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(trailer)))
+	return append(dst, trailer...), nil
 }
 
 // DecodeBatchOutput parses a batched session's Outputs frame back into

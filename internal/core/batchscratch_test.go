@@ -196,7 +196,7 @@ func FuzzBatchFrames(f *testing.F) {
 		{{Output: []byte("echo:a")}, {Err: errors.New("refused")}, {}},
 		{{Output: bytes.Repeat([]byte{7}, 64)}},
 	} {
-		out, err := encodeBatchOutput(r, []byte("trailer"))
+		out, err := appendBatchOutput(nil, r, []byte("trailer"))
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func FuzzBatchFrames(f *testing.F) {
 
 		replies, trailer, err := DecodeBatchOutput(data)
 		if err == nil {
-			enc, eerr := encodeBatchOutput(replies, trailer)
+			enc, eerr := appendBatchOutput(nil, replies, trailer)
 			if len(data) <= slb.PageSize-4 && (eerr != nil || !bytes.Equal(enc, data)) {
 				t.Fatalf("output re-encodes to %x (%v), want %x", enc, eerr, data)
 			}

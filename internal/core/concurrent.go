@@ -25,5 +25,5 @@ import (
 // supports one late launch at a time, so a partitioned launch queues
 // behind any in-flight session exactly as a concurrent ioctl would.
 func (p *Platform) RunSessionConcurrent(pl pal.PAL, opts SessionOptions) (*SessionResult, error) {
-	return p.runPipeline(&partitionedPipeline, pl, opts)
+	return p.runFresh(&partitionedPipeline, pl, opts)
 }

@@ -135,23 +135,34 @@ func (st *sessionState) reset(p *Platform, pl pal.PAL, opts SessionOptions) {
 	st.setPhase("")
 }
 
-// runPipeline executes a phase list for one session. This is the single
-// implementation of the session timeline: RunSession and
+// runPipeline executes a phase list for one session, filling res. This is
+// the single implementation of the session timeline: RunSession and
 // RunSessionConcurrent differ only in the phase lists they pass in.
-func (p *Platform) runPipeline(pipe *sessionPipeline, pl pal.PAL, opts SessionOptions) (*SessionResult, error) {
+func (p *Platform) runPipeline(pipe *sessionPipeline, pl pal.PAL, opts SessionOptions, res *SessionResult) error {
 	// The flicker-module owns a single SLB buffer and the machine supports
 	// one late launch at a time; all sessions — classic and partitioned —
 	// queue here exactly as concurrent ioctls against the real module would.
 	p.sessionMu.Lock()
 	defer p.sessionMu.Unlock()
-	return p.runLocked(pipe, pl, opts, newSessionResult())
+	res.reset(maxPipelinePhases)
+	return p.runLocked(pipe, pl, opts, res)
+}
+
+// runFresh is runPipeline into a fresh result, which the caller owns; on
+// error it returns no result.
+func (p *Platform) runFresh(pipe *sessionPipeline, pl pal.PAL, opts SessionOptions) (*SessionResult, error) {
+	res := NewSessionResult()
+	if err := p.runPipeline(pipe, pl, opts, res); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // runLocked is runPipeline for a caller that holds sessionMu and supplies
-// the fresh, empty SessionResult the session fills in. The session state is
-// per-platform scratch reused across sessions; only the result, which the
-// caller retains, is new.
-func (p *Platform) runLocked(pipe *sessionPipeline, pl pal.PAL, opts SessionOptions, res *SessionResult) (*SessionResult, error) {
+// the reset SessionResult the session fills in. The session state is
+// per-platform scratch reused across sessions; the result, with its
+// timeline and input storage, belongs to the caller.
+func (p *Platform) runLocked(pipe *sessionPipeline, pl pal.PAL, opts SessionOptions, res *SessionResult) error {
 	st := &p.scratch.st
 	st.reset(p, pl, opts)
 	res.Start, res.Nonce, res.SessionID, res.Pipeline = p.Clock.Now(), opts.Nonce, p.nextSessionID(), pipe.name
@@ -206,20 +217,19 @@ func (p *Platform) runLocked(pipe *sessionPipeline, pl pal.PAL, opts SessionOpti
 	for i := range pipe.phases {
 		if phErr := st.runPhase(&pipe.phases[i], obs); phErr != nil {
 			failure = phErr
-			return nil, phErr
+			return phErr
 		}
 	}
 
 	if st.palErr == nil {
 		st.res.Outputs = st.palOut
-		p.Mod.PublishOutputs(st.palOut)
 	}
 	st.res.PALError = st.palErr
 	st.res.End = p.Clock.Now()
 	if pipe.epilogue != nil {
 		pipe.epilogue(st)
 	}
-	return st.res, nil
+	return nil
 }
 
 // runPhase executes one phase: fault injection, body, timeline recording,
@@ -406,11 +416,13 @@ func palExecBody(st *sessionState) error {
 	}
 	st.env = env
 	// Read inputs back from the input page — the PAL sees what is in
-	// memory, not what the application intended to write.
-	input, err := p.Mod.ReadInputs(st.slbBase)
+	// memory, not what the application intended to write. The read-back
+	// lands in the result's storage, since the PAL's outputs may alias it.
+	input, err := p.Mod.ReadInputsInto(st.slbBase, st.res.input)
 	if err != nil {
 		return err
 	}
+	st.res.input = input
 	st.palOut, st.palErr = st.pl.Run(env, input)
 	if a, ok := st.palErr.(sessionAbort); ok {
 		env.ExitSandbox()

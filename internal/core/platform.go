@@ -95,7 +95,8 @@ type Platform struct {
 	// (near-)zero-alloc: the session state, observer list, PAL environment,
 	// locality-2 TPM drivers (with their response buffers), and
 	// output-page framing buffer all persist across sessions. The
-	// SessionResult is NEVER pooled — callers retain it.
+	// SessionResult is never part of it: the caller supplies it and owns
+	// it (RunSessionInto), and RunSession hands out a fresh one.
 	scratch struct {
 		st        sessionState
 		obs       []Observer
@@ -318,8 +319,9 @@ func (p *Platform) RegisterPAL(pl pal.PAL, opts SessionOptions) (*slb.Image, err
 
 // LaunchByMeasurement implements flickermod.Launcher: it runs a session for
 // a registered SLB identified by the hash of its unpatched bytes. The
-// registered prebuilt image is reused — the hot path never relinks.
-func (p *Platform) LaunchByMeasurement(key [20]byte, inputs []byte) ([]byte, error) {
+// registered prebuilt image is reused — the hot path never relinks. The
+// outputs are on the output page when it returns.
+func (p *Platform) LaunchByMeasurement(key [20]byte, inputs []byte) error {
 	p.mu.Lock()
 	reg, ok := p.registry[key]
 	if !ok {
@@ -336,16 +338,16 @@ func (p *Platform) LaunchByMeasurement(key [20]byte, inputs []byte) ([]byte, err
 	}
 	p.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("core: no PAL registered for SLB hash %x", key[:8])
+		return fmt.Errorf("core: no PAL registered for SLB hash %x", key[:8])
 	}
 	opts := reg.opts
 	opts.Input = inputs
 	res, err := p.RunSession(reg.p, opts)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if res.PALError != nil {
-		return nil, fmt.Errorf("core: PAL failed: %w", res.PALError)
+		return fmt.Errorf("core: PAL failed: %w", res.PALError)
 	}
-	return res.Outputs, nil
+	return nil
 }

@@ -95,6 +95,11 @@ type SessionResult struct {
 	// Start and End are simulated timestamps; Phases is the timeline.
 	Start, End time.Duration
 	Phases     []Phase
+
+	// input is the storage the PAL's input page is read back into. The
+	// PAL's outputs may alias it, so it belongs to the result: a session
+	// run into a reused result reads back into the same storage.
+	input []byte
 }
 
 // maxPipelinePhases is the longest phase list a session pipeline declares
@@ -109,12 +114,37 @@ type sessionAlloc struct {
 	phases [maxPipelinePhases]Phase
 }
 
-// newSessionResult returns an empty SessionResult whose Phases has room
-// for maxPipelinePhases entries, in one allocation.
-func newSessionResult() *SessionResult {
+// NewSessionResult returns an empty SessionResult whose Phases has room
+// for a session's timeline, in one allocation: the fresh result RunSession
+// passes to RunSessionInto.
+func NewSessionResult() *SessionResult {
 	a := &sessionAlloc{}
 	a.res.Phases = a.phases[:0]
 	return &a.res
+}
+
+// reset empties r for a new session of the given timeline length, keeping
+// its timeline and input storage.
+func (r *SessionResult) reset(phases int) {
+	*r = SessionResult{Phases: grow(r.Phases[:0], phases), input: r.input[:0]}
+}
+
+// grow returns s with room for n more elements, in one allocation when it
+// must grow: slices.Grow, whose append of a make is a second allocation
+// under the race detector's instrumentation.
+func grow[S ~[]E, E any](s S, n int) S {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make(S, 0, len(s)+n), s...)
+}
+
+// Clear ends the caller's use of a reused result: the input read-back,
+// which the outputs may alias, is zeroed, and every other field is dropped.
+// The storage is kept for the next session run into r.
+func (r *SessionResult) Clear() {
+	clear(r.input[:cap(r.input)])
+	r.reset(0)
 }
 
 // Duration returns the session's total simulated time.
@@ -136,7 +166,17 @@ func (r *SessionResult) PhaseDuration(name string) time.Duration {
 // pipeline engine (see pipeline.go). An error return means the
 // infrastructure failed (bad SLB, SKINIT precondition, TPM failure) and the
 // engine's guaranteed teardown ran; PAL-level failures land in
-// SessionResult.PALError with the session still torn down cleanly.
+// SessionResult.PALError with the session still torn down cleanly. The
+// result is fresh memory the caller owns.
 func (p *Platform) RunSession(pl pal.PAL, opts SessionOptions) (*SessionResult, error) {
-	return p.runPipeline(&classicPipeline, pl, opts)
+	return p.runFresh(&classicPipeline, pl, opts)
+}
+
+// RunSessionInto is RunSession filling res, a caller-supplied result whose
+// storage (timeline and input read-back) the session reuses. Everything res
+// holds afterwards, Outputs included, stays valid until res is run into
+// again or cleared; a caller that reuses res owns that lifetime. On error,
+// res holds the aborted session's partial record.
+func (p *Platform) RunSessionInto(res *SessionResult, pl pal.PAL, opts SessionOptions) error {
+	return p.runPipeline(&classicPipeline, pl, opts, res)
 }

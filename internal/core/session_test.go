@@ -338,6 +338,41 @@ func TestSysfsControlPath(t *testing.T) {
 	}
 }
 
+// The outputs entry serves the output page in memory, as the OS reads it,
+// never an alias of a session's result: a result cleared or run into again
+// after the read changes neither the bytes a read returned nor what the
+// entry serves, until the next session writes the page. The mirror PAL's
+// outputs alias the result's input read-back, the storage reuse rewrites.
+func TestSysfsOutputsSurviveResultReuse(t *testing.T) {
+	p := newPlatform(t)
+	read := func() string {
+		t.Helper()
+		out, err := p.Kernel.SysfsRead(flickermod.SysfsOutputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
+	var res SessionResult
+	if err := p.RunSessionInto(&res, mirrorPAL(), SessionOptions{Input: []byte("first output")}); err != nil || res.PALError != nil {
+		t.Fatalf("%v %v", err, res.PALError)
+	}
+	out, err := p.Kernel.SysfsRead(flickermod.SysfsOutputs)
+	if err != nil || string(out) != "first output" {
+		t.Fatalf("outputs = %q, %v", out, err)
+	}
+	res.Clear()
+	if got := read(); got != "first output" || string(out) != "first output" {
+		t.Fatalf("after the result was cleared: entry %q, earlier read %q", got, out)
+	}
+	if err := p.RunSessionInto(&res, mirrorPAL(), SessionOptions{Input: []byte("2nd")}); err != nil || res.PALError != nil {
+		t.Fatalf("%v %v", err, res.PALError)
+	}
+	if got := read(); got != "2nd" || string(out) != "first output" {
+		t.Fatalf("after the result was reused: entry %q, earlier read %q", got, out)
+	}
+}
+
 func TestAttestationEndToEnd(t *testing.T) {
 	p := newPlatform(t)
 	ca, err := attest.NewPrivacyCA([]byte("test-ca"), 0)

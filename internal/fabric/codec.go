@@ -338,6 +338,9 @@ func readSpans(b []byte) ([]trace.SpanRecord, []byte, error) {
 		if nattrs > len(rest)/attrMin {
 			return nil, nil, fmt.Errorf("%w: attr count %d exceeds what %d bytes can frame", ErrBadFrame, nattrs, len(rest))
 		}
+		if nattrs > 0 {
+			r.Attrs = make([]trace.SpanAttr, 0, nattrs)
+		}
 		for j := 0; j < nattrs; j++ {
 			var k, v []byte
 			if k, rest, err = readBytes16(rest); err != nil {

@@ -1,8 +1,11 @@
 package fabric
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -262,4 +265,104 @@ func TestCodecErrorFrames(t *testing.T) {
 	if _, err := decodeResp(nil, kindRunBatchResp); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("empty resp = %v", err)
 	}
+}
+
+// allocatedBy returns the heap bytes fn allocates.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzFabricControlFrames feeds arbitrary bytes to the control-frame
+// decoders a controller or host runs on a peer's untrusted bytes:
+// decodeChallenge (host side), decodeChallengeResp and decodeHeartbeatResp
+// (controller side), and decodeResp, which every reply passes first. It
+// checks that nothing panics; that the decoders, failing or not, allocate
+// within a bound linear in the frame's length (the densest legal frame
+// decodes to ~10 bytes of structs and strings per frame byte), so a forged
+// count cannot drive an allocation, and that no decoded slice has more
+// slots than the frame can encode; and that encode∘decode round-trips: a
+// decoded challenge or admission reply re-encodes to the same bytes, a
+// heartbeat to a frame that decodes to the same report (only bit 0 of its
+// flags byte is read), and an error frame's message to an error frame
+// with the same message.
+func FuzzFabricControlFrames(f *testing.F) {
+	cr := sampleChallengeResp()
+	cr.Spans = sampleSpans()
+	for _, frame := range [][]byte{
+		encodeChallenge(tpm.Digest{1, 2, 3}, traceCtx{TraceID: 7, Parent: 8}),
+		appendChallengeResp(nil, sampleChallengeResp()),
+		appendChallengeResp(nil, cr),
+		appendHeartbeatResp(nil, &heartbeatResp{InFlight: 3, Sessions: 99, Draining: true}),
+		appendErrorResp(nil, "boom"),
+		encodeEmpty(kindDrainResp),
+	} {
+		f.Add(frame)     // a whole reply, as decodeResp sees it
+		f.Add(frame[1:]) // its body, as the kind's decoder sees it
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if n := allocatedBy(func() {
+			decodeChallenge(data)
+			decodeChallengeResp(data)
+			decodeHeartbeatResp(data)
+			decodeResp(data, kindChallengeResp)
+		}); n > 16*uint64(len(data))+1<<14 {
+			t.Fatalf("decoding %d bytes allocated %d bytes", len(data), n)
+		}
+		if nonce, tc, err := decodeChallenge(data); err == nil {
+			if enc := encodeChallenge(nonce, tc); !bytes.Equal(enc[1:], data) {
+				t.Fatalf("challenge re-encodes to %x, want %x", enc[1:], data)
+			}
+		}
+
+		if r, err := decodeChallengeResp(data); err == nil {
+			if cap(r.PALs)*palEntryMin > len(data) || cap(r.Spans)*spanRecMin > len(data) {
+				t.Fatalf("%d-byte admission reply sized %d PAL and %d span slots", len(data), cap(r.PALs), cap(r.Spans))
+			}
+			for i, s := range r.Spans {
+				if cap(s.Attrs)*attrMin > len(data) {
+					t.Fatalf("%d-byte admission reply sized %d attribute slots for span %d", len(data), cap(s.Attrs), i)
+				}
+			}
+			if enc := appendChallengeResp(nil, r); !bytes.Equal(enc[1:], data) {
+				t.Fatalf("admission reply re-encodes to %x, want %x", enc[1:], data)
+			}
+		}
+
+		if hb, err := decodeHeartbeatResp(data); err == nil {
+			again, err := decodeHeartbeatResp(appendHeartbeatResp(nil, hb)[1:])
+			if err != nil || !reflect.DeepEqual(again, hb) {
+				t.Fatalf("heartbeat %+v re-decodes to %+v, %v", hb, again, err)
+			}
+		}
+
+		for _, want := range []byte{kindChallengeResp, kindHeartbeatResp, kindDrainResp, kindRunBatchResp} {
+			body, err := decodeResp(data, want)
+			switch {
+			case len(data) == 0 || (data[0] != kindError && data[0] != want):
+				if !errors.Is(err, ErrBadFrame) {
+					t.Fatalf("reply %x read as kind %d: %v, want ErrBadFrame", data, want, err)
+				}
+			case data[0] == want:
+				if err != nil || !bytes.Equal(body, data[1:]) {
+					t.Fatalf("reply of kind %d: body %x, %v; want %x", want, body, err, data[1:])
+				}
+			default:
+				msg, _, merr := readBytes16(data[1:])
+				if merr != nil {
+					if !errors.Is(err, ErrBadFrame) {
+						t.Fatalf("truncated error frame: %v, want ErrBadFrame", err)
+					}
+					break
+				}
+				_, again := decodeResp(appendErrorResp(nil, string(msg)), want)
+				if err == nil || errors.Is(err, ErrBadFrame) || again == nil || again.Error() != err.Error() {
+					t.Fatalf("error frame %q: %v, re-encoded %v", msg, err, again)
+				}
+			}
+		}
+	})
 }

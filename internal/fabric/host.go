@@ -256,30 +256,45 @@ func sessionObserver(seg *trace.Span) core.Observer {
 
 // hostScratch is one runBatch frame's working set on the host: the decoded
 // request (aliasing the frame), the session inputs, the member segments and
-// observers, and the reply being built. Scratches are pooled, and the reply
-// is encoded into the caller's buffer, so a steady-state frame allocates
-// nothing of its own.
+// observers, the session results, and the reply being built. one is the
+// result a one-member frame's session fills, batch the one a larger frame's
+// batched session fills; the engine reuses their storage (timeline, input
+// read-back, replies and output frame), and the members' outputs alias it
+// until the reply is encoded. Scratches are pooled, and the reply is
+// encoded into the caller's buffer, so a steady-state frame allocates
+// nothing on the host.
 type hostScratch struct {
-	req  runBatchReq
-	reqs [][]byte
-	segs []*trace.Span
-	obs  []core.Observer
-	resp runBatchResp
+	req   runBatchReq
+	reqs  [][]byte
+	segs  []*trace.Span
+	obs   []core.Observer
+	one   core.SessionResult
+	batch core.BatchResult
+	resp  runBatchResp
 }
 
 var hostScratches = sync.Pool{New: func() any { return new(hostScratch) }}
 
-// release drops the frame's references to inputs, spans and outputs, then
-// recycles the scratch unless a forged member count has grown it outsized.
-func (s *hostScratch) release() {
+// reset drops the frame's references to inputs, spans and outputs, and
+// zeroes the results' input and output bytes, so nothing of the frame stays
+// readable through the scratch.
+func (s *hostScratch) reset() {
 	clear(s.req.Members)
 	clear(s.reqs)
 	clear(s.segs)
 	clear(s.obs)
 	clear(s.resp.Members)
+	s.one.Clear()
+	s.batch.Clear()
 	s.req.PAL, s.req.Members = nil, s.req.Members[:0]
 	s.reqs, s.segs, s.obs = s.reqs[:0], s.segs[:0], s.obs[:0]
 	s.resp.Members, s.resp.Spans = s.resp.Members[:0], nil
+}
+
+// release resets the scratch, then recycles it unless a forged member count
+// has grown it outsized.
+func (s *hostScratch) release() {
+	s.reset()
 	if cap(s.req.Members) > maxPooledMembers {
 		return
 	}
@@ -295,12 +310,17 @@ func (s *hostScratch) refuse(status byte, msg string) {
 	}
 }
 
-// handleRunBatch serves the one run frame kind. A one-member frame is a
-// singleton session (runOne); a larger frame runs as ONE batched pool
-// session (runBatch). The reply is appended to dst, grown at most once.
+// handleRunBatch serves the one run frame kind on a pooled scratch.
 func (h *Host) handleRunBatch(dst, body []byte) []byte {
 	s := hostScratches.Get().(*hostScratch)
 	defer s.release()
+	return h.serveRunBatch(dst, body, s)
+}
+
+// serveRunBatch serves one run frame on s. A one-member frame is a
+// singleton session (runOne); a larger frame runs as ONE batched pool
+// session (runBatch). The reply is appended to dst, grown at most once.
+func (h *Host) serveRunBatch(dst, body []byte, s *hostScratch) []byte {
 	if err := decodeRunBatchInto(body, &s.req); err != nil {
 		return appendErrorResp(dst, err.Error())
 	}
@@ -339,7 +359,8 @@ func (h *Host) runOne(p pal.PAL, s *hostScratch) {
 	}
 	h.attestMu.RLock()
 	h.inflight.Add(1)
-	res, err := h.pool.Run(p, core.SessionOptions{
+	res := &s.one
+	err := h.pool.RunInto(res, p, core.SessionOptions{
 		Input:    m.Input,
 		TraceID:  seg.TraceHex(),
 		Observer: sessionObserver(seg),
@@ -399,7 +420,8 @@ func (h *Host) runBatch(p pal.PAL, s *hostScratch) {
 	}
 	h.attestMu.RLock()
 	h.inflight.Add(int64(n))
-	br, err := h.pool.RunBatch(p, s.reqs, core.SessionOptions{
+	br := &s.batch
+	err := h.pool.RunBatch(br, p, s.reqs, core.SessionOptions{
 		TraceID:  seg.TraceHex(),
 		Observer: core.CombineObservers(s.obs...),
 	})
@@ -410,7 +432,7 @@ func (h *Host) runBatch(p pal.PAL, s *hostScratch) {
 		switch {
 		case errors.Is(err, pool.ErrClosed):
 			mr.Status, mr.Err = runLost, err.Error()
-		case err != nil && (br == nil || i >= br.Completed):
+		case err != nil && i >= br.Completed:
 			// The shared session aborted before this member's request
 			// completed: it reports runLost and travels again. Members
 			// before the interruption point keep their replies below (the

@@ -35,9 +35,9 @@ const (
 // without flickermod importing core.
 type Launcher interface {
 	// LaunchByMeasurement runs the session for a previously registered SLB
-	// whose unpatched code hash matches key, with the given inputs, and
-	// returns the PAL outputs.
-	LaunchByMeasurement(key [20]byte, inputs []byte) ([]byte, error)
+	// whose unpatched code hash matches key, with the given inputs. The PAL
+	// outputs land on the output page, where the outputs entry reads them.
+	LaunchByMeasurement(key [20]byte, inputs []byte) error
 }
 
 // Module is a loaded flicker-module instance.
@@ -49,7 +49,6 @@ type Module struct {
 	slbBase  uint32
 	slbBytes []byte
 	inputs   []byte
-	outputs  []byte
 	launcher Launcher
 	loaded   bool
 	// inputScratch stages the length-prefixed input page so PlaceSLB does
@@ -87,13 +86,7 @@ func Load(k *kernel.Kernel, m *cpu.Machine) (*Module, error) {
 			return nil
 		},
 	})
-	k.RegisterSysfs(SysfsOutputs, &kernel.FuncNode{
-		ReadFn: func() ([]byte, error) {
-			mod.mu.Lock()
-			defer mod.mu.Unlock()
-			return mod.outputs, nil
-		},
-	})
+	k.RegisterSysfs(SysfsOutputs, &kernel.FuncNode{ReadFn: mod.readOutputs})
 	k.RegisterSysfs(SysfsControl, &kernel.FuncNode{
 		WriteFn: func(d []byte) error { return mod.control(d) },
 	})
@@ -122,24 +115,31 @@ func (mod *Module) control([]byte) error {
 	if len(slbBytes) == 0 {
 		return errors.New("flickermod: no SLB staged")
 	}
-	out, err := launcher.LaunchByMeasurement(palcrypto.SHA1Sum(slbBytes), inputs)
-	if err != nil {
-		return err
-	}
-	mod.mu.Lock()
-	mod.outputs = out
-	mod.mu.Unlock()
-	return nil
+	return launcher.LaunchByMeasurement(palcrypto.SHA1Sum(slbBytes), inputs)
 }
 
-// PublishOutputs makes session outputs readable at the outputs sysfs entry.
-// The slice is retained as-is (the session engine hands over the PAL's own
-// staged-output buffer, which nothing mutates afterwards) — the same
-// aliasing the control-path launcher already uses.
-func (mod *Module) PublishOutputs(out []byte) {
+// readOutputs serves the outputs entry from the output page in memory, as
+// the OS reads it after a session: u32 big-endian length | bytes, a fresh
+// copy for each read. The entry is empty before the first session, and a
+// session zeroes the page when it places its SLB, so a session whose PAL
+// fails leaves it empty.
+func (mod *Module) readOutputs() ([]byte, error) {
 	mod.mu.Lock()
-	defer mod.mu.Unlock()
-	mod.outputs = out
+	base := mod.slbBase
+	mod.mu.Unlock()
+	if base == 0 {
+		return nil, nil
+	}
+	addr := base + uint32(slb.OutputsOffset)
+	var hdr [4]byte
+	if err := mod.M.Mem.ReadInto(addr, hdr[:]); err != nil {
+		return nil, err
+	}
+	n := binary.BigEndian.Uint32(hdr[:])
+	if n > slb.PageSize-4 {
+		return nil, errors.New("flickermod: corrupt output length")
+	}
+	return mod.M.Mem.Read(addr+4, int(n))
 }
 
 // AllocateSLB returns slb_base: the 64 KB-aligned kernel buffer for the SLB
@@ -196,17 +196,31 @@ func (mod *Module) PlaceSLB(im *slb.Image, slbBase uint32, inputs []byte) error 
 }
 
 // ReadInputs reads the length-prefixed inputs from the input page (what the
-// SLB Core hands the PAL).
+// SLB Core hands the PAL) into fresh memory.
 func (mod *Module) ReadInputs(slbBase uint32) ([]byte, error) {
+	return mod.ReadInputsInto(slbBase, nil)
+}
+
+// ReadInputsInto is ReadInputs reading into dst's storage, which is
+// replaced by a fresh buffer only when it is too small: the session engine
+// reads into storage its result owns.
+func (mod *Module) ReadInputsInto(slbBase uint32, dst []byte) ([]byte, error) {
 	var hdr [4]byte
 	if err := mod.M.Mem.ReadInto(slbBase+uint32(slb.InputsOffset), hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := int(binary.LittleEndian.Uint32(hdr[:]))
 	if n > slb.PageSize-4 {
 		return nil, errors.New("flickermod: corrupt input length")
 	}
-	return mod.M.Mem.Read(slbBase+uint32(slb.InputsOffset)+4, int(n))
+	if dst == nil || cap(dst) < n {
+		dst = make([]byte, n)
+	}
+	dst = dst[:n]
+	if err := mod.M.Mem.ReadInto(slbBase+uint32(slb.InputsOffset)+4, dst); err != nil {
+		return nil, err
+	}
+	return dst, nil
 }
 
 // SavedState is the kernel context stashed before SKINIT so the SLB Core

@@ -2,6 +2,7 @@ package flickermod
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"flicker/internal/hw/cpu"
@@ -84,27 +85,42 @@ func TestControlWithoutLauncher(t *testing.T) {
 
 func TestControlWithoutSLB(t *testing.T) {
 	mod, k, _ := newModule(t)
-	mod.SetLauncher(launcherFunc(func(key [20]byte, in []byte) ([]byte, error) {
-		return []byte("ok"), nil
+	mod.SetLauncher(launcherFunc(func(key [20]byte, in []byte) error {
+		return nil
 	}))
 	if err := k.SysfsWrite(SysfsControl, []byte{1}); err == nil {
 		t.Fatal("control accepted without a staged SLB")
 	}
 }
 
-type launcherFunc func(key [20]byte, inputs []byte) ([]byte, error)
+type launcherFunc func(key [20]byte, inputs []byte) error
 
-func (f launcherFunc) LaunchByMeasurement(key [20]byte, inputs []byte) ([]byte, error) {
+func (f launcherFunc) LaunchByMeasurement(key [20]byte, inputs []byte) error {
 	return f(key, inputs)
+}
+
+// writeOutputPage stages out on the output page the way the SLB Core does
+// at the end of a session: u32 big-endian length | bytes.
+func writeOutputPage(t *testing.T, mod *Module, out []byte) {
+	t.Helper()
+	base, err := mod.AllocateSLB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := binary.BigEndian.AppendUint32(nil, uint32(len(out)))
+	if err := mod.M.Mem.Write(base+uint32(slb.OutputsOffset), append(page, out...)); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestControlDispatchesByHash(t *testing.T) {
 	mod, k, _ := newModule(t)
 	var gotKey [20]byte
 	var gotInputs []byte
-	mod.SetLauncher(launcherFunc(func(key [20]byte, in []byte) ([]byte, error) {
+	mod.SetLauncher(launcherFunc(func(key [20]byte, in []byte) error {
 		gotKey, gotInputs = key, in
-		return []byte("launched"), nil
+		writeOutputPage(t, mod, []byte("launched"))
+		return nil
 	}))
 	slbBytes := []byte("the staged slb image")
 	k.SysfsWrite(SysfsSLB, slbBytes)

@@ -23,8 +23,8 @@ func TestPoolRunBatch(t *testing.T) {
 
 	p := newPool(t, 1, 4)
 	reqs := [][]byte{[]byte("r0"), []byte("r1"), []byte("r2")}
-	br, err := p.RunBatch(hello, reqs, core.SessionOptions{})
-	if err != nil {
+	br := new(core.BatchResult)
+	if err := p.RunBatch(br, hello, reqs, core.SessionOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if br.Completed != 3 || len(br.Replies) != 3 {
@@ -49,7 +49,7 @@ func TestPoolRunBatch(t *testing.T) {
 		t.Fatalf("completed sessions = %d, want 1 for the whole batch", n)
 	}
 
-	if _, err := p.RunBatch(hello, nil, core.SessionOptions{}); err == nil {
+	if err := p.RunBatch(br, hello, nil, core.SessionOptions{}); err == nil {
 		t.Fatal("empty batch accepted")
 	}
 }
@@ -58,7 +58,7 @@ func TestPoolRunBatch(t *testing.T) {
 func TestPoolRunBatchAfterClose(t *testing.T) {
 	p := newPool(t, 1, 4)
 	p.Close()
-	if _, err := p.RunBatch(testPAL("hello"), [][]byte{[]byte("x")}, core.SessionOptions{}); err == nil {
+	if err := p.RunBatch(new(core.BatchResult), testPAL("hello"), [][]byte{[]byte("x")}, core.SessionOptions{}); err == nil {
 		t.Fatal("RunBatch on closed pool succeeded")
 	}
 }
@@ -95,7 +95,8 @@ func TestPoolRunBatchObservedOncePerGroup(t *testing.T) {
 				for i := range reqs {
 					reqs[i] = []byte{byte('a' + i)}
 				}
-				if br, err := p.RunBatch(hello, reqs, core.SessionOptions{}); err != nil || br.Completed != n {
+				br := new(core.BatchResult)
+				if err := p.RunBatch(br, hello, reqs, core.SessionOptions{}); err != nil || br.Completed != n {
 					t.Fatalf("RunBatch of %d: %v", n, err)
 				}
 			}

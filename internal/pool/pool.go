@@ -80,21 +80,25 @@ type Config struct {
 
 // job is one queued session. Records are pooled and recycled (the done
 // channel included: each cycle is exactly one send and one receive), so a
-// warm submit allocates nothing. A job with batch set is a pre-formed group
-// (RunBatch): it rides the same ring to the same affinity shard but
-// executes as one RunSessionBatch call and never coalesces with neighbors.
+// warm submit allocates nothing. The job carries its submitter's
+// destination to the shard worker: res for a session, which the worker
+// fills, or, for a pre-formed group (RunBatch, batch set), br. A group job
+// rides the same ring to the same affinity shard but executes as one
+// batched session and never coalesces with neighbors.
 type job struct {
-	pl    pal.PAL
-	opts  core.SessionOptions
-	batch [][]byte
-	enq   time.Time
-	done  chan result
+	pl   pal.PAL
+	opts core.SessionOptions
+	dest
+	enq  time.Time
+	done chan error
 }
 
-type result struct {
-	res *core.SessionResult
-	br  *core.BatchResult
-	err error
+// dest is a submission's destination: the result a session fills, or a
+// pre-formed group and the BatchResult it fills.
+type dest struct {
+	res   *core.SessionResult
+	batch [][]byte
+	br    *core.BatchResult
 }
 
 // shard is one platform plus its submit ring and the ring's park/wake
@@ -121,10 +125,16 @@ type shard struct {
 
 	// Coalescer state, owned by the worker: the gather buffer and hold
 	// timer reused for every group (the timer is kept stopped and drained
-	// between groups) and the adaptive hold rule.
+	// between groups), the adaptive hold rule, and flush's partitioning
+	// scratch (which jobs are taken, the partition, its input sizes and
+	// inputs), so a group costs no allocation to split and run.
 	group []*job
 	timer *time.Timer
 	hold  sched.Hold
+	used  []bool
+	part  []*job
+	sizes []int
+	reqs  [][]byte
 
 	// Per-shard cells on the pool's shared series (see metrics/cells.go).
 	queueDelay *metrics.Histogram
@@ -357,9 +367,9 @@ func (p *Pool) runSingleton(s *shard, j *job) {
 		p.runBatchJob(s, j)
 		return
 	}
-	res, err := s.platform.RunSession(j.pl, j.opts)
+	err := s.platform.RunSessionInto(j.res, j.pl, j.opts)
 	s.pending.Add(-1)
-	j.done <- result{res: res, err: err}
+	j.done <- err
 }
 
 // runBatchJob executes a pre-formed RunBatch group as one batched session.
@@ -368,9 +378,9 @@ func (p *Pool) runSingleton(s *shard, j *job) {
 // affinity routing, and the batch-size histogram with coalesced groups.
 func (p *Pool) runBatchJob(s *shard, j *job) {
 	s.batchSize.ObserveExemplar(float64(len(j.batch)), j.opts.TraceID)
-	br, err := s.platform.RunSessionBatch(j.pl, core.Batch{Requests: j.batch}, j.opts)
+	err := s.platform.RunSessionBatchInto(j.br, j.pl, core.Batch{Requests: j.batch}, j.opts)
 	s.pending.Add(-1)
-	j.done <- result{br: br, err: err}
+	j.done <- err
 }
 
 // gather collects up to MaxBatch jobs, holding the first for at most
@@ -450,27 +460,32 @@ func (p *Pool) flush(s *shard, group []*job, reason string) {
 	for _, j := range group {
 		s.queueDelay.ObserveDurationExemplar(now.Sub(j.enq), j.opts.TraceID)
 	}
-	used := make([]bool, len(group))
+	if cap(s.used) < len(group) {
+		s.used = make([]bool, len(group))
+	}
+	used := s.used[:len(group)]
+	clear(used)
 	for i := range group {
 		if used[i] {
 			continue
 		}
 		used[i] = true
-		part := []*job{group[i]}
-		sizes := []int{len(group[i].opts.Input)}
+		part := append(s.part[:0], group[i])
+		sizes := append(s.sizes[:0], len(group[i].opts.Input))
 		if batchable(group[i]) {
 			for k := i + 1; k < len(group) && len(part) < p.maxBatch; k++ {
 				if used[k] || !coalescable(group[i], group[k]) {
 					continue
 				}
-				if !core.BatchInputFits(0, append(sizes, len(group[k].opts.Input))...) {
+				if sizes = append(sizes, len(group[k].opts.Input)); !core.BatchInputFits(0, sizes...) {
+					sizes = sizes[:len(sizes)-1]
 					continue
 				}
 				used[k] = true
 				part = append(part, group[k])
-				sizes = append(sizes, len(group[k].opts.Input))
 			}
 		}
+		s.part, s.sizes = part, sizes
 		if part[0].batch == nil {
 			// A pre-formed RunBatch group records its real size once, in
 			// runBatchJob.
@@ -483,20 +498,24 @@ func (p *Pool) flush(s *shard, group []*job, reason string) {
 		s.batchFlush[reason].Inc()
 		p.runBatch(s, part)
 	}
+	clear(s.part[:cap(s.part)])
 }
 
 // runBatch executes a partition as one batched session and fans the
 // per-request replies back out to the waiting submitters. Each job's
-// SessionResult is the shared session's, narrowed to its own reply
-// (BatchResult.Reply), so a caller cannot observe another request's
-// output. On session abort, every member of the group sees the abort
-// error — the batch engine's completed-prefix contract is exercised
-// directly via RunSessionBatch.
+// SessionResult is filled with the shared session narrowed to its own
+// reply (BatchResult.ReplyInto), so a caller cannot observe another
+// request's output; the group's BatchResult is fresh, so the members'
+// outputs, which alias it, outlive the next group. On session abort, every
+// member of the group sees the abort error — the batch engine's
+// completed-prefix contract is exercised directly via RunSessionBatch.
 func (p *Pool) runBatch(s *shard, part []*job) {
-	reqs := make([][]byte, len(part))
-	for i, j := range part {
-		reqs[i] = j.opts.Input
+	reqs := s.reqs[:0]
+	for _, j := range part {
+		reqs = append(reqs, j.opts.Input)
 	}
+	s.reqs = reqs
+	defer clear(reqs)
 	opts := part[0].opts
 	opts.Input = nil
 	// Every traced member observes the shared session: merge the group's
@@ -524,14 +543,10 @@ func (p *Pool) runBatch(s *shard, part []*job) {
 	br, err := s.platform.RunSessionBatch(part[0].pl, core.Batch{Requests: reqs}, opts)
 	for i, j := range part {
 		s.pending.Add(-1)
-		if err != nil {
-			j.done <- result{err: err}
-			continue
+		if err == nil {
+			br.ReplyInto(i, j.res)
 		}
-		r := *br.Session
-		rep := br.Reply(i)
-		r.Outputs, r.PALError = rep.Output, rep.Err
-		j.done <- result{res: &r}
+		j.done <- err
 	}
 }
 
@@ -570,11 +585,10 @@ func (p *Pool) shardLoad(i int) int64 { return p.shards[i].pending.Load() }
 func (p *Pool) newJob(pl pal.PAL, opts core.SessionOptions) *job {
 	j, _ := p.jobs.Get().(*job)
 	if j == nil {
-		j = &job{done: make(chan result, 1)}
+		j = &job{done: make(chan error, 1)}
 	}
 	j.pl = pl
 	j.opts = opts
-	j.batch = nil
 	j.enq = p.now()
 	return j
 }
@@ -585,7 +599,7 @@ func (p *Pool) newJob(pl pal.PAL, opts core.SessionOptions) *job {
 func (p *Pool) putJob(j *job) {
 	j.pl = nil
 	j.opts = core.SessionOptions{}
-	j.batch = nil
+	j.dest = dest{}
 	p.jobs.Put(j)
 }
 
@@ -604,14 +618,14 @@ func (p *Pool) submitDone() {
 // least-loaded shard; if both rings are full, either block on the home
 // shard (wait=true, backpressure) or fail with ErrSaturated. The fast path
 // is lock-free: an inflight ticket, one ring CAS, one cell increment.
-func (p *Pool) submit(pl pal.PAL, opts core.SessionOptions, batch [][]byte, wait bool) (*job, error) {
+func (p *Pool) submit(pl pal.PAL, opts core.SessionOptions, dst dest, wait bool) (*job, error) {
 	p.inflight.Add(1)
 	defer p.submitDone()
 	if p.closed.Load() {
 		return nil, ErrClosed
 	}
 	j := p.newJob(pl, opts)
-	j.batch = batch
+	j.dest = dst
 	home := p.homeShard(pl.Name())
 	home.pending.Add(1)
 	if home.push(j) {
@@ -654,45 +668,62 @@ func (p *Pool) submit(pl pal.PAL, opts core.SessionOptions, batch [][]byte, wait
 
 // Run executes one session on the PAL's affinity shard (or, under load, the
 // least-loaded shard), blocking for queue space when the pool is saturated.
+// The result is fresh memory the caller owns.
 func (p *Pool) Run(pl pal.PAL, opts core.SessionOptions) (*core.SessionResult, error) {
-	r := p.do(pl, opts, nil, true)
-	return r.res, r.err
+	return p.runFresh(pl, opts, true)
+}
+
+// RunInto is Run filling res, a caller-supplied result whose storage the
+// session reuses (core.Platform.RunSessionInto). What res holds afterwards
+// stays valid until res is run into again or cleared.
+func (p *Pool) RunInto(res *core.SessionResult, pl pal.PAL, opts core.SessionOptions) error {
+	return p.do(pl, opts, dest{res: res}, true)
 }
 
 // TryRun is Run without backpressure: it returns ErrSaturated instead of
 // blocking when every shard queue is full.
 func (p *Pool) TryRun(pl pal.PAL, opts core.SessionOptions) (*core.SessionResult, error) {
-	r := p.do(pl, opts, nil, false)
-	return r.res, r.err
+	return p.runFresh(pl, opts, false)
 }
 
-// do submits one job (a pre-formed group when batch is non-nil) and waits
-// for its reply: the one body behind Run, TryRun and RunBatch.
-func (p *Pool) do(pl pal.PAL, opts core.SessionOptions, batch [][]byte, wait bool) result {
-	j, err := p.submit(pl, opts, batch, wait)
-	if err != nil {
-		return result{err: err}
+// runFresh runs one session into a fresh result, which the caller owns; on
+// error it returns no result.
+func (p *Pool) runFresh(pl pal.PAL, opts core.SessionOptions, wait bool) (*core.SessionResult, error) {
+	res := core.NewSessionResult()
+	if err := p.do(pl, opts, dest{res: res}, wait); err != nil {
+		return nil, err
 	}
-	r := <-j.done
+	return res, nil
+}
+
+// do submits one job and waits for the worker to fill its destination: the
+// one body behind Run, RunInto, TryRun and RunBatch.
+func (p *Pool) do(pl pal.PAL, opts core.SessionOptions, dst dest, wait bool) error {
+	j, err := p.submit(pl, opts, dst, wait)
+	if err != nil {
+		return err
+	}
+	err = <-j.done
 	p.putJob(j)
-	return r
+	return err
 }
 
 // RunBatch executes a pre-formed group of requests as ONE batched session on
-// the PAL's affinity shard — one SKINIT, one Seal/Unseal for the whole group.
-// The caller has already decided the grouping (the fabric host runs each
-// runBatch wire frame through here), so the group bypasses the coalescer and
-// executes verbatim. opts.Input is ignored; each request's input rides in
-// reqs. The BatchResult carries the shared session plus per-request replies,
-// with the engine's completed-prefix contract intact: on abort, Completed
-// counts the requests that finished and their Replies are preserved.
-func (p *Pool) RunBatch(pl pal.PAL, reqs [][]byte, opts core.SessionOptions) (*core.BatchResult, error) {
+// the PAL's affinity shard — one SKINIT, one Seal/Unseal for the whole group
+// — filling out, whose storage the batch reuses
+// (core.Platform.RunSessionBatchInto). The caller has already decided the
+// grouping (the fabric host runs each runBatch wire frame through here), so
+// the group bypasses the coalescer and executes verbatim. opts.Input is
+// ignored; each request's input rides in reqs. out carries the shared
+// session plus per-request replies, with the engine's completed-prefix
+// contract intact: on abort, Completed counts the requests that finished
+// and their Replies are preserved.
+func (p *Pool) RunBatch(out *core.BatchResult, pl pal.PAL, reqs [][]byte, opts core.SessionOptions) error {
 	if len(reqs) == 0 {
-		return nil, errors.New("pool: empty batch")
+		return errors.New("pool: empty batch")
 	}
 	opts.Input = nil
-	r := p.do(pl, opts, reqs, true)
-	return r.br, r.err
+	return p.do(pl, opts, dest{batch: reqs, br: out}, true)
 }
 
 // Close drains the pool: no new submissions are accepted, queued sessions
