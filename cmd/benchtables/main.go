@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
 	"flicker/internal/bench"
 )
@@ -24,64 +23,12 @@ func main() {
 	t3scale := flag.Float64("t3scale", 1.0, "Table 3 build scale (1.0 = the paper's full 7:22.6 build)")
 	flag.Parse()
 
-	type experiment struct {
-		key string
-		run func() ([]*bench.Table, error)
+	tables, err := bench.Render(os.Stdout, *only, *t3scale)
+	if err != nil {
+		log.Fatal(err)
 	}
-	experiments := []experiment{
-		{"t1", wrap1(bench.Table1RootkitBreakdown)},
-		{"t2", wrap1(bench.Table2SkinitVsSize)},
-		{"t3", func() ([]*bench.Table, error) {
-			t, err := bench.Table3SystemImpact(*t3scale)
-			return []*bench.Table{t}, err
-		}},
-		{"t4", wrap1(bench.Table4DistcompOverhead)},
-		{"f6", func() ([]*bench.Table, error) {
-			return []*bench.Table{bench.Figure6Modules()}, nil
-		}},
-		{"f8", wrap1(bench.Figure8Efficiency)},
-		{"f9", func() ([]*bench.Table, error) {
-			a, b, err := bench.Figure9SSH()
-			return []*bench.Table{a, b}, err
-		}},
-		{"ca", wrap1(bench.CASignLatency)},
-		{"7.5", func() ([]*bench.Table, error) {
-			t, err := bench.Sec75BlockDeviceIntegrity(16<<20, 5)
-			return []*bench.Table{t}, err
-		}},
-		{"abl", wrap1(bench.AblationTPMProfiles)},
-		{"nextgen", wrap1(bench.AblationNextGenSession)},
-		{"multicore", wrap1(bench.AblationMulticoreImpact)},
-	}
-
-	fmt.Println("Flicker (EuroSys 2008) — evaluation reproduction")
-	fmt.Println(strings.Repeat("=", 78))
-	ran := 0
-	for _, e := range experiments {
-		if *only != "" && e.key != *only {
-			continue
-		}
-		tables, err := e.run()
-		if err != nil {
-			log.Fatalf("experiment %s: %v", e.key, err)
-		}
-		for _, t := range tables {
-			fmt.Println(t.Format())
-		}
-		ran++
-	}
-	if ran == 0 {
+	if len(tables) == 0 {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *only)
 		os.Exit(2)
-	}
-}
-
-func wrap1(f func() (*bench.Table, error)) func() ([]*bench.Table, error) {
-	return func() ([]*bench.Table, error) {
-		t, err := f()
-		if err != nil {
-			return nil, err
-		}
-		return []*bench.Table{t}, nil
 	}
 }
