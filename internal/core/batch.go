@@ -232,12 +232,19 @@ func (b *BatchResult) Clear() {
 
 // ReplyInto fills dst with request i's view of the shared session: the
 // session record narrowed to Reply(i), as if the request had run alone.
-// b's session must have completed. The timeline is copied into dst's own
-// storage, and dst keeps its input storage; Outputs aliases b, so dst's
-// outputs live as long as b's.
+// b's session must have completed. The timeline is the pipeline's phases,
+// copied into dst's own storage: the group's request spans are left out,
+// so no member sees another's timing and the copy fits a fresh result's
+// slots. dst keeps its input storage; Outputs aliases b, so dst's outputs
+// live as long as b's.
 func (b *BatchResult) ReplyInto(i int, dst *SessionResult) {
 	rep := b.Reply(i)
-	phases, input := append(dst.Phases[:0], b.Session.Phases...), dst.input
+	phases, input := dst.Phases[:0], dst.input
+	for _, ph := range b.Session.Phases {
+		if ph.Name != phaseRequest {
+			phases = append(phases, ph)
+		}
+	}
 	*dst = *b.Session
 	dst.Phases, dst.input = phases, input
 	dst.Outputs, dst.PALError = rep.Output, rep.Err

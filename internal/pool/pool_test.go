@@ -374,6 +374,11 @@ func TestPoolCoalescesQueuedJobs(t *testing.T) {
 		if string(results[i].Outputs) != want {
 			t.Errorf("job %d outputs = %q, want %q (reply isolation)", i, results[i].Outputs, want)
 		}
+		// A member's timeline is the pipeline's phases, as the singleton's
+		// is: no member sees the group's request spans.
+		if got, want := fmt.Sprint(phaseNames(results[i])), fmt.Sprint(phaseNames(results[4])); got != want {
+			t.Errorf("job %d timeline %s, want the singleton's %s", i, got, want)
+		}
 	}
 	// 3 sessions total: the blocker, ONE batch of 4, and the nonce singleton.
 	if n := poolSessions(p); n != 3 {
@@ -388,6 +393,15 @@ func TestPoolCoalescesQueuedJobs(t *testing.T) {
 	if results[0].Pipeline != "classic-batch" {
 		t.Errorf("coalesced job ran on %q, want classic-batch", results[0].Pipeline)
 	}
+}
+
+// phaseNames lists a result's timeline by phase name.
+func phaseNames(r *core.SessionResult) []string {
+	var names []string
+	for _, ph := range r.Phases {
+		names = append(names, ph.Name)
+	}
+	return names
 }
 
 // pinShardWorker occupies a single-shard pool's worker with a blocker

@@ -246,13 +246,14 @@ var raceEnabled bool
 // (taken flags, partition, input sizes and inputs), so a group costs no
 // allocation to gather, split or run beyond its batched session.
 //   - Lockstep: four persistent callers each issue one Run per round, so
-//     every round is one full four-member batch. Measured 4.25 per Run:
-//     each caller's fresh result, the timeline copied into it, and the
-//     PAL's reply, plus a quarter of the batch session's fresh result,
-//     replies, input read-back and output frame. Per-group partition
-//     scratch cost 5.25, and per-group gather slices and a timer 6.75.
-//     Under -race, sync.Pool drops a quarter of what is put back
-//     (5.75-6.00).
+//     every round is one full four-member batch. Measured 3.25 per Run:
+//     each caller's fresh result and the PAL's reply, plus a quarter of
+//     the batch session's fresh result, timeline, replies, input read-back
+//     and output frame; a member's timeline fits its result's slots
+//     because it leaves out the group's request spans. Per-group
+//     partition scratch cost 5.25, and per-group gather slices and a
+//     timer 6.75. Under -race, sync.Pool drops a quarter of what is put
+//     back (3.75-4.00).
 //   - Sequential: one caller, one Run at a time, skips the hold after the
 //     first and runs each job at once, at the 2 allocations of a
 //     non-coalescing round trip (TestPoolSubmitAllocs), 3 under -race. It
@@ -301,9 +302,9 @@ func TestPoolCoalescedRunAllocs(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		round()
 	}
-	budget, seqBudget := 5.3, 2.5
+	budget, seqBudget := 4.1, 2.5
 	if raceEnabled {
-		budget, seqBudget = 7.5, 4
+		budget, seqBudget = 5, 4
 	}
 	if perRun := testing.AllocsPerRun(50, round) / callers; perRun > budget {
 		t.Errorf("lockstep coalesced Run = %.2f allocs, budget %.1f", perRun, budget)
@@ -318,47 +319,5 @@ func TestPoolCoalescedRunAllocs(t *testing.T) {
 	run()
 	if avg := testing.AllocsPerRun(50, run); avg > seqBudget {
 		t.Errorf("sequential coalescing-pool Run = %.2f allocs, budget %.1f", avg, seqBudget)
-	}
-}
-
-// BenchmarkPoolThroughputParallel drives the pool with open-loop parallel
-// submitters (RunParallel spawns GOMAXPROCS goroutines), the shape the
-// shard-parallel scaling gate measures in cmd/benchsessions.
-func BenchmarkPoolThroughputParallel(b *testing.B) {
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
-			p, err := New(Config{
-				Shards:   shards,
-				QueueLen: 64,
-				Platform: core.PlatformConfig{Seed: "bench-pool"},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer p.Close()
-			// Distinct PAL names spread affinity across shards.
-			pals := make([]pal.PAL, 8)
-			for i := range pals {
-				pals[i] = testPAL(fmt.Sprintf("bench-%d", i))
-			}
-			for _, pl := range pals {
-				if _, err := p.Run(pl, core.SessionOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					res, err := p.Run(pals[i%len(pals)], core.SessionOptions{})
-					if err != nil || res.PALError != nil {
-						b.Errorf("%v %v", err, res.PALError)
-						return
-					}
-					i++
-				}
-			})
-		})
 	}
 }
