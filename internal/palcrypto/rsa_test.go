@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -427,6 +428,59 @@ func TestPrivateKeyUnmarshalRejectsInconsistent(t *testing.T) {
 	if _, err := UnmarshalPrivateKey(b[:5]); err == nil {
 		t.Fatal("accepted truncated private key")
 	}
+}
+
+// FuzzRSAKeyUnmarshal feeds arbitrary bytes to both key decoders: a
+// private key comes back from sealed storage that untrusted software
+// keeps, a public key from a peer. Nothing may panic; neither decoder,
+// failing or not, may allocate beyond a bound linear in the input's
+// length; and a decoded key must re-encode to the input, or to a shorter
+// canonical form when the input pads a number with leading zeros, which
+// re-encodes to itself.
+func FuzzRSAKeyUnmarshal(f *testing.F) {
+	for _, key := range testKernelKeys(f) {
+		f.Add(MarshalPublicKey(&key.RSAPublicKey))
+		f.Add(MarshalPrivateKey(key))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var pub *RSAPublicKey
+		var priv *RSAPrivateKey
+		var pubErr, privErr error
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		pub, pubErr = UnmarshalPublicKey(data)
+		priv, privErr = UnmarshalPrivateKey(data)
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > 16*uint64(len(data))+1<<14 {
+			t.Fatalf("decoding %d bytes allocated %d bytes", len(data), n)
+		}
+		reencodes := func(kind string, enc []byte, again func([]byte) ([]byte, error)) {
+			if len(enc) > len(data) || len(enc) == len(data) && !bytes.Equal(enc, data) {
+				t.Fatalf("%s key %x re-encodes to %x", kind, data, enc)
+			}
+			if enc2, err := again(enc); err != nil || !bytes.Equal(enc2, enc) {
+				t.Fatalf("%s key %x re-decodes to %x, %v", kind, enc, enc2, err)
+			}
+		}
+		if pubErr == nil {
+			reencodes("public", MarshalPublicKey(pub), func(b []byte) ([]byte, error) {
+				k, err := UnmarshalPublicKey(b)
+				if err != nil {
+					return nil, err
+				}
+				return MarshalPublicKey(k), nil
+			})
+		}
+		if privErr == nil {
+			reencodes("private", MarshalPrivateKey(priv), func(b []byte) ([]byte, error) {
+				k, err := UnmarshalPrivateKey(b)
+				if err != nil {
+					return nil, err
+				}
+				return MarshalPrivateKey(k), nil
+			})
+		}
+	})
 }
 
 func TestPRNGDeterministicAndDistinct(t *testing.T) {
