@@ -43,18 +43,53 @@ func TestBenchtablesGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
-		at := func(s []string, i int) string {
-			if i < len(s) {
-				return s[i]
-			}
-			return "<end of file>"
+		if line, g, w := firstMovedLine(string(got), string(want)); line > 0 {
+			t.Errorf("%s line %d moved:\n got %q\nwant %q", path, line, g, w)
 		}
-		for i := range max(len(g), len(w)) {
-			if at(g, i) != at(w, i) {
-				t.Errorf("%s line %d moved:\n got %q\nwant %q", path, i+1, at(g, i), at(w, i))
-				break
-			}
+	}
+}
+
+// firstMovedLine returns the 1-based number of the first line where got and
+// want differ, with both lines, or 0 when they are equal.
+func firstMovedLine(got, want string) (line int, g, w string) {
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	at := func(s []string, i int) string {
+		if i < len(s) {
+			return s[i]
 		}
+		return "<end of file>"
+	}
+	for i := range max(len(gl), len(wl)) {
+		if at(gl, i) != at(wl, i) {
+			return i + 1, at(gl, i), at(wl, i)
+		}
+	}
+	return 0, "", ""
+}
+
+// TestExperimentsReportIsGolden pins EXPERIMENTS.md's "Full reproduction
+// output" block to testdata/benchtables.golden byte for byte, so the report
+// the document shows is the one the code prints. After a deliberate change
+// to the golden, paste it into the block.
+func TestExperimentsReportIsGolden(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const open = "## Full reproduction output\n\n```\n"
+	_, block, ok := strings.Cut(string(doc), open)
+	if ok {
+		block, _, ok = strings.Cut(block, "```\n")
+	}
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no fenced block under \"## Full reproduction output\"")
+	}
+	want, err := os.ReadFile("testdata/benchtables.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if line, g, w := firstMovedLine(block, string(want)); line > 0 {
+		t.Errorf("EXPERIMENTS.md report line %d differs from testdata/benchtables.golden:\n got %q\nwant %q",
+			line, g, w)
 	}
 }

@@ -9,27 +9,33 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"flicker/internal/pal"
 	"flicker/internal/simtime"
+	"flicker/internal/slb"
 )
 
 // TestMeasureCacheHitBitIdentical runs the same PAL twice: the first launch
-// misses the cache and streams the SLB, the second hits and uses the
-// precomputed digest. Every attestation-visible value must match exactly.
+// is forced to miss the cache and stream the SLB, the second hits and uses
+// the digest init-slb noted when it staged the image. Every
+// attestation-visible value must match exactly.
 func TestMeasureCacheHitBitIdentical(t *testing.T) {
 	p := newPlatform(t)
 	nonce := palcrypto20(t, "cache-nonce")
 	opts := SessionOptions{Input: []byte("in"), Nonce: &nonce}
 
-	cold, err := p.RunSession(helloPAL(), opts)
+	streamed := opts
+	streamed.Injector = rewriteWindow(p)
+	cold, err := p.RunSession(helloPAL(), streamed)
 	if err != nil || cold.PALError != nil {
-		t.Fatalf("cold session: %v %v", err, cold.PALError)
+		t.Fatalf("streamed session: %v %v", err, cold.PALError)
 	}
 	misses := p.Metrics.Snapshot().Sum("flicker_skinit_measure_cache_total", "miss")
-	if misses == 0 {
-		t.Fatal("cold launch did not record a measurement cache miss")
+	if misses != 1 {
+		t.Fatalf("rewritten window: %v measurement cache misses, want 1", misses)
 	}
 
 	warm, err := p.RunSession(helloPAL(), opts)
@@ -37,8 +43,8 @@ func TestMeasureCacheHitBitIdentical(t *testing.T) {
 		t.Fatalf("warm session: %v %v", err, warm.PALError)
 	}
 	hits := p.Metrics.Snapshot().Sum("flicker_skinit_measure_cache_total", "hit")
-	if hits == 0 {
-		t.Fatal("second launch of an unchanged image did not hit the measurement cache")
+	if hits != 1 {
+		t.Fatalf("second launch of an unchanged image: %v cache hits, want 1", hits)
 	}
 
 	if warm.Measurement != cold.Measurement {
@@ -50,12 +56,79 @@ func TestMeasureCacheHitBitIdentical(t *testing.T) {
 	if warm.PCR17Final != cold.PCR17Final {
 		t.Errorf("cached PCR17Final %x != streamed %x", warm.PCR17Final, cold.PCR17Final)
 	}
+	if warm.Duration() != cold.Duration() {
+		t.Errorf("cached session took %v simulated, streamed %v", warm.Duration(), cold.Duration())
+	}
 	// And both match the verifier's independent computation.
 	if want := cold.Image.ExpectedPCR17(); warm.PCR17AtLaunch != want {
 		t.Errorf("PCR17AtLaunch %x != verifier's expected %x", warm.PCR17AtLaunch, want)
 	}
 }
 
+// rewriteWindow returns an Injector that, just before SKINIT, rewrites the
+// staged SLB's measured bytes with their own values through a raw
+// Mem.Write. The bytes do not change but their write generation does, so
+// the launch cannot use the note staging left and must stream the SLB. It
+// allocates nothing per session.
+func rewriteWindow(p *Platform) func(string) error {
+	buf := make([]byte, slb.MaxLen)
+	return func(phase string) error {
+		if phase != "skinit" {
+			return nil
+		}
+		base, err := p.Mod.AllocateSLB()
+		if err != nil {
+			return err
+		}
+		if err := p.Machine.Mem.ReadInto(base, buf[:2]); err != nil {
+			return err
+		}
+		b := buf[:binary.LittleEndian.Uint16(buf)]
+		if err := p.Machine.Mem.ReadInto(base, b); err != nil {
+			return err
+		}
+		return p.Machine.Mem.Write(base, b)
+	}
+}
+
+// TestAlternatingPALsMeasureOnce runs 1000 sessions on one platform that
+// takes 8 PALs in turn, all staged at the one SLB base. Staging notes each
+// image's link-time digest, so no launch needs to re-hash the SLB the
+// previous PAL's staging replaced: at most one miss per PAL, and every
+// launch still measures exactly its own image.
+func TestAlternatingPALsMeasureOnce(t *testing.T) {
+	p := newPlatform(t)
+	var pals []pal.PAL
+	for i := 0; i < 8; i++ {
+		name := fmt.Sprintf("alt-%d", i)
+		reply := []byte(name)
+		pals = append(pals, &pal.Func{
+			PALName: name,
+			Binary:  pal.DescriptorCode(name, "1.0", nil, nil),
+			Fn:      func(*pal.Env, []byte) ([]byte, error) { return reply, nil },
+		})
+	}
+	for i := 0; i < 1000; i++ {
+		pl := pals[i%len(pals)]
+		res, err := p.RunSession(pl, SessionOptions{})
+		if err != nil || res.PALError != nil {
+			t.Fatalf("session %d (%s): %v %v", i, pl.Name(), err, res.PALError)
+		}
+		if want := res.Image.ExpectedPCR17(); res.PCR17AtLaunch != want {
+			t.Fatalf("session %d (%s): PCR 17 at launch %x, want %x", i, pl.Name(), res.PCR17AtLaunch, want)
+		}
+	}
+	snap := p.Metrics.Snapshot()
+	misses := snap.Sum("flicker_skinit_measure_cache_total", "miss")
+	hits := snap.Sum("flicker_skinit_measure_cache_total", "hit")
+	if misses > float64(len(pals)) {
+		t.Errorf("%v measurement cache misses over 1000 sessions of %d PALs, want at most %d",
+			misses, len(pals), len(pals))
+	}
+	if hits+misses != 1000 {
+		t.Errorf("%v hits + %v misses, want 1000 lookups", hits, misses)
+	}
+}
 func palcrypto20(t *testing.T, s string) [20]byte {
 	t.Helper()
 	var d [20]byte
@@ -158,8 +231,9 @@ func TestTamperAfterWarmSessionChangesPCR17(t *testing.T) {
 // observer list, the PAL environment, the locality-2 drivers and their
 // response buffers, the module's saved state and the output framing. The
 // SLB is hashed where it sits, so a measure-cache miss costs nothing more
-// than a hit, which the alternating case checks: with two PALs taking turns
-// on one platform, every launch misses. The classic pipeline, the
+// than a hit, which the alternating case checks: two PALs take turns on one
+// platform, and a raw rewrite of each staged window's own bytes
+// (rewriteWindow) makes every launch miss. The classic pipeline, the
 // partitioned one and the alternating pair all cost 2, with or without
 // -race.
 func TestSessionAllocs(t *testing.T) {
@@ -178,7 +252,7 @@ func TestSessionAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		p    *Platform
-		pals []pal.PAL // more than one: each launch misses the cache
+		pals []pal.PAL // more than one: each window is rewritten, so each launch misses
 		run  func(*Platform, pal.PAL, SessionOptions) (*SessionResult, error)
 	}{
 		{"classic", newPlatform(t), []pal.PAL{hello}, (*Platform).RunSession},
@@ -186,11 +260,15 @@ func TestSessionAllocs(t *testing.T) {
 		{"alternating", newPlatform(t), []pal.PAL{hello, other}, (*Platform).RunSession},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			var opts SessionOptions
+			if len(tc.pals) > 1 {
+				opts.Injector = rewriteWindow(tc.p)
+			}
 			i := 0
 			session := func() {
 				pl := tc.pals[i%len(tc.pals)]
 				i++
-				res, err := tc.run(tc.p, pl, SessionOptions{})
+				res, err := tc.run(tc.p, pl, opts)
 				if err != nil || res.PALError != nil {
 					t.Fatalf("%s: %v %v", pl.Name(), err, res.PALError)
 				}

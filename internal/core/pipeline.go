@@ -472,16 +472,15 @@ func (st *sessionState) writeOutputPage(out []byte) error {
 
 // cleanupBody erases all PAL secrets from the SLB window while the launch
 // protections are still in place. The erase is a scrub, not a blanket zero:
-// the image region is restored to the pristine patched image bytes and the
+// the image region is restaged with the pristine patched image bytes and the
 // rest of the window is zeroed, both through the compare-based memory ops.
 // That leaves the window in a fixed public state — pristine measured image
 // followed by zeros — so no PAL-written byte survives (a "secret" identical
-// to the public image bytes is not a secret), while an undisturbed session
-// leaves the region's write generation untouched and the next SKINIT hits
-// the measurement cache. Any PAL write into the window differs from that
-// fixed state, gets scrubbed, and bumps the generation, forcing the next
-// launch to re-hash. The abort path (zeroWindowTeardown) keeps the blanket
-// zero: a failed session should not optimize for the next launch.
+// to the public image bytes is not a secret). The restage goes through
+// StageSLB, so even a PAL that wrote into its own image leaves a window the
+// next SKINIT need not re-hash. The abort path (zeroWindowTeardown) keeps
+// the blanket zero: a failed session should not optimize for the next
+// launch.
 func cleanupBody(st *sessionState) error {
 	if st.env != nil && st.env.Heap != nil {
 		st.env.Heap.Wipe()
@@ -489,19 +488,12 @@ func cleanupBody(st *sessionState) error {
 	// The PAL's driver scratch holds the last Seal plaintext, Unseal
 	// output and PRNG seed.
 	st.p.scratch.palClient.Scrub()
-	wipe := slb.MaxLen
-	if int(st.slbBase)+wipe > st.p.Machine.Mem.Size() {
-		wipe = st.p.Machine.Mem.Size() - int(st.slbBase)
-	}
-	img := st.im.Bytes()
-	scrub := len(img)
-	if scrub > wipe {
-		scrub = wipe
-	}
-	if _, err := st.p.Machine.Mem.WriteIfChanged(st.slbBase, img[:scrub]); err != nil {
+	// init-slb staged the whole image, so it fits below the window's end.
+	wipe := min(slb.MaxLen, st.p.Machine.Mem.Size()-int(st.slbBase))
+	if err := st.p.Machine.StageSLB(st.slbBase, st.im); err != nil {
 		return err
 	}
-	if wipe > scrub {
+	if scrub := st.im.Len(); wipe > scrub {
 		if _, err := st.p.Machine.Mem.ZeroIfDirty(st.slbBase+uint32(scrub), wipe-scrub); err != nil {
 			return err
 		}

@@ -114,23 +114,6 @@ type registeredPAL struct {
 	p     pal.PAL
 	image *slb.Image
 	opts  SessionOptions
-	// bytesKey caches SHA-1 over the image's current bytes, valid while the
-	// image's patch generation still equals bytesGen. LaunchByMeasurement's
-	// fallback consults it instead of rehashing every registered image's
-	// full bytes on each lookup miss.
-	bytesKey tpm.Digest
-	bytesGen uint64
-}
-
-// currentBytesKey returns the digest of the image's current bytes,
-// recomputing it only when the image was patched since the last call.
-// Callers hold p.mu.
-func (r *registeredPAL) currentBytesKey() tpm.Digest {
-	if g := r.image.PatchGen(); r.bytesGen != g {
-		r.bytesKey = palcrypto.SHA1Sum(r.image.Bytes())
-		r.bytesGen = g
-	}
-	return r.bytesKey
 }
 
 // imageKey identifies a built SLB image: the PAL's measured identity (name,
@@ -307,12 +290,8 @@ func (p *Platform) RegisterPAL(pl pal.PAL, opts SessionOptions) (*slb.Image, err
 		return nil, err
 	}
 	opts.image = im
-	key := palcrypto.SHA1Sum(im.Bytes())
 	p.mu.Lock()
-	p.registry[key] = &registeredPAL{
-		p: pl, image: im, opts: opts,
-		bytesKey: key, bytesGen: im.PatchGen(),
-	}
+	p.registry[im.WindowMeasurement()] = &registeredPAL{p: pl, image: im, opts: opts}
 	p.mu.Unlock()
 	return im, nil
 }
@@ -326,11 +305,10 @@ func (p *Platform) LaunchByMeasurement(key [20]byte, inputs []byte) error {
 	reg, ok := p.registry[key]
 	if !ok {
 		// The staged bytes may be a registered image that was patched in
-		// place after registration (slb_base is stable): match on the
-		// image's current bytes via the per-entry digest cache, which only
-		// rehashes an image whose patch generation moved.
+		// place after registration (slb_base is stable): match on the hash
+		// of the image's current bytes, which the image keeps across Patch.
 		for _, r := range p.registry {
-			if r.currentBytesKey() == key {
+			if r.image.WindowMeasurement() == key {
 				reg, ok = r, true
 				break
 			}

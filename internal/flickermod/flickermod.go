@@ -166,8 +166,10 @@ func (mod *Module) AllocateSLB() (uint32, error) {
 // PlaceSLB patches an image for slbBase and writes it into kernel memory,
 // along with the inputs at the well-known input page. All stores go through
 // WriteIfChanged: re-staging the identical image leaves the region's write
-// generation untouched, which is what lets SKINIT's measurement cache
-// recognize an unchanged SLB across back-to-back sessions.
+// generation untouched. The image itself is staged by the machine
+// (cpu.Machine.StageSLB), which notes the image's link-time measurement, so
+// the next SKINIT does not re-hash what was just written, whichever PAL was
+// staged before it.
 func (mod *Module) PlaceSLB(im *slb.Image, slbBase uint32, inputs []byte) error {
 	if len(inputs) > slb.PageSize-4 {
 		return fmt.Errorf("flickermod: inputs of %d bytes exceed the 4 KB parameter page", len(inputs))
@@ -175,7 +177,7 @@ func (mod *Module) PlaceSLB(im *slb.Image, slbBase uint32, inputs []byte) error 
 	if err := im.Patch(slbBase); err != nil {
 		return err
 	}
-	if _, err := mod.M.Mem.WriteIfChanged(slbBase, im.Bytes()); err != nil {
+	if err := mod.M.StageSLB(slbBase, im); err != nil {
 		return err
 	}
 	// Additional PAL code lands above the parameter pages; the measured

@@ -25,6 +25,7 @@ import (
 	"flicker/internal/metrics"
 	"flicker/internal/palcrypto"
 	"flicker/internal/simtime"
+	"flicker/internal/slb"
 	"flicker/internal/tpm"
 )
 
@@ -196,7 +197,9 @@ type Machine struct {
 	// measureCache memoizes SLB measurements by (base, length) and the
 	// memory's write generation for that range: an unchanged staged image
 	// re-measures in O(1) while any CPU write, patch or DMA store into the
-	// window invalidates the entry (see measureSLB).
+	// window invalidates the entry. StageSLB fills it with the staged
+	// image's link-time digest, and a launch that had to hash fills it with
+	// what it hashed (see measureSLB).
 	measureCache map[measureKey]measureEntry
 	// l4 is the locality-4 sequence's frame scratch. Only measureSLB uses
 	// it, after SKINIT has claimed active, so at most one launch holds it.
@@ -284,17 +287,53 @@ func (m *Machine) Instrument(reg *metrics.Registry, events *metrics.EventLog) {
 	m.events = events
 }
 
+// StageSLB writes a built SLB image at base, page by page through
+// WriteIfChanged, and notes for the next SKINIT at base that the image's
+// measured prefix now holds the bytes whose digest is im.Measurement(). The
+// note is keyed by the prefix's write generation as it stands right after
+// the write, sampled under the same memory lock, so it describes exactly the
+// bytes the image put there; the digest is the image's own link-time
+// digest, never one a caller supplies. Any later CPU write, zeroing, patch
+// or DMA store into the prefix bumps the generation, and the launch then
+// re-hashes what it finds. Bytes staged any other way (a raw Mem.Write)
+// carry no note and are hashed at launch.
+func (m *Machine) StageSLB(base uint32, im *slb.Image) error {
+	n := im.MeasuredLen()
+	gen, err := m.Mem.WriteIfChangedGen(base, im.Bytes(), n)
+	if err != nil {
+		return err
+	}
+	m.noteMeasurement(measureKey{base: base, len: uint16(n)}, gen, im.Measurement())
+	return nil
+}
+
+// noteMeasurement records that the SLB at key hashes to digest while its
+// write generation stays gen.
+func (m *Machine) noteMeasurement(key measureKey, gen uint64, digest tpm.Digest) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.measureCache == nil {
+		m.measureCache = make(map[measureKey]measureEntry)
+	}
+	if len(m.measureCache) >= 64 {
+		// The cache only ever holds a handful of staged regions; a
+		// wholesale reset on overflow keeps it bounded without an LRU.
+		clear(m.measureCache)
+	}
+	m.measureCache[key] = measureEntry{gen: gen, digest: digest}
+}
+
 // measureSLB runs the locality-4 measurement of the staged SLB, returning
 // the SLB digest (what PCR 17 was extended with) and the resulting PCR 17
 // value. It memoizes (base, length, write-generation) → digest: when the
-// staged bytes are provably unchanged since the last launch, the TPM is
-// driven through the HASH_START/HASH_DIGEST fast path instead of re-hashing
-// up to 60 KB, and a miss hashes the bytes where they sit, without copying
-// them out. The cached and streamed paths are bit-identical in PCR 17 and in
-// simulated time charged; any write, patch, or DMA store into the window
-// bumps the range's generation and forces a full re-hash, so tampering is
-// never masked. fault classifies an error for recordSKINIT ("bad-slb" or
-// "measure-fault").
+// staged bytes are provably unchanged since StageSLB wrote them or since
+// the last launch hashed them, the TPM is driven through the
+// HASH_START/HASH_DIGEST fast path instead of re-hashing up to 60 KB, and a
+// miss hashes the bytes where they sit, without copying them out. The cached
+// and streamed paths are bit-identical in PCR 17 and in simulated time
+// charged; any write, patch, or DMA store into the window bumps the range's
+// generation and forces a full re-hash, so tampering is never masked. fault
+// classifies an error for recordSKINIT ("bad-slb" or "measure-fault").
 //
 // Callers invoke this after DEVProtect, so DMA cannot move the bytes
 // between the generation sample and the hash; a CPU-side race would bump
@@ -331,17 +370,7 @@ func (m *Machine) measureSLB(slbBase uint32, length uint16) (digest, pcr17 tpm.D
 		return tpm.Digest{}, tpm.Digest{}, "measure-fault", err
 	}
 	if gen2 := m.Mem.Generation(slbBase, int(length)); gen2 != 0 && gen2 == gen {
-		m.mu.Lock()
-		if m.measureCache == nil {
-			m.measureCache = make(map[measureKey]measureEntry)
-		}
-		if len(m.measureCache) >= 64 {
-			// The cache only ever holds a handful of staged regions; a
-			// wholesale reset on overflow keeps it bounded without an LRU.
-			clear(m.measureCache)
-		}
-		m.measureCache[key] = measureEntry{gen: gen, digest: digest}
-		m.mu.Unlock()
+		m.noteMeasurement(key, gen, digest)
 	}
 	return digest, pcr17, "", nil
 }

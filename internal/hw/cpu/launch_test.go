@@ -9,6 +9,7 @@ import (
 	"flicker/internal/metrics"
 	"flicker/internal/palcrypto"
 	"flicker/internal/simtime"
+	"flicker/internal/slb"
 	"flicker/internal/tpm"
 )
 
@@ -86,6 +87,80 @@ func TestMeasureInPlaceMatchesReadAndHit(t *testing.T) {
 		t.Fatalf("hit digest %x / PCR 17 %x, miss %x / %x", hit.Measurement, hit.PCR17, miss.Measurement, miss.PCR17)
 	}
 	hit.End()
+}
+
+// StageSLB notes each image's link-time digest, so images staged in turn at
+// one base all launch from the cache, each measuring exactly itself. A raw
+// write into the measured prefix after staging, even of the bytes already
+// there, forces a miss that hashes what it finds; a write beyond a
+// two-stage image's measured stub does not.
+func TestStageSLBNotesImageDigest(t *testing.T) {
+	m, tp, _ := testMachine(t, 1)
+	reg := metrics.NewRegistry()
+	m.Instrument(reg, nil)
+	const base = 0x10000
+	build := func(name string, twoStage bool) *slb.Image {
+		code := slb.PALCode{Name: name, Code: bytes.Repeat([]byte(name), 2000)}
+		im, err := slb.Build(code)
+		if twoStage {
+			im, err = slb.BuildTwoStage(code)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := im.Patch(base); err != nil {
+			t.Fatal(err)
+		}
+		return im
+	}
+	launch := func(want tpm.Digest, wantHits, wantMisses float64) {
+		t.Helper()
+		var ll LateLaunch
+		if err := m.SKINIT(0, base, &ll); err != nil {
+			t.Fatal(err)
+		}
+		defer ll.End()
+		if hits, misses := measureCounts(reg); hits != wantHits || misses != wantMisses {
+			t.Fatalf("%v hits, %v misses; want %v, %v", hits, misses, wantHits, wantMisses)
+		}
+		if ll.Measurement != want || tp.PCRValue(17) != tpm.ExtendDigest(tpm.Digest{}, want) {
+			t.Fatalf("measured %x, want %x", ll.Measurement, want)
+		}
+	}
+	a, b, two := build("alpha", false), build("beta", false), build("gamma", true)
+	for i, im := range []*slb.Image{a, b, a, two, b} {
+		if err := m.StageSLB(base, im); err != nil {
+			t.Fatal(err)
+		}
+		launch(im.Measurement(), float64(i+1), 0)
+	}
+
+	// The prefix's own bytes, rewritten raw: same digest, but hashed.
+	if err := m.Mem.Write(base+100, b.Bytes()[100:200]); err != nil {
+		t.Fatal(err)
+	}
+	launch(b.Measurement(), 5, 1)
+	// A byte of the prefix changed after staging is measured.
+	if err := m.StageSLB(base, a); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Mem.Write(base+2000, []byte{^a.Bytes()[2000]}); err != nil {
+		t.Fatal(err)
+	}
+	tampered, err := m.Mem.Read(base, a.MeasuredLen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	launch(palcrypto.SHA1Sum(tampered), 5, 2)
+	// A two-stage image's PAL code lies past the measured stub, and its
+	// last byte on a page the stub does not reach.
+	if err := m.StageSLB(base, two); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Mem.Write(base+uint32(two.Len()-1), []byte{0xEE}); err != nil {
+		t.Fatal(err)
+	}
+	launch(two.Measurement(), 6, 2)
 }
 
 // A CPU write that allocates a page of the SLB (its first touch) while

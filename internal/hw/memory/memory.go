@@ -378,6 +378,11 @@ func (m *PhysMem) bumpLocked(addr uint32, n int) {
 func (m *PhysMem) Generation(addr uint32, n int) uint64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
+	return m.generationLocked(addr, n)
+}
+
+// generationLocked is Generation for a caller holding m.mu.
+func (m *PhysMem) generationLocked(addr uint32, n int) uint64 {
 	if m.checkRange(addr, n) != nil {
 		return 0
 	}
@@ -415,6 +420,27 @@ func (m *PhysMem) WriteIfChanged(addr uint32, b []byte) (changed bool, err error
 	if err := m.checkRange(addr, len(b)); err != nil {
 		return false, err
 	}
+	return m.writeIfChangedLocked(addr, b), nil
+}
+
+// WriteIfChangedGen is WriteIfChanged returning, instead of whether anything
+// changed, the Generation of the first n bytes at addr once all of b is
+// stored. The generation is sampled under the lock the store holds, so no
+// other write can land between the two: a caller that knows what b's first
+// n bytes hash to may memoize that digest under the returned generation.
+func (m *PhysMem) WriteIfChangedGen(addr uint32, b []byte, n int) (gen uint64, err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.checkRange(addr, len(b)); err != nil {
+		return 0, err
+	}
+	m.writeIfChangedLocked(addr, b)
+	return m.generationLocked(addr, n), nil
+}
+
+// writeIfChangedLocked is WriteIfChanged's store. Callers hold m.mu for
+// writing and have validated the range.
+func (m *PhysMem) writeIfChangedLocked(addr uint32, b []byte) (changed bool) {
 	for off := 0; off < len(b); {
 		p, lo, k := span(addr, len(b), off)
 		chunk := b[off : off+k]
@@ -430,7 +456,7 @@ func (m *PhysMem) WriteIfChanged(addr uint32, b []byte) (changed bool, err error
 		}
 		off += k
 	}
-	return changed, nil
+	return changed
 }
 
 // Zero clears n bytes starting at addr; used by the SLB Core's cleanup phase

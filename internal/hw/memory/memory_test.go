@@ -344,6 +344,36 @@ func TestWriteIfChangedGenerationNeutralWhenIdentical(t *testing.T) {
 	}
 }
 
+// WriteIfChangedGen returns the generation of the prefix it is asked about
+// as it stands after the whole write: unchanged for identical bytes, and
+// untouched by a change past the prefix's pages.
+func TestWriteIfChangedGenReportsPrefixGeneration(t *testing.T) {
+	m := New(8 * PageSize)
+	img := bytes.Repeat([]byte{0x5A}, 3*PageSize)
+	const prefix = PageSize + 10
+	g0, err := m.WriteIfChangedGen(PageSize, img, prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := m.Generation(PageSize, prefix); g0 == 0 || g != g0 {
+		t.Fatalf("WriteIfChangedGen = %d, Generation after it %d", g0, g)
+	}
+	if g, err := m.WriteIfChangedGen(PageSize, img, prefix); err != nil || g != g0 {
+		t.Fatalf("identical rewrite: %d, %v; want %d", g, err, g0)
+	}
+	img[len(img)-1] ^= 0xFF
+	if g, err := m.WriteIfChangedGen(PageSize, img, prefix); err != nil || g != g0 {
+		t.Fatalf("change past the prefix: %d, %v; want %d", g, err, g0)
+	}
+	img[prefix-1] ^= 0xFF
+	if g, err := m.WriteIfChangedGen(PageSize, img, prefix); err != nil || g <= g0 {
+		t.Fatalf("change inside the prefix: %d, %v; want more than %d", g, err, g0)
+	}
+	if _, err := m.WriteIfChangedGen(7*PageSize, img, prefix); err == nil {
+		t.Fatal("out-of-range write accepted")
+	}
+}
+
 // ZeroIfDirty over an already-clean range is generation-neutral; over a
 // dirty range it erases and bumps.
 func TestZeroIfDirtyGenerationNeutralWhenClean(t *testing.T) {

@@ -212,8 +212,18 @@ type Pool struct {
 	metQueueDelay *metrics.Histogram
 }
 
-// New builds and boots a pool of cfg.Shards platforms.
+// New builds and boots a pool of cfg.Shards platforms. The shards boot side
+// by side, one goroutine each: a platform's boot is mostly TPM key
+// generation, and each shard seeds its own, so the keys, PCR 17 values and
+// sealed blobs are those a serial boot would produce. When shards fail, the
+// error is the lowest-index one's.
 func New(cfg Config) (*Pool, error) {
+	return build(cfg, core.NewPlatform)
+}
+
+// build is New with the platform constructor as a parameter, so tests can
+// make a given shard's boot fail.
+func build(cfg Config, newPlatform func(core.PlatformConfig) (*core.Platform, error)) (*Pool, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
@@ -262,15 +272,27 @@ func New(cfg Config) (*Pool, error) {
 	p.metQueueDelay = reg.Histogram("flicker_pool_queue_delay_seconds",
 		"Wall-clock time a job spent queued before its session started.",
 		[]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1}).With()
-	for i := 0; i < cfg.Shards; i++ {
+	plats := make([]*core.Platform, cfg.Shards)
+	errs := make([]error, cfg.Shards)
+	var boot sync.WaitGroup
+	for i := range plats {
 		scfg := cfg.Platform
 		scfg.Seed = fmt.Sprintf("%s-shard%d", seed, i)
 		scfg.Metrics = reg
 		scfg.Events = events
-		plat, err := core.NewPlatform(scfg)
+		boot.Add(1)
+		go func() {
+			defer boot.Done()
+			plats[i], errs[i] = newPlatform(scfg)
+		}()
+	}
+	boot.Wait()
+	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("pool: shard %d: %w", i, err)
 		}
+	}
+	for _, plat := range plats {
 		timer := time.NewTimer(time.Hour)
 		timer.Stop()
 		p.shards = append(p.shards, &shard{

@@ -113,24 +113,19 @@ type Image struct {
 	meas       tpm.Digest
 	windowMeas tpm.Digest
 	extraMeas  tpm.Digest
-	// patchGen counts byte-rewriting Patch calls; external indexes keyed on
-	// image contents (Platform.LaunchByMeasurement's digest index) use it to
-	// notice staleness.
-	patchGen uint64
 }
 
 // refreshDigests recomputes the cached measurements from the current bytes.
+// A one-stage image measures all of its bytes, so its two digests are one
+// hash.
 func (im *Image) refreshDigests() {
-	im.meas = palcrypto.SHA1Sum(im.data[:im.MeasuredLen()])
 	im.windowMeas = palcrypto.SHA1Sum(im.data)
+	im.meas = im.windowMeas
+	if im.TwoStage() {
+		im.meas = palcrypto.SHA1Sum(im.data[:im.stubLen])
+	}
 	im.extraMeas = palcrypto.SHA1Sum(im.extra)
-	im.patchGen++
 }
-
-// PatchGen returns a counter that changes whenever the image bytes change
-// (at link time and on each byte-rewriting Patch). Callers caching derived
-// values can compare it to detect staleness.
-func (im *Image) PatchGen() uint64 { return im.patchGen }
 
 // Build links a PAL against the SLB Core, producing an unpatched image.
 func Build(p PALCode) (*Image, error) {
@@ -188,7 +183,7 @@ func (im *Image) Patch(slbBase uint32) error {
 		}
 		// Idempotent re-patch for the same base: the descriptors already
 		// hold exactly these bytes, so skip the rewrite and keep the cached
-		// digests (and any external index keyed on PatchGen) valid.
+		// digests.
 		return nil
 	}
 	// Each GDT descriptor gets the base address; the simulated descriptor
@@ -283,8 +278,9 @@ var stubHashCode = palcrypto.NewPRNG([]byte("flicker-measurement-stub-v1.0")).
 
 // WindowMeasurement returns the digest the two-stage stub extends into
 // PCR 17: the hash of the full image as loaded (stage 2 of the optimized
-// measurement). For a one-stage image it is not meaningful and returns the
-// plain image hash.
+// measurement). For a one-stage image it is the plain image hash, which
+// equals Measurement. Either way it is the hash of Bytes, kept current
+// across Patch.
 func (im *Image) WindowMeasurement() tpm.Digest {
 	return im.windowMeas
 }
