@@ -691,3 +691,43 @@ func TestFabricHoldSkippedForSequentialRuns(t *testing.T) {
 		t.Fatalf("a lockstep burst of 4 Runs flushed as %v groups, want one frame of 4", n)
 	}
 }
+
+// A controller's per-PAL dispatchers share what their holds have learned,
+// so a caller that sends one Run at a time over eight PALs pays one
+// MaxWait hold in all, not one per PAL: the first PAL's Run waits out the
+// hold alone, and every other PAL's first Run follows that evidence and is
+// sent at once (an idle flush).
+func TestFabricHoldSharedAcrossPALs(t *testing.T) {
+	const maxWait = 250 * time.Millisecond
+	r := newFabRig(t, 1, ControllerConfig{Seed: "t", MaxBatch: 4, MaxWait: maxWait})
+	names := []string{"echo"}
+	for i := 1; i < 8; i++ {
+		name := fmt.Sprintf("pal-%d", i)
+		names = append(names, name)
+		if err := r.ctrl.RegisterPAL(testPAL(name)); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.hosts[0].RegisterPAL(testPAL(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.ctrl.Admit(r.hosts[0].Name()); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	for _, name := range names {
+		out, err := r.ctrl.Run(name, []byte("x"))
+		if err != nil || string(out) != name+":x" {
+			t.Fatalf("run on %s = %q, %v", name, out, err)
+		}
+	}
+	if took := time.Since(start); took >= 2*maxWait {
+		t.Fatalf("one Run on each of 8 PALs took %v, want under 2×MaxWait (%v): each PAL paid its own hold", took, 2*maxWait)
+	}
+	if n := r.metric("flicker_fabric_batch_flush_total", "idle"); n != 7 {
+		t.Fatalf("idle flushes = %v after one Run on each of 8 PALs, want 7", n)
+	}
+	if n := r.metric("flicker_fabric_batch_flush_total", "timeout"); n != 1 {
+		t.Fatalf("timeout flushes = %v after one Run on each of 8 PALs, want 1", n)
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"flicker/internal/core"
 	"flicker/internal/metrics"
 	"flicker/internal/pal"
+	"flicker/internal/sched"
 	"flicker/internal/simtime"
 	"flicker/internal/tpm"
 )
@@ -488,6 +489,50 @@ func TestPoolHoldSkippedForSequentialRuns(t *testing.T) {
 	}
 	if n := poolSessions(p); n != 12 {
 		t.Fatalf("sessions = %d, want 12 (10 sequential, the blocker, one batch of 4)", n)
+	}
+}
+
+// A pool's shard workers share what their holds have learned: sequential
+// jobs whose PALs are homed on both shards of a coalescing pool pay one
+// MaxWait hold in all, not one per shard.
+func TestPoolHoldSharedAcrossShards(t *testing.T) {
+	const maxWait = 250 * time.Millisecond
+	p, err := New(Config{
+		Shards:   2,
+		QueueLen: 16,
+		MaxBatch: 4,
+		MaxWait:  maxWait,
+		Platform: core.PlatformConfig{Seed: "pool-hold-shared"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	var pals []pal.PAL
+	homed := [2]int{}
+	for i := 0; len(pals) < 8; i++ {
+		name := fmt.Sprintf("pal-%d", i)
+		if h := sched.Home(name, 2); homed[h] < 4 {
+			homed[h]++
+			pals = append(pals, testPAL(name))
+		}
+	}
+	start := time.Now()
+	for k := 0; k < 2; k++ {
+		for _, pl := range pals {
+			if _, err := p.Run(pl, core.SessionOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if took := time.Since(start); took >= 2*maxWait {
+		t.Fatalf("16 sequential jobs over both shards took %v, want under 2×MaxWait (%v): each shard paid its own hold", took, 2*maxWait)
+	}
+	// A lone job flushed on timeout runs as a singleton session, which the
+	// flush counter does not count, so the one timeout shows as 15 idle
+	// flushes of 16 jobs.
+	if n := p.Metrics().Snapshot().Sum("flicker_pool_batch_flush_total", "idle"); n != 15 {
+		t.Fatalf("idle flushes = %v after 16 sequential jobs over 2 shards, want 15 (one timeout)", n)
 	}
 }
 
