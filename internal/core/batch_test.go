@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -547,5 +548,79 @@ func TestBatchReplyRule(t *testing.T) {
 		if r := br.Reply(i); r.Err == nil || r.Err != br.Session.PALError {
 			t.Errorf("request %d: Reply err = %v, want the session's PALError %v", i, r.Err, br.Session.PALError)
 		}
+	}
+}
+
+// The input page's framing bounds, to the byte: a group that frames to
+// exactly PageSize-4 bytes fits and encodes, and one byte more is refused
+// by both the coalescer's bound (BatchInputFits) and the encoder. A field
+// whose untrusted length word claims more bytes than follow it is refused
+// as a field overflow, without slicing past the frame.
+func TestBatchInputFramingBoundaries(t *testing.T) {
+	const limit = slb.PageSize - 4
+	exact := limit - batchInputOverhead - 4 // one request, no header
+	for _, c := range []struct {
+		name   string
+		header int
+		reqs   []int
+		fits   bool
+	}{
+		{"one request, exact", 0, []int{exact}, true},
+		{"one request, one byte over", 0, []int{exact + 1}, false},
+		{"header and two requests, exact", 10, []int{100, exact - 10 - 4 - 100}, true},
+		{"header and two requests, one byte over", 10, []int{100, exact - 10 - 4 - 100 + 1}, false},
+	} {
+		reqs := make([][]byte, len(c.reqs))
+		for i, n := range c.reqs {
+			reqs[i] = make([]byte, n)
+		}
+		if got := BatchInputFits(c.header, c.reqs...); got != c.fits {
+			t.Errorf("%s: BatchInputFits = %v, want %v", c.name, got, c.fits)
+		}
+		frame, err := appendBatchInput(nil, make([]byte, c.header), reqs)
+		if !c.fits {
+			if !errors.Is(err, ErrBatchTooLarge) || len(frame) != 0 {
+				t.Errorf("%s: appendBatchInput = %d bytes, %v; want nothing and ErrBatchTooLarge", c.name, len(frame), err)
+			}
+			continue
+		}
+		if err != nil || len(frame) != limit {
+			t.Errorf("%s: appendBatchInput = %d bytes, %v; want %d bytes", c.name, len(frame), err, limit)
+			continue
+		}
+		header, got, err := decodeBatchInput(frame, nil)
+		if err != nil || len(header) != c.header || len(got) != len(c.reqs) {
+			t.Errorf("%s: decode of the exact frame = %d-byte header, %d requests, %v", c.name, len(header), len(got), err)
+		}
+	}
+
+	decode := func(b []byte) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic: %v", r)
+			}
+		}()
+		_, _, err = decodeBatchInput(b, nil)
+		return err
+	}
+	word := func(b []byte, at int, n uint32) []byte {
+		binary.BigEndian.PutUint32(b[at:], n)
+		return b
+	}
+	// A 14-byte frame: a header word claiming len(b)-3 = 11 bytes when 10
+	// follow it.
+	if err := decode(word(make([]byte, 14), 0, 11)); err == nil || !strings.Contains(err.Error(), "field overflow") {
+		t.Errorf("header word claiming len(b)-3 bytes: %v, want a field overflow", err)
+	}
+	// An empty header, a count of 1, then a request word claiming 3 bytes
+	// more than follow it.
+	req := word(word(make([]byte, 4+4+4+6), 4, 1), 8, 9)
+	if err := decode(req); err == nil || !strings.Contains(err.Error(), "field overflow") {
+		t.Errorf("request word claiming len(b)-3 bytes: %v, want a field overflow", err)
+	}
+	// A header word claiming exactly the bytes that follow it is no
+	// overflow: the frame is short of its count word instead.
+	if err := decode(word(make([]byte, 14), 0, 10)); err == nil || strings.Contains(err.Error(), "overflow") || strings.Contains(err.Error(), "panic") {
+		t.Errorf("header word claiming len(b)-4 bytes: %v, want a truncated count", err)
 	}
 }

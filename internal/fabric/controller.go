@@ -76,7 +76,9 @@ type ControllerConfig struct {
 	// dispatcher skips the hold (sched.Hold) while its Runs arrive alone:
 	// after a hold that gathered no companion, a Run is sent at once while
 	// no other Run of its PAL is outstanding, until a group of two or more
-	// forms again.
+	// forms again. A dispatcher that has flushed no group yet follows the
+	// latest hold of any of the controller's dispatchers, so a caller that
+	// sends one Run at a time pays one hold per controller, not one per PAL.
 	MaxWait time.Duration
 	// Window is the pipelining depth: how many frames may be outstanding to
 	// one host at once before dispatch blocks (default 4; only meaningful
@@ -192,8 +194,11 @@ type Controller struct {
 
 	// Batched dispatch (cfg.MaxBatch > 1): one coalescing dispatcher
 	// goroutine per PAL feeds pipelined frame goroutines, bounded per host by
-	// a window lane. stop tears the dispatchers down.
+	// a window lane. The dispatchers' holds form one family (holds), so a
+	// quiet controller pays one hold, not one per PAL. stop tears the
+	// dispatchers down.
 	coal     sched.Coalescer
+	holds    sched.HoldFamily
 	stop     chan struct{}
 	stopOnce sync.Once
 	frameID  atomic.Uint64
@@ -636,7 +641,9 @@ func (c *Controller) enqueue(pq *palQueue, j *fabJob) {
 // previous frames' round trips. It owns its gather buffer and hold timer,
 // reused for every group; the timer starts stopped and Gather arms it. Its
 // sched.Hold sends a Run at once, without gathering, when the previous hold
-// gathered no companion and no other Run of the PAL is outstanding. A
+// gathered no companion and no other Run of the PAL is outstanding; until
+// the dispatcher has flushed a group of its own, the previous hold is the
+// latest one any of the controller's dispatchers recorded. A
 // queued companion is not enough of a signal here: the dispatcher hands
 // frames to goroutines and comes straight back, so under load it usually
 // finds the queue empty while the PAL's earlier Runs are still on the wire.
@@ -645,7 +652,7 @@ func (c *Controller) enqueue(pq *palQueue, j *fabJob) {
 func (c *Controller) dispatch(palName string, pq *palQueue) {
 	q := pq.q
 	var group []*fabJob
-	var hold sched.Hold
+	hold := sched.NewHold(&c.holds)
 	timer := time.NewTimer(time.Hour)
 	timer.Stop()
 	for {

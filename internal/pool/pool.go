@@ -69,7 +69,10 @@ type Config struct {
 	// 1ms; only meaningful when MaxBatch > 1). A worker skips the hold
 	// (sched.Hold) while its jobs arrive alone: after a hold that gathered
 	// no companion, a job with none queued behind it runs at once, until a
-	// group of two or more forms again.
+	// group of two or more forms again. A worker that has flushed no group
+	// yet follows the latest hold of any of the pool's workers, so a
+	// submitter that sends one job at a time pays one hold per pool, not
+	// one per shard.
 	MaxWait time.Duration
 	// WallClock supplies the wall-clock reading used for the queue-delay
 	// metric (default time.Now). Queue delay is real scheduling latency, not
@@ -184,6 +187,9 @@ type Pool struct {
 	wg       sync.WaitGroup
 	maxBatch int
 	maxWait  time.Duration
+	// holds is the family of the shard workers' coalescer holds, so a quiet
+	// pool pays one hold, not one per shard.
+	holds sched.HoldFamily
 
 	// The submit/close handshake, lock-free: submitters hold an inflight
 	// ticket across submit; Close flips closed and workers drain until the
@@ -301,6 +307,7 @@ func build(cfg Config, newPlatform func(core.PlatformConfig) (*core.Platform, er
 			wake:       make(chan struct{}, 1),
 			space:      make(chan struct{}, 1),
 			timer:      timer,
+			hold:       sched.NewHold(&p.holds),
 			queueDelay: p.metQueueDelay.Cell(),
 			batchSize:  batchSize.Cell(),
 			batchFlush: map[string]*metrics.Counter{

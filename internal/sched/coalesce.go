@@ -1,6 +1,9 @@
 package sched
 
-import "time"
+import (
+	"sync/atomic"
+	"time"
+)
 
 // Group-commit coalescing is the second policy the pool and the fabric
 // controller share (the first is Home/LeastLoaded placement): gather up to
@@ -10,9 +13,13 @@ import "time"
 // (Hold): once a lone item has waited out MaxWait without a companion, the
 // next item is sent at once unless a companion is already waiting, so a
 // caller that sends one item at a time pays one hold, not one per item; any
-// group of two or more re-arms the hold. The pool applies the policy to
-// shard rings (amortizing SKINIT + Seal/Unseal per session); the controller
-// applies it to wire frames (amortizing the netsim round trip per session).
+// group of two or more re-arms the hold. Sibling dispatchers share that
+// evidence (HoldFamily): a dispatcher that has not yet recorded a group of
+// its own follows the latest state its family recorded, so such a caller
+// pays one hold per controller or pool, not one per PAL or shard. The pool
+// applies the policy to shard rings (amortizing SKINIT + Seal/Unseal per
+// session); the controller applies it to wire frames (amortizing the netsim
+// round trip per session).
 // One definition keeps the two amortization tiers honest about
 // implementing the same discipline.
 
@@ -101,12 +108,54 @@ func StopTimer(t *time.Timer) {
 // this queue's items do not arrive together, so the next item is sent at
 // once when no companion is already waiting. Any group of two or more
 // re-arms the hold. The rule reads only what a dispatcher observes: its
-// queue, the work it has in flight and the size of its previous group.
-// MaxWait still bounds every hold. The zero Hold is holding, so the first
-// burst a dispatcher sees coalesces. A Hold belongs to one dispatcher and
-// is not safe for concurrent use.
+// queue, the work it has in flight and the size of its previous group, or,
+// until it has recorded a group of its own, its family's latest state.
+// MaxWait still bounds every hold. The zero Hold has no family and is
+// holding, and so is a new family, so the first burst a dispatcher sees
+// coalesces. A Hold belongs to one dispatcher and is not safe for
+// concurrent use; its family is.
 type Hold struct {
-	idle bool // the last hold gathered no companion
+	fam   *HoldFamily
+	state holdState
+}
+
+// holdState is a Hold's own evidence: none until it records a group, then
+// armed or idle.
+type holdState uint8
+
+const (
+	holdNone  holdState = iota // no group recorded: follow the family
+	holdArmed                  // hold the next item for companions
+	holdIdle                   // the last hold gathered no companion
+)
+
+// HoldFamily is the hold evidence that sibling dispatchers share, such as
+// one fabric controller's per-PAL dispatchers or one pool's shard workers:
+// the state its members last changed to. Its zero value is armed, and it is
+// safe for concurrent use.
+type HoldFamily struct {
+	idle atomic.Bool
+}
+
+// state returns the family's latest state; a nil family is armed.
+func (f *HoldFamily) state() holdState {
+	if f != nil && f.idle.Load() {
+		return holdIdle
+	}
+	return holdArmed
+}
+
+// NewHold returns a Hold in family f. Until it records a group of its own
+// it follows f's latest state; f may be nil, which gives the zero Hold.
+func NewHold(f *HoldFamily) Hold { return Hold{fam: f} }
+
+// current is the state the Hold decides from: its own, or its family's
+// until it has one.
+func (h *Hold) current() holdState {
+	if h.state == holdNone {
+		return h.fam.state()
+	}
+	return h.state
 }
 
 // Skip reports whether to flush the next group's first item alone, at once,
@@ -114,14 +163,22 @@ type Hold struct {
 // is already waiting: another item queued behind this one, or, where the
 // dispatcher does not itself run the items it sends, another item still in
 // flight, whose sender may send again.
-func (h *Hold) Skip(waiting bool) bool { return h.idle && !waiting }
+func (h *Hold) Skip(waiting bool) bool { return !waiting && h.current() == holdIdle }
 
-// Record notes a flushed group of n items and its flush reason.
+// Record notes a flushed group of n items and its flush reason. From then
+// on the Hold decides from its own history, which starts at the state its
+// decision followed; a change of state is published to the family.
 func (h *Hold) Record(n int, reason string) {
+	prev := h.current()
+	next := prev
 	switch {
 	case n > 1:
-		h.idle = false
+		next = holdArmed
 	case reason == FlushTimeout:
-		h.idle = true
+		next = holdIdle
+	}
+	h.state = next
+	if next != prev && h.fam != nil {
+		h.fam.idle.Store(next == holdIdle)
 	}
 }

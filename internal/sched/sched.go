@@ -13,7 +13,8 @@
 //
 // The package is deliberately allocation-free: Home is a pure hash and
 // LeastLoaded walks loads through a callback, so the pool's submit path
-// and the controller's dispatch path can call them without feeding the GC.
+// and the controller's dispatch path, which each compose the two with
+// their own notion of a full target, can call them without feeding the GC.
 package sched
 
 // Home returns the affinity index for key among n targets: FNV-1a over the
@@ -40,30 +41,6 @@ func LeastLoaded(n int, load func(i int) int64) int {
 	best, bestLoad := 0, load(0)
 	for i := 1; i < n; i++ {
 		if l := load(i); l < bestLoad {
-			best, bestLoad = i, l
-		}
-	}
-	return best
-}
-
-// Pick routes one unit of work: the home target for key if it has room,
-// otherwise the least-loaded target with room, otherwise -1. full(i)
-// reports that target i cannot accept more work (queue full, draining,
-// lost); load(i) is its current queued+in-flight count.
-func Pick(key string, n int, load func(i int) int64, full func(i int) bool) int {
-	if n <= 0 {
-		return -1
-	}
-	home := Home(key, n)
-	if !full(home) {
-		return home
-	}
-	best, bestLoad := -1, int64(0)
-	for i := 0; i < n; i++ {
-		if full(i) {
-			continue
-		}
-		if l := load(i); best < 0 || l < bestLoad {
 			best, bestLoad = i, l
 		}
 	}

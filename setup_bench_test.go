@@ -14,8 +14,10 @@ import (
 // per PAL) and reports the wall time of each set-up stage per build:
 // ca-ms (the Privacy CA's key), hosts-ms (the two hosts' platforms and
 // PAL registrations), admit-ms (two quote-verified admissions) and
-// warmup-ms (the 32 warm-up Runs). Their sum is what flickerbench's
-// setup_s times for fabric_mixed, less the controller and switch.
+// warmup-ms (the 32 warm-up Runs, which pay one 1 ms coalescer hold in
+// all: the controller's per-PAL dispatchers share what the first PAL's
+// lone hold learned). Their sum is what flickerbench's setup_s times for
+// fabric_mixed, less the controller and switch.
 func BenchmarkFabricSetupStages(b *testing.B) {
 	echo := func(name string) *flicker.PALFunc {
 		return &flicker.PALFunc{
