@@ -624,3 +624,46 @@ func TestBatchInputFramingBoundaries(t *testing.T) {
 		t.Errorf("header word claiming len(b)-4 bytes: %v, want a truncated count", err)
 	}
 }
+
+// The output page's overflow rule: a successful reply too large for the
+// shared page is downgraded to a reply-level error while the other replies
+// and the trailer still make it out, and a frame whose error strings alone
+// overflow the page is refused with an error, not a panic.
+func TestBatchOutputOverflow(t *testing.T) {
+	trailer := []byte("carried state")
+	replies := []pal.BatchReply{
+		{Output: []byte("small")},
+		{Output: make([]byte, slb.PageSize)},
+		{Err: errors.New("refused")},
+	}
+	frame, err := appendBatchOutput(nil, replies, trailer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gotTrailer, err := DecodeBatchOutput(frame)
+	if err != nil || len(got) != 3 || string(gotTrailer) != string(trailer) {
+		t.Fatalf("decode = %d replies, trailer %q, %v; want 3 and %q", len(got), gotTrailer, err, trailer)
+	}
+	if string(got[0].Output) != "small" || got[0].Err != nil {
+		t.Errorf("reply 0 = %q, %v; want it untouched", got[0].Output, got[0].Err)
+	}
+	if got[1].Err == nil || !strings.Contains(got[1].Err.Error(), "overflows the shared output page") {
+		t.Errorf("oversized reply = %v, want a reply-level overflow error", got[1].Err)
+	}
+	if got[2].Err == nil || got[2].Err.Error() != "refused" {
+		t.Errorf("reply 2 = %v, want its own error", got[2].Err)
+	}
+
+	long := errors.New(strings.Repeat("x", slb.PageSize))
+	frame, err = func() (b []byte, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic: %v", r)
+			}
+		}()
+		return appendBatchOutput(nil, []pal.BatchReply{{Output: []byte("ok")}, {Err: long}}, trailer)
+	}()
+	if err == nil || !strings.Contains(err.Error(), "exceeds the 4 KB output page") || len(frame) != 0 {
+		t.Errorf("error strings overflowing the page = %d bytes, %v; want nothing and an overflow error", len(frame), err)
+	}
+}

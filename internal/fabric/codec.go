@@ -134,13 +134,6 @@ type runBatchResp struct {
 	Spans   []trace.SpanRecord
 }
 
-// heartbeatResp is a host's liveness/load report.
-type heartbeatResp struct {
-	InFlight uint32
-	Sessions uint64
-	Draining bool
-}
-
 // --- primitive append/read helpers -----------------------------------------
 
 func appendU16(b []byte, v int) []byte {
@@ -615,36 +608,11 @@ func decodeRunBatchRespInto(b []byte, r *runBatchResp) error {
 	return nil
 }
 
-// --- heartbeat / drain / stats ---------------------------------------------
+// --- heartbeat and drain ----------------------------------------------------
 
+// encodeEmpty encodes a frame that is its kind alone: the heartbeat and
+// drain requests and their replies.
 func encodeEmpty(kind byte) []byte { return []byte{kind} }
-
-func appendHeartbeatResp(b []byte, r *heartbeatResp) []byte {
-	b = append(b, kindHeartbeatResp)
-	b = binary.BigEndian.AppendUint32(b, r.InFlight)
-	b = binary.BigEndian.AppendUint64(b, r.Sessions)
-	flags := byte(0)
-	if r.Draining {
-		flags = 1
-	}
-	return append(b, flags)
-}
-
-func decodeHeartbeatResp(b []byte) (*heartbeatResp, error) {
-	r := &heartbeatResp{}
-	var err error
-	if r.InFlight, b, err = readU32(b); err != nil {
-		return nil, err
-	}
-	if r.Sessions, b, err = readU64(b); err != nil {
-		return nil, err
-	}
-	if len(b) != 1 {
-		return nil, fmt.Errorf("%w: bad heartbeat flags", ErrBadFrame)
-	}
-	r.Draining = b[0]&1 != 0
-	return r, nil
-}
 
 // --- error frames -----------------------------------------------------------
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -228,13 +227,6 @@ func TestCodecForgedSpanCountsRejected(t *testing.T) {
 	}
 }
 
-func TestCodecHeartbeatRoundTrip(t *testing.T) {
-	hb, err := decodeHeartbeatResp(appendHeartbeatResp(nil, &heartbeatResp{InFlight: 3, Sessions: 99, Draining: true})[1:])
-	if err != nil || hb.InFlight != 3 || hb.Sessions != 99 || !hb.Draining {
-		t.Fatalf("heartbeat round trip = %+v, %v", hb, err)
-	}
-}
-
 // Retired frame kinds stay reserved: a host answers the old singleton run
 // pair (3, 4) and the old stats pair (9, 10) with kindError, never with a
 // reply a stale controller could misread; kindError (11) is never a request
@@ -278,17 +270,15 @@ func allocatedBy(fn func()) uint64 {
 
 // FuzzFabricControlFrames feeds arbitrary bytes to the control-frame
 // decoders a controller or host runs on a peer's untrusted bytes:
-// decodeChallenge (host side), decodeChallengeResp and decodeHeartbeatResp
-// (controller side), and decodeResp, which every reply passes first. It
+// decodeChallenge (host side), decodeChallengeResp (controller side), and
+// decodeResp, which every reply passes first. It
 // checks that nothing panics; that the decoders, failing or not, allocate
 // within a bound linear in the frame's length (the densest legal frame
 // decodes to ~10 bytes of structs and strings per frame byte), so a forged
 // count cannot drive an allocation, and that no decoded slice has more
 // slots than the frame can encode; and that encode∘decode round-trips: a
-// decoded challenge or admission reply re-encodes to the same bytes, a
-// heartbeat to a frame that decodes to the same report (only bit 0 of its
-// flags byte is read), and an error frame's message to an error frame
-// with the same message.
+// decoded challenge or admission reply re-encodes to the same bytes, and
+// an error frame's message to an error frame with the same message.
 func FuzzFabricControlFrames(f *testing.F) {
 	cr := sampleChallengeResp()
 	cr.Spans = sampleSpans()
@@ -296,7 +286,7 @@ func FuzzFabricControlFrames(f *testing.F) {
 		encodeChallenge(tpm.Digest{1, 2, 3}, traceCtx{TraceID: 7, Parent: 8}),
 		appendChallengeResp(nil, sampleChallengeResp()),
 		appendChallengeResp(nil, cr),
-		appendHeartbeatResp(nil, &heartbeatResp{InFlight: 3, Sessions: 99, Draining: true}),
+		encodeEmpty(kindHeartbeatResp),
 		appendErrorResp(nil, "boom"),
 		encodeEmpty(kindDrainResp),
 	} {
@@ -307,7 +297,6 @@ func FuzzFabricControlFrames(f *testing.F) {
 		if n := allocatedBy(func() {
 			decodeChallenge(data)
 			decodeChallengeResp(data)
-			decodeHeartbeatResp(data)
 			decodeResp(data, kindChallengeResp)
 		}); n > 16*uint64(len(data))+1<<14 {
 			t.Fatalf("decoding %d bytes allocated %d bytes", len(data), n)
@@ -329,13 +318,6 @@ func FuzzFabricControlFrames(f *testing.F) {
 			}
 			if enc := appendChallengeResp(nil, r); !bytes.Equal(enc[1:], data) {
 				t.Fatalf("admission reply re-encodes to %x, want %x", enc[1:], data)
-			}
-		}
-
-		if hb, err := decodeHeartbeatResp(data); err == nil {
-			again, err := decodeHeartbeatResp(appendHeartbeatResp(nil, hb)[1:])
-			if err != nil || !reflect.DeepEqual(again, hb) {
-				t.Fatalf("heartbeat %+v re-decodes to %+v, %v", hb, again, err)
 			}
 		}
 

@@ -161,7 +161,7 @@ func TestFabricFailoverTraceTwoAttemptsOneRoot(t *testing.T) {
 	}
 	var victim *Host
 	for _, h := range r.hosts {
-		if h.sessions.Load() > 0 {
+		if h.pool.Metrics().Snapshot().Sum("flicker_pool_submissions_total") > 0 {
 			victim = h
 		}
 	}

@@ -361,8 +361,9 @@ func (p *Pool) take(s *shard) (*job, bool) {
 
 // worker drains one shard's ring until the pool is closed and drained.
 // With coalescing enabled it gathers a group per iteration, or, when the
-// shard's hold rule skips the hold, runs the job alone at once (counted as
-// an idle flush); otherwise each job is one singleton session.
+// shard's hold rule skips the hold, runs the job alone at once (an idle
+// flush), and counts each group once under its flush reason, as the fabric
+// controller's dispatchers do; otherwise each job is one singleton session.
 func (p *Pool) worker(s *shard) {
 	defer p.wg.Done()
 	for {
@@ -378,12 +379,12 @@ func (p *Pool) worker(s *shard) {
 		var reason string
 		if s.hold.Skip(!s.ring.empty()) {
 			s.group, reason = append(s.group[:0], j), sched.FlushIdle
-			s.batchFlush[reason].Inc()
 		} else {
 			s.group, reason = p.gather(s, j)
 		}
 		s.hold.Record(len(s.group), reason)
-		p.flush(s, s.group, reason)
+		s.batchFlush[reason].Inc()
+		p.flush(s, s.group)
 		clear(s.group)
 	}
 }
@@ -484,7 +485,7 @@ func coalescable(a, b *job) bool {
 // compatibility (bounded by what fits the input page) and runs each
 // partition: one batched session for 2+ jobs, a singleton session for a
 // lone job.
-func (p *Pool) flush(s *shard, group []*job, reason string) {
+func (p *Pool) flush(s *shard, group []*job) {
 	now := p.now()
 	for _, j := range group {
 		s.queueDelay.ObserveDurationExemplar(now.Sub(j.enq), j.opts.TraceID)
@@ -524,7 +525,6 @@ func (p *Pool) flush(s *shard, group []*job, reason string) {
 			p.runSingleton(s, part[0])
 			continue
 		}
-		s.batchFlush[reason].Inc()
 		p.runBatch(s, part)
 	}
 	clear(s.part[:cap(s.part)])

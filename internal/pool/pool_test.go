@@ -385,8 +385,10 @@ func TestPoolCoalescesQueuedJobs(t *testing.T) {
 	if n := poolSessions(p); n != 3 {
 		t.Errorf("shard ran %d sessions for 6 jobs, want 3 (coalesced)", n)
 	}
-	if v := p.Metrics().Snapshot().Sum("flicker_pool_batch_flush_total"); v != 1 {
-		t.Errorf("flicker_pool_batch_flush_total = %v, want 1", v)
+	// Two gathered groups: the blocker, flushed alone on timeout, and the
+	// five queued jobs, counted once however flush partitions them.
+	if v := p.Metrics().Snapshot().Sum("flicker_pool_batch_flush_total"); v != 2 {
+		t.Errorf("flicker_pool_batch_flush_total = %v, want 2", v)
 	}
 	if results[4].Pipeline != "classic" {
 		t.Errorf("nonce job ran on %q, want a singleton classic session", results[4].Pipeline)
@@ -528,11 +530,12 @@ func TestPoolHoldSharedAcrossShards(t *testing.T) {
 	if took := time.Since(start); took >= 2*maxWait {
 		t.Fatalf("16 sequential jobs over both shards took %v, want under 2×MaxWait (%v): each shard paid its own hold", took, 2*maxWait)
 	}
-	// A lone job flushed on timeout runs as a singleton session, which the
-	// flush counter does not count, so the one timeout shows as 15 idle
-	// flushes of 16 jobs.
-	if n := p.Metrics().Snapshot().Sum("flicker_pool_batch_flush_total", "idle"); n != 15 {
-		t.Fatalf("idle flushes = %v after 16 sequential jobs over 2 shards, want 15 (one timeout)", n)
+	snap := p.Metrics().Snapshot()
+	if n := snap.Sum("flicker_pool_batch_flush_total", "idle"); n != 15 {
+		t.Fatalf("idle flushes = %v after 16 sequential jobs over 2 shards, want 15", n)
+	}
+	if n := snap.Sum("flicker_pool_batch_flush_total", "timeout"); n != 1 {
+		t.Fatalf("timeout flushes = %v after 16 sequential jobs over 2 shards, want 1", n)
 	}
 }
 
