@@ -364,9 +364,9 @@ func TestFabricBatchHeartbeatPriorityUnderSaturation(t *testing.T) {
 			}
 		}(i)
 	}
-	// Wait until the host is genuinely saturated: a frame is executing (and
-	// blocked) inside its pool.
-	for i := 0; r.hosts[0].InFlight() == 0; i++ {
+	// Wait until the host is genuinely saturated: a frame has reached its
+	// pool, where the PAL blocks it.
+	for i := 0; r.hosts[0].pool.Metrics().Snapshot().Sum("flicker_pool_submissions_total") == 0; i++ {
 		if i > 10000 {
 			t.Fatal("host never saturated")
 		}
