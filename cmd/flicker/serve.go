@@ -340,10 +340,8 @@ func cmdServe(args []string) {
 	interval := fs.Duration("interval", 0, "keep running a session this often while serving (0 = only the warm-up sessions)")
 	shards := fs.Int("shards", 1, "number of independent platforms behind the session pool")
 	hosts := fs.Int("hosts", 0, "run an in-process attestation fabric of N quote-verified hosts (0 = no fabric; overrides -shards)")
-	batch := fs.Int("batch", 1, "max requests coalesced into one session per shard (>1 enables the coalescer; ignored with -hosts)")
-	batchWait := fs.Duration("batch-wait", 2*time.Millisecond, "longest a shard holds a request for companions; after a hold that found none, a request with none queued runs at once")
-	fabricBatch := fs.Int("fabric-batch", 0, "max same-PAL runs coalesced into one fabric wire frame (0 or 1 = one-member frames, which -fabric-window bounds too; requires -hosts)")
-	fabricBatchWait := fs.Duration("fabric-batch-wait", time.Millisecond, "longest the controller holds a run for companions; after a hold that found none, a run is sent at once while no other run of its PAL is outstanding")
+	batch := fs.Int("batch", 1, "max requests coalesced into one session per shard, or with -hosts into one fabric wire frame (>1 enables the coalescer; 1 = one-member frames, which -fabric-window bounds too)")
+	batchWait := fs.Duration("batch-wait", time.Millisecond, "longest a shard (with -hosts: the controller) holds a request for companions; after a hold that found none, a request runs at once while none is waiting behind it")
 	fabricWindow := fs.Int("fabric-window", 4, "max in-flight wire frames per fabric host (pipelining window), batched or not")
 	traceSample := fs.Float64("trace-sample", 0, "fraction of sessions to trace end-to-end (0 = tracing off, 1 = every session)")
 	traceSlow := fs.Duration("trace-slow", 0, "retain every sampled trace at least this slow in the flight recorder (0 = default threshold)")
@@ -372,7 +370,7 @@ func cmdServe(args []string) {
 		mux     http.Handler
 	)
 	if *hosts > 0 {
-		ctrl, fabricMux, err := buildFabric(*hosts, *palName, target, prof, *traceSample, *traceSlow, *fabricBatch, *fabricBatchWait, *fabricWindow)
+		ctrl, fabricMux, err := buildFabric(*hosts, *palName, target, prof, *traceSample, *traceSlow, *batch, *batchWait, *fabricWindow)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -3,8 +3,8 @@ package analysis
 // atomicsafe: a field that is accessed atomically anywhere must be accessed
 // atomically everywhere. -race only catches the interleavings a test
 // happens to schedule; this is the static version of the discipline the
-// lock-free hot path (submit ring, pool park/wake flags, metric cells)
-// relies on.
+// lock-free hot path (metric cells, shard load counters, the coalescer's
+// shared hold) relies on.
 //
 // Three rules, over a module-wide census (one function's atomic access
 // must make a *different* file's plain access a finding, so this cannot be
@@ -19,7 +19,7 @@ package analysis
 //     at its declaration — the struct opted into lock-free access, so a
 //     multi-writer plain field next to the atomics is either a race or a
 //     handoff protocol that deserves an //flickervet:allow with the
-//     protocol named in the reason (see internal/pool/ring.go).
+//     protocol named in the reason.
 //  3. alignment: a field used with 64-bit sync/atomic functions must sit
 //     at an 8-byte offset under 32-bit layout (GOARCH=386 sizes), the
 //     classic pre-atomic.Int64 crash. Typed atomic.Int64/Uint64 fields are

@@ -522,8 +522,8 @@ func (s *frameScratch) release() {
 // hostLane is one host's pipelining window: a frame dispatch acquires a
 // token before its port call and releases it as soon as the wire exchange
 // returns, so at most Window frames are outstanding to the host at once.
-// The blocked-acquire counter mirrors the pool ring's waiter-counted
-// backpressure semantics: contention is observable, not silent.
+// The blocked-acquire counter makes window backpressure observable:
+// contention is not silent.
 type hostLane struct {
 	tokens chan struct{}
 }
@@ -602,7 +602,7 @@ func (c *Controller) enqueue(pq *palQueue, j *fabJob) {
 }
 
 // dispatch is one PAL's coalescing dispatcher: gather a group (sched.Gather,
-// the pool's group-commit discipline on a channel), pick a host, and issue
+// the gather loop the pool's shard workers run too), pick a host, and issue
 // the group as pipelined frames. The dispatcher itself never touches the
 // wire — frame goroutines do — so gathering the next group overlaps the
 // previous frames' round trips. It owns its gather buffer and hold timer,
@@ -763,8 +763,18 @@ func (c *Controller) callFrame(s *frameScratch) {
 	// runOK/runPALError — those are final and never resubmitted; members it
 	// reports runLost (an abort interrupted them) or a refusal status
 	// resubmit individually, so only the incomplete suffix travels again.
-	adopted := false
+	// The completed sessions are credited before any reply is delivered, so
+	// a caller holding its output also finds its run counted.
 	ok := 0
+	for i := range s.jobs {
+		if s.resp.Members[i].Status == runOK {
+			ok++
+		}
+	}
+	if ok > 0 {
+		c.noteSessions(m, ok)
+	}
+	adopted := false
 	for i, j := range s.jobs {
 		mr, att := &s.resp.Members[i], s.atts[i]
 		att.Adopt(mr.Spans)
@@ -776,7 +786,6 @@ func (c *Controller) callFrame(s *frameScratch) {
 		}
 		switch mr.Status {
 		case runOK:
-			ok++
 			att.End()
 			// mr.Output aliases the pooled reply buffer; copy before it
 			// recycles.
@@ -793,9 +802,6 @@ func (c *Controller) callFrame(s *frameScratch) {
 			j.root.Trigger("failover-resubmit")
 			c.retryJob(palName, j, m.name)
 		}
-	}
-	if ok > 0 {
-		c.noteSessions(m, ok)
 	}
 }
 

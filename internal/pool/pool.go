@@ -15,10 +15,11 @@
 // instead. Close drains: queued sessions still execute, then the workers
 // exit.
 //
-// The hot path is shard-parallel end to end: each shard owns a lock-free
-// MPSC submit ring (see ring.go) and a private platform stack, submission
-// takes no locks (an in-flight ticket counter and an atomic closed flag
-// replace the old submit/close RWMutex), job records are pooled, and every
+// Each shard owns a private platform stack and a buffered channel of
+// QueueLen jobs: any number of submitters send, and the shard's one worker
+// receives, as the platform runs one late launch at a time. The worker
+// gathers each group with sched.Gather, the loop the fabric controller's
+// dispatchers use too, and flushes it. Job records are pooled, and every
 // per-session metric writes through a lock-free cell. All shards still
 // share one metrics.Registry and one event log — per-shard cells fold at
 // scrape time — so the existing observability surface (flicker serve,
@@ -86,7 +87,7 @@ type Config struct {
 // warm submit allocates nothing. The job carries its submitter's
 // destination to the shard worker: res for a session, which the worker
 // fills, or, for a pre-formed group (RunBatch, batch set), br. A group job
-// rides the same ring to the same affinity shard but executes as one
+// rides the same queue to the same affinity shard but executes as one
 // batched session and never coalesces with neighbors.
 type job struct {
 	pl   pal.PAL
@@ -104,39 +105,28 @@ type dest struct {
 	br    *core.BatchResult
 }
 
-// shard is one platform plus its submit ring and the ring's park/wake
-// state. All the shard's hot-path metrics write through private lock-free
-// cells, so two shards never contend on the shared registry.
+// shard is one platform plus its submit queue. All the shard's hot-path
+// metrics write through private lock-free cells, so two shards never
+// contend on the shared registry.
 type shard struct {
 	platform *core.Platform
-	ring     *ring
+	// q is the submit queue: submitters send, the worker alone receives,
+	// and Close closes it once no submitter can send.
+	q chan *job
 	// pending counts queued plus in-flight sessions, for least-loaded
 	// overflow routing.
 	pending atomic.Int64
 
-	// Consumer parking: the worker sets sleeping before blocking on wake;
-	// a producer that publishes while sleeping is set CASes it back and
-	// sends the (cap-1, non-blocking) wake token. A busy worker costs
-	// producers one atomic load and no channel operation.
-	sleeping atomic.Bool
-	wake     chan struct{}
-
-	// Producer backpressure: a blocked Run registers in waiters, and the
-	// worker offers a space token after every pop while waiters > 0.
-	waiters atomic.Int64
-	space   chan struct{}
-
 	// Coalescer state, owned by the worker: the gather buffer and hold
 	// timer reused for every group (the timer is kept stopped and drained
 	// between groups), the adaptive hold rule, and flush's partitioning
-	// scratch (which jobs are taken, the partition, its input sizes and
-	// inputs), so a group costs no allocation to split and run.
+	// scratch (which jobs are taken, the partition and its inputs), so a
+	// group costs no allocation to split and run.
 	group []*job
 	timer *time.Timer
 	hold  sched.Hold
 	used  []bool
 	part  []*job
-	sizes []int
 	reqs  [][]byte
 
 	// Per-shard cells on the pool's shared series (see metrics/cells.go).
@@ -145,59 +135,37 @@ type shard struct {
 	batchFlush map[string]*metrics.Counter
 }
 
-// push publishes j to the shard's ring and wakes its worker if parked.
-func (s *shard) push(j *job) bool {
-	if !s.ring.tryPush(j) {
+// tryPush queues j unless the queue is full. j counts in pending from
+// before the send, so the worker's decrement never precedes it.
+func (s *shard) tryPush(j *job) bool {
+	s.pending.Add(1)
+	select {
+	case s.q <- j:
+		return true
+	default:
+		s.pending.Add(-1)
 		return false
-	}
-	s.wakeWorker()
-	return true
-}
-
-// pop takes one job and, when submitters are blocked on backpressure,
-// offers them the freed slot.
-func (s *shard) pop() (*job, bool) {
-	j, ok := s.ring.pop()
-	if ok && s.waiters.Load() > 0 {
-		select {
-		case s.space <- struct{}{}:
-		default:
-		}
-	}
-	return j, ok
-}
-
-// wakeWorker rouses a parked worker. The CAS makes the wake single-shot
-// per park: concurrent producers race to flip sleeping and only the winner
-// touches the channel.
-func (s *shard) wakeWorker() {
-	if s.sleeping.CompareAndSwap(true, false) {
-		select {
-		case s.wake <- struct{}{}:
-		default:
-		}
 	}
 }
 
 // Pool is a sharded session pool.
 type Pool struct {
-	shards   []*shard
-	metrics  *metrics.Registry
-	events   *metrics.EventLog
-	wg       sync.WaitGroup
-	maxBatch int
-	maxWait  time.Duration
+	shards  []*shard
+	metrics *metrics.Registry
+	events  *metrics.EventLog
+	wg      sync.WaitGroup
+	coal    sched.Coalescer
 	// holds is the family of the shard workers' coalescer holds, so a quiet
 	// pool pays one hold, not one per shard.
 	holds sched.HoldFamily
 
-	// The submit/close handshake, lock-free: submitters hold an inflight
-	// ticket across submit; Close flips closed and workers drain until the
-	// rings are empty and no ticket remains. A submitter that raced past
-	// the closed check completes its enqueue (its ticket keeps the workers
-	// alive), exactly as the old RWMutex read side did.
-	closed   atomic.Bool
-	inflight atomic.Int64
+	// The submit/close handshake: a submission holds mu's read side from
+	// its closed check until its job is queued, a send blocked on a full
+	// queue included, while the workers keep draining. Close sets closed
+	// under the write side, so no submission can send once it holds the
+	// lock, and then closes every shard's queue once.
+	mu     sync.RWMutex
+	closed bool
 
 	// jobs recycles job records (with their reply channels) across
 	// submissions.
@@ -251,7 +219,6 @@ func build(cfg Config, newPlatform func(core.PlatformConfig) (*core.Platform, er
 	// The group-commit knobs are the shared sched.Coalescer discipline —
 	// the fabric controller normalizes its wire-frame coalescer the same way.
 	co := sched.Coalescer{MaxBatch: cfg.MaxBatch, MaxWait: cfg.MaxWait}.Normalize()
-	cfg.MaxBatch, cfg.MaxWait = co.MaxBatch, co.MaxWait
 	now := cfg.WallClock
 	if now == nil {
 		//flickervet:allow walltime(queue delay is real scheduling latency; tests inject Config.WallClock)
@@ -264,8 +231,7 @@ func build(cfg Config, newPlatform func(core.PlatformConfig) (*core.Platform, er
 	p := &Pool{
 		metrics:           reg,
 		events:            events,
-		maxBatch:          cfg.MaxBatch,
-		maxWait:           cfg.MaxWait,
+		coal:              co,
 		now:               now,
 		metSubmitHome:     submit.With("home").Cell(),
 		metSubmitOverflow: submit.With("overflow").Cell(),
@@ -303,9 +269,7 @@ func build(cfg Config, newPlatform func(core.PlatformConfig) (*core.Platform, er
 		timer.Stop()
 		p.shards = append(p.shards, &shard{
 			platform:   plat,
-			ring:       newRing(cfg.QueueLen),
-			wake:       make(chan struct{}, 1),
-			space:      make(chan struct{}, 1),
+			q:          make(chan *job, cfg.QueueLen),
 			timer:      timer,
 			hold:       sched.NewHold(&p.holds),
 			queueDelay: p.metQueueDelay.Cell(),
@@ -325,62 +289,19 @@ func build(cfg Config, newPlatform func(core.PlatformConfig) (*core.Platform, er
 	return p, nil
 }
 
-// drained reports the worker exit condition: Close has begun and no
-// submitter ticket is in flight, so no further publish can occur.
-func (p *Pool) drained() bool {
-	return p.closed.Load() && p.inflight.Load() == 0
-}
-
-// take blocks until a job is available, or returns false once the pool is
-// closed and fully drained.
-func (p *Pool) take(s *shard) (*job, bool) {
-	for {
-		if j, ok := s.pop(); ok {
-			return j, true
-		}
-		if p.drained() {
-			// A publish may have landed between the failed pop and the
-			// drained check; take it before exiting.
-			if j, ok := s.pop(); ok {
-				return j, true
-			}
-			return nil, false
-		}
-		s.sleeping.Store(true)
-		// Re-check after announcing the park: a producer that published
-		// before seeing sleeping is caught here; one that published after
-		// will CAS sleeping back and send the wake.
-		if !s.ring.empty() || p.drained() {
-			s.sleeping.Store(false)
-			continue
-		}
-		<-s.wake
-		s.sleeping.Store(false)
-	}
-}
-
-// worker drains one shard's ring until the pool is closed and drained.
-// With coalescing enabled it gathers a group per iteration, or, when the
-// shard's hold rule skips the hold, runs the job alone at once (an idle
-// flush), and counts each group once under its flush reason, as the fabric
-// controller's dispatchers do; otherwise each job is one singleton session.
+// worker drains one shard's queue until Close closes it. Each iteration
+// gathers a group (sched.Gather; with coalescing off, the job alone as a
+// full group) or, when the shard's hold rule skips the hold, takes the job
+// alone at once (an idle flush); it counts the group once under its flush
+// reason, as the fabric controller's dispatchers do, and flushes it.
 func (p *Pool) worker(s *shard) {
 	defer p.wg.Done()
-	for {
-		j, ok := p.take(s)
-		if !ok {
-			return
-		}
-		if p.maxBatch <= 1 {
-			s.queueDelay.ObserveDurationExemplar(p.now().Sub(j.enq), j.opts.TraceID)
-			p.runSingleton(s, j)
-			continue
-		}
+	for j := range s.q {
 		var reason string
-		if s.hold.Skip(!s.ring.empty()) {
+		if s.hold.Skip(len(s.q) > 0) {
 			s.group, reason = append(s.group[:0], j), sched.FlushIdle
 		} else {
-			s.group, reason = p.gather(s, j)
+			s.group, reason = sched.Gather(p.coal, j, s.q, s.group, s.timer)
 		}
 		s.hold.Record(len(s.group), reason)
 		s.batchFlush[reason].Inc()
@@ -390,8 +311,7 @@ func (p *Pool) worker(s *shard) {
 }
 
 // runSingleton executes one job as its own session (or, for a pre-formed
-// batch job, one batched session). The caller has already observed the
-// job's queue delay.
+// batch job, one batched session).
 func (p *Pool) runSingleton(s *shard, j *job) {
 	if j.batch != nil {
 		p.runBatchJob(s, j)
@@ -404,51 +324,13 @@ func (p *Pool) runSingleton(s *shard, j *job) {
 
 // runBatchJob executes a pre-formed RunBatch group as one batched session.
 // The group was assembled by the caller (the fabric controller's wire-frame
-// coalescer), so it bypasses gather/flush but shares the shard worker, the
+// coalescer), so flush never merges it, but it shares the shard worker, the
 // affinity routing, and the batch-size histogram with coalesced groups.
 func (p *Pool) runBatchJob(s *shard, j *job) {
 	s.batchSize.ObserveExemplar(float64(len(j.batch)), j.opts.TraceID)
 	err := s.platform.RunSessionBatchInto(j.br, j.pl, core.Batch{Requests: j.batch}, j.opts)
 	s.pending.Add(-1)
 	j.done <- err
-}
-
-// gather collects up to MaxBatch jobs, holding the first for at most
-// MaxWait (group commit): a burst flushes immediately at MaxBatch, a job
-// that gathers no companion flushes alone on timeout, and a draining pool
-// flushes whatever is in hand. It is sched.Gather on the shard's ring: the
-// group is built in the shard's buffer and the hold is timed by the
-// shard's timer, which it leaves stopped and drained.
-func (p *Pool) gather(s *shard, first *job) ([]*job, string) {
-	group := append(s.group[:0], first)
-	s.timer.Reset(p.maxWait)
-	defer sched.StopTimer(s.timer)
-	for len(group) < p.maxBatch {
-		if j, ok := s.pop(); ok {
-			group = append(group, j)
-			continue
-		}
-		if p.drained() {
-			if j, ok := s.pop(); ok {
-				group = append(group, j)
-				continue
-			}
-			return group, sched.FlushDrain
-		}
-		s.sleeping.Store(true)
-		if !s.ring.empty() || p.drained() {
-			s.sleeping.Store(false)
-			continue
-		}
-		select {
-		case <-s.wake:
-			s.sleeping.Store(false)
-		case <-s.timer.C:
-			s.sleeping.Store(false)
-			return group, sched.FlushTimeout
-		}
-	}
-	return group, sched.FlushFull
 }
 
 // batchable reports whether a job may share a session with others at all:
@@ -482,9 +364,10 @@ func coalescable(a, b *job) bool {
 }
 
 // flush partitions a gathered group by PAL affinity and option
-// compatibility (bounded by what fits the input page) and runs each
-// partition: one batched session for 2+ jobs, a singleton session for a
-// lone job.
+// compatibility, bounded by what fits the input page (core.BatchInputFits
+// over the running framed size, as the fabric controller's dispatchGroup
+// splits its frames), and runs each partition: one batched session for 2+
+// jobs, a singleton session for a lone job.
 func (p *Pool) flush(s *shard, group []*job) {
 	now := p.now()
 	for _, j := range group {
@@ -501,21 +384,21 @@ func (p *Pool) flush(s *shard, group []*job) {
 		}
 		used[i] = true
 		part := append(s.part[:0], group[i])
-		sizes := append(s.sizes[:0], len(group[i].opts.Input))
 		if batchable(group[i]) {
-			for k := i + 1; k < len(group) && len(part) < p.maxBatch; k++ {
-				if used[k] || !coalescable(group[i], group[k]) {
+			// BatchInputFits is additive over its arguments, so the framed
+			// size of the members already taken rides in its header slot.
+			framed := 4 + len(group[i].opts.Input)
+			for k := i + 1; k < len(group) && len(part) < p.coal.MaxBatch; k++ {
+				in := group[k].opts.Input
+				if used[k] || !coalescable(group[i], group[k]) || !core.BatchInputFits(framed, len(in)) {
 					continue
 				}
-				if sizes = append(sizes, len(group[k].opts.Input)); !core.BatchInputFits(0, sizes...) {
-					sizes = sizes[:len(sizes)-1]
-					continue
-				}
+				framed += 4 + len(in)
 				used[k] = true
 				part = append(part, group[k])
 			}
 		}
-		s.part, s.sizes = part, sizes
+		s.part = part
 		if part[0].batch == nil {
 			// A pre-formed RunBatch group records its real size once, in
 			// runBatchJob.
@@ -632,65 +515,35 @@ func (p *Pool) putJob(j *job) {
 	p.jobs.Put(j)
 }
 
-// submitDone retires a submitter's inflight ticket. The last ticket out
-// after Close wakes every parked worker so they can observe the drain
-// condition and exit.
-func (p *Pool) submitDone() {
-	if p.inflight.Add(-1) == 0 && p.closed.Load() {
-		for _, s := range p.shards {
-			s.wakeWorker()
-		}
-	}
-}
-
 // submit routes one job: non-blocking try on the home shard, then the
-// least-loaded shard; if both rings are full, either block on the home
-// shard (wait=true, backpressure) or fail with ErrSaturated. The fast path
-// is lock-free: an inflight ticket, one ring CAS, one cell increment.
+// least-loaded shard; if both queues are full, either block on the home
+// shard (wait=true, backpressure) or fail with ErrSaturated.
 func (p *Pool) submit(pl pal.PAL, opts core.SessionOptions, dst dest, wait bool) (*job, error) {
-	p.inflight.Add(1)
-	defer p.submitDone()
-	if p.closed.Load() {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	if p.closed {
 		return nil, ErrClosed
 	}
 	j := p.newJob(pl, opts)
 	j.dest = dst
 	home := p.homeShard(pl.Name())
-	home.pending.Add(1)
-	if home.push(j) {
+	if home.tryPush(j) {
 		p.metSubmitHome.Inc()
 		return j, nil
 	}
-	home.pending.Add(-1)
-	if alt := p.leastLoaded(); alt != home {
-		alt.pending.Add(1)
-		if alt.push(j) {
-			p.metSubmitOverflow.Inc()
-			return j, nil
-		}
-		alt.pending.Add(-1)
+	if alt := p.leastLoaded(); alt != home && alt.tryPush(j) {
+		p.metSubmitOverflow.Inc()
+		return j, nil
 	}
 	if !wait {
 		p.metRejected.Inc()
 		p.putJob(j)
 		return nil, ErrSaturated
 	}
-	// Backpressure: spin-register on the home shard until its ring has
-	// room. The worker keeps draining while we wait (our inflight ticket
-	// holds off the drain exit), and offers a space token after each pop
-	// while waiters is nonzero, so a blocked submitter always lands.
+	// Backpressure: wait for room on the home shard. Its worker keeps
+	// draining, and Close waits for this read side before closing the queue.
 	home.pending.Add(1)
-	for !home.push(j) {
-		home.waiters.Add(1)
-		// Re-try after registering: a pop between the failed push and the
-		// registration would otherwise strand us before the first token.
-		if home.push(j) {
-			home.waiters.Add(-1)
-			break
-		}
-		<-home.space
-		home.waiters.Add(-1)
-	}
+	home.q <- j
 	p.metSubmitHome.Inc()
 	return j, nil
 }
@@ -756,14 +609,18 @@ func (p *Pool) RunBatch(out *core.BatchResult, pl pal.PAL, reqs [][]byte, opts c
 }
 
 // Close drains the pool: no new submissions are accepted, queued sessions
-// still execute (including those of submitters that raced past the closed
-// check — their inflight tickets keep the workers alive), and Close
-// returns once every worker has exited. Closing twice is a no-op.
+// still execute (including those of submitters that passed the closed
+// check before it, blocked ones too), and Close returns once every worker
+// has exited. Closing twice is a no-op.
 func (p *Pool) Close() error {
-	p.closed.Store(true)
-	for _, s := range p.shards {
-		s.wakeWorker()
+	p.mu.Lock()
+	if !p.closed {
+		p.closed = true
+		for _, s := range p.shards {
+			close(s.q)
+		}
 	}
+	p.mu.Unlock()
 	p.wg.Wait()
 	return nil
 }

@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -131,8 +132,9 @@ func TestPoolAffinityRouting(t *testing.T) {
 	}
 }
 
-// Backpressure: with one shard and a tiny queue, TryRun must reject once
-// the queue is full, and Run must block-then-complete rather than reject.
+// Backpressure: with one shard and a one-slot queue, TryRun must reject
+// once the worker is busy and the slot is taken, and Run must
+// block-then-complete rather than reject.
 func TestPoolBackpressure(t *testing.T) {
 	p := newPool(t, 1, 1)
 	slow := &pal.Func{
@@ -142,11 +144,9 @@ func TestPoolBackpressure(t *testing.T) {
 			return []byte("done"), nil
 		},
 	}
-	// Saturate: fire enough concurrent Runs that the single queue slot and
-	// worker are both busy, then check TryRun sees ErrSaturated at least
-	// once while the storm is in flight.
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	release := pinShardWorker(t, p, &wg)
+	run := func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -155,21 +155,23 @@ func TestPoolBackpressure(t *testing.T) {
 			}
 		}()
 	}
-	sawSaturated := false
-	for i := 0; i < 200 && !sawSaturated; i++ {
-		_, err := p.TryRun(slow, core.SessionOptions{})
-		if errors.Is(err, ErrSaturated) {
-			sawSaturated = true
-		} else if err != nil {
-			t.Fatal(err)
-		}
+	// The blocker in flight and one job in the slot fill the shard.
+	run()
+	waitFor(t, func() bool { return p.shards[0].pending.Load() == 2 }, "a busy worker and a full queue")
+	if _, err := p.TryRun(slow, core.SessionOptions{}); !errors.Is(err, ErrSaturated) {
+		t.Fatalf("TryRun on a saturated pool = %v, want ErrSaturated", err)
 	}
+	if n := p.Metrics().Snapshot().Sum("flicker_pool_rejected_total"); n != 1 {
+		t.Fatalf("flicker_pool_rejected_total = %v, want 1", n)
+	}
+	// Runs submitted now block on the full queue, then complete.
+	for i := 0; i < 7; i++ {
+		run()
+	}
+	release()
 	wg.Wait()
-	if !sawSaturated {
-		t.Log("TryRun never saw saturation (scheduler drained too fast); rejection path untested this run")
-	}
-	if n := poolSessions(p); n < 8 {
-		t.Fatalf("only %d sessions completed", n)
+	if n := poolSessions(p); n != 9 {
+		t.Fatalf("%d sessions completed, want 9 (the blocker and 8 Runs)", n)
 	}
 }
 
@@ -279,7 +281,7 @@ func TestPoolSharedMetricsRegistry(t *testing.T) {
 
 // --- Coalescer --------------------------------------------------------------
 
-// waitSubmitted polls until n jobs have been published to the shard rings
+// waitSubmitted polls until n jobs have been queued on the shards
 // (flicker_pool_submissions_total), so a test can pin the queue order.
 func waitSubmitted(t *testing.T, p *Pool, n int) {
 	t.Helper()
@@ -688,6 +690,76 @@ func TestPoolBatchTimeoutPreservesCompletedPrefix(t *testing.T) {
 	}
 }
 
+// Queued jobs whose inputs overflow one input page split at the page bound:
+// the first two of three 1400-byte inputs frame into one batched session,
+// and the third, which would overflow it, runs as a singleton. Every job
+// sees only its own reply.
+func TestPoolCoalescerSplitsAtInputPage(t *testing.T) {
+	p, err := New(Config{
+		Shards:   1,
+		QueueLen: 8,
+		MaxBatch: 4,
+		MaxWait:  20 * time.Millisecond,
+		Platform: core.PlatformConfig{Seed: "pool-page-test"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	big := &pal.Func{
+		PALName: "big",
+		Binary:  pal.DescriptorCode("big", "1.0", nil, nil),
+		Fn: func(env *pal.Env, input []byte) ([]byte, error) {
+			return fmt.Appendf(nil, "%c:%d", input[0], len(input)), nil
+		},
+	}
+	const n, size = 3, 1400
+	if !core.BatchInputFits(0, size, size) || core.BatchInputFits(0, size, size, size) {
+		t.Fatalf("inputs of %d bytes: want two to fit one page and three not to", size)
+	}
+	var wg sync.WaitGroup
+	release := pinShardWorker(t, p, &wg)
+	results := make([]*core.SessionResult, n)
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := p.Run(big, core.SessionOptions{Input: bytes.Repeat([]byte{byte('a' + i)}, size)})
+			if err != nil {
+				t.Errorf("job %d: %v", i, err)
+				return
+			}
+			results[i] = res
+		}()
+		waitSubmitted(t, p, 2+i) // pin the queue order
+	}
+	release()
+	wg.Wait()
+
+	wantPipeline := []string{"classic-batch", "classic-batch", "classic"}
+	for i, res := range results {
+		if res == nil {
+			t.Fatalf("job %d: no result", i)
+		}
+		if res.PALError != nil {
+			t.Fatalf("job %d: %v", i, res.PALError)
+		}
+		if want := fmt.Sprintf("%c:%d", 'a'+i, size); string(res.Outputs) != want {
+			t.Errorf("job %d outputs = %q, want %q (reply isolation)", i, res.Outputs, want)
+		}
+		if res.Pipeline != wantPipeline[i] {
+			t.Errorf("job %d ran on %q, want %q", i, res.Pipeline, wantPipeline[i])
+		}
+	}
+	// The blocker, one batch of two and one singleton.
+	if got := poolSessions(p); got != 3 {
+		t.Errorf("shard ran %d sessions, want 3", got)
+	}
+	if count, sum := batchSizeHist(p); count != 3 || sum != 4 {
+		t.Errorf("flicker_pool_batch_size holds %d partitions of %v jobs, want 3 of 4", count, sum)
+	}
+}
+
 // MaxBatch=1 (the default) must keep exact singleton behavior.
 func TestPoolDefaultIsSingleton(t *testing.T) {
 	p := newPool(t, 1, 4)
@@ -699,8 +771,10 @@ func TestPoolDefaultIsSingleton(t *testing.T) {
 	if n := poolSessions(p); n != 4 {
 		t.Fatalf("sessions = %d, want 4", n)
 	}
-	if v := p.Metrics().Snapshot().Sum("flicker_pool_batch_flush_total"); v != 0 {
-		t.Fatalf("batch flushes = %v with MaxBatch unset", v)
+	// Each job is a group of one, counted once as a full flush.
+	snap := p.Metrics().Snapshot()
+	if all, full := snap.Sum("flicker_pool_batch_flush_total"), snap.Sum("flicker_pool_batch_flush_total", "full"); all != 4 || full != 4 {
+		t.Fatalf("batch flushes = %v (%v full) with MaxBatch unset, want 4 full", all, full)
 	}
 }
 

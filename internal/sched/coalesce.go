@@ -16,11 +16,11 @@ import (
 // group of two or more re-arms the hold. Sibling dispatchers share that
 // evidence (HoldFamily): a dispatcher that has not yet recorded a group of
 // its own follows the latest state its family recorded, so such a caller
-// pays one hold per controller or pool, not one per PAL or shard. The pool
-// applies the policy to shard rings (amortizing SKINIT + Seal/Unseal per
-// session); the controller applies it to wire frames (amortizing the netsim
-// round trip per session).
-// One definition keeps the two amortization tiers honest about
+// pays one hold per controller or pool, not one per PAL or shard. Both
+// apply it through the same Gather on a channel: the pool to its shard
+// queues (amortizing SKINIT + Seal/Unseal per session), the controller to
+// its per-PAL dispatch queues (amortizing the netsim round trip per
+// session). One definition keeps the two amortization tiers honest about
 // implementing the same discipline.
 
 // Flush reasons, labeling why a gathered group was released. They are the
@@ -31,7 +31,7 @@ const (
 	FlushFull = "full"
 	// FlushTimeout: MaxWait expired with the group still short.
 	FlushTimeout = "timeout"
-	// FlushDrain: the queue is closing; flush what is in hand.
+	// FlushDrain: the queue was closed; flush what is in hand.
 	FlushDrain = "drain"
 	// FlushIdle: the hold was skipped (Hold.Skip). The previous group was a
 	// lone item flushed on timeout and no companion was waiting, so the item
@@ -61,11 +61,12 @@ func (c Coalescer) Normalize() Coalescer {
 // Enabled reports whether the policy coalesces at all.
 func (c Coalescer) Enabled() bool { return c.MaxBatch > 1 }
 
-// Gather is the channel-fed gather loop (the fabric controller's dispatch
-// queues are channels; the pool has its own ring-fed twin with identical
-// semantics): collect up to c.MaxBatch items starting from first, holding
-// the group open for at most c.MaxWait. Returns the group and its flush
-// reason.
+// Gather is the one gather loop, shared by the pool's shard workers and the
+// fabric controller's dispatchers: collect up to c.MaxBatch items starting
+// from first, holding the group open for at most c.MaxWait. Returns the
+// group and its flush reason. A closed ch flushes what is in hand under
+// FlushDrain. With coalescing disabled the group is first alone, a full
+// group of one.
 //
 // The group is built in buf[:0] and the hold is timed by timer, both owned
 // by the caller and reused across groups, so a steady-state gather
@@ -78,12 +79,24 @@ func Gather[T any](c Coalescer, first T, ch <-chan T, buf []T, timer *time.Timer
 	}
 	timer.Reset(c.MaxWait)
 	for len(group) < c.MaxBatch {
+		// A queued item joins the group even when the hold has already
+		// expired: the timer is consulted only once the queue is empty.
+		var item T
+		var ok bool
 		select {
-		case item := <-ch:
-			group = append(group, item)
-		case <-timer.C:
-			return group, FlushTimeout
+		case item, ok = <-ch:
+		default:
+			select {
+			case item, ok = <-ch:
+			case <-timer.C:
+				return group, FlushTimeout
+			}
 		}
+		if !ok {
+			StopTimer(timer)
+			return group, FlushDrain
+		}
+		group = append(group, item)
 	}
 	StopTimer(timer)
 	return group, FlushFull

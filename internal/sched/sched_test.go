@@ -92,6 +92,31 @@ func TestGatherReusesBufferAndTimer(t *testing.T) {
 	}
 }
 
+// A channel closed with items still queued is a draining queue: Gather takes
+// what is queued, flushes it under FlushDrain without reading zero values
+// off the closed channel, and leaves the timer stopped and drained.
+func TestGatherClosedChannelFlushesDrain(t *testing.T) {
+	c := Coalescer{MaxBatch: 8, MaxWait: time.Hour}
+	ch := make(chan int, 4)
+	ch <- 2
+	ch <- 3
+	close(ch)
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	group, reason := Gather(c, 1, ch, nil, timer)
+	if reason != FlushDrain || fmt.Sprint(group) != "[1 2 3]" {
+		t.Fatalf("gather on a closed channel = %v, %s; want [1 2 3], %s", group, reason, FlushDrain)
+	}
+	if timer.Stop() {
+		t.Fatal("Gather left the hold timer running")
+	}
+	select {
+	case <-timer.C:
+		t.Fatal("Gather left a fired value in the hold timer's channel")
+	default:
+	}
+}
+
 // Hold's state machine: a new Hold holds; a lone item flushed on timeout
 // makes the next item skip the hold unless a companion is queued; an idle
 // flush keeps skipping; any group of two or more re-arms the hold; a lone
