@@ -74,8 +74,9 @@ type BatchResult struct {
 	Completed int
 
 	// session is the storage Session points to, and frame the storage of
-	// the framed output page, which is Session.Outputs. Both are kept when
-	// the result is reused.
+	// the framed output page, which is Session.Outputs and which the
+	// replies and trailer point into. Both are kept when the result is
+	// reused.
 	session SessionResult
 	frame   []byte
 }
@@ -121,8 +122,20 @@ func (a sessionAbort) Error() string { return a.err.Error() }
 
 // Run executes the request group. Request-level errors go into the
 // replies; OpenBatch, CloseBatch and timeout failures are returned as the
-// session's PAL error.
+// session's PAL error. The replies and trailer the PAL returned may be
+// session scratch (the input read-back, an Unseal plaintext), so they end
+// up in the result's frame storage: a completed group's point at their
+// bytes in the framed output page (appendBatchOutput), and a failed
+// group's completed prefix is copied there (keepReplies).
 func (f *framedPAL) Run(env *pal.Env, frame []byte) ([]byte, error) {
+	out, err := f.run(env, frame)
+	if err != nil {
+		f.out.keepReplies()
+	}
+	return out, err
+}
+
+func (f *framedPAL) run(env *pal.Env, frame []byte) ([]byte, error) {
 	header, reqs, err := decodeBatchInput(frame, f.reqs[:0])
 	f.reqs = reqs
 	if err != nil {
@@ -182,7 +195,33 @@ func (f *framedPAL) Run(env *pal.Env, frame []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	if res.Trailer != nil {
+		n := len(res.frame)
+		res.Trailer = res.frame[n-len(res.Trailer) : n : n]
+	}
 	return res.frame, nil
+}
+
+// keepReplies copies the reply outputs and the trailer of a group that
+// produced no output frame into b's frame storage, and points them there.
+func (b *BatchResult) keepReplies() {
+	n := len(b.Trailer)
+	for _, r := range b.Replies {
+		n += len(r.Output)
+	}
+	b.frame = grow(b.frame[:0], n)
+	keep := func(s []byte) []byte {
+		if s == nil {
+			return nil
+		}
+		at := len(b.frame)
+		b.frame = append(b.frame, s...)
+		return b.frame[at:len(b.frame):len(b.frame)]
+	}
+	for i := range b.Replies {
+		b.Replies[i].Output = keep(b.Replies[i].Output)
+	}
+	b.Trailer = keep(b.Trailer)
 }
 
 // batchAlloc co-allocates a BatchResult with, for a batch of one, its
@@ -207,8 +246,8 @@ func newBatchResult(n int) *BatchResult {
 }
 
 // reset empties b for a batch of n requests, keeping its storage: the
-// timeline and input read-back of its session, the replies and the output
-// frame. Both grow at most once, to the batch's size.
+// timeline of its session, the replies and the output frame. Both grow at
+// most once, to the batch's size.
 func (b *BatchResult) reset(n int) {
 	b.session.reset(maxPipelinePhases + n)
 	*b = BatchResult{
@@ -219,10 +258,9 @@ func (b *BatchResult) reset(n int) {
 	}
 }
 
-// Clear ends the caller's use of a reused result: the input read-back and
-// the output frame, which the replies and trailer may alias, are zeroed,
-// and the replies and every other field are dropped. The storage is kept
-// for the next batch run into b.
+// Clear ends the caller's use of a reused result: the output frame, which
+// the replies and trailer alias, is zeroed, and the replies and every other
+// field are dropped. The storage is kept for the next batch run into b.
 func (b *BatchResult) Clear() {
 	b.session.Clear()
 	clear(b.frame[:cap(b.frame)])
@@ -235,18 +273,18 @@ func (b *BatchResult) Clear() {
 // b's session must have completed. The timeline is the pipeline's phases,
 // copied into dst's own storage: the group's request spans are left out,
 // so no member sees another's timing and the copy fits a fresh result's
-// slots. dst keeps its input storage; Outputs aliases b, so dst's outputs
+// slots. dst keeps its output storage; Outputs aliases b, so dst's outputs
 // live as long as b's.
 func (b *BatchResult) ReplyInto(i int, dst *SessionResult) {
 	rep := b.Reply(i)
-	phases, input := dst.Phases[:0], dst.input
+	phases, output := dst.Phases[:0], dst.output
 	for _, ph := range b.Session.Phases {
 		if ph.Name != phaseRequest {
 			phases = append(phases, ph)
 		}
 	}
 	*dst = *b.Session
-	dst.Phases, dst.input = phases, input
+	dst.Phases, dst.output = phases, output
 	dst.Outputs, dst.PALError = rep.Output, rep.Err
 }
 
@@ -290,9 +328,9 @@ func (p *Platform) RunSessionBatch(pl pal.PAL, batch Batch, opts SessionOptions)
 var errEmptyBatch = errors.New("core: empty batch")
 
 // RunSessionBatchInto is RunSessionBatch filling out, a caller-supplied
-// result whose storage (timeline, input read-back, replies and output
-// frame) the batch reuses. Everything out holds afterwards stays valid
-// until out is run into again or cleared.
+// result whose storage (timeline, replies and output frame) the batch
+// reuses. Everything out holds afterwards stays valid until out is run
+// into again or cleared.
 func (p *Platform) RunSessionBatchInto(out *BatchResult, pl pal.PAL, batch Batch, opts SessionOptions) error {
 	out.reset(len(batch.Requests))
 	if len(batch.Requests) == 0 {
@@ -407,11 +445,12 @@ const (
 )
 
 // appendBatchOutput frames the replies and trailer for the output page,
-// appending to dst. A successful reply whose payload would overflow the
-// shared page is downgraded in place to a reply-level error — the other
-// replies and, critically, the trailer (carried state) still make it out.
-// Only a frame that cannot fit even its error strings fails the batch,
-// before anything is appended.
+// appending to dst, and points each successful reply at its payload in
+// dst. A successful reply whose payload would overflow the shared page is
+// downgraded in place to a reply-level error — the other replies and,
+// critically, the trailer (carried state) still make it out. Only a frame
+// that cannot fit even its error strings fails the batch, before anything
+// is appended.
 func appendBatchOutput(dst []byte, replies []pal.BatchReply, trailer []byte) ([]byte, error) {
 	const capacity = slb.PageSize - 4
 	size := func() int {
@@ -442,7 +481,7 @@ func appendBatchOutput(dst []byte, replies []pal.BatchReply, trailer []byte) ([]
 		}
 	}
 	dst = binary.BigEndian.AppendUint32(grow(dst, size()), uint32(len(replies)))
-	for _, r := range replies {
+	for i, r := range replies {
 		if r.Err != nil {
 			msg := r.Err.Error()
 			dst = append(dst, batchReplyErr)
@@ -452,7 +491,10 @@ func appendBatchOutput(dst []byte, replies []pal.BatchReply, trailer []byte) ([]
 		}
 		dst = append(dst, batchReplyOK)
 		dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.Output)))
-		dst = append(dst, r.Output...)
+		if r.Output != nil {
+			dst = append(dst, r.Output...)
+			replies[i].Output = dst[len(dst)-len(r.Output) : len(dst) : len(dst)]
+		}
 	}
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(trailer)))
 	return append(dst, trailer...), nil

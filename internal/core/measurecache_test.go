@@ -224,18 +224,20 @@ func TestTamperAfterWarmSessionChangesPCR17(t *testing.T) {
 	}
 }
 
-// TestSessionAllocs pins what a warm session allocates: exactly the two
-// blocks it hands back to its caller, the SessionResult (co-allocated with
-// its timeline) and the Outputs the PAL returns. Everything else is
-// per-platform scratch: the session state with its launch record, the
-// observer list, the PAL environment, the locality-2 drivers and their
-// response buffers, the module's saved state and the output framing. The
-// SLB is hashed where it sits, so a measure-cache miss costs nothing more
-// than a hit, which the alternating case checks: two PALs take turns on one
-// platform, and a raw rewrite of each staged window's own bytes
-// (rewriteWindow) makes every launch miss. The classic pipeline, the
-// partitioned one and the alternating pair all cost 2, with or without
-// -race.
+// TestSessionAllocs pins what a warm session allocates: exactly the blocks
+// it hands back to its caller. The SessionResult is one, co-allocated with
+// its timeline. Everything else is per-platform scratch: the session state
+// with its launch record, the observer list, the PAL environment with its
+// unseal scratch, the locality-2 drivers and their response buffers, the
+// input read-back, the module's saved state and the output framing. So the
+// hello PAL, which allocates its reply, costs 2, and a PAL replying from a
+// package-level buffer costs 1 whatever its input. The seal PAL costs 3: the
+// result, the sealed blob it keeps, and the copy of its output, which is an
+// Unseal plaintext in session scratch. The SLB is hashed where it sits, so
+// a measure-cache miss costs nothing more than a hit, which the alternating
+// case checks: two PALs take turns on one platform, and a raw rewrite of
+// each staged window's own bytes (rewriteWindow) makes every launch miss.
+// Every count holds with or without -race.
 func TestSessionAllocs(t *testing.T) {
 	hello := helloPAL()
 	other := &pal.Func{
@@ -249,18 +251,23 @@ func TestSessionAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := bytes.Repeat([]byte{0x5A}, 512)
 	for _, tc := range []struct {
 		name string
 		p    *Platform
 		pals []pal.PAL // more than one: each window is rewritten, so each launch misses
 		run  func(*Platform, pal.PAL, SessionOptions) (*SessionResult, error)
+		in   []byte
+		want float64
 	}{
-		{"classic", newPlatform(t), []pal.PAL{hello}, (*Platform).RunSession},
-		{"partitioned", future, []pal.PAL{hello}, (*Platform).RunSessionConcurrent},
-		{"alternating", newPlatform(t), []pal.PAL{hello, other}, (*Platform).RunSession},
+		{"classic", newPlatform(t), []pal.PAL{hello}, (*Platform).RunSession, nil, 2},
+		{"partitioned", future, []pal.PAL{hello}, (*Platform).RunSessionConcurrent, nil, 2},
+		{"alternating", newPlatform(t), []pal.PAL{hello, other}, (*Platform).RunSession, nil, 2},
+		{"fixed-reply-input", newPlatform(t), []pal.PAL{fixedPAL()}, (*Platform).RunSession, in, 1},
+		{"seal", newPlatform(t), []pal.PAL{sealPAL()}, (*Platform).RunSession, in, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var opts SessionOptions
+			opts := SessionOptions{Input: tc.in}
 			if len(tc.pals) > 1 {
 				opts.Injector = rewriteWindow(tc.p)
 			}
@@ -290,8 +297,8 @@ func TestSessionAllocs(t *testing.T) {
 			if got := misses() - before; got != want {
 				t.Fatalf("%v measure-cache misses in %d sessions, want %v", got, runs+1, want)
 			}
-			if avg != 2 {
-				t.Errorf("warm %s session costs %.2f allocs, want exactly 2", tc.name, avg)
+			if avg != tc.want {
+				t.Errorf("warm %s session costs %.2f allocs, want exactly %v", tc.name, avg, tc.want)
 			}
 		})
 	}
@@ -339,11 +346,12 @@ func TestSealSessionAllocs(t *testing.T) {
 	// envelope buffers, heap session records and nonces, and math/big's Exp
 	// state. With those on the stack or in TPM-owned scratch it measured
 	// 24; with the response frames in the drivers' own buffers it measured
-	// 5, and with the launch record in the session state it measures 4,
-	// with or without -race: the SessionResult, the input copy, and the two
-	// results the client copies out — the sealed blob and the unsealed
-	// plaintext, which is the PAL's output. The budget is that plus ~25%.
-	const budget = 5
+	// 5, and with the launch record in the session state 4. With the input
+	// read-back and the unsealed plaintext in session scratch it measures
+	// 3, with or without -race: the SessionResult, the sealed blob the PAL
+	// keeps, and the result's copy of the PAL's output, which is the
+	// plaintext. The budget is that plus ~25%, rounded down.
+	const budget = 3
 	if avg > budget {
 		t.Errorf("warm seal session costs %.0f allocs, budget %d", avg, budget)
 	}

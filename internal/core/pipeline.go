@@ -417,12 +417,12 @@ func palExecBody(st *sessionState) error {
 	st.env = env
 	// Read inputs back from the input page — the PAL sees what is in
 	// memory, not what the application intended to write. The read-back
-	// lands in the result's storage, since the PAL's outputs may alias it.
-	input, err := p.Mod.ReadInputsInto(st.slbBase, st.res.input)
+	// is session scratch, erased before the OS resumes.
+	input, err := p.Mod.ReadInputsInto(st.slbBase, p.scratch.input)
 	if err != nil {
 		return err
 	}
-	st.res.input = input
+	p.scratch.input = input
 	st.palOut, st.palErr = st.pl.Run(env, input)
 	if a, ok := st.palErr.(sessionAbort); ok {
 		env.ExitSandbox()
@@ -434,6 +434,13 @@ func palExecBody(st *sessionState) error {
 	}
 	if st.palErr == nil && st.palOut == nil {
 		st.palOut = env.Output()
+	}
+	// The ownership rule: an output in session scratch is copied into the
+	// result, and extend-pcr hashes the copy. Any other output is the
+	// PAL's own memory and is kept as it is.
+	if out := st.palOut[:cap(st.palOut)]; pal.AnyOverlap(out, input[:cap(input)]) || env.ScratchOverlaps(out) {
+		st.res.output = append(st.res.output[:0], st.palOut...)
+		st.palOut = st.res.output
 	}
 	env.ExitSandbox()
 	// Outputs are written to the well-known page beyond the SLB.
@@ -485,9 +492,7 @@ func cleanupBody(st *sessionState) error {
 	if st.env != nil && st.env.Heap != nil {
 		st.env.Heap.Wipe()
 	}
-	// The PAL's driver scratch holds the last Seal plaintext, Unseal
-	// output and PRNG seed.
-	st.p.scratch.palClient.Scrub()
+	st.p.scrubSessionScratch()
 	// init-slb staged the whole image, so it fits below the window's end.
 	wipe := min(slb.MaxLen, st.p.Machine.Mem.Size()-int(st.slbBase))
 	if err := st.p.Machine.StageSLB(st.slbBase, st.im); err != nil {
@@ -564,6 +569,16 @@ func resumeCoreBody(st *sessionState) error {
 	return st.ll.End()
 }
 
+// scrubSessionScratch erases the platform scratch a session's secrets pass
+// through: the PAL's TPM driver scratch (the last Seal plaintext, Unseal
+// response and PRNG seed), the input read-back and the Env's unseal
+// scratch. Cleanup and the abort teardown both run it.
+func (p *Platform) scrubSessionScratch() {
+	p.scratch.palClient.Scrub()
+	clear(p.scratch.input[:cap(p.scratch.input)])
+	p.scratch.env.ScrubScratch()
+}
+
 // --- Abort teardowns --------------------------------------------------------
 
 // zeroWindowTeardown erases the SLB region (window, parameter pages, extra
@@ -579,7 +594,9 @@ func zeroWindowTeardown(st *sessionState) {
 	}
 	st.windowDirty = false
 	st.windowWiped = true
-	st.p.scratch.palClient.Scrub()
+	st.p.scrubSessionScratch()
+	// The output of a session that did not complete never crosses.
+	clear(st.res.output)
 	wipe := slb.ParamAreaLen
 	if int(st.slbBase)+wipe > st.p.Machine.Mem.Size() {
 		wipe = st.p.Machine.Mem.Size() - int(st.slbBase)

@@ -609,48 +609,116 @@ func TestNoResumeDuplication(t *testing.T) {
 	}
 }
 
-// TestSessionOutputsSurviveNextSession guards the fresh input copy: a PAL
-// may return a subslice of its input as Outputs (an echo PAL does), and the
-// caller keeps Outputs, so the input the engine hands the PAL must not be
-// reused scratch the next session overwrites.
+// TestSessionOutputsSurviveNextSession guards the ownership rule: the
+// input a PAL reads and the plaintext Env.Unseal returns are session
+// scratch, erased before the OS resumes and reused by the next session, so
+// an output the PAL returns from either must be copied into the result. A
+// prefix of the input, the whole input (an echo PAL) and a piece of an
+// Unseal plaintext all survive the next session, and so does a reply the
+// PAL returns from its own memory.
 func TestSessionOutputsSurviveNextSession(t *testing.T) {
-	p := newPlatform(t)
-	prefix := &pal.Func{
-		PALName: "prefix",
-		Binary:  pal.DescriptorCode("prefix", "1.0", nil, nil),
-		Fn: func(env *pal.Env, in []byte) ([]byte, error) {
+	fn := func(name string, run func(env *pal.Env, in []byte) ([]byte, error)) pal.PAL {
+		return &pal.Func{PALName: name, Binary: pal.DescriptorCode(name, "1.0", nil, nil), Fn: run}
+	}
+	own := []byte("the PAL's own reply")
+	for _, tc := range []struct {
+		name string
+		pl   pal.PAL
+		want func(in string) string
+	}{
+		{"prefix", fn("prefix", func(_ *pal.Env, in []byte) ([]byte, error) {
 			return in[:8], nil
-		},
-	}
-	first, err := p.RunSession(prefix, SessionOptions{Input: []byte("session-1 input")})
-	if err != nil || first.PALError != nil {
-		t.Fatal(err, first.PALError)
-	}
-	second, err := p.RunSession(prefix, SessionOptions{Input: []byte("SESSION-2 INPUT")})
-	if err != nil || second.PALError != nil {
-		t.Fatal(err, second.PALError)
-	}
-	if string(first.Outputs) != "session-" || string(second.Outputs) != "SESSION-" {
-		t.Fatalf("outputs = %q, %q; session N's outputs must survive session N+1", first.Outputs, second.Outputs)
+		}), func(in string) string { return in[:8] }},
+		{"echo", fn("echo", func(_ *pal.Env, in []byte) ([]byte, error) {
+			return in, nil
+		}), func(in string) string { return in }},
+		{"unsealed-piece", fn("unsealed-piece", func(env *pal.Env, in []byte) ([]byte, error) {
+			blob, err := env.SealToSelf(in)
+			if err != nil {
+				return nil, err
+			}
+			plain, err := env.Unseal(blob)
+			if err != nil {
+				return nil, err
+			}
+			return plain[2:9], nil
+		}), func(in string) string { return in[2:9] }},
+		{"own-memory", fn("own-memory", func(*pal.Env, []byte) ([]byte, error) {
+			return own, nil
+		}), func(string) string { return string(own) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newPlatform(t)
+			first, err := p.RunSession(tc.pl, SessionOptions{Input: []byte("session-1 input")})
+			if err != nil || first.PALError != nil {
+				t.Fatal(err, first.PALError)
+			}
+			second, err := p.RunSession(tc.pl, SessionOptions{Input: []byte("SESSION-2 INPUT")})
+			if err != nil || second.PALError != nil {
+				t.Fatal(err, second.PALError)
+			}
+			if got, want := string(first.Outputs), tc.want("session-1 input"); got != want {
+				t.Errorf("session 1 outputs = %q after session 2, want %q", got, want)
+			}
+			if got, want := string(second.Outputs), tc.want("SESSION-2 INPUT"); got != want {
+				t.Errorf("session 2 outputs = %q, want %q", got, want)
+			}
+			if tc.name == "own-memory" && &first.Outputs[0] != &own[0] {
+				t.Error("an output in the PAL's own memory was copied")
+			}
+		})
 	}
 }
 
-// TestPALDriverScrubbedBeforeResume checks that the PAL's cached TPM driver
-// holds no Seal plaintext, Unseal output or PRNG seed once the OS resumes,
-// after a completed session and after one aborted past pal-exec.
+// TestPALDriverScrubbedBeforeResume checks that no session secret is
+// readable once the OS resumes, after a completed session and after one
+// aborted past pal-exec: the PAL's cached TPM driver holds no Seal
+// plaintext, Unseal output or PRNG seed, and the input and Unseal
+// plaintext the PAL was handed, stashed outside the session, read zero.
+// The completed session's Outputs, an Unseal plaintext, are the result's
+// own copy, and its attestation covers them.
 func TestPALDriverScrubbedBeforeResume(t *testing.T) {
 	for _, fail := range []string{"", "cleanup", "extend-pcr"} {
 		t.Run("fail="+fail, func(t *testing.T) {
 			p := newPlatform(t)
-			res, err := p.RunSession(sealPAL(), SessionOptions{Input: []byte("driver secret"), FailPhase: fail})
-			if fail == "" && (err != nil || res.PALError != nil || string(res.Outputs) != "driver secret") {
-				t.Fatalf("seal session: %v", err)
+			var stashIn, stashPlain []byte
+			stash := &pal.Func{
+				PALName: "seal",
+				Binary:  pal.DescriptorCode("seal", "1.0", nil, nil),
+				Fn: func(env *pal.Env, in []byte) ([]byte, error) {
+					blob, err := env.SealToSelf(in)
+					if err != nil {
+						return nil, err
+					}
+					stashIn = in
+					stashPlain, err = env.Unseal(blob)
+					return stashPlain, err
+				},
+			}
+			res, err := p.RunSession(stash, SessionOptions{Input: []byte("driver secret"), FailPhase: fail})
+			if fail == "" {
+				if err != nil || res.PALError != nil || string(res.Outputs) != "driver secret" {
+					t.Fatalf("seal session: %v", err)
+				}
+				if want := attest.ExpectedFinalPCR17(res.Image, []byte("driver secret"), res.Outputs, nil); res.PCR17Final != want {
+					t.Errorf("PCR17Final = %x, want %x", res.PCR17Final, want)
+				}
 			}
 			if fail != "" && !errors.Is(err, ErrFaultInjected) {
 				t.Fatalf("aborted session: err = %v, want injected fault", err)
 			}
 			if !p.scratch.palClient.Scrubbed() {
 				t.Error("PAL TPM driver scratch not zeroed before the OS resumed")
+			}
+			for _, s := range []struct {
+				name string
+				b    []byte
+			}{{"input", stashIn}, {"Unseal plaintext", stashPlain}} {
+				if len(s.b) == 0 {
+					t.Errorf("the PAL stashed no %s", s.name)
+				} else if !bytes.Equal(s.b, make([]byte, len(s.b))) {
+					t.Errorf("the %s the PAL was handed reads %q after the session", s.name, s.b)
+				}
 			}
 		})
 	}

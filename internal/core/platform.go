@@ -93,10 +93,10 @@ type Platform struct {
 	// scratch is per-session state reused across runs, guarded by sessionMu
 	// like the rest of the session path. It is what makes a warm session
 	// (near-)zero-alloc: the session state, observer list, PAL environment,
-	// locality-2 TPM drivers (with their response buffers), and
-	// output-page framing buffer all persist across sessions. The
-	// SessionResult is never part of it: the caller supplies it and owns
-	// it (RunSessionInto), and RunSession hands out a fresh one.
+	// locality-2 TPM drivers (with their response buffers), the input
+	// read-back and the output-page framing buffer all persist across
+	// sessions. The SessionResult is never part of it: the caller supplies
+	// it and owns it (RunSessionInto), and RunSession hands out a fresh one.
 	scratch struct {
 		st        sessionState
 		obs       []Observer
@@ -104,6 +104,7 @@ type Platform struct {
 		palClient *tpm.Client // PAL's locality-2 driver, reseeded per session
 		slbClient *tpm.Client // SLB Core's locality-2 driver (unauth commands)
 		seed      []byte      // per-session client nonce-seed scratch
+		input     []byte      // input-page read-back, erased before the OS resumes
 		page      []byte      // output-page framing scratch
 		framed    framedPAL   // batched sessions' PAL: frame and request scratch
 		chargeFn  func(simtime.Charge)

@@ -96,10 +96,11 @@ type SessionResult struct {
 	Start, End time.Duration
 	Phases     []Phase
 
-	// input is the storage the PAL's input page is read back into. The
-	// PAL's outputs may alias it, so it belongs to the result: a session
-	// run into a reused result reads back into the same storage.
-	input []byte
+	// output is the storage a PAL output that overlapped session scratch
+	// is copied into before the scratch is erased (see palExecBody), so
+	// Outputs may alias it. A session run into a reused result copies into
+	// the same storage.
+	output []byte
 }
 
 // maxPipelinePhases is the longest phase list a session pipeline declares
@@ -124,9 +125,9 @@ func NewSessionResult() *SessionResult {
 }
 
 // reset empties r for a new session of the given timeline length, keeping
-// its timeline and input storage.
+// its timeline and output storage.
 func (r *SessionResult) reset(phases int) {
-	*r = SessionResult{Phases: grow(r.Phases[:0], phases), input: r.input[:0]}
+	*r = SessionResult{Phases: grow(r.Phases[:0], phases), output: r.output[:0]}
 }
 
 // grow returns s with room for n more elements, in one allocation when it
@@ -139,11 +140,11 @@ func grow[S ~[]E, E any](s S, n int) S {
 	return append(make(S, 0, len(s)+n), s...)
 }
 
-// Clear ends the caller's use of a reused result: the input read-back,
+// Clear ends the caller's use of a reused result: the output storage,
 // which the outputs may alias, is zeroed, and every other field is dropped.
 // The storage is kept for the next session run into r.
 func (r *SessionResult) Clear() {
-	clear(r.input[:cap(r.input)])
+	clear(r.output[:cap(r.output)])
 	r.reset(0)
 }
 
@@ -167,13 +168,16 @@ func (r *SessionResult) PhaseDuration(name string) time.Duration {
 // infrastructure failed (bad SLB, SKINIT precondition, TPM failure) and the
 // engine's guaranteed teardown ran; PAL-level failures land in
 // SessionResult.PALError with the session still torn down cleanly. The
-// result is fresh memory the caller owns.
+// result is fresh memory the caller owns, and so are its Outputs unless
+// the PAL returned memory of its own (a package-level reply, say): an
+// output in session scratch — the input read-back, an Unseal plaintext —
+// is copied into the result before the scratch is erased.
 func (p *Platform) RunSession(pl pal.PAL, opts SessionOptions) (*SessionResult, error) {
 	return p.runFresh(&classicPipeline, pl, opts)
 }
 
 // RunSessionInto is RunSession filling res, a caller-supplied result whose
-// storage (timeline and input read-back) the session reuses. Everything res
+// storage (timeline and output copy) the session reuses. Everything res
 // holds afterwards, Outputs included, stays valid until res is run into
 // again or cleared; a caller that reuses res owns that lifetime. On error,
 // res holds the aborted session's partial record.

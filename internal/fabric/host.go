@@ -234,8 +234,8 @@ func sessionObserver(seg *trace.Span) core.Observer {
 // request (aliasing the frame), the session inputs, the member segments and
 // observers, the session results, and the reply being built. one is the
 // result a one-member frame's session fills, batch the one a larger frame's
-// batched session fills; the engine reuses their storage (timeline, input
-// read-back, replies and output frame), and the members' outputs alias it
+// batched session fills; the engine reuses their storage (timeline, output
+// copy, replies and output frame), and the members' outputs alias it
 // until the reply is encoded. Scratches are pooled, and the reply is
 // encoded into the caller's buffer, so a steady-state frame allocates
 // nothing on the host.

@@ -205,7 +205,7 @@ func (mod *Module) ReadInputs(slbBase uint32) ([]byte, error) {
 
 // ReadInputsInto is ReadInputs reading into dst's storage, which is
 // replaced by a fresh buffer only when it is too small: the session engine
-// reads into storage its result owns.
+// reads into its platform's session scratch.
 func (mod *Module) ReadInputsInto(slbBase uint32, dst []byte) ([]byte, error) {
 	var hdr [4]byte
 	if err := mod.M.Mem.ReadInto(slbBase+uint32(slb.InputsOffset), hdr[:]); err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"time"
+	"unsafe"
 
 	"flicker/internal/hw/cpu"
 	"flicker/internal/hw/memory"
@@ -39,6 +40,11 @@ type Env struct {
 
 	rng     *palcrypto.PRNG
 	outputs []byte
+	// unseal is the session scratch Unseal returns plaintexts in, and
+	// outgrown holds the buffers it replaced as it grew: the plaintexts
+	// returned there stay valid until ScrubScratch erases them all.
+	unseal   []byte
+	outgrown [][]byte
 	// seed receives the TPM GetRandom bytes that seed rng; it is zeroed
 	// once rng has absorbed them.
 	seed [128]byte
@@ -119,6 +125,7 @@ func (e *Env) Reinit(cfg EnvConfig) error {
 	e.sandboxed = cfg.Sandbox
 	e.outputs = nil
 	e.deadline = 0
+	e.ScrubScratch()
 	if cfg.HeapSize > 0 {
 		// NewHeap clamps tiny sizes; mirror it so a matching request
 		// reuses the buffer it produced.
@@ -294,12 +301,69 @@ func (e *Env) SealToPCR17(data []byte, v *tpm.Digest) ([]byte, error) {
 }
 
 // Unseal opens a sealed blob; it fails unless this PAL's PCR state matches
-// the blob's binding.
+// the blob's binding. The plaintext is returned in session scratch the Env
+// owns, and is valid until the PAL returns: the SLB Core erases the scratch
+// before the OS resumes. A later Unseal in the same session neither moves
+// nor overwrites it, even when the scratch must grow. An output the PAL
+// returns from it is copied out by the SLB Core; anything else the PAL
+// keeps beyond the session it must copy itself.
 func (e *Env) Unseal(blob []byte) ([]byte, error) {
 	if err := e.checkTimer(); err != nil {
 		return nil, err
 	}
-	return e.TPM.Unseal(tpm.Digest{}, blob)
+	buf, err := e.TPM.AppendUnseal(e.unseal, tpm.Digest{}, blob)
+	if err != nil {
+		return nil, err
+	}
+	if cap(buf) != cap(e.unseal) && cap(e.unseal) > 0 {
+		// The append moved to a larger buffer; earlier plaintexts still
+		// point into the old one, which the scrub must reach.
+		e.outgrown = append(e.outgrown, e.unseal[:cap(e.unseal)])
+	}
+	start := len(e.unseal)
+	e.unseal = buf
+	return buf[start:len(buf):len(buf)], nil
+}
+
+// maxRetainedUnseal bounds the unseal scratch kept between sessions.
+const maxRetainedUnseal = slb.PageSize
+
+// ScrubScratch zeroes the session scratch Unseal returned plaintexts in,
+// every buffer it outgrew included, and keeps at most maxRetainedUnseal
+// bytes of it for the next session. The SLB Core runs it before the OS
+// resumes.
+func (e *Env) ScrubScratch() {
+	clear(e.unseal[:cap(e.unseal)])
+	for i, b := range e.outgrown {
+		clear(b)
+		e.outgrown[i] = nil
+	}
+	e.unseal, e.outgrown = e.unseal[:0], e.outgrown[:0]
+	if cap(e.unseal) > maxRetainedUnseal {
+		e.unseal = nil
+	}
+}
+
+// ScratchOverlaps reports whether b shares memory with the session scratch
+// Unseal returned plaintexts in, which ScrubScratch erases.
+func (e *Env) ScratchOverlaps(b []byte) bool {
+	if AnyOverlap(b, e.unseal[:cap(e.unseal)]) {
+		return true
+	}
+	for _, o := range e.outgrown {
+		if AnyOverlap(b, o) {
+			return true
+		}
+	}
+	return false
+}
+
+// AnyOverlap reports whether x and y share any memory, comparing their
+// address ranges as crypto/internal/alias.AnyOverlap does.
+func AnyOverlap(x, y []byte) bool {
+	return len(x) > 0 && len(y) > 0 &&
+		uintptr(unsafe.Pointer(&x[0])) <= uintptr(unsafe.Pointer(&y[len(y)-1])) &&
+		uintptr(unsafe.Pointer(&y[0])) <= uintptr(unsafe.Pointer(&x[len(x)-1]))
 }
 
 // SetOutput stages the PAL's output parameters; the SLB Core copies them to

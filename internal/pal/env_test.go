@@ -196,6 +196,48 @@ func TestEnvSealUnsealAndPCR(t *testing.T) {
 	}
 }
 
+// TestEnvUnsealScratch pins the lifetime of what Env.Unseal returns: every
+// plaintext of a session stays valid, unmoved and unoverwritten, as the
+// scratch grows past it, ScratchOverlaps recognizes each, and ScrubScratch
+// zeroes them all.
+func TestEnvUnsealScratch(t *testing.T) {
+	r := newEnvRig(t)
+	if _, err := tpm.RunHashSequence(r.machine.TPMBus, new(tpm.L4Scratch), []byte("env pal")); err != nil {
+		t.Fatal(err)
+	}
+	e := r.env(t, EnvConfig{})
+	var plains, want [][]byte
+	for i, n := range []int{8, 64, 8, 512} {
+		secret := bytes.Repeat([]byte{byte('a' + i)}, n)
+		blob, err := e.SealToSelf(secret)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.Unseal(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plains, want = append(plains, got), append(want, secret)
+	}
+	for i, got := range plains {
+		if !bytes.Equal(got, want[i]) {
+			t.Errorf("plaintext %d = %q after later Unseals, want %q", i, got, want[i])
+		}
+		if !e.ScratchOverlaps(got[len(got)-1:]) {
+			t.Errorf("plaintext %d not recognized as session scratch", i)
+		}
+	}
+	if e.ScratchOverlaps(want[0]) || e.ScratchOverlaps(nil) {
+		t.Error("memory outside the scratch recognized as session scratch")
+	}
+	e.ScrubScratch()
+	for i, got := range plains {
+		if !bytes.Equal(got, make([]byte, len(got))) {
+			t.Errorf("plaintext %d = %q after ScrubScratch", i, got)
+		}
+	}
+}
+
 func TestEnvOutputsAndAddresses(t *testing.T) {
 	r := newEnvRig(t)
 	e := r.env(t, EnvConfig{})

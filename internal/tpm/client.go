@@ -351,9 +351,16 @@ func (c *Client) Seal(srkAuth Digest, sel PCRSelection, digestAtRelease Digest, 
 	return copyField(out)
 }
 
-// Unseal opens a sealed blob; it fails with RCWrongPCRVal if the PCR
-// binding is not currently satisfied.
+// Unseal opens a sealed blob into a fresh slice the caller owns; it fails
+// with RCWrongPCRVal if the PCR binding is not currently satisfied.
 func (c *Client) Unseal(srkAuth Digest, blob []byte) ([]byte, error) {
+	return c.AppendUnseal(nil, srkAuth, blob)
+}
+
+// AppendUnseal is Unseal appending the plaintext to dst, which the caller
+// supplies and owns (nil gives a fresh slice). A dst with room for the
+// plaintext makes the round trip allocation-free. On error it returns nil.
+func (c *Client) AppendUnseal(dst []byte, srkAuth Digest, blob []byte) ([]byte, error) {
 	w := c.params()
 	w.u32(KHSRK)
 	w.bytes32(blob)
@@ -361,7 +368,7 @@ func (c *Client) Unseal(srkAuth Digest, blob []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return takeField(out)
+	return takeField(dst, out)
 }
 
 // MakeIdentity creates a fresh AIK (owner-authorized) and returns its
@@ -515,14 +522,21 @@ func copyField(out []byte) ([]byte, error) {
 	return bytes.Clone(f), nil
 }
 
-// takeField is copyField for a plaintext field: it also zeroes the field in
-// the response scratch, so the secret has one copy, the caller's.
-func takeField(out []byte) ([]byte, error) {
-	v, err := copyField(out)
-	if err == nil {
-		clear(out[4 : 4+len(v)])
+// takeField appends the plaintext field that opens a response body to dst
+// (nil gives a fresh slice) and zeroes the field in the response scratch,
+// so the secret has one copy, the caller's.
+func takeField(dst, out []byte) ([]byte, error) {
+	r := &rdr{b: out}
+	f, err := r.bytes32()
+	if err != nil {
+		return nil, err
 	}
-	return v, err
+	if dst == nil {
+		dst = make([]byte, 0, len(f))
+	}
+	dst = append(dst, f...)
+	clear(f)
+	return dst, nil
 }
 
 // CreateCounter creates a monotonic counter (owner-authorized) and returns

@@ -126,3 +126,27 @@ func TestClientScrub(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAppendUnseal checks that AppendUnseal appends the plaintext after
+// what dst holds, into dst's own storage when it has room, and that a
+// failed Unseal returns nil.
+func TestAppendUnseal(t *testing.T) {
+	r := newRig(t)
+	c := r.pal
+	blob, err := c.Seal(Digest{}, PCRSelection{}, Digest{}, []byte("secret"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := append(make([]byte, 0, 64), "kept:"...)
+	got, err := c.AppendUnseal(dst, Digest{}, blob)
+	if err != nil || string(got) != "kept:secret" {
+		t.Fatalf("AppendUnseal = %q, %v; want %q", got, err, "kept:secret")
+	}
+	if &got[0] != &dst[0] {
+		t.Error("AppendUnseal left a destination with room for the plaintext")
+	}
+	blob[len(blob)-1] ^= 1
+	if got, err := c.AppendUnseal(dst, Digest{}, blob); err == nil || got != nil {
+		t.Errorf("tampered blob: AppendUnseal = %q, %v; want nil and an error", got, err)
+	}
+}

@@ -68,5 +68,5 @@ func (c *Client) UnsealOSAP(srkAuth Digest, blob []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return takeField(out)
+	return takeField(nil, out)
 }
