@@ -75,10 +75,11 @@ type BatchResult struct {
 
 	// session is the storage Session points to, and frame the storage of
 	// the framed output page, which is Session.Outputs and which the
-	// replies and trailer point into. Both are kept when the result is
-	// reused.
+	// replies and trailer point into. view is the timeline of a member's
+	// result (ReplyResult). All are kept when the result is reused.
 	session SessionResult
 	frame   []byte
+	view    []Phase
 }
 
 // framedPAL runs a request group as one PAL: a batched session is the
@@ -255,6 +256,7 @@ func (b *BatchResult) reset(n int) {
 		Replies: grow(b.Replies[:0], n),
 		session: b.session,
 		frame:   b.frame[:0],
+		view:    b.view[:0],
 	}
 }
 
@@ -265,27 +267,28 @@ func (b *BatchResult) Clear() {
 	b.session.Clear()
 	clear(b.frame[:cap(b.frame)])
 	clear(b.Replies[:cap(b.Replies)])
-	*b = BatchResult{Replies: b.Replies[:0], session: b.session, frame: b.frame[:0]}
+	*b = BatchResult{Replies: b.Replies[:0], session: b.session, frame: b.frame[:0], view: b.view[:0]}
 }
 
-// ReplyInto fills dst with request i's view of the shared session: the
-// session record narrowed to Reply(i), as if the request had run alone.
-// b's session must have completed. The timeline is the pipeline's phases,
-// copied into dst's own storage: the group's request spans are left out,
-// so no member sees another's timing and the copy fits a fresh result's
-// slots. dst keeps its output storage; Outputs aliases b, so dst's outputs
-// live as long as b's.
-func (b *BatchResult) ReplyInto(i int, dst *SessionResult) {
-	rep := b.Reply(i)
-	phases, output := dst.Phases[:0], dst.output
+// ReplyResult returns request i's view of the shared session as a fresh
+// result, one allocation that owns its timeline and its copy of the
+// reply's output, so it outlives any later use of b: the session record
+// narrowed to Reply(i), as if the request had run alone. b's session must
+// have completed. The timeline is the pipeline's phases, gathered in b's
+// view storage first: the group's request spans are left out, so no
+// member sees another's timing and the timeline fits a fresh result's
+// slots.
+func (b *BatchResult) ReplyResult(i int) *SessionResult {
+	v, rep := *b.Session, b.Reply(i)
+	v.Outputs, v.PALError = rep.Output, rep.Err
+	b.view = b.view[:0]
 	for _, ph := range b.Session.Phases {
 		if ph.Name != phaseRequest {
-			phases = append(phases, ph)
+			b.view = append(b.view, ph)
 		}
 	}
-	*dst = *b.Session
-	dst.Phases, dst.output = phases, output
-	dst.Outputs, dst.PALError = rep.Output, rep.Err
+	v.Phases = b.view
+	return v.fresh()
 }
 
 // Reply returns request i's outcome: its own reply, unless a batch-level

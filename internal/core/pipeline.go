@@ -148,20 +148,26 @@ func (p *Platform) runPipeline(pipe *sessionPipeline, pl pal.PAL, opts SessionOp
 	return p.runLocked(pipe, pl, opts, res)
 }
 
-// runFresh is runPipeline into a fresh result, which the caller owns; on
-// error it returns no result.
+// runFresh is runPipeline into the platform's scratch result, handing the
+// caller a fresh copy it owns (SessionResult.fresh); on error it returns no
+// result. The scratch copy of the outputs is zeroed before the next
+// session can start.
 func (p *Platform) runFresh(pipe *sessionPipeline, pl pal.PAL, opts SessionOptions) (*SessionResult, error) {
-	res := NewSessionResult()
-	if err := p.runPipeline(pipe, pl, opts, res); err != nil {
+	p.sessionMu.Lock()
+	defer p.sessionMu.Unlock()
+	res := &p.scratch.res
+	res.reset(maxPipelinePhases)
+	if err := p.runLocked(pipe, pl, opts, res); err != nil {
 		return nil, err
 	}
-	return res, nil
+	defer clear(res.Outputs)
+	return res.fresh(), nil
 }
 
 // runLocked is runPipeline for a caller that holds sessionMu and supplies
 // the reset SessionResult the session fills in. The session state is
 // per-platform scratch reused across sessions; the result, with its
-// timeline and input storage, belongs to the caller.
+// timeline and output storage, belongs to the caller.
 func (p *Platform) runLocked(pipe *sessionPipeline, pl pal.PAL, opts SessionOptions, res *SessionResult) error {
 	st := &p.scratch.st
 	st.reset(p, pl, opts)
@@ -221,10 +227,7 @@ func (p *Platform) runLocked(pipe *sessionPipeline, pl pal.PAL, opts SessionOpti
 		}
 	}
 
-	if st.palErr == nil {
-		st.res.Outputs = st.palOut
-	}
-	st.res.PALError = st.palErr
+	st.res.Outputs, st.res.PALError = st.palOut, st.palErr
 	st.res.End = p.Clock.Now()
 	if pipe.epilogue != nil {
 		pipe.epilogue(st)
@@ -435,19 +438,26 @@ func palExecBody(st *sessionState) error {
 	if st.palErr == nil && st.palOut == nil {
 		st.palOut = env.Output()
 	}
-	// The ownership rule: an output in session scratch is copied into the
-	// result, and extend-pcr hashes the copy. Any other output is the
-	// PAL's own memory and is kept as it is.
-	if out := st.palOut[:cap(st.palOut)]; pal.AnyOverlap(out, input[:cap(input)]) || env.ScratchOverlaps(out) {
-		st.res.output = append(st.res.output[:0], st.palOut...)
-		st.palOut = st.res.output
-	}
 	env.ExitSandbox()
 	// Outputs are written to the well-known page beyond the SLB.
 	if st.palErr == nil {
 		if err := st.writeOutputPage(st.palOut); err != nil {
 			return err
 		}
+	}
+	// What crossed is the OS's: it is copied into the result's own storage
+	// before cleanup erases the session scratch it may lie in (the input
+	// read-back, an Unseal plaintext), and extend-pcr hashes the copy. A
+	// batch's output frame is built in its result's storage already. An
+	// output that did not cross is not copied, and PCR 17 covers the empty
+	// output in its place.
+	_, framed := st.pl.(*framedPAL)
+	switch {
+	case st.palErr != nil:
+		st.palOut = nil
+	case st.palOut != nil && !framed:
+		st.res.Outputs = append(st.res.Outputs[:0], st.palOut...)
+		st.palOut = st.res.Outputs
 	}
 	if v, err := env.PCR17(); err == nil {
 		st.res.PCR17AtLaunch = v
@@ -596,12 +606,9 @@ func zeroWindowTeardown(st *sessionState) {
 	st.windowWiped = true
 	st.p.scrubSessionScratch()
 	// The output of a session that did not complete never crosses.
-	clear(st.res.output)
-	wipe := slb.ParamAreaLen
-	if int(st.slbBase)+wipe > st.p.Machine.Mem.Size() {
-		wipe = st.p.Machine.Mem.Size() - int(st.slbBase)
-	}
-	st.p.Machine.Mem.Zero(st.slbBase, wipe)
+	clear(st.res.Outputs)
+	st.res.Outputs = nil
+	st.p.Machine.Mem.Zero(st.slbBase, min(slb.ParamAreaLen, st.p.Machine.Mem.Size()-int(st.slbBase)))
 	if st.im != nil && st.im.HasExtra() {
 		st.p.Machine.Mem.Zero(st.slbBase+uint32(slb.ExtraCodeOffset), len(st.im.Extra()))
 		st.p.Machine.Mem.DEVClear(st.slbBase+uint32(slb.ExtraCodeOffset), len(st.im.Extra()))

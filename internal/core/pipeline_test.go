@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -609,18 +611,18 @@ func TestNoResumeDuplication(t *testing.T) {
 	}
 }
 
-// TestSessionOutputsSurviveNextSession guards the ownership rule: the
+// TestSessionOutputsSurviveNextSession guards the ownership rule: a
+// result's Outputs are its own copy of what crossed the output page. The
 // input a PAL reads and the plaintext Env.Unseal returns are session
-// scratch, erased before the OS resumes and reused by the next session, so
-// an output the PAL returns from either must be copied into the result. A
-// prefix of the input, the whole input (an echo PAL) and a piece of an
-// Unseal plaintext all survive the next session, and so does a reply the
-// PAL returns from its own memory.
+// scratch, erased before the OS resumes and reused by the next session; a
+// PAL's own memory is the PAL's to change. A prefix of the input, the whole
+// input (an echo PAL), a piece of an Unseal plaintext, and a reply from a
+// buffer the PAL overwrites in its next session all survive that session.
 func TestSessionOutputsSurviveNextSession(t *testing.T) {
 	fn := func(name string, run func(env *pal.Env, in []byte) ([]byte, error)) pal.PAL {
 		return &pal.Func{PALName: name, Binary: pal.DescriptorCode(name, "1.0", nil, nil), Fn: run}
 	}
-	own := []byte("the PAL's own reply")
+	own := []byte("own reply: ")
 	for _, tc := range []struct {
 		name string
 		pl   pal.PAL
@@ -643,9 +645,10 @@ func TestSessionOutputsSurviveNextSession(t *testing.T) {
 			}
 			return plain[2:9], nil
 		}), func(in string) string { return in[2:9] }},
-		{"own-memory", fn("own-memory", func(*pal.Env, []byte) ([]byte, error) {
+		{"own-memory", fn("own-memory", func(_ *pal.Env, in []byte) ([]byte, error) {
+			own = append(own[:len("own reply: ")], in...)
 			return own, nil
-		}), func(string) string { return string(own) }},
+		}), func(in string) string { return "own reply: " + in }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := newPlatform(t)
@@ -663,9 +666,6 @@ func TestSessionOutputsSurviveNextSession(t *testing.T) {
 			if got, want := string(second.Outputs), tc.want("SESSION-2 INPUT"); got != want {
 				t.Errorf("session 2 outputs = %q, want %q", got, want)
 			}
-			if tc.name == "own-memory" && &first.Outputs[0] != &own[0] {
-				t.Error("an output in the PAL's own memory was copied")
-			}
 		})
 	}
 }
@@ -674,9 +674,10 @@ func TestSessionOutputsSurviveNextSession(t *testing.T) {
 // readable once the OS resumes, after a completed session and after one
 // aborted past pal-exec: the PAL's cached TPM driver holds no Seal
 // plaintext, Unseal output or PRNG seed, and the input and Unseal
-// plaintext the PAL was handed, stashed outside the session, read zero.
-// The completed session's Outputs, an Unseal plaintext, are the result's
-// own copy, and its attestation covers them.
+// plaintext the PAL was handed, stashed outside the session, read zero, and
+// so does the platform's scratch copy of the outputs. The completed
+// session's Outputs, an Unseal plaintext, are the result's own copy, and
+// its attestation covers them.
 func TestPALDriverScrubbedBeforeResume(t *testing.T) {
 	for _, fail := range []string{"", "cleanup", "extend-pcr"} {
 		t.Run("fail="+fail, func(t *testing.T) {
@@ -710,6 +711,9 @@ func TestPALDriverScrubbedBeforeResume(t *testing.T) {
 			if !p.scratch.palClient.Scrubbed() {
 				t.Error("PAL TPM driver scratch not zeroed before the OS resumed")
 			}
+			if out := p.scratch.res.Outputs; !bytes.Equal(out[:cap(out)], make([]byte, cap(out))) {
+				t.Error("the platform's scratch copy of the outputs outlived the session")
+			}
 			for _, s := range []struct {
 				name string
 				b    []byte
@@ -730,6 +734,49 @@ func TestPipelinesFitPhaseSlots(t *testing.T) {
 	for _, pipe := range []*sessionPipeline{&classicPipeline, &classicBatchPipeline, &partitionedPipeline} {
 		if len(pipe.phases) > maxPipelinePhases {
 			t.Errorf("pipeline %s has %d phases, maxPipelinePhases is %d", pipe.name, len(pipe.phases), maxPipelinePhases)
+		}
+	}
+}
+
+// TestFreshResultClasses pins the layout of a fresh result at every output
+// size the output page can carry: one allocation whose bytes are exactly
+// resultBytes plus its output class, and the runtime's 8-byte malloc header
+// above 512 bytes (so the result is resultBytes, and each class fills a Go
+// size class with no slack), holding the record, the timeline and a copy
+// of the outputs.
+func TestFreshResultClasses(t *testing.T) {
+	src := &SessionResult{SessionID: 7, Pipeline: "classic"}
+	for i := range maxPipelinePhases {
+		src.Phases = append(src.Phases, Phase{Name: fmt.Sprint("phase ", i)})
+	}
+	page := bytes.Repeat([]byte{0x6B}, slb.PageSize-4)
+	// A collection, or a goroutine another test left running, allocates
+	// behind the counters' back: the sweep runs with the collector off, and
+	// a size passes once one of a few tries reads exactly one allocation
+	// of the expected bytes.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	for n := 0; n <= len(page); n++ {
+		src.Outputs = page[:n]
+		var res *SessionResult
+		var mallocs, size, want uint64
+		for try := 0; try < 5 && (mallocs != 1 || size != want); try++ {
+			runtime.ReadMemStats(&before)
+			res = src.fresh()
+			runtime.ReadMemStats(&after)
+			mallocs, size = after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+			if want = uint64(resultBytes + cap(res.Outputs)); want > 512 {
+				want += headedBytes - resultBytes
+			}
+		}
+		if mallocs != 1 || size != want {
+			t.Fatalf("%d-byte output: %d allocations of %d bytes for a %d-byte class, want 1 of %d", n, mallocs, size, cap(res.Outputs), want)
+		}
+		if !bytes.Equal(res.Outputs, src.Outputs) || n > 0 && &res.Outputs[0] == &page[0] {
+			t.Fatalf("%d-byte output not copied", n)
+		}
+		if res.SessionID != 7 || len(res.Phases) != maxPipelinePhases || res.Phases[5].Name != "phase 5" || &res.Phases[0] == &src.Phases[0] {
+			t.Fatalf("%d-byte output: record %d, timeline %v not copied", n, res.SessionID, res.Phases)
 		}
 	}
 }

@@ -95,10 +95,12 @@ type Platform struct {
 	// (near-)zero-alloc: the session state, observer list, PAL environment,
 	// locality-2 TPM drivers (with their response buffers), the input
 	// read-back and the output-page framing buffer all persist across
-	// sessions. The SessionResult is never part of it: the caller supplies
-	// it and owns it (RunSessionInto), and RunSession hands out a fresh one.
+	// sessions. So does res, the result RunSession runs into before it
+	// hands out a fresh copy; a caller-supplied result (RunSessionInto) is
+	// the caller's.
 	scratch struct {
 		st        sessionState
+		res       SessionResult
 		obs       []Observer
 		env       pal.Env
 		palClient *tpm.Client // PAL's locality-2 driver, reseeded per session

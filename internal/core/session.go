@@ -68,7 +68,9 @@ type SessionResult struct {
 	// "classic-batch" or "partitioned".
 	Pipeline string
 
-	// Outputs is what the PAL wrote to the output page (nil on PAL error).
+	// Outputs is what the PAL wrote to the output page (nil on PAL error):
+	// the result's own copy of what crossed, made before the session's
+	// scratch was erased. A result run into again reuses its storage.
 	Outputs []byte
 	// PALError is the application-level failure, if any. The session
 	// itself (cleanup, extend, resume) still completes.
@@ -95,12 +97,6 @@ type SessionResult struct {
 	// Start and End are simulated timestamps; Phases is the timeline.
 	Start, End time.Duration
 	Phases     []Phase
-
-	// output is the storage a PAL output that overlapped session scratch
-	// is copied into before the scratch is erased (see palExecBody), so
-	// Outputs may alias it. A session run into a reused result copies into
-	// the same storage.
-	output []byte
 }
 
 // maxPipelinePhases is the longest phase list a session pipeline declares
@@ -115,19 +111,62 @@ type sessionAlloc struct {
 	phases [maxPipelinePhases]Phase
 }
 
-// NewSessionResult returns an empty SessionResult whose Phases has room
-// for a session's timeline, in one allocation: the fresh result RunSession
-// passes to RunSessionInto.
-func NewSessionResult() *SessionResult {
-	a := &sessionAlloc{}
-	a.res.Phases = a.phases[:0]
+// resultBytes is the size of a sessionAlloc, and headedBytes that of one the
+// runtime allocates above 512 bytes, behind its 8-byte malloc header
+// (TestFreshResultClasses pins both).
+const (
+	resultBytes = 480
+	headedBytes = resultBytes + 8
+)
+
+// fresh returns a copy of r in one allocation that owns its timeline and
+// its outputs. The outputs get the smallest of eight fixed classes that
+// holds them, and each class fills a Go size class together with the
+// result, so none of the allocation is slack. Seven of the classes are
+// spread over the size classes up to 1.5 KB, where most outputs fall, and
+// the last holds a full output page (DESIGN §4b, "Output classes").
+func (r *SessionResult) fresh() *SessionResult {
+	switch n := len(r.Outputs); {
+	case n <= 512-resultBytes:
+		return withOutput(r, func(b *[512 - resultBytes]byte) []byte { return b[:] })
+	case n <= 704-headedBytes:
+		return withOutput(r, func(b *[704 - headedBytes]byte) []byte { return b[:] })
+	case n <= 896-headedBytes:
+		return withOutput(r, func(b *[896 - headedBytes]byte) []byte { return b[:] })
+	case n <= 1024-headedBytes:
+		return withOutput(r, func(b *[1024 - headedBytes]byte) []byte { return b[:] })
+	case n <= 1152-headedBytes:
+		return withOutput(r, func(b *[1152 - headedBytes]byte) []byte { return b[:] })
+	case n <= 1280-headedBytes:
+		return withOutput(r, func(b *[1280 - headedBytes]byte) []byte { return b[:] })
+	case n <= 1536-headedBytes:
+		return withOutput(r, func(b *[1536 - headedBytes]byte) []byte { return b[:] })
+	default: // up to the 4092 bytes the output page holds
+		return withOutput(r, func(b *[4864 - headedBytes]byte) []byte { return b[:] })
+	}
+}
+
+// outputAlloc co-allocates a SessionResult and its timeline slots with an
+// output class B.
+type outputAlloc[B any] struct {
+	sessionAlloc
+	out B
+}
+
+// withOutput is fresh for the output class B, whose bytes buf returns.
+func withOutput[B any](r *SessionResult, buf func(*B) []byte) *SessionResult {
+	a := &outputAlloc[B]{sessionAlloc: sessionAlloc{res: *r}}
+	a.res.Phases = append(a.phases[:0], r.Phases...)
+	if r.Outputs != nil {
+		a.res.Outputs = append(buf(&a.out)[:0], r.Outputs...)
+	}
 	return &a.res
 }
 
 // reset empties r for a new session of the given timeline length, keeping
 // its timeline and output storage.
 func (r *SessionResult) reset(phases int) {
-	*r = SessionResult{Phases: grow(r.Phases[:0], phases), output: r.output[:0]}
+	*r = SessionResult{Phases: grow(r.Phases[:0], phases), Outputs: r.Outputs[:0]}
 }
 
 // grow returns s with room for n more elements, in one allocation when it
@@ -140,11 +179,11 @@ func grow[S ~[]E, E any](s S, n int) S {
 	return append(make(S, 0, len(s)+n), s...)
 }
 
-// Clear ends the caller's use of a reused result: the output storage,
-// which the outputs may alias, is zeroed, and every other field is dropped.
-// The storage is kept for the next session run into r.
+// Clear ends the caller's use of a reused result: the output storage is
+// zeroed, and every field is dropped. The storage is kept for the next
+// session run into r.
 func (r *SessionResult) Clear() {
-	clear(r.output[:cap(r.output)])
+	clear(r.Outputs[:cap(r.Outputs)])
 	r.reset(0)
 }
 
@@ -168,19 +207,19 @@ func (r *SessionResult) PhaseDuration(name string) time.Duration {
 // infrastructure failed (bad SLB, SKINIT precondition, TPM failure) and the
 // engine's guaranteed teardown ran; PAL-level failures land in
 // SessionResult.PALError with the session still torn down cleanly. The
-// result is fresh memory the caller owns, and so are its Outputs unless
-// the PAL returned memory of its own (a package-level reply, say): an
-// output in session scratch — the input read-back, an Unseal plaintext —
-// is copied into the result before the scratch is erased.
+// result is one fresh allocation the caller owns, Outputs included: the
+// session runs into platform scratch, and what crossed the output page is
+// copied out of it, whatever memory the PAL returned it in.
 func (p *Platform) RunSession(pl pal.PAL, opts SessionOptions) (*SessionResult, error) {
 	return p.runFresh(&classicPipeline, pl, opts)
 }
 
 // RunSessionInto is RunSession filling res, a caller-supplied result whose
-// storage (timeline and output copy) the session reuses. Everything res
-// holds afterwards, Outputs included, stays valid until res is run into
-// again or cleared; a caller that reuses res owns that lifetime. On error,
-// res holds the aborted session's partial record.
+// storage (timeline and Outputs) the session reuses: the output that
+// crossed is copied into it. Everything res holds afterwards stays valid
+// until res is run into again or cleared; a caller that reuses res owns
+// that lifetime. On error, res holds the aborted session's partial record,
+// with no Outputs.
 func (p *Platform) RunSessionInto(res *SessionResult, pl pal.PAL, opts SessionOptions) error {
 	return p.runPipeline(&classicPipeline, pl, opts, res)
 }

@@ -568,3 +568,42 @@ func TestOutputPageBoundary(t *testing.T) {
 		t.Fatal("teardown incomplete")
 	}
 }
+
+// TestPCR17CoversWhatCrossed pins the attestation to the output the OS
+// received: a PAL output that does not cross the output page — one too
+// large for it, or one returned together with an error — leaves Outputs
+// nil, and PCR 17 covers the empty output, so a verifier recomputes it from
+// what it holds and a quote leaks no hash of the withheld bytes.
+func TestPCR17CoversWhatCrossed(t *testing.T) {
+	secret := bytes.Repeat([]byte{0x42}, 16)
+	for _, tc := range []struct {
+		name string
+		run  func(*pal.Env, []byte) ([]byte, error)
+	}{
+		{"oversized", func(*pal.Env, []byte) ([]byte, error) {
+			return bytes.Repeat([]byte{0x42}, slb.PageSize), nil
+		}},
+		{"output-with-error", func(*pal.Env, []byte) ([]byte, error) {
+			return secret, errors.New("refused after computing a reply")
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newPlatform(t)
+			in := []byte("request")
+			pl := &pal.Func{PALName: tc.name, Binary: pal.DescriptorCode(tc.name, "1.0", nil, nil), Fn: tc.run}
+			res, err := p.RunSession(pl, SessionOptions{Input: in})
+			if err != nil || res.PALError == nil {
+				t.Fatalf("want a PAL error: %v %v", err, res.PALError)
+			}
+			if res.Outputs != nil {
+				t.Errorf("Outputs = %d bytes, want none", len(res.Outputs))
+			}
+			if want := attest.ExpectedFinalPCR17(res.Image, in, res.Outputs, nil); res.PCR17Final != want {
+				t.Errorf("PCR17Final = %x, want %x: the chain over what crossed", res.PCR17Final, want)
+			}
+			if res.OutputDigest != palcrypto.SHA1Sum(nil) {
+				t.Errorf("OutputDigest = %x, want the digest of the empty output", res.OutputDigest)
+			}
+		})
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"time"
-	"unsafe"
 
 	"flicker/internal/hw/cpu"
 	"flicker/internal/hw/memory"
@@ -342,28 +341,6 @@ func (e *Env) ScrubScratch() {
 	if cap(e.unseal) > maxRetainedUnseal {
 		e.unseal = nil
 	}
-}
-
-// ScratchOverlaps reports whether b shares memory with the session scratch
-// Unseal returned plaintexts in, which ScrubScratch erases.
-func (e *Env) ScratchOverlaps(b []byte) bool {
-	if AnyOverlap(b, e.unseal[:cap(e.unseal)]) {
-		return true
-	}
-	for _, o := range e.outgrown {
-		if AnyOverlap(b, o) {
-			return true
-		}
-	}
-	return false
-}
-
-// AnyOverlap reports whether x and y share any memory, comparing their
-// address ranges as crypto/internal/alias.AnyOverlap does.
-func AnyOverlap(x, y []byte) bool {
-	return len(x) > 0 && len(y) > 0 &&
-		uintptr(unsafe.Pointer(&x[0])) <= uintptr(unsafe.Pointer(&y[len(y)-1])) &&
-		uintptr(unsafe.Pointer(&y[0])) <= uintptr(unsafe.Pointer(&x[len(x)-1]))
 }
 
 // SetOutput stages the PAL's output parameters; the SLB Core copies them to

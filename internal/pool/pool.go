@@ -61,9 +61,9 @@ type Config struct {
 	// batched session (group-commit style), amortizing the per-session
 	// fixed costs. 0 or 1 disables coalescing (every job is a singleton
 	// session). Jobs that cannot share a session — different PAL code,
-	// incompatible options, a verifier nonce, fault injection, or a group
-	// that would overflow the input page — fall back to singleton
-	// sessions.
+	// incompatible options, a verifier nonce, fault injection, a result
+	// the caller supplied (RunInto), or a group that would overflow the
+	// input page — fall back to singleton sessions.
 	MaxBatch int
 	// MaxWait bounds how long a worker holds the first job of a group
 	// open waiting for companions before flushing what it has (default
@@ -85,10 +85,10 @@ type Config struct {
 // job is one queued session. Records are pooled and recycled (the done
 // channel included: each cycle is exactly one send and one receive), so a
 // warm submit allocates nothing. The job carries its submitter's
-// destination to the shard worker: res for a session, which the worker
-// fills, or, for a pre-formed group (RunBatch, batch set), br. A group job
-// rides the same queue to the same affinity shard but executes as one
-// batched session and never coalesces with neighbors.
+// destination to the shard worker (dest), and the worker hands a fresh
+// session result back in res. A group job (RunBatch, batch set) rides the
+// same queue to the same affinity shard but executes as one batched
+// session and never coalesces with neighbors.
 type job struct {
 	pl   pal.PAL
 	opts core.SessionOptions
@@ -97,8 +97,9 @@ type job struct {
 	done chan error
 }
 
-// dest is a submission's destination: the result a session fills, or a
-// pre-formed group and the BatchResult it fills.
+// dest is a submission's destination: the result a session fills (nil:
+// the worker hands back a fresh one), or a pre-formed group and the
+// BatchResult it fills.
 type dest struct {
 	res   *core.SessionResult
 	batch [][]byte
@@ -120,14 +121,16 @@ type shard struct {
 	// Coalescer state, owned by the worker: the gather buffer and hold
 	// timer reused for every group (the timer is kept stopped and drained
 	// between groups), the adaptive hold rule, and flush's partitioning
-	// scratch (which jobs are taken, the partition and its inputs), so a
-	// group costs no allocation to split and run.
+	// scratch (which jobs are taken, the partition and its inputs), and the
+	// result a coalesced group runs into, so a group costs no allocation to
+	// split and run beyond its members' results.
 	group []*job
 	timer *time.Timer
 	hold  sched.Hold
 	used  []bool
 	part  []*job
 	reqs  [][]byte
+	br    core.BatchResult
 
 	// Per-shard cells on the pool's shared series (see metrics/cells.go).
 	queueDelay *metrics.Histogram
@@ -317,7 +320,12 @@ func (p *Pool) runSingleton(s *shard, j *job) {
 		p.runBatchJob(s, j)
 		return
 	}
-	err := s.platform.RunSessionInto(j.res, j.pl, j.opts)
+	var err error
+	if j.res != nil {
+		err = s.platform.RunSessionInto(j.res, j.pl, j.opts)
+	} else {
+		j.res, err = s.platform.RunSession(j.pl, j.opts)
+	}
 	s.pending.Add(-1)
 	j.done <- err
 }
@@ -334,10 +342,11 @@ func (p *Pool) runBatchJob(s *shard, j *job) {
 }
 
 // batchable reports whether a job may share a session with others at all:
-// a verifier nonce, fault injection, or an injector pins a job to its own
-// singleton session, and a pre-formed batch is already a group.
+// a verifier nonce, fault injection, an injector or a result the caller
+// supplied pins a job to its own singleton session, and a pre-formed batch
+// is already a group.
 func batchable(j *job) bool {
-	return j.batch == nil && j.opts.Nonce == nil && j.opts.FailPhase == "" && j.opts.Injector == nil
+	return j.batch == nil && j.res == nil && j.opts.Nonce == nil && j.opts.FailPhase == "" && j.opts.Injector == nil
 }
 
 // coalescable reports whether b can join a group keyed by a: same measured
@@ -413,14 +422,15 @@ func (p *Pool) flush(s *shard, group []*job) {
 	clear(s.part[:cap(s.part)])
 }
 
-// runBatch executes a partition as one batched session and fans the
-// per-request replies back out to the waiting submitters. Each job's
-// SessionResult is filled with the shared session narrowed to its own
-// reply (BatchResult.ReplyInto), so a caller cannot observe another
-// request's output; the group's BatchResult is fresh, so the members'
-// outputs, which alias it, outlive the next group. On session abort, every
-// member of the group sees the abort error — the batch engine's
-// completed-prefix contract is exercised directly via RunSessionBatch.
+// runBatch executes a partition as one batched session, into the shard's
+// reused BatchResult, and fans the per-request replies back out to the
+// waiting submitters. Each member gets a fresh result of one allocation:
+// the shared session narrowed to its own reply, with its own copy of the
+// reply's output (BatchResult.ReplyResult). So a caller cannot observe
+// another request's output, and the shard's result is zeroed and reused
+// by the next group. On session abort, every member of the group sees the
+// abort error — the batch engine's completed-prefix contract is exercised
+// directly via RunSessionBatch.
 func (p *Pool) runBatch(s *shard, part []*job) {
 	reqs := s.reqs[:0]
 	for _, j := range part {
@@ -452,11 +462,13 @@ func (p *Pool) runBatch(s *shard, part []*job) {
 		// must not time out merely because it was coalesced.
 		opts.MaxPALTime *= time.Duration(len(part))
 	}
-	br, err := s.platform.RunSessionBatch(part[0].pl, core.Batch{Requests: reqs}, opts)
+	br := &s.br
+	defer br.Clear()
+	err := s.platform.RunSessionBatchInto(br, part[0].pl, core.Batch{Requests: reqs}, opts)
 	for i, j := range part {
 		s.pending.Add(-1)
 		if err == nil {
-			br.ReplyInto(i, j.res)
+			j.res = br.ReplyResult(i)
 		}
 		j.done <- err
 	}
@@ -550,44 +562,40 @@ func (p *Pool) submit(pl pal.PAL, opts core.SessionOptions, dst dest, wait bool)
 
 // Run executes one session on the PAL's affinity shard (or, under load, the
 // least-loaded shard), blocking for queue space when the pool is saturated.
-// The result is fresh memory the caller owns.
+// The shard's worker hands back the result: one fresh allocation the caller
+// owns, with its own copy of the outputs, whether the session ran alone
+// (core.Platform.RunSession) or in a coalesced group
+// (core.BatchResult.ReplyResult).
 func (p *Pool) Run(pl pal.PAL, opts core.SessionOptions) (*core.SessionResult, error) {
-	return p.runFresh(pl, opts, true)
+	return p.do(pl, opts, dest{}, true)
 }
 
 // RunInto is Run filling res, a caller-supplied result whose storage the
 // session reuses (core.Platform.RunSessionInto). What res holds afterwards
 // stays valid until res is run into again or cleared.
 func (p *Pool) RunInto(res *core.SessionResult, pl pal.PAL, opts core.SessionOptions) error {
-	return p.do(pl, opts, dest{res: res}, true)
+	_, err := p.do(pl, opts, dest{res: res}, true)
+	return err
 }
 
 // TryRun is Run without backpressure: it returns ErrSaturated instead of
 // blocking when every shard queue is full.
 func (p *Pool) TryRun(pl pal.PAL, opts core.SessionOptions) (*core.SessionResult, error) {
-	return p.runFresh(pl, opts, false)
+	return p.do(pl, opts, dest{}, false)
 }
 
-// runFresh runs one session into a fresh result, which the caller owns; on
-// error it returns no result.
-func (p *Pool) runFresh(pl pal.PAL, opts core.SessionOptions, wait bool) (*core.SessionResult, error) {
-	res := core.NewSessionResult()
-	if err := p.do(pl, opts, dest{res: res}, wait); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// do submits one job and waits for the worker to fill its destination: the
-// one body behind Run, RunInto, TryRun and RunBatch.
-func (p *Pool) do(pl pal.PAL, opts core.SessionOptions, dst dest, wait bool) error {
+// do submits one job, waits for the worker to fill its destination, and
+// returns the session result the worker filled or handed back (a fresh one
+// only on success): the one body behind Run, RunInto, TryRun and RunBatch.
+func (p *Pool) do(pl pal.PAL, opts core.SessionOptions, dst dest, wait bool) (*core.SessionResult, error) {
 	j, err := p.submit(pl, opts, dst, wait)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	err = <-j.done
+	res := j.res
 	p.putJob(j)
-	return err
+	return res, err
 }
 
 // RunBatch executes a pre-formed group of requests as ONE batched session on
@@ -605,7 +613,8 @@ func (p *Pool) RunBatch(out *core.BatchResult, pl pal.PAL, reqs [][]byte, opts c
 		return errors.New("pool: empty batch")
 	}
 	opts.Input = nil
-	return p.do(pl, opts, dest{batch: reqs, br: out}, true)
+	_, err := p.do(pl, opts, dest{batch: reqs, br: out}, true)
+	return err
 }
 
 // Close drains the pool: no new submissions are accepted, queued sessions

@@ -147,13 +147,18 @@ func TestPoolSubmitAllocs(t *testing.T) {
 			t.Fatalf("%v %v", err, res.PALError)
 		}
 	})
-	// The warm classic session itself costs 2 allocs, the fresh result Run
-	// hands back and the PAL's reply (core's TestSessionAllocs), and the
-	// pool's submit/reply framing rides the job pool, so the round trip
-	// measures 2 as well. The budget is 4.
-	const budget = 4
+	// The warm classic session itself costs 2 allocs, the PAL's reply and
+	// the fresh result the shard worker hands back, which holds its own
+	// copy of that reply (core's TestSessionAllocs), and the pool's
+	// submit/reply framing rides the job pool, so the round trip measures
+	// 2 as well: the floor. Under -race, sync.Pool drops a quarter of the
+	// job records put back.
+	budget := 2.0
+	if raceEnabled {
+		budget = 3
+	}
 	if avg > budget {
-		t.Errorf("pool round trip costs %.0f allocs, budget %d", avg, budget)
+		t.Errorf("pool round trip costs %.2f allocs, budget %.0f", avg, budget)
 	}
 }
 
@@ -163,17 +168,17 @@ var raceEnabled bool
 // TestPoolCoalescedRunAllocs budgets a warm Run through a coalescing pool
 // (MaxBatch 4). Each shard gathers into a reused buffer, times its hold
 // with a reused timer, and partitions and runs a group in reused scratch
-// (taken flags, partition, input sizes and inputs), so a group costs no
-// allocation to gather, split or run beyond its batched session.
+// (taken flags, partition, input sizes and inputs) into its own reused
+// BatchResult, so a group costs no allocation to gather, split or run.
 //   - Lockstep: four persistent callers each issue one Run per round, so
-//     every round is one full four-member batch. Measured 3.25 per Run:
-//     each caller's fresh result and the PAL's reply, plus a quarter of
-//     the batch session's fresh result, timeline, replies, input read-back
-//     and output frame; a member's timeline fits its result's slots
-//     because it leaves out the group's request spans. Per-group
-//     partition scratch cost 5.25, and per-group gather slices and a
-//     timer 6.75. Under -race, sync.Pool drops a quarter of what is put
-//     back (3.75-4.00).
+//     every round is one full four-member batch. Measured 2 per Run: the
+//     PAL's reply and each caller's fresh result, one allocation that holds
+//     its timeline (the group's request spans left out) and its copy of its
+//     reply. It was 3.25 while every group ran into a fresh BatchResult and
+//     each member's result was allocated before the session; per-group
+//     partition scratch cost 5.25, and per-group gather slices and a timer
+//     6.75. Under -race, sync.Pool drops a quarter of what is put back
+//     (2.50).
 //   - Sequential: one caller, one Run at a time, skips the hold after the
 //     first and runs each job at once, at the 2 allocations of a
 //     non-coalescing round trip (TestPoolSubmitAllocs), 3 under -race. It
@@ -222,9 +227,9 @@ func TestPoolCoalescedRunAllocs(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		round()
 	}
-	budget, seqBudget := 4.1, 2.5
+	budget, seqBudget := 2.0, 2.5
 	if raceEnabled {
-		budget, seqBudget = 5, 4
+		budget, seqBudget = 3, 4
 	}
 	if perRun := testing.AllocsPerRun(50, round) / callers; perRun > budget {
 		t.Errorf("lockstep coalesced Run = %.2f allocs, budget %.1f", perRun, budget)
