@@ -7,8 +7,8 @@
 //	flicker serve    — run sessions while exposing /metrics (Prometheus),
 //	                   /stats (JSON), /events, and /healthz over HTTP
 //	flicker modules  — print the PAL module inventory (Figure 6) and TCB sizes
-//	flicker extract  — extract a function and its dependency closure from Go
-//	                   source into a standalone PAL file (Section 5.2 tool)
+//	flicker extract  — extract a function and its dependency closure from a
+//	                   Go package into a standalone PAL file (Section 5.2 tool)
 package main
 
 import (
@@ -223,21 +223,13 @@ func cmdModules() {
 
 func cmdExtract(args []string) {
 	fs := flag.NewFlagSet("extract", flag.ExitOnError)
-	target := fs.String("target", "", "function to extract (required)")
+	target := fs.String("target", "", "function to extract, Func or Type.Method (required)")
 	out := fs.String("o", "", "output file (default stdout)")
 	fs.Parse(args)
-	if *target == "" || fs.NArg() == 0 {
-		log.Fatal("usage: flicker extract -target <func> [-o out.go] <files...>")
+	if *target == "" || fs.NArg() != 1 {
+		log.Fatal("usage: flicker extract -target <Func|Type.Method> [-o out.go] <package dir>")
 	}
-	src := make(map[string]string)
-	for _, f := range fs.Args() {
-		b, err := os.ReadFile(f)
-		if err != nil {
-			log.Fatal(err)
-		}
-		src[f] = string(b)
-	}
-	res, err := extract.Extract(src, *target)
+	res, err := extract.Extract(fs.Arg(0), *target)
 	if err != nil {
 		log.Fatal(err)
 	}

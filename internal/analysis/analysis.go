@@ -280,11 +280,12 @@ func funcDeclOf(pkg *Package) map[*types.Func]*ast.FuncDecl {
 	return out
 }
 
-// calleeFunc resolves a call expression to the *types.Func it statically
-// invokes, or nil for dynamic calls (function values, interface methods
-// resolve to the interface method object).
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
+// calleeFunc resolves a call's function expression (or a function value)
+// to the *types.Func it statically names, or nil for dynamic calls
+// (function values, interface methods resolve to the interface method
+// object).
+func calleeFunc(info *types.Info, fun ast.Expr) *types.Func {
+	switch fun := ast.Unparen(fun).(type) {
 	case *ast.Ident:
 		f, _ := info.Uses[fun].(*types.Func)
 		return f

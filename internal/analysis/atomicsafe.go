@@ -101,7 +101,7 @@ func (ip *Interp) atomicFindings() *atomicCensus {
 				if !ok {
 					return true
 				}
-				f := calleeFunc(pkg.Info, call)
+				f := calleeFunc(pkg.Info, call.Fun)
 				if f == nil || f.Pkg() == nil || f.Pkg().Path() != "sync/atomic" {
 					return true
 				}

@@ -148,15 +148,7 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 		if !hasGoFiles(path) {
 			return nil
 		}
-		rel, err := filepath.Rel(l.Root, path)
-		if err != nil {
-			return err
-		}
-		imp := l.Module
-		if rel != "." {
-			imp = l.Module + "/" + filepath.ToSlash(rel)
-		}
-		pkg, err := l.load(imp)
+		pkg, err := l.LoadDir(path)
 		if err != nil {
 			return err
 		}
@@ -168,6 +160,24 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
 	return pkgs, nil
+}
+
+// LoadDir loads the package in dir, a directory of the module, under its
+// import path.
+func (l *Loader) LoadDir(dir string) (*Package, error) {
+	dir, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	rel, err := filepath.Rel(l.Root, dir)
+	if err != nil {
+		return nil, err
+	}
+	imp := l.Module
+	if rel != "." {
+		imp += "/" + filepath.ToSlash(rel)
+	}
+	return l.load(imp)
 }
 
 // LoadDirAs loads the package in dir under the given synthetic import path.

@@ -64,7 +64,7 @@ func runMetricHandle(pass *Pass) {
 			if !ok {
 				return true
 			}
-			w := calleeFunc(pass.Pkg.Info, inner)
+			w := calleeFunc(pass.Pkg.Info, inner.Fun)
 			if w == nil || w.Name() != "With" || w.Pkg() == nil || w.Pkg().Path() != metricsPkg {
 				return true
 			}

@@ -15,10 +15,10 @@ package analysis
 // Detection is structural so the engine types can evolve: any composite
 // literal building a slice of phase-shaped structs (a struct with func
 // fields named body and teardown, any casing) is treated as a pipeline
-// definition. A phase stages if its body — followed through same-package
-// calls — reaches a staging operation (PlaceSLB, SetOutput, Write,
-// WriteIfChanged); a teardown scrubs if it reaches a scrub operation (Zero,
-// ZeroIfDirty, Wipe, ResetOutput, DEVClear, Erase, Scrub).
+// definition. A phase stages if its body — followed through its closure
+// within the package — reaches a staging operation (PlaceSLB, SetOutput,
+// Write, WriteIfChanged); a teardown scrubs if it reaches a scrub operation
+// (Zero, ZeroIfDirty, Wipe, ResetOutput, DEVClear, Erase, Scrub).
 
 import (
 	"go/ast"
@@ -51,8 +51,7 @@ var scrubOps = map[string]bool{
 }
 
 func runScrubPair(pass *Pass) {
-	decls := funcDeclOf(pass.Pkg)
-	sp := &scrubPairCheck{pass: pass, decls: decls, memo: make(map[*types.Func][2]int)}
+	sp := &scrubPairCheck{pass: pass, ix: newModIndex(pass.Loader, []*Package{pass.Pkg})}
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			cl, ok := n.(*ast.CompositeLit)
@@ -106,10 +105,9 @@ func phaseElemType(pass *Pass, cl *ast.CompositeLit) (*types.Struct, bool) {
 }
 
 type scrubPairCheck struct {
-	pass  *Pass
-	decls map[*types.Func]*ast.FuncDecl
-	// memo caches (stages, scrubs) per function: 0 unknown, 1 no, 2 yes.
-	memo map[*types.Func][2]int
+	pass *Pass
+	// ix indexes the package alone, so its closure stays in the package.
+	ix *modIndex
 }
 
 // checkPipeline walks one phase list in declaration order, tracking whether
@@ -145,10 +143,10 @@ func (sp *scrubPairCheck) checkPipeline(list *ast.CompositeLit, _ *types.Struct)
 				}
 			}
 		}
-		if teardownExpr != nil && sp.reaches(teardownExpr, scrubOps, 1) {
+		if teardownExpr != nil && sp.reaches(teardownExpr, scrubOps) {
 			scrubRegistered = true
 		}
-		if bodyExpr != nil && !scrubRegistered && sp.reaches(bodyExpr, stagingOps, 0) {
+		if bodyExpr != nil && !scrubRegistered && sp.reaches(bodyExpr, stagingOps) {
 			label := name
 			if label == "" {
 				label = "(unnamed)"
@@ -160,82 +158,31 @@ func (sp *scrubPairCheck) checkPipeline(list *ast.CompositeLit, _ *types.Struct)
 	}
 }
 
-// reaches reports whether fn (an ident for a same-package function, or a
-// func literal) transitively performs one of the named operations,
-// following calls into same-package function declarations. kind selects
-// the memo slot (0 staging, 1 scrub).
-func (sp *scrubPairCheck) reaches(fn ast.Expr, ops map[string]bool, kind int) bool {
-	visited := make(map[*types.Func]bool)
-	var scanFunc func(obj *types.Func) bool
-	var scanBody func(body ast.Node) bool
-
-	scanBody = func(body ast.Node) bool {
-		found := false
-		ast.Inspect(body, func(n ast.Node) bool {
-			if found {
-				return false
-			}
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			var calleeName string
-			switch fe := ast.Unparen(call.Fun).(type) {
-			case *ast.Ident:
-				calleeName = fe.Name
-			case *ast.SelectorExpr:
-				calleeName = fe.Sel.Name
-			default:
-				return true
-			}
-			if ops[calleeName] {
-				found = true
-				return false
-			}
-			if f := calleeFunc(sp.pass.Pkg.Info, call); f != nil &&
-				f.Pkg() == sp.pass.Pkg.Types && scanFunc(f) {
-				found = true
-				return false
-			}
+// reaches reports whether fn (a same-package function or a func literal)
+// performs one of the named operations, itself or through the functions of
+// its package that its closure reaches.
+func (sp *scrubPairCheck) reaches(fn ast.Expr, ops map[string]bool) bool {
+	var roots []*types.Func
+	sp.ix.refs(sp.pass.Pkg, fn, make(map[types.Object]bool), &roots)
+	if callsOp(fn, ops) {
+		return true
+	}
+	for f := range sp.ix.closure(roots, nil) {
+		if callsOp(sp.ix.decls[f], ops) {
 			return true
-		})
-		return found
-	}
-
-	scanFunc = func(obj *types.Func) bool {
-		if v, ok := sp.memo[obj]; ok && v[kind] != 0 {
-			return v[kind] == 2
-		}
-		if visited[obj] {
-			return false
-		}
-		visited[obj] = true
-		decl := sp.decls[obj]
-		if decl == nil || decl.Body == nil {
-			return false
-		}
-		got := scanBody(decl.Body)
-		v := sp.memo[obj]
-		if got {
-			v[kind] = 2
-		} else {
-			v[kind] = 1
-		}
-		sp.memo[obj] = v
-		return got
-	}
-
-	switch fe := ast.Unparen(fn).(type) {
-	case *ast.Ident:
-		if f, ok := sp.pass.Pkg.Info.Uses[fe].(*types.Func); ok {
-			return scanFunc(f)
-		}
-	case *ast.FuncLit:
-		return scanBody(fe.Body)
-	case *ast.SelectorExpr:
-		if f, ok := sp.pass.Pkg.Info.Uses[fe.Sel].(*types.Func); ok {
-			return scanFunc(f)
 		}
 	}
 	return false
+}
+
+// callsOp reports whether node calls a function or method named in ops.
+func callsOp(node ast.Node, ops map[string]bool) bool {
+	found := false
+	ast.Inspect(node, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && ops[calleeName(call)] {
+			found = true
+		}
+		return !found
+	})
+	return found
 }

@@ -48,45 +48,57 @@ import (
 	"strings"
 )
 
-// --- shared module index (CHA machinery, also used by tcb.go) ---------------
+// --- shared module index and closure (also used by tcb.go, scrubpair.go) ---
 
-// modIndex is the module-wide declaration/type index both the TCB
-// accountant and the summary engine build their call graphs from.
+// modIndex is the module-wide declaration/type index and the call graph
+// built on it. The TCB accountant, the summary engine and flicker extract
+// all walk these edges, so there is one dependency closure.
 type modIndex struct {
 	l     *Loader
 	pkgs  []*Package
 	decls map[*types.Func]*ast.FuncDecl
 	pkgOf map[*types.Func]*Package
+	// inits maps each package-level variable with an initializer to it, so
+	// a function that uses the variable reaches what the initializer names
+	// (phase tables, dispatch maps, method values).
+	inits map[*types.Var]varInit
 	// named collects every named type in the module, for CHA.
 	named []*types.Named
 	// visible memoizes each package's transitive import closure (itself
 	// included), the set of packages whose types it can name.
 	visible map[*types.Package]map[*types.Package]bool
+	// edges is the call graph: see callEdges.
+	edges map[*types.Func][]*types.Func
 }
 
-// newModIndex indexes every function declaration and named type in pkgs.
+// varInit is one package-level variable's initializer expression.
+type varInit struct {
+	pkg *Package
+	rhs ast.Expr
+}
+
+// newModIndex indexes every function declaration, variable initializer and
+// named type in pkgs, then builds the call graph over them.
 func newModIndex(l *Loader, pkgs []*Package) *modIndex {
 	ix := &modIndex{
 		l:       l,
 		pkgs:    pkgs,
 		decls:   make(map[*types.Func]*ast.FuncDecl),
 		pkgOf:   make(map[*types.Func]*Package),
+		inits:   make(map[*types.Var]varInit),
 		visible: make(map[*types.Package]map[*types.Package]bool),
 	}
 	for _, pkg := range pkgs {
 		if pkg.Types == nil {
 			continue
 		}
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					ix.decls[obj] = fd
-					ix.pkgOf[obj] = pkg
-				}
+		for obj, fd := range funcDeclOf(pkg) {
+			ix.decls[obj] = fd
+			ix.pkgOf[obj] = pkg
+		}
+		for _, in := range pkg.Info.InitOrder {
+			for _, v := range in.Lhs {
+				ix.inits[v] = varInit{pkg, in.Rhs}
 			}
 		}
 		scope := pkg.Types.Scope()
@@ -98,6 +110,7 @@ func newModIndex(l *Loader, pkgs []*Package) *modIndex {
 			}
 		}
 	}
+	ix.edges = ix.callEdges()
 	return ix
 }
 
@@ -128,14 +141,19 @@ func (ix *modIndex) visibleFrom(pkg, def *types.Package) bool {
 	return closure[def]
 }
 
-// implementors returns, for an interface method, the corresponding concrete
-// method of every module type implementing the interface (CHA).
-func (ix *modIndex) implementors(m *types.Func) []*types.Func {
-	iface, ok := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
-	if !ok {
-		return nil
+// implementors returns, for an interface method m named in package from,
+// the corresponding concrete method of every module type implementing the
+// interface that from can name (CHA). isIface is false when m is not an
+// interface method.
+func (ix *modIndex) implementors(m *types.Func, from *types.Package) (out []*types.Func, isIface bool) {
+	recv := m.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil, false
 	}
-	var out []*types.Func
+	iface, ok := recv.Type().Underlying().(*types.Interface)
+	if !ok {
+		return nil, false
+	}
 	for _, named := range ix.named {
 		if _, isIface := named.Underlying().(*types.Interface); isIface {
 			continue
@@ -148,50 +166,90 @@ func (ix *modIndex) implementors(m *types.Func) []*types.Func {
 			}
 		}
 		obj, _, _ := types.LookupFieldOrMethod(recv, true, m.Pkg(), m.Name())
-		if f, ok := obj.(*types.Func); ok {
+		if f, ok := obj.(*types.Func); ok && ix.visibleFrom(from, f.Pkg()) {
 			out = append(out, f)
 		}
 	}
-	return out
+	return out, true
 }
 
 // callEdges records, for each declared function, every module function it
 // references plus the CHA expansion of every interface method it calls,
-// restricted to the caller's import closure.
+// restricted to the caller's import closure. A package-level variable the
+// function uses counts as its initializer: the functions that names are
+// edges too, followed through any variables it uses in turn.
 func (ix *modIndex) callEdges() map[*types.Func][]*types.Func {
 	edges := make(map[*types.Func][]*types.Func, len(ix.decls))
 	for obj, fd := range ix.decls {
-		pkg := ix.pkgOf[obj]
 		var out []*types.Func
-		seen := make(map[*types.Func]bool)
-		add := func(f *types.Func) {
-			if f != nil && !seen[f] && ix.decls[f] != nil {
-				seen[f] = true
-				out = append(out, f)
-			}
-		}
-		ast.Inspect(fd, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if f, ok := pkg.Info.Uses[id].(*types.Func); ok {
-					if recv := f.Type().(*types.Signature).Recv(); recv != nil {
-						if _, isIface := recv.Type().Underlying().(*types.Interface); isIface {
-							for _, impl := range ix.implementors(f) {
-								if ix.visibleFrom(pkg.Types, impl.Pkg()) {
-									add(impl)
-								}
-							}
-							return true
-						}
-					}
-					add(f)
-				}
-			}
-			return true
-		})
+		seen := make(map[types.Object]bool)
+		ix.refs(ix.pkgOf[obj], fd, seen, &out)
 		sort.Slice(out, func(i, j int) bool { return funcID(out[i]) < funcID(out[j]) })
 		edges[obj] = out
 	}
 	return edges
+}
+
+// refs appends to out each declared module function node (in pkg) names,
+// skipping what seen already holds.
+func (ix *modIndex) refs(pkg *Package, node ast.Node, seen map[types.Object]bool, out *[]*types.Func) {
+	add := func(f *types.Func) {
+		if !seen[f] && ix.decls[f] != nil {
+			seen[f] = true
+			*out = append(*out, f)
+		}
+	}
+	ast.Inspect(node, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		switch obj := pkg.Info.Uses[id].(type) {
+		case *types.Func:
+			impls, isIface := ix.implementors(obj, pkg.Types)
+			if !isIface {
+				impls = []*types.Func{obj}
+			}
+			for _, f := range impls {
+				add(f)
+			}
+		case *types.Var:
+			if in, ok := ix.inits[obj]; ok && !seen[obj] {
+				seen[obj] = true
+				ix.refs(in.pkg, in.rhs, seen, out)
+			}
+		}
+		return true
+	})
+}
+
+// closure returns the functions reachable from roots over the call
+// edges, roots included. A callee for which stop reports true is neither
+// counted nor followed.
+func (ix *modIndex) closure(roots []*types.Func, stop func(*types.Func) bool) map[*types.Func]bool {
+	reach := make(map[*types.Func]bool)
+	queue := append([]*types.Func(nil), roots...)
+	for _, f := range queue {
+		reach[f] = true
+	}
+	for len(queue) > 0 {
+		f := queue[0]
+		queue = queue[1:]
+		for _, callee := range ix.edges[f] {
+			if !reach[callee] && (stop == nil || !stop(callee)) {
+				reach[callee] = true
+				queue = append(queue, callee)
+			}
+		}
+	}
+	return reach
+}
+
+// Closure is the dependency closure of roots over every package l has
+// loaded: the module functions the roots reach, roots included. It is
+// the closure the TCB report counts and flicker extract emits.
+func Closure(l *Loader, roots ...*types.Func) map[*types.Func]bool {
+	return newModIndex(l, l.Packages()).closure(roots, nil)
 }
 
 // --- taint tags and sink kinds ----------------------------------------------
@@ -312,12 +370,11 @@ const sccRounds = 3
 const maxChaFanout = 8
 
 // Interp is the interprocedural context shared by one analysis run: the
-// module index, the call graph, and the computed summaries.
+// module index with its call graph, and the computed summaries.
 type Interp struct {
-	l     *Loader
-	idx   *modIndex
-	edges map[*types.Func][]*types.Func
-	sums  map[*types.Func]*FuncSummary
+	l    *Loader
+	idx  *modIndex
+	sums map[*types.Func]*FuncSummary
 
 	// census for atomicsafe, built lazily (see atomicsafe.go).
 	atomics *atomicCensus
@@ -331,7 +388,6 @@ func NewInterp(l *Loader, pkgs []*Package) *Interp {
 		idx:  newModIndex(l, pkgs),
 		sums: make(map[*types.Func]*FuncSummary),
 	}
-	ip.edges = ip.idx.callEdges()
 	for _, scc := range ip.sccs() {
 		rounds := 1
 		if len(scc) > 1 || ip.selfRecursive(scc[0]) {
@@ -357,7 +413,7 @@ func NewInterp(l *Loader, pkgs []*Package) *Interp {
 func (ip *Interp) Summary(fn *types.Func) *FuncSummary { return ip.sums[fn] }
 
 func (ip *Interp) selfRecursive(fn *types.Func) bool {
-	for _, c := range ip.edges[fn] {
+	for _, c := range ip.idx.edges[fn] {
 		if c == fn {
 			return true
 		}
@@ -389,7 +445,7 @@ func (ip *Interp) sccs() [][]*types.Func {
 		next++
 		stack = append(stack, v)
 		onStack[v] = true
-		for _, w := range ip.edges[v] {
+		for _, w := range ip.idx.edges[v] {
 			if _, seen := index[w]; !seen {
 				strongconnect(w)
 				if low[w] < low[v] {
@@ -972,7 +1028,7 @@ func (w *funcWalker) evalCall(call *ast.CallExpr, cond int) []tags {
 		return []tags{w.eval(call.Args[0], cond)}
 	}
 
-	f := calleeFunc(info, call)
+	f := calleeFunc(info, call.Fun)
 
 	// Wire-decode source.
 	if isEndianDecode(f) {
@@ -1045,23 +1101,17 @@ func (w *funcWalker) evalCall(call *ast.CallExpr, cond int) []tags {
 
 	// Interface method: merge the CHA implementors' summaries (bounded).
 	if f != nil {
-		if recv := f.Type().(*types.Signature).Recv(); recv != nil {
-			if _, isIface := recv.Type().Underlying().(*types.Interface); isIface {
-				impls := w.ip.idx.implementors(f)
-				var known []*FuncSummary
-				for _, impl := range impls {
-					if !w.ip.idx.visibleFrom(w.pkg.Types, impl.Pkg()) {
-						continue
-					}
-					if s := w.ip.sums[impl]; s != nil {
-						known = append(known, s)
-					}
+		if impls, isIface := w.ip.idx.implementors(f, w.pkg.Types); isIface {
+			var known []*FuncSummary
+			for _, impl := range impls {
+				if s := w.ip.sums[impl]; s != nil {
+					known = append(known, s)
 				}
-				if len(known) > 0 && len(known) <= maxChaFanout {
-					return w.applySummaries(call, known, cond)
-				}
-				return w.unknownResults(call, cond, tags{})
 			}
+			if len(known) > 0 && len(known) <= maxChaFanout {
+				return w.applySummaries(call, known, cond)
+			}
+			return w.unknownResults(call, cond, tags{})
 		}
 		if s := w.ip.sums[f]; s != nil {
 			return w.applySummaries(call, []*FuncSummary{s}, cond)

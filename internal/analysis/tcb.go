@@ -9,19 +9,20 @@ package analysis
 // instead of a claim that silently rots as hot-path optimizations pile
 // code into internal/pal and internal/palcrypto.
 //
-// The call graph is conservative: every referenced function counts as
-// reachable (function values included), and interface method calls expand
-// to every module type implementing the interface (class-hierarchy
-// analysis). Two deliberate refinements: the session-engine pseudo-entry
-// does not expand the pal.PAL/BatchPAL interfaces — the PAL is the
-// engine's *parameter*, exactly as the paper separates the Flicker
-// infrastructure from each application's PAL — and CHA only admits
-// implementing types the caller's package can name (its transitive import
-// closure). A package cannot construct values of types it cannot import,
-// and this module's layering never injects higher-layer values downward,
-// so e.g. an error type defined in untrusted serving code does not
-// inflate the measured closure of internal/core just because both
-// satisfy the universe error interface.
+// The closure is modIndex's, the one flicker extract emits. It is
+// conservative: every referenced function counts as reachable (function
+// values included, and what a used package-level variable's initializer
+// names, so phase tables and dispatch maps count), and interface method
+// calls expand to every module type implementing the interface
+// (class-hierarchy analysis). CHA only admits implementing types the
+// caller's package can name (its transitive import closure): a package
+// cannot construct values of types it cannot import, and this module's
+// layering never injects higher-layer values downward, so e.g. an error
+// type defined in untrusted serving code does not inflate the measured
+// closure of internal/core just because both satisfy the universe error
+// interface. The session-engine pseudo-entry stops at its parameter, the
+// PAL, as the paper separates the Flicker infrastructure from each
+// application's PAL, and at the platform it drives (engineBoundary).
 
 import (
 	"encoding/json"
@@ -32,7 +33,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -62,6 +62,16 @@ type TCBEntry struct {
 	Packages map[string]TCBPackage `json:"packages"`
 	// BudgetLines is the tracked budget, 0 when no budget file was given.
 	BudgetLines int `json:"budget_lines,omitempty"`
+	// Funcs lists every counted function with its line count, sorted by
+	// name, so a reviewer can audit the closure.
+	Funcs []TCBFunc `json:"funcs"`
+}
+
+// TCBFunc is one counted function: its funcID and its declaration's
+// source lines.
+type TCBFunc struct {
+	Func  string `json:"func"`
+	Lines int    `json:"lines"`
 }
 
 // TCBPackage is one package's share of an entry's TCB.
@@ -73,38 +83,28 @@ type TCBPackage struct {
 // sessionEngineEntry names the infrastructure pseudo-entry.
 const sessionEngineEntry = "session-engine"
 
-// tcbGraph is the module-wide call graph: the shared declaration/type/CHA
-// index (modIndex, also the summary engine's substrate — see summary.go)
-// plus the reference edges the reachability walk follows.
-type tcbGraph struct {
-	*modIndex
-	edges map[*types.Func][]*types.Func
-}
-
 // BuildTCBReport computes the per-PAL reachable-code accounting over the
 // loaded module packages.
 func BuildTCBReport(l *Loader, pkgs []*Package) (*TCBReport, error) {
-	g := &tcbGraph{modIndex: newModIndex(l, pkgs)}
-	g.edges = g.callEdges()
-
-	palIface, batchIface, err := g.palInterfaces()
+	ix := newModIndex(l, pkgs)
+	palIface, batchIface, err := ix.palInterfaces()
 	if err != nil {
 		return nil, err
 	}
 
 	rep := &TCBReport{Module: l.Module}
-	for _, e := range g.findEntries(palIface, batchIface) {
-		rep.Entries = append(rep.Entries, g.account(e, palIface, batchIface))
+	for _, e := range ix.findEntries(palIface, batchIface) {
+		rep.Entries = append(rep.Entries, ix.account(*e, palIface))
 	}
 	sort.Slice(rep.Entries, func(i, j int) bool { return rep.Entries[i].PAL < rep.Entries[j].PAL })
 	return rep, nil
 }
 
 // palInterfaces resolves the pal.PAL and pal.BatchPAL interface types.
-func (g *tcbGraph) palInterfaces() (palIface, batchIface *types.Interface, err error) {
-	palPkg := g.l.Package(g.l.Module + "/internal/pal")
+func (ix *modIndex) palInterfaces() (palIface, batchIface *types.Interface, err error) {
+	palPkg := ix.l.Package(ix.l.Module + "/internal/pal")
 	if palPkg == nil || palPkg.Types == nil {
-		return nil, nil, fmt.Errorf("analysis: %s/internal/pal not loaded", g.l.Module)
+		return nil, nil, fmt.Errorf("analysis: %s/internal/pal not loaded", ix.l.Module)
 	}
 	lookup := func(name string) (*types.Interface, error) {
 		obj := palPkg.Types.Scope().Lookup(name)
@@ -135,14 +135,27 @@ type tcbEntrySpec struct {
 	engine bool
 }
 
-// findEntries discovers PAL entry points: named app types implementing
-// pal.PAL, pal.Func composite literals, and the session-engine pseudo-entry.
-func (g *tcbGraph) findEntries(palIface, batchIface *types.Interface) []tcbEntrySpec {
-	var specs []tcbEntrySpec
-	appsPrefix := g.l.Module + "/internal/apps/"
+// findEntries discovers PAL entry points, by entry name: named app types
+// implementing pal.PAL, pal.Func composite literals, and the
+// session-engine pseudo-entry.
+func (ix *modIndex) findEntries(palIface, batchIface *types.Interface) map[string]*tcbEntrySpec {
+	specs := make(map[string]*tcbEntrySpec)
+	// add merges entries sharing a name (two pal.Func literals may share a
+	// PALName).
+	add := func(name string, engine bool, entries ...*types.Func) {
+		if len(entries) == 0 {
+			return
+		}
+		if s := specs[name]; s != nil {
+			s.entries = append(s.entries, entries...)
+			return
+		}
+		specs[name] = &tcbEntrySpec{name: name, entries: entries, engine: engine}
+	}
+	appsPrefix := ix.l.Module + "/internal/apps/"
 
 	// Named PAL implementations in app packages.
-	for _, named := range g.named {
+	for _, named := range ix.named {
 		tn := named.Obj()
 		if tn.Pkg() == nil || !strings.HasPrefix(tn.Pkg().Path(), appsPrefix) {
 			continue
@@ -161,22 +174,11 @@ func (g *tcbGraph) findEntries(palIface, batchIface *types.Interface) []tcbEntry
 		if types.Implements(recv, batchIface) {
 			methods = append(methods, "OpenBatch", "RunRequest", "CloseBatch")
 		}
-		var entries []*types.Func
-		for _, m := range methods {
-			obj, _, _ := types.LookupFieldOrMethod(recv, true, tn.Pkg(), m)
-			if f, ok := obj.(*types.Func); ok && g.decls[f] != nil {
-				entries = append(entries, f)
-			}
-		}
-		if len(entries) == 0 {
-			continue
-		}
-		name := g.palNameOf(recv, tn)
-		specs = append(specs, tcbEntrySpec{name: name, entries: entries})
+		add(ix.palNameOf(recv, tn), false, ix.methods(recv, tn.Pkg(), methods...)...)
 	}
 
 	// pal.Func composite literals (adapter PALs) in app packages.
-	for _, pkg := range g.pkgs {
+	for _, pkg := range ix.pkgs {
 		if pkg.Types == nil || !strings.HasPrefix(pkg.Path, appsPrefix) {
 			continue
 		}
@@ -185,23 +187,16 @@ func (g *tcbGraph) findEntries(palIface, batchIface *types.Interface) []tcbEntry
 			ast.Inspect(f, func(n ast.Node) bool {
 				if fd, ok := n.(*ast.FuncDecl); ok {
 					enclosing, _ = pkg.Info.Defs[fd.Name].(*types.Func)
-					return true
 				}
 				cl, ok := n.(*ast.CompositeLit)
 				if !ok {
 					return true
 				}
-				tv, ok := pkg.Info.Types[cl]
-				if !ok {
-					return true
-				}
-				t := tv.Type
+				t := pkg.Info.TypeOf(cl)
 				if p, ok := t.(*types.Pointer); ok {
 					t = p.Elem()
 				}
-				named, ok := t.(*types.Named)
-				if !ok || named.Obj().Name() != "Func" || named.Obj().Pkg() == nil ||
-					named.Obj().Pkg().Path() != g.l.Module+"/internal/pal" {
+				if named, ok := t.(*types.Named); !ok || !isPkgObject(named.Obj(), ix.l.Module+"/internal/pal", "Func") {
 					return true
 				}
 				name := ""
@@ -211,127 +206,88 @@ func (g *tcbGraph) findEntries(palIface, batchIface *types.Interface) []tcbEntry
 					if !ok {
 						continue
 					}
-					key, ok := kv.Key.(*ast.Ident)
-					if !ok {
-						continue
-					}
-					switch key.Name {
+					switch types.ExprString(kv.Key) {
 					case "PALName":
 						// The value may be a literal or a named constant;
 						// the type-checker folded both.
-						if tv, ok := pkg.Info.Types[kv.Value]; ok && tv.Value != nil &&
-							tv.Value.Kind() == constant.String {
-							name = constant.StringVal(tv.Value)
+						if v := pkg.Info.Types[kv.Value].Value; v != nil && v.Kind() == constant.String {
+							name = constant.StringVal(v)
 						}
 					case "Fn":
-						switch fe := ast.Unparen(kv.Value).(type) {
-						case *ast.Ident:
-							entry, _ = pkg.Info.Uses[fe].(*types.Func)
-						case *ast.SelectorExpr:
-							entry, _ = pkg.Info.Uses[fe.Sel].(*types.Func)
-						case *ast.FuncLit:
+						entry = calleeFunc(pkg.Info, kv.Value)
+						if _, lit := ast.Unparen(kv.Value).(*ast.FuncLit); lit {
 							// A literal body belongs to its enclosing
 							// constructor; account from there.
 							entry = enclosing
 						}
 					}
 				}
-				if entry == nil || g.decls[entry] == nil {
-					return true
+				if entry != nil && ix.decls[entry] != nil {
+					if name == "" {
+						name = entry.Name()
+					}
+					add(name, false, entry)
 				}
-				if name == "" {
-					name = entry.Name()
-				}
-				specs = append(specs, tcbEntrySpec{name: name, entries: []*types.Func{entry}})
 				return true
 			})
 		}
 	}
 
 	// The session engine: what the platform itself executes around a PAL.
-	corePkg := g.l.Package(g.l.Module + "/internal/core")
-	if corePkg != nil && corePkg.Types != nil {
-		var entries []*types.Func
-		if obj := corePkg.Types.Scope().Lookup("Platform"); obj != nil {
-			recv := types.NewPointer(obj.Type())
-			for _, m := range []string{"RunSession", "RunSessionConcurrent", "RunSessionBatch"} {
-				o, _, _ := types.LookupFieldOrMethod(recv, true, corePkg.Types, m)
-				if f, ok := o.(*types.Func); ok && g.decls[f] != nil {
-					entries = append(entries, f)
-				}
-			}
-		}
-		if len(entries) > 0 {
-			specs = append(specs, tcbEntrySpec{name: sessionEngineEntry, entries: entries, engine: true})
+	if core := ix.l.Package(ix.l.Module + "/internal/core"); core != nil && core.Types != nil {
+		if obj := core.Types.Scope().Lookup("Platform"); obj != nil {
+			add(sessionEngineEntry, true, ix.methods(types.NewPointer(obj.Type()), core.Types,
+				"RunSession", "RunSessionConcurrent", "RunSessionBatch")...)
 		}
 	}
+	return specs
+}
 
-	// Deduplicate by name (two pal.Func literals may share a PALName).
-	byName := make(map[string]*tcbEntrySpec)
-	var order []string
-	for _, s := range specs {
-		if cur, ok := byName[s.name]; ok {
-			cur.entries = append(cur.entries, s.entries...)
-			continue
+// methods returns recv's declared methods of the given names.
+func (ix *modIndex) methods(recv types.Type, pkg *types.Package, names ...string) []*types.Func {
+	var out []*types.Func
+	for _, m := range names {
+		obj, _, _ := types.LookupFieldOrMethod(recv, true, pkg, m)
+		if f, ok := obj.(*types.Func); ok && ix.decls[f] != nil {
+			out = append(out, f)
 		}
-		s := s
-		byName[s.name] = &s
-		order = append(order, s.name)
-	}
-	out := make([]tcbEntrySpec, 0, len(order))
-	for _, n := range order {
-		out = append(out, *byName[n])
 	}
 	return out
 }
 
 // palNameOf extracts the PAL's wire name from a trivial Name() method
-// (single return of a string literal), falling back to pkg.Type.
-func (g *tcbGraph) palNameOf(recv types.Type, tn *types.TypeName) string {
-	fallback := tn.Pkg().Name() + "." + tn.Name()
-	obj, _, _ := types.LookupFieldOrMethod(recv, true, tn.Pkg(), "Name")
-	f, ok := obj.(*types.Func)
-	if !ok {
-		return fallback
+// (a single return of a string constant), falling back to pkg.Type.
+func (ix *modIndex) palNameOf(recv types.Type, tn *types.TypeName) string {
+	for _, f := range ix.methods(recv, tn.Pkg(), "Name") {
+		if body := ix.decls[f].Body; body != nil && len(body.List) == 1 {
+			if ret, ok := body.List[0].(*ast.ReturnStmt); ok && len(ret.Results) == 1 {
+				if v := ix.pkgOf[f].Info.Types[ret.Results[0]].Value; v != nil && v.Kind() == constant.String {
+					return constant.StringVal(v)
+				}
+			}
+		}
 	}
-	decl := g.decls[f]
-	if decl == nil || decl.Body == nil || len(decl.Body.List) != 1 {
-		return fallback
-	}
-	ret, ok := decl.Body.List[0].(*ast.ReturnStmt)
-	if !ok || len(ret.Results) != 1 {
-		return fallback
-	}
-	lit, ok := ret.Results[0].(*ast.BasicLit)
-	if !ok {
-		return fallback
-	}
-	if s, err := strconv.Unquote(lit.Value); err == nil {
-		return s
-	}
-	return fallback
+	return tn.Pkg().Name() + "." + tn.Name()
 }
 
+// engineBoundary lists the packages, under internal/, where the session
+// engine's closure stops, as it stops at the PAL's methods: the simulated
+// machine (CPU, memory, TIS), the untrusted OS (kernel, flickermod) and
+// the simulated clock are what the engine drives, not code the SLB Core
+// carries. The PAL entries count them: a PAL's closure is its own.
+const engineBoundary = "hw/cpu hw/memory hw/tis kernel simtime flickermod"
+
 // account computes one entry's reachable set and line totals.
-func (g *tcbGraph) account(spec tcbEntrySpec, palIface, batchIface *types.Interface) TCBEntry {
-	reach := make(map[*types.Func]bool)
-	queue := append([]*types.Func(nil), spec.entries...)
-	for _, f := range queue {
-		reach[f] = true
-	}
-	for len(queue) > 0 {
-		f := queue[0]
-		queue = queue[1:]
-		for _, callee := range g.edges[f] {
-			if reach[callee] {
-				continue
-			}
-			if spec.engine && g.isPALMethod(callee, palIface, batchIface) {
-				// The PAL is the engine's parameter, not its TCB.
-				continue
-			}
-			reach[callee] = true
-			queue = append(queue, callee)
+func (ix *modIndex) account(spec tcbEntrySpec, palIface *types.Interface) TCBEntry {
+	var stop func(*types.Func) bool
+	if spec.engine {
+		outside := make(map[string]bool)
+		for _, p := range strings.Fields(engineBoundary) {
+			outside[ix.l.Module+"/internal/"+p] = true
+		}
+		// The PAL is the engine's parameter, not its TCB.
+		stop = func(f *types.Func) bool {
+			return outside[f.Pkg().Path()] || isPALMethod(f, palIface)
 		}
 	}
 
@@ -340,26 +296,28 @@ func (g *tcbGraph) account(spec tcbEntrySpec, palIface, batchIface *types.Interf
 		entry.EntryPoints = append(entry.EntryPoints, funcID(f))
 	}
 	sort.Strings(entry.EntryPoints)
-	for f := range reach {
-		decl := g.decls[f]
-		pkg := g.pkgOf[f]
-		start := g.l.Fset.Position(decl.Pos()).Line
-		end := g.l.Fset.Position(decl.End()).Line
+	for f := range ix.closure(spec.entries, stop) {
+		decl := ix.decls[f]
+		pkg := ix.pkgOf[f]
+		start := ix.l.Fset.Position(decl.Pos()).Line
+		end := ix.l.Fset.Position(decl.End()).Line
 		lines := end - start + 1
 		entry.Functions++
 		entry.Lines += lines
+		entry.Funcs = append(entry.Funcs, TCBFunc{Func: funcID(f), Lines: lines})
 		pp := entry.Packages[pkg.Path]
 		pp.Functions++
 		pp.Lines += lines
 		entry.Packages[pkg.Path] = pp
 	}
+	sort.Slice(entry.Funcs, func(i, j int) bool { return entry.Funcs[i].Func < entry.Funcs[j].Func })
 	return entry
 }
 
 // isPALMethod reports whether f is a concrete implementation of a
 // pal.PAL/pal.BatchPAL interface method (Run, OpenBatch, RunRequest,
 // CloseBatch, Name, Code, ExtraCode) on a type implementing pal.PAL.
-func (g *tcbGraph) isPALMethod(f *types.Func, palIface, batchIface *types.Interface) bool {
+func isPALMethod(f *types.Func, palIface *types.Interface) bool {
 	sig := f.Type().(*types.Signature)
 	if sig.Recv() == nil {
 		return false
@@ -424,9 +382,10 @@ func LoadTCBBudget(path string) (*TCBBudget, error) {
 }
 
 // CheckTCBBudget annotates the report with budgets and returns one error
-// per violation: an entry over its budget, an entry with no budget (TCB
+// per violation: an entry over its budget, a budget more than 25% above
+// its entry (slack that would hide growth), an entry with no budget (TCB
 // growth must be a reviewed, deliberate act — new PALs get a budget line
-// in the same PR), or a stale budget naming no current entry.
+// in the same change), or a stale budget naming no current entry.
 func CheckTCBBudget(rep *TCBReport, budget *TCBBudget) []error {
 	var errs []error
 	seen := make(map[string]bool)
@@ -446,6 +405,11 @@ func CheckTCBBudget(rep *TCBReport, budget *TCBBudget) []error {
 				"tcb: %q reachable TCB is %d lines, over its %d-line budget; "+
 					"shrink the closure or raise the budget in a reviewed change",
 				e.PAL, e.Lines, max))
+		}
+		if max*4 > e.Lines*5 {
+			errs = append(errs, fmt.Errorf(
+				"tcb: %q budget of %d lines is more than 25%% above its %d-line TCB; lower it",
+				e.PAL, max, e.Lines))
 		}
 		for pkg := range e.Packages {
 			for _, forbidden := range budget.ForbiddenPackages {

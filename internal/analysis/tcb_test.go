@@ -1,6 +1,9 @@
 package analysis
 
 import (
+	"go/types"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -61,6 +64,41 @@ func TestTCBReportEntries(t *testing.T) {
 	}
 }
 
+// TestClosureFollowsVariables pins the closure's reach through function
+// values: a phase table held in a variable, a dispatch map reached through
+// a second variable, and a method value.
+func TestClosureFollowsVariables(t *testing.T) {
+	root, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := l.LoadDirAs(filepath.Join("testdata", "src", "closure"), "flicker/internal/closurefixture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, te := range pkg.TypeErrors {
+		t.Fatalf("fixture does not type-check: %v", te)
+	}
+	for root, want := range map[string]string{
+		"RunPhases": "RunPhases firstBody secondBody",
+		"Dispatch":  "Dispatch double square",
+		"Count":     "Count incr",
+	} {
+		var got []string
+		for f := range Closure(l, pkg.Types.Scope().Lookup(root).(*types.Func)) {
+			got = append(got, f.Name())
+		}
+		sort.Strings(got)
+		if strings.Join(got, " ") != want {
+			t.Errorf("closure of %s = %v, want %s", root, got, want)
+		}
+	}
+}
+
 func TestTCBBudgetCheck(t *testing.T) {
 	rep := &TCBReport{Module: "flicker", Entries: []TCBEntry{
 		{PAL: "ssh-auth", Lines: 2600, Functions: 10},
@@ -89,6 +127,17 @@ func TestTCBBudgetCheck(t *testing.T) {
 	rep2 := &TCBReport{Entries: []TCBEntry{{PAL: "ssh-auth", Lines: 2400}}}
 	if errs := CheckTCBBudget(rep2, &TCBBudget{Budgets: map[string]int{"ssh-auth": 2500}}); len(errs) != 0 {
 		t.Errorf("clean budget produced errors: %v", errs)
+	}
+
+	// The budget bites both ways: 25% above the measurement is the most
+	// slack it may keep.
+	rep3 := &TCBReport{Entries: []TCBEntry{{PAL: "ssh-auth", Lines: 2000}}}
+	if errs := CheckTCBBudget(rep3, &TCBBudget{Budgets: map[string]int{"ssh-auth": 2500}}); len(errs) != 0 {
+		t.Errorf("budget exactly 25%% above produced errors: %v", errs)
+	}
+	errs = CheckTCBBudget(rep3, &TCBBudget{Budgets: map[string]int{"ssh-auth": 2501}})
+	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "more than 25% above its 2000-line TCB") {
+		t.Errorf("slack budget: got %v, want one more-than-25%% error", errs)
 	}
 }
 

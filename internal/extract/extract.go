@@ -6,12 +6,14 @@
 // a standalone C program. The tool also indicates which additional
 // functions from standard libraries must be eliminated or replaced."
 //
-// The original operated on C via CIL; this version operates on Go source
-// via go/ast. Given a package's source and a target function, it emits a
-// standalone source file containing the target plus every package-level
-// function, type, constant and variable it transitively depends on, and
-// reports the imported-package references (the Go analogue of printf and
-// malloc) that the programmer must eliminate or replace with PAL modules.
+// The original operated on C via CIL; this version operates on Go source.
+// It loads the target's package through analysis.Loader and takes the
+// target's dependency closure from analysis.Closure, the closure the TCB
+// report counts. It emits the closure's functions from the target's own
+// package, plus the package-level types, constants and variables those
+// declarations use, as one standalone source file, and reports the
+// imported-package references (the Go analogue of printf and malloc) that
+// the programmer must eliminate or replace with PAL modules.
 package extract
 
 import (
@@ -19,9 +21,12 @@ import (
 	"fmt"
 	"go/ast"
 	"go/format"
-	"go/parser"
 	"go/token"
+	"go/types"
 	"sort"
+	"strings"
+
+	"flicker/internal/analysis"
 )
 
 // Result is the outcome of an extraction.
@@ -29,86 +34,150 @@ type Result struct {
 	// Source is the standalone Go source for the PAL.
 	Source []byte
 	// Included lists the package-level declarations that were pulled in,
-	// in emission order.
+	// in emission order; a method is listed as Type.Method.
 	Included []string
 	// External lists qualified references to other packages (e.g.
 	// "fmt.Printf") that must be eliminated or replaced by PAL modules.
 	External []string
 }
 
-// Extract parses src (one or more Go files of a single package, keyed by
-// file name) and extracts target and its dependency closure.
-func Extract(src map[string]string, target string) (*Result, error) {
-	fset := token.NewFileSet()
-	var files []*ast.File
-	pkgName := ""
-	names := make([]string, 0, len(src))
-	for name := range src {
-		names = append(names, name)
+// Extract loads the package in dir (inside a module) and extracts the
+// dependency closure of targets, each a function name or Type.Method.
+func Extract(dir string, targets ...string) (*Result, error) {
+	if len(targets) == 0 {
+		return nil, fmt.Errorf("extract: no target")
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		f, err := parser.ParseFile(fset, name, src[name], parser.ParseComments)
+	root, err := analysis.FindModuleRoot(dir)
+	if err != nil {
+		return nil, err
+	}
+	l, err := analysis.NewLoader(root)
+	if err != nil {
+		return nil, err
+	}
+	pkg, err := l.LoadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("extract: %w", err)
+	}
+	if len(pkg.TypeErrors) > 0 {
+		return nil, fmt.Errorf("extract: %s: %w", pkg.Path, pkg.TypeErrors[0])
+	}
+	var roots []*types.Func
+	for _, t := range targets {
+		f, err := lookup(pkg.Types, t)
 		if err != nil {
-			return nil, fmt.Errorf("extract: parsing %s: %w", name, err)
+			return nil, err
 		}
-		if pkgName == "" {
-			pkgName = f.Name.Name
-		} else if f.Name.Name != pkgName {
-			return nil, fmt.Errorf("extract: mixed packages %q and %q", pkgName, f.Name.Name)
-		}
-		files = append(files, f)
-	}
-	idx := buildIndex(files)
-	if _, ok := idx.decls[target]; !ok {
-		return nil, fmt.Errorf("extract: target function %q not found", target)
-	}
-	if _, isFunc := idx.funcs[target]; !isFunc {
-		return nil, fmt.Errorf("extract: target %q is not a function", target)
+		roots = append(roots, f)
 	}
 
-	// BFS over the dependency closure.
-	included := map[string]bool{}
-	external := map[string]bool{}
-	queue := []string{target}
-	for len(queue) > 0 {
-		name := queue[0]
-		queue = queue[1:]
-		if included[name] {
-			continue
-		}
-		decl, ok := idx.decls[name]
-		if !ok {
-			continue
-		}
-		included[name] = true
-		for _, dep := range referencedNames(decl, idx, external) {
-			if !included[dep] {
-				queue = append(queue, dep)
+	// The package's declarations, by the objects they define; a constant
+	// brings its whole block, whose implicit values depend on its order.
+	nodes := make(map[types.Object]ast.Node)
+	block := make(map[types.Object][]types.Object)
+	for _, f := range pkg.Files {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				nodes[pkg.Info.Defs[d.Name]] = d
+			case *ast.GenDecl:
+				var objs []types.Object
+				for _, s := range d.Specs {
+					for _, id := range specNames(s) {
+						nodes[pkg.Info.Defs[id]] = s
+						objs = append(objs, pkg.Info.Defs[id])
+					}
+				}
+				if d.Tok == token.CONST {
+					for _, o := range objs {
+						block[o] = objs
+					}
+				}
 			}
 		}
 	}
 
-	// Emit in original declaration order for stability.
-	out := &bytes.Buffer{}
-	fmt.Fprintf(out, "// Code generated by flicker extract; target %s. DO NOT EDIT.\n", target)
-	fmt.Fprintf(out, "package pal%s\n\n", target)
-	var order []string
-	for name := range included {
-		order = append(order, name)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		return idx.order[order[i]] < idx.order[order[j]]
-	})
-	res := &Result{}
-	for _, name := range order {
-		var buf bytes.Buffer
-		if err := format.Node(&buf, fset, idx.decls[name]); err != nil {
-			return nil, fmt.Errorf("extract: formatting %s: %w", name, err)
+	// Keep the closure's functions in this package and every declaration
+	// of it they use, transitively.
+	keep := make(map[types.Object]bool)
+	var queue []types.Object
+	push := func(obj types.Object) {
+		if obj != nil && !keep[obj] && nodes[obj] != nil {
+			keep[obj] = true
+			queue = append(queue, obj)
 		}
-		out.Write(buf.Bytes())
+	}
+	for f := range analysis.Closure(l, roots...) {
+		if f.Pkg() == pkg.Types {
+			push(f)
+		}
+	}
+	external := make(map[string]bool)
+	for len(queue) > 0 {
+		obj := queue[0]
+		queue = queue[1:]
+		for _, o := range block[obj] {
+			push(o)
+		}
+		ast.Inspect(nodes[obj], func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if id, ok := n.X.(*ast.Ident); ok {
+					if _, ok := pkg.Info.Uses[id].(*types.PkgName); ok {
+						external[id.Name+"."+n.Sel.Name] = true
+						return false
+					}
+				}
+			case *ast.Ident:
+				push(pkg.Info.Uses[n])
+			}
+			return true
+		})
+	}
+
+	// Emit in original declaration order for stability.
+	res := &Result{}
+	var decls []ast.Decl
+	for _, f := range pkg.Files {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if obj := pkg.Info.Defs[d.Name]; keep[obj] {
+					name := d.Name.Name
+					if recv := obj.(*types.Func).Type().(*types.Signature).Recv(); recv != nil {
+						rt := types.TypeString(recv.Type(), func(*types.Package) string { return "" })
+						name = strings.TrimPrefix(rt, "*") + "." + name
+					}
+					res.Included = append(res.Included, name)
+					decls = append(decls, d)
+				}
+			case *ast.GenDecl:
+				var specs []ast.Spec
+				for _, s := range d.Specs {
+					n := len(res.Included)
+					for _, id := range specNames(s) {
+						if keep[pkg.Info.Defs[id]] {
+							res.Included = append(res.Included, id.Name)
+						}
+					}
+					if len(res.Included) > n {
+						specs = append(specs, s)
+					}
+				}
+				if len(specs) > 0 {
+					decls = append(decls, &ast.GenDecl{Tok: d.Tok, Specs: specs})
+				}
+			}
+		}
+	}
+	out := &bytes.Buffer{}
+	fmt.Fprintf(out, "// Code generated by flicker extract; target %s. DO NOT EDIT.\n", strings.Join(targets, ", "))
+	fmt.Fprintf(out, "package pal%s\n\n", strings.ReplaceAll(targets[0], ".", ""))
+	for _, d := range decls {
+		if err := format.Node(out, l.Fset, d); err != nil {
+			return nil, fmt.Errorf("extract: formatting: %w", err)
+		}
 		out.WriteString("\n\n")
-		res.Included = append(res.Included, name)
 	}
 	formatted, err := format.Source(out.Bytes())
 	if err != nil {
@@ -123,129 +192,34 @@ func Extract(src map[string]string, target string) (*Result, error) {
 	return res, nil
 }
 
-// index maps package-level declaration names to their AST nodes.
-type index struct {
-	decls   map[string]ast.Decl
-	funcs   map[string]*ast.FuncDecl
-	order   map[string]int
-	imports map[string]bool // import names visible in the package
-}
-
-func buildIndex(files []*ast.File) *index {
-	idx := &index{
-		decls:   make(map[string]ast.Decl),
-		funcs:   make(map[string]*ast.FuncDecl),
-		order:   make(map[string]int),
-		imports: make(map[string]bool),
-	}
-	n := 0
-	add := func(name string, d ast.Decl) {
-		if _, dup := idx.decls[name]; dup {
-			return // methods may collide with funcs by name; keep the first
-		}
-		idx.decls[name] = d
-		idx.order[name] = n
-		n++
-	}
-	for _, f := range files {
-		for _, imp := range f.Imports {
-			name := importName(imp)
-			if name != "" && name != "_" {
-				idx.imports[name] = true
-			}
-		}
-		for _, d := range f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if d.Recv != nil {
-					// Methods ride along with their receiver type.
-					if rt := receiverTypeName(d); rt != "" {
-						add(rt+"."+d.Name.Name, d)
-					}
-					continue
-				}
-				add(d.Name.Name, d)
-				idx.funcs[d.Name.Name] = d
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						add(s.Name.Name, wrapSpec(d, s))
-					case *ast.ValueSpec:
-						for _, id := range s.Names {
-							add(id.Name, wrapSpec(d, s))
-						}
-					}
-				}
-			}
+// lookup resolves a target, Func or Type.Method, in pkg.
+func lookup(pkg *types.Package, target string) (*types.Func, error) {
+	name, method, isMethod := strings.Cut(target, ".")
+	obj := pkg.Scope().Lookup(name)
+	if isMethod {
+		tn, ok := obj.(*types.TypeName)
+		obj = nil
+		if ok {
+			obj, _, _ = types.LookupFieldOrMethod(types.NewPointer(tn.Type()), true, pkg, method)
 		}
 	}
-	return idx
+	if obj == nil {
+		return nil, fmt.Errorf("extract: target function %q not found", target)
+	}
+	f, ok := obj.(*types.Func)
+	if !ok {
+		return nil, fmt.Errorf("extract: target %q is not a function", target)
+	}
+	return f, nil
 }
 
-// wrapSpec rebuilds a single-spec GenDecl so one const/type/var can be
-// emitted independently of its original block.
-func wrapSpec(d *ast.GenDecl, s ast.Spec) ast.Decl {
-	return &ast.GenDecl{Tok: d.Tok, Specs: []ast.Spec{s}}
-}
-
-func importName(imp *ast.ImportSpec) string {
-	if imp.Name != nil {
-		return imp.Name.Name
+// specNames returns the names a type, constant or variable spec declares.
+func specNames(s ast.Spec) []*ast.Ident {
+	switch s := s.(type) {
+	case *ast.TypeSpec:
+		return []*ast.Ident{s.Name}
+	case *ast.ValueSpec:
+		return s.Names
 	}
-	path := imp.Path.Value // quoted
-	path = path[1 : len(path)-1]
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[i+1:]
-		}
-	}
-	return path
-}
-
-func receiverTypeName(d *ast.FuncDecl) string {
-	if len(d.Recv.List) == 0 {
-		return ""
-	}
-	t := d.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name
-	}
-	return ""
-}
-
-// referencedNames walks a declaration collecting package-level identifiers
-// it uses and recording imported-package selector references as external.
-func referencedNames(decl ast.Decl, idx *index, external map[string]bool) []string {
-	var deps []string
-	seen := map[string]bool{}
-	ast.Inspect(decl, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			// pkg.Symbol where pkg is an import: external reference. (A
-			// selector whose X is not an imported name is a field/method
-			// access; recurse normally.)
-			if id, ok := n.X.(*ast.Ident); ok && idx.imports[id.Name] {
-				external[id.Name+"."+n.Sel.Name] = true
-				return false
-			}
-		case *ast.Ident:
-			if _, ok := idx.decls[n.Name]; ok && !seen[n.Name] {
-				seen[n.Name] = true
-				deps = append(deps, n.Name)
-				// Types drag their methods along.
-				for name := range idx.decls {
-					if len(name) > len(n.Name) && name[:len(n.Name)+1] == n.Name+"." && !seen[name] {
-						seen[name] = true
-						deps = append(deps, name)
-					}
-				}
-			}
-		}
-		return true
-	})
-	return deps
+	return nil
 }
