@@ -76,13 +76,9 @@ type SessionResult = core.SessionResult
 
 // BatchPAL is a PAL that can serve several requests inside ONE session:
 // one SKINIT measurement, one Unseal at entry (OpenBatch), N request
-// executions, one Seal at exit (CloseBatch). Plain PALs batch too via the
-// per-request adapter — see AsBatchPAL.
+// executions, one Seal at exit (CloseBatch). A plain PAL batches too: the
+// session engine runs it once per batched request.
 type BatchPAL = pal.BatchPAL
-
-// AsBatchPAL returns p itself if it implements BatchPAL, or a per-request
-// adapter that runs p.Run once per batched request.
-func AsBatchPAL(p PAL) BatchPAL { return pal.AsBatch(p) }
 
 // Batch is a group of requests executed in one session.
 type Batch = core.Batch
@@ -93,13 +89,6 @@ type BatchResult = core.BatchResult
 
 // BatchReply is one request's isolated outcome within a batch.
 type BatchReply = pal.BatchReply
-
-// DecodeBatchOutput splits a batched session's framed output page back into
-// per-request replies and the trailer (for verifiers recomputing PCR-17
-// over the session output).
-func DecodeBatchOutput(b []byte) ([]BatchReply, []byte, error) {
-	return core.DecodeBatchOutput(b)
-}
 
 // Observer receives structured session lifecycle events (session and phase
 // boundaries, clock charges attributed to the open phase). Attach with
@@ -336,7 +325,3 @@ func NewTraceFlightRecorder(trigCap, sampCap int, slow time.Duration) *TraceFlig
 func NewSessionTraceObserver(parents ...*TraceSpan) Observer {
 	return trace.NewSessionObserver(parents...)
 }
-
-// FormatTraceID renders a trace or span ID the canonical way every surface
-// (exemplars, /traces, SessionOptions.TraceID) spells it.
-func FormatTraceID(id uint64) string { return trace.FormatID(id) }

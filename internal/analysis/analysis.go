@@ -38,7 +38,7 @@ type Analyzer struct {
 	// Scope reports whether the analyzer applies to a package import path.
 	// Out-of-scope packages are skipped entirely.
 	Scope func(pkgPath string) bool
-	// NeedsInterp requests the interprocedural summary engine; Run builds
+	// NeedsInterp requests the interprocedural summary engine; RunReport builds
 	// one Interp over every loaded package and shares it across passes.
 	NeedsInterp bool
 	// Run inspects one package and reports findings through the pass.
@@ -90,17 +90,11 @@ func All() []*Analyzer {
 	}
 }
 
-// Run executes the analyzers over the packages (each analyzer only where
-// its scope matches), filters out findings suppressed by
-// //flickervet:allow directives, and returns the rest sorted by position.
-func Run(l *Loader, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunReport(l, pkgs, analyzers)
-	return diags
-}
-
-// RunReport is Run plus the machine-readable report: suppressed findings
-// are kept (with their directive reasons) instead of dropped, and
-// per-analyzer counts cover every analyzer that ran.
+// RunReport executes the analyzers over the packages (each analyzer only
+// where its scope matches) and returns the findings no //flickervet:allow
+// directive suppresses, sorted by position, with the machine-readable
+// report: suppressed findings are kept there with their directive reasons,
+// and per-analyzer counts cover every analyzer that ran.
 func RunReport(l *Loader, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, *VetReport) {
 	var interp *Interp
 	for _, a := range analyzers {
@@ -234,13 +228,6 @@ func collectAllows(fset *token.FileSet, pkg *Package) allowSet {
 		}
 	}
 	return set
-}
-
-// suppresses reports whether a directive on the diagnostic's line or the
-// line immediately above it names the diagnostic's analyzer.
-func (s allowSet) suppresses(d Diagnostic) bool {
-	_, ok := s.match(d)
-	return ok
 }
 
 // match returns the directive suppressing the diagnostic: one on its line

@@ -63,7 +63,7 @@ func TestAnalyzerFixturesGolden(t *testing.T) {
 			if !tc.analyzer.Scope(tc.as) {
 				t.Fatalf("synthetic path %q is outside %s's scope", tc.as, tc.analyzer.Name)
 			}
-			diags := Run(l, []*Package{pkg}, []*Analyzer{tc.analyzer})
+			diags, _ := RunReport(l, []*Package{pkg}, []*Analyzer{tc.analyzer})
 			if len(diags) == 0 {
 				t.Fatalf("%s missed its seeded violation", tc.analyzer.Name)
 			}

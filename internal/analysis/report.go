@@ -56,9 +56,6 @@ type VetSuppression struct {
 	Reason string `json:"reason"`
 }
 
-// Unsuppressed reports the total live finding count.
-func (r *VetReport) Unsuppressed() int { return len(r.Findings) }
-
 // JSON marshals the report, indented, with a trailing newline.
 func (r *VetReport) JSON() ([]byte, error) {
 	b, err := json.MarshalIndent(r, "", "  ")

@@ -51,7 +51,7 @@ var scrubOps = map[string]bool{
 }
 
 func runScrubPair(pass *Pass) {
-	sp := &scrubPairCheck{pass: pass, ix: newModIndex(pass.Loader, []*Package{pass.Pkg})}
+	sp := &scrubPairCheck{pass: pass, ix: newModIndex(pass.Loader, []*Package{pass.Pkg}, false)}
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			cl, ok := n.(*ast.CompositeLit)

@@ -69,6 +69,11 @@ type modIndex struct {
 	visible map[*types.Package]map[*types.Package]bool
 	// edges is the call graph: see callEdges.
 	edges map[*types.Func][]*types.Func
+	// anyImpl expands an interface call to every module implementor, not
+	// only those the caller's package can name. The TCB count keeps the
+	// import-closure filter; the reachability check cannot, because
+	// internal/core runs app PALs through pal.PAL without importing them.
+	anyImpl bool
 }
 
 // varInit is one package-level variable's initializer expression.
@@ -78,11 +83,13 @@ type varInit struct {
 }
 
 // newModIndex indexes every function declaration, variable initializer and
-// named type in pkgs, then builds the call graph over them.
-func newModIndex(l *Loader, pkgs []*Package) *modIndex {
+// named type in pkgs, then builds the call graph over them, expanding
+// interface calls as anyImpl says.
+func newModIndex(l *Loader, pkgs []*Package, anyImpl bool) *modIndex {
 	ix := &modIndex{
 		l:       l,
 		pkgs:    pkgs,
+		anyImpl: anyImpl,
 		decls:   make(map[*types.Func]*ast.FuncDecl),
 		pkgOf:   make(map[*types.Func]*Package),
 		inits:   make(map[*types.Var]varInit),
@@ -166,7 +173,7 @@ func (ix *modIndex) implementors(m *types.Func, from *types.Package) (out []*typ
 			}
 		}
 		obj, _, _ := types.LookupFieldOrMethod(recv, true, m.Pkg(), m.Name())
-		if f, ok := obj.(*types.Func); ok && ix.visibleFrom(from, f.Pkg()) {
+		if f, ok := obj.(*types.Func); ok && (ix.anyImpl || ix.visibleFrom(from, f.Pkg())) {
 			out = append(out, f)
 		}
 	}
@@ -249,7 +256,7 @@ func (ix *modIndex) closure(roots []*types.Func, stop func(*types.Func) bool) ma
 // loaded: the module functions the roots reach, roots included. It is
 // the closure the TCB report counts and flicker extract emits.
 func Closure(l *Loader, roots ...*types.Func) map[*types.Func]bool {
-	return newModIndex(l, l.Packages()).closure(roots, nil)
+	return newModIndex(l, l.Packages(), false).closure(roots, nil)
 }
 
 // --- taint tags and sink kinds ----------------------------------------------
@@ -385,7 +392,7 @@ type Interp struct {
 func NewInterp(l *Loader, pkgs []*Package) *Interp {
 	ip := &Interp{
 		l:    l,
-		idx:  newModIndex(l, pkgs),
+		idx:  newModIndex(l, pkgs, false),
 		sums: make(map[*types.Func]*FuncSummary),
 	}
 	for _, scc := range ip.sccs() {

@@ -86,7 +86,7 @@ const sessionEngineEntry = "session-engine"
 // BuildTCBReport computes the per-PAL reachable-code accounting over the
 // loaded module packages.
 func BuildTCBReport(l *Loader, pkgs []*Package) (*TCBReport, error) {
-	ix := newModIndex(l, pkgs)
+	ix := newModIndex(l, pkgs, false)
 	palIface, batchIface, err := ix.palInterfaces()
 	if err != nil {
 		return nil, err

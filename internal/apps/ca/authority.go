@@ -22,7 +22,6 @@ type Authority struct {
 	pub      *palcrypto.RSAPublicKey
 	sealedDB []byte
 	revoked  map[uint64]bool
-	issued   []*Certificate
 }
 
 // NewAuthority wraps a platform as a CA with the given issuance policy.
@@ -92,65 +91,8 @@ func (a *Authority) Sign(csr *CSR) (*Certificate, error) {
 	}
 	a.mu.Lock()
 	a.sealedDB = newSealed
-	a.issued = append(a.issued, cert)
 	a.mu.Unlock()
 	return cert, nil
-}
-
-// SignBatch runs ONE Flicker session for a group of CSRs: the database is
-// unsealed once, each CSR costs one policy check and one signature, and the
-// database reseals once after the last request (the batch trailer) — the
-// paper's Section 7.4 amortization. The returned slices are parallel to
-// csrs: certs[i] is non-nil exactly when errs[i] is nil. A policy rejection
-// fails only its own CSR; the final error is the batch-level failure, if
-// any (in which case the authority's sealed database is unchanged).
-func (a *Authority) SignBatch(csrs []*CSR) (certs []*Certificate, errs []error, err error) {
-	certs = make([]*Certificate, len(csrs))
-	errs = make([]error, len(csrs))
-	if len(csrs) == 0 {
-		return certs, errs, nil
-	}
-	a.mu.Lock()
-	sealedDB := a.sealedDB
-	a.mu.Unlock()
-	if sealedDB == nil {
-		return nil, nil, errors.New("ca: authority not initialized")
-	}
-	reqs := make([][]byte, len(csrs))
-	for i, csr := range csrs {
-		reqs[i] = EncodeBatchCSR(csr)
-	}
-	br, err := a.P.RunSessionBatch(NewCAPAL(a.policy), core.Batch{Header: sealedDB, Requests: reqs},
-		core.SessionOptions{TwoStage: true})
-	if err != nil {
-		return nil, nil, err
-	}
-	if br.Session.PALError != nil {
-		return nil, nil, fmt.Errorf("ca: sign batch PAL: %w", br.Session.PALError)
-	}
-	issued := make([]*Certificate, 0, len(csrs))
-	for i, r := range br.Replies {
-		if r.Err != nil {
-			if IsPolicyError(r.Err) {
-				errs[i] = ErrPolicyRejected
-			} else {
-				errs[i] = r.Err
-			}
-			continue
-		}
-		cert, derr := DecodeCertificate(r.Output)
-		if derr != nil {
-			errs[i] = derr
-			continue
-		}
-		certs[i] = cert
-		issued = append(issued, cert)
-	}
-	a.mu.Lock()
-	a.sealedDB = br.Trailer
-	a.issued = append(a.issued, issued...)
-	a.mu.Unlock()
-	return certs, errs, nil
 }
 
 // IsPolicyError reports whether a PAL error is a policy rejection.
@@ -195,12 +137,4 @@ func (a *Authority) Validate(cert *Certificate) error {
 		return fmt.Errorf("ca: certificate %d is revoked", cert.Serial)
 	}
 	return nil
-}
-
-// Issued returns the host-visible issuance log (the authoritative log lives
-// in the sealed database).
-func (a *Authority) Issued() []*Certificate {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]*Certificate(nil), a.issued...)
 }

@@ -1,7 +1,6 @@
 package ca
 
 import (
-	"errors"
 	"testing"
 
 	"flicker/internal/attest"
@@ -41,7 +40,41 @@ func newAuthorityNV(t *testing.T, seed string) *Authority {
 	return a
 }
 
-// SignBatch: N certificates from ONE session, sequential serials, all
+// runCABatch runs the CA PAL's framed batch, the one the pool and fabric
+// coalesce into, with the authority's sealed database as the batch header:
+// one unseal, a policy check and signature per CSR, one reseal as the
+// trailer. It adopts the trailer as the authority's database and returns
+// per-CSR certificates and request errors.
+func runCABatch(t *testing.T, a *Authority, csrs []*CSR) ([]*Certificate, []error) {
+	t.Helper()
+	reqs := make([][]byte, len(csrs))
+	for i, csr := range csrs {
+		reqs[i] = EncodeBatchCSR(csr)
+	}
+	br, err := a.P.RunSessionBatch(NewCAPAL(a.policy), core.Batch{Header: a.sealedDB, Requests: reqs},
+		core.SessionOptions{TwoStage: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if br.Session.PALError != nil {
+		t.Fatalf("batch PAL: %v", br.Session.PALError)
+	}
+	certs := make([]*Certificate, len(csrs))
+	errs := make([]error, len(csrs))
+	for i, r := range br.Replies {
+		if r.Err != nil {
+			errs[i] = r.Err
+			continue
+		}
+		if certs[i], errs[i] = DecodeCertificate(r.Output); errs[i] != nil {
+			t.Fatalf("CSR %d: %v", i, errs[i])
+		}
+	}
+	a.sealedDB = br.Trailer
+	return certs, errs
+}
+
+// A batch signs N certificates in ONE session, sequential serials, all
 // verifiable, sealed database advanced once.
 func TestSignBatch(t *testing.T) {
 	a := newAuthority(t, "ca-batch", nil)
@@ -52,12 +85,9 @@ func TestSignBatch(t *testing.T) {
 	}
 	sessions := func() float64 { return a.P.Metrics.Snapshot().Sum("flicker_sessions_total", "ok") }
 	before := sessions()
-	certs, errs, err := a.SignBatch(csrs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	certs, errs := runCABatch(t, a, csrs)
 	if got := sessions() - before; got != 1 {
-		t.Fatalf("SignBatch ran %v sessions for 3 CSRs, want 1", got)
+		t.Fatalf("the batch ran %v sessions for 3 CSRs, want 1", got)
 	}
 	for i, cert := range certs {
 		if errs[i] != nil {
@@ -82,28 +112,22 @@ func TestSignBatch(t *testing.T) {
 	if next.Serial != 4 {
 		t.Fatalf("post-batch serial = %d, want 4", next.Serial)
 	}
-	if got := len(a.Issued()); got != 4 {
-		t.Fatalf("issued log has %d certs, want 4", got)
-	}
 }
 
 // A mid-batch policy rejection fails only its own CSR; the batch still
 // signs the rest and the database still reseals.
 func TestSignBatchPolicyRejectIsolated(t *testing.T) {
 	a := newAuthority(t, "ca-batch-rej", nil)
-	certs, errs, err := a.SignBatch([]*CSR{
+	certs, errs := runCABatch(t, a, []*CSR{
 		testCSR("ok1.corp.example"),
 		testCSR("evil.attacker.example"), // not under the allowed suffix
 		testCSR("ok2.corp.example"),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if errs[0] != nil || errs[2] != nil {
 		t.Fatalf("allowed CSRs failed: %v, %v", errs[0], errs[2])
 	}
-	if !errors.Is(errs[1], ErrPolicyRejected) {
-		t.Fatalf("rejected CSR err = %v, want ErrPolicyRejected", errs[1])
+	if !IsPolicyError(errs[1]) {
+		t.Fatalf("rejected CSR err = %v, want a policy rejection", errs[1])
 	}
 	if certs[1] != nil {
 		t.Fatal("rejected CSR produced a certificate")
@@ -127,13 +151,10 @@ func TestSignBatchPolicyRejectIsolated(t *testing.T) {
 func TestSignBatchReplayProtected(t *testing.T) {
 	a := newAuthorityNV(t, "ca-batch-nv")
 	stale := append([]byte(nil), a.sealedDB...)
-	certs, errs, err := a.SignBatch([]*CSR{
+	certs, errs := runCABatch(t, a, []*CSR{
 		testCSR("a.corp.example"),
 		testCSR("b.corp.example"),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := range certs {
 		if errs[i] != nil {
 			t.Fatalf("CSR %d: %v", i, errs[i])
@@ -141,9 +162,7 @@ func TestSignBatchReplayProtected(t *testing.T) {
 	}
 	// Rolling back to the pre-batch database must fail: the NV counter
 	// moved when the batch resealed.
-	a.mu.Lock()
 	a.sealedDB = stale
-	a.mu.Unlock()
 	if _, err := a.Sign(testCSR("c.corp.example")); err == nil {
 		t.Fatal("stale pre-batch database accepted after a batch advanced the counter")
 	}

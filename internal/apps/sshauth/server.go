@@ -130,68 +130,6 @@ func (s *Server) Login(user string, ciphertext []byte, nonce tpm.Digest) error {
 	return nil
 }
 
-// LoginAttempt is one entry of a batched login group.
-type LoginAttempt struct {
-	User       string
-	Ciphertext []byte
-	Nonce      tpm.Digest
-}
-
-// LoginBatch checks a group of login attempts in ONE Flicker session: the
-// private key is unsealed once (the sealed blob travels as the batch
-// header) and each attempt costs only a decrypt plus an md5crypt — the
-// paper's Section 7.3 amortization. The returned slice has one entry per
-// attempt: nil for a granted login, ErrLoginFailed (or the infrastructure
-// error) otherwise. Grant/deny decisions are identical to calling Login
-// once per attempt.
-func (s *Server) LoginBatch(attempts []LoginAttempt) []error {
-	errs := make([]error, len(attempts))
-	if len(attempts) == 0 {
-		return errs
-	}
-	s.mu.Lock()
-	sdata := s.sdata
-	entries := make([]PasswdEntry, len(attempts))
-	known := make([]bool, len(attempts))
-	for i, at := range attempts {
-		entries[i], known[i] = s.passwd[at.User]
-	}
-	s.mu.Unlock()
-	if sdata == nil {
-		err := errors.New("sshauth: server not set up")
-		for i := range errs {
-			errs[i] = err
-		}
-		return errs
-	}
-	reqs := make([][]byte, len(attempts))
-	for i, at := range attempts {
-		reqs[i] = EncodeBatchLogin(at.Ciphertext, entries[i].Salt, at.Nonce)
-	}
-	br, err := s.P.RunSessionBatch(NewSSHPAL(), core.Batch{Header: sdata, Requests: reqs},
-		core.SessionOptions{TwoStage: true})
-	if err == nil && br.Session.PALError != nil {
-		err = br.Session.PALError
-	}
-	if err != nil {
-		for i := range errs {
-			errs[i] = err
-		}
-		return errs
-	}
-	for i := range attempts {
-		switch {
-		case !known[i]:
-			errs[i] = ErrLoginFailed
-		case br.Replies[i].Err != nil:
-			errs[i] = ErrLoginFailed
-		case !palcrypto.ConstantTimeEqual(br.Replies[i].Output, []byte(entries[i].Stored)):
-			errs[i] = ErrLoginFailed
-		}
-	}
-	return errs
-}
-
 // Client is the modified OpenSSH client with the flicker-password method.
 type Client struct {
 	CAPub *palcrypto.RSAPublicKey

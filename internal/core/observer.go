@@ -106,18 +106,6 @@ func (p *Platform) AddObserver(o Observer) {
 	p.observers = append(p.observers, o)
 }
 
-// RemoveObserver unregisters a previously added observer.
-func (p *Platform) RemoveObserver(o Observer) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i, x := range p.observers {
-		if x == o {
-			p.observers = append(p.observers[:i], p.observers[i+1:]...)
-			return
-		}
-	}
-}
-
 // observersInto copies the observer list into dst's backing storage,
 // growing it only when the list got longer — the session hot path hands in
 // a per-platform scratch slice so a warm session does not allocate here.

@@ -269,22 +269,19 @@ func (st *sessionState) runPhase(ph *phaseSpec, obs []Observer) error {
 
 // --- Shared phase bodies ----------------------------------------------------
 
-// acceptBody resolves the SLB image (through the platform's image cache
-// unless the registry already supplied one) and obtains slb_base.
+// acceptBody resolves the SLB image through the platform's image cache and
+// obtains slb_base.
 func acceptBody(st *sessionState) error {
+	pl := st.pl
+	if f, ok := pl.(*framedPAL); ok {
+		// A batch launches the wrapped PAL's image: the wrapper hides the
+		// PAL's optional interfaces (pal.LargePAL).
+		pl = f.PAL
+	}
 	var err error
-	st.im = st.opts.image
-	if st.im == nil {
-		pl := st.pl
-		if f, ok := pl.(*framedPAL); ok {
-			// A batch launches the wrapped PAL's image: the wrapper hides
-			// the PAL's optional interfaces (pal.LargePAL).
-			pl = f.PAL
-		}
-		st.im, err = st.p.imageFor(pl, st.opts.TwoStage)
-		if err != nil {
-			return err
-		}
+	st.im, err = st.p.imageFor(pl, st.opts.TwoStage)
+	if err != nil {
+		return err
 	}
 	st.slbBase, err = st.p.Mod.AllocateSLB()
 	if err != nil {
@@ -408,7 +405,6 @@ func palExecBody(st *sessionState) error {
 		SLBBase:    st.slbBase,
 		SLBLen:     st.im.Len(),
 		Sandbox:    st.opts.Sandbox,
-		HeapSize:   st.opts.HeapSize,
 		Machine:    p.Machine,
 		MaxPALTime: st.opts.MaxPALTime,
 		Identity:   identity,
@@ -499,19 +495,16 @@ func (st *sessionState) writeOutputPage(out []byte) error {
 // the blanket zero: a failed session should not optimize for the next
 // launch.
 func cleanupBody(st *sessionState) error {
-	if st.env != nil && st.env.Heap != nil {
-		st.env.Heap.Wipe()
-	}
 	st.p.scrubSessionScratch()
-	// init-slb staged the whole image, so it fits below the window's end.
+	// init-slb staged the whole image, so it ends at or below the window's
+	// end; an image that fills the window leaves a zero-length tail.
 	wipe := min(slb.MaxLen, st.p.Machine.Mem.Size()-int(st.slbBase))
 	if err := st.p.Machine.StageSLB(st.slbBase, st.im); err != nil {
 		return err
 	}
-	if scrub := st.im.Len(); wipe > scrub {
-		if _, err := st.p.Machine.Mem.ZeroIfDirty(st.slbBase+uint32(scrub), wipe-scrub); err != nil {
-			return err
-		}
+	scrub := st.im.Len()
+	if _, err := st.p.Machine.Mem.ZeroIfDirty(st.slbBase+uint32(scrub), wipe-scrub); err != nil {
+		return err
 	}
 	// The extra-code region lies outside the 64 KB measured window, so
 	// zeroing it cannot disturb the measurement cache; it stays blanket-

@@ -113,10 +113,11 @@ type Platform struct {
 	}
 }
 
+// registeredPAL is what the sysfs control path launches for a staged SLB:
+// the PAL and its session options. Its image is imageFor's.
 type registeredPAL struct {
-	p     pal.PAL
-	image *slb.Image
-	opts  SessionOptions
+	p    pal.PAL
+	opts SessionOptions
 }
 
 // imageKey identifies a built SLB image: the PAL's measured identity (name,
@@ -292,32 +293,35 @@ func (p *Platform) RegisterPAL(pl pal.PAL, opts SessionOptions) (*slb.Image, err
 	if err != nil {
 		return nil, err
 	}
-	opts.image = im
 	p.mu.Lock()
-	p.registry[im.WindowMeasurement()] = &registeredPAL{p: pl, image: im, opts: opts}
+	p.registry[im.WindowMeasurement()] = &registeredPAL{p: pl, opts: opts}
 	p.mu.Unlock()
 	return im, nil
 }
 
-// LaunchByMeasurement implements flickermod.Launcher: it runs a session for
-// a registered SLB identified by the hash of its unpatched bytes. The
-// registered prebuilt image is reused — the hot path never relinks. The
-// outputs are on the output page when it returns.
+// LaunchByMeasurement implements flickermod.Launcher: it runs a session,
+// through RunSession, for a registered SLB identified by the hash of its
+// unpatched bytes. The image comes from imageFor's cache, so the path
+// never relinks. The outputs are on the output page when it returns.
 func (p *Platform) LaunchByMeasurement(key [20]byte, inputs []byte) error {
 	p.mu.Lock()
 	reg, ok := p.registry[key]
+	var regs []*registeredPAL
 	if !ok {
-		// The staged bytes may be a registered image that was patched in
-		// place after registration (slb_base is stable): match on the hash
-		// of the image's current bytes, which the image keeps across Patch.
 		for _, r := range p.registry {
-			if r.image.WindowMeasurement() == key {
-				reg, ok = r, true
-				break
-			}
+			regs = append(regs, r)
 		}
 	}
 	p.mu.Unlock()
+	// The staged bytes may be a registered image that was patched in place
+	// after registration (slb_base is stable): match on the hash of the
+	// cached image's current bytes, which the image keeps across Patch.
+	for _, r := range regs {
+		if im, err := p.imageFor(r.p, r.opts.TwoStage); err == nil && im.WindowMeasurement() == key {
+			reg, ok = r, true
+			break
+		}
+	}
 	if !ok {
 		return fmt.Errorf("core: no PAL registered for SLB hash %x", key[:8])
 	}

@@ -19,8 +19,6 @@ type SessionOptions struct {
 	// Sandbox links the OS Protection module: the PAL runs in ring 3 and
 	// cannot touch memory outside its own region.
 	Sandbox bool
-	// HeapSize links the Memory Management module with a heap of this size.
-	HeapSize int
 	// TwoStage uses the Section 7.2 optimized SLB: SKINIT measures only a
 	// 4736-byte stub, which then hashes the full SLB on the main CPU.
 	TwoStage bool
@@ -48,9 +46,6 @@ type SessionOptions struct {
 	// platform-registered observers (trace.SessionObserver uses this to
 	// grow a span tree under a caller-owned parent span).
 	Observer Observer
-
-	// image, when set (by the registry path), reuses a prebuilt image.
-	image *slb.Image
 }
 
 // Phase is one step of the Figure 2 timeline with its simulated cost.

@@ -481,41 +481,6 @@ func TestSessionTimingBreakdown(t *testing.T) {
 	}
 }
 
-func TestHeapAvailableWhenLinked(t *testing.T) {
-	p := newPlatform(t)
-	used := false
-	heapy := &pal.Func{
-		PALName: "heapy",
-		Binary:  pal.DescriptorCode("heapy", "1.0", []string{"Memory Management"}, nil),
-		Fn: func(env *pal.Env, input []byte) ([]byte, error) {
-			if env.Heap == nil {
-				return nil, errors.New("no heap")
-			}
-			ptr, err := env.Heap.Malloc(128)
-			if err != nil {
-				return nil, err
-			}
-			used = true
-			return nil, env.Heap.Free(ptr)
-		},
-	}
-	res, err := p.RunSession(heapy, SessionOptions{HeapSize: 4096})
-	if err != nil || res.PALError != nil {
-		t.Fatalf("%v %v", err, res.PALError)
-	}
-	if !used {
-		t.Fatal("heap not exercised")
-	}
-	// Without the module, Heap is nil.
-	res, err = p.RunSession(heapy, SessionOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PALError == nil {
-		t.Fatal("expected 'no heap' error without Memory Management module")
-	}
-}
-
 func TestConcurrentCallersAreSerialized(t *testing.T) {
 	// Two goroutines racing RunSession must both succeed: the platform
 	// queues them like concurrent ioctls against the one flicker-module.

@@ -4,7 +4,6 @@ package metrics
 // snapshot (for the `flicker serve` /stats endpoint and programmatic reads).
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -203,11 +202,4 @@ func hasLabelValues(labels map[string]string, want []string) bool {
 		}
 	}
 	return true
-}
-
-// WriteJSON renders the snapshot as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }

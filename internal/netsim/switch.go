@@ -158,9 +158,6 @@ type Port struct {
 	closed  bool
 }
 
-// Name returns the port's address on the switch.
-func (p *Port) Name() string { return p.name }
-
 // SetHandler installs (or replaces) the request handler.
 func (p *Port) SetHandler(h Handler) {
 	p.mu.Lock()

@@ -46,16 +46,13 @@ type BatchPAL interface {
 	CloseBatch(env *Env, bctx any) ([]byte, error)
 }
 
-// AsBatch returns p's batch implementation. PALs that implement BatchPAL
-// are returned as-is; plain PALs get a run-per-request adapter, which gives
-// every request exactly the semantics of a singleton session body — this is
-// what lets the pool coalesce arbitrary PALs without changing behavior.
-func AsBatch(p PAL) BatchPAL { return AsBatchWith(p, new(PerRequest)) }
-
-// AsBatchWith is AsBatch with a caller-owned adapter: a plain PAL is
-// installed in a, and a is returned. A caller that keeps one adapter (the
-// session engine's per-platform scratch) adapts plain PALs without
-// allocating.
+// AsBatchWith returns p's batch implementation. PALs that implement
+// BatchPAL are returned as-is; a plain PAL is installed in the caller-owned
+// run-per-request adapter a, and a is returned. The adapter gives every
+// request exactly the semantics of a singleton session body — this is what
+// lets the pool coalesce arbitrary PALs without changing behavior — and a
+// caller that keeps one (the session engine's per-platform scratch) adapts
+// plain PALs without allocating.
 func AsBatchWith(p PAL, a *PerRequest) BatchPAL {
 	if bp, ok := p.(BatchPAL); ok {
 		return bp

@@ -34,9 +34,6 @@ type Env struct {
 	// to [slbBase, slbBase+slb.ParamAreaLen) and the PAL runs in ring 3.
 	sandboxed bool
 
-	// Heap is nil unless the Memory Management module is linked.
-	Heap *Heap
-
 	rng     *palcrypto.PRNG
 	outputs []byte
 	// unseal is the session scratch Unseal returns plaintexts in, and
@@ -72,11 +69,8 @@ type EnvConfig struct {
 	// Sandbox enables the OS Protection module: ring-3 execution with
 	// segment limits confining the PAL to its own memory region.
 	Sandbox bool
-	// HeapSize, if non-zero, links the Memory Management module with a
-	// heap of that many bytes.
-	HeapSize int
 	// RNGSeed seeds the PAL-side PRNG. The paper's PALs seed theirs from
-	// TPM GetRandom; NewEnv does the same when this is nil.
+	// TPM GetRandom; Reinit does the same when this is nil.
 	RNGSeed []byte
 	// Machine, if set, exposes next-generation hardware features (the
 	// protected context store of [19]) to the PAL.
@@ -95,20 +89,10 @@ type EnvConfig struct {
 	ExtraLen int
 }
 
-// NewEnv prepares a PAL execution environment (the SLB Core's
-// initialization phase).
-func NewEnv(cfg EnvConfig) (*Env, error) {
-	e := &Env{}
-	if err := e.Reinit(cfg); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// Reinit re-prepares an Env in place for a new session, reusing the
-// receiver's PRNG state and (shape-permitting) heap buffer. It is
-// behaviorally identical to NewEnv — the session engine keeps one Env per
-// platform so a warm session does not rebuild the environment on the heap.
+// Reinit prepares an Env in place for a new session (the SLB Core's
+// initialization phase), reusing the receiver's PRNG state; the zero Env is
+// ready for it. The session engine keeps one Env per platform so a warm
+// session does not rebuild the environment on the heap.
 func (e *Env) Reinit(cfg EnvConfig) error {
 	if cfg.Clock == nil || cfg.Profile == nil || cfg.Mem == nil || cfg.TPM == nil {
 		return errors.New("pal: incomplete environment config")
@@ -125,21 +109,6 @@ func (e *Env) Reinit(cfg EnvConfig) error {
 	e.outputs = nil
 	e.deadline = 0
 	e.ScrubScratch()
-	if cfg.HeapSize > 0 {
-		// NewHeap clamps tiny sizes; mirror it so a matching request
-		// reuses the buffer it produced.
-		n := cfg.HeapSize
-		if n < hdrSize+minSplit {
-			n = hdrSize + minSplit
-		}
-		if e.Heap != nil && len(e.Heap.buf) == n {
-			e.Heap.setHdr(0, n-hdrSize, true)
-		} else {
-			e.Heap = NewHeap(cfg.HeapSize)
-		}
-	} else {
-		e.Heap = nil
-	}
 	seed := cfg.RNGSeed
 	if seed == nil {
 		// "We also make one call to TPM GetRandom to obtain 128 bytes of
@@ -382,9 +351,6 @@ func (e *Env) checkTimer() error {
 func (e *Env) TimedOut() bool {
 	return e.deadline > 0 && e.clock.Now() >= e.deadline
 }
-
-// Identity returns the hardware-latched PAL identity (PCR 17 at launch).
-func (e *Env) Identity() tpm.Digest { return e.identity }
 
 // StashContext stores PAL state in the next-generation hardware's protected
 // context store ([19]), keyed by this PAL's launch identity. On 2008-era

@@ -50,15 +50,15 @@ func (r *envRig) env(t *testing.T, cfg EnvConfig) *Env {
 	}
 	cfg.SLBBase = r.slbBase
 	cfg.SLBLen = 8192
-	e, err := NewEnv(cfg)
-	if err != nil {
+	e := new(Env)
+	if err := e.Reinit(cfg); err != nil {
 		t.Fatal(err)
 	}
 	return e
 }
 
 func TestNewEnvValidation(t *testing.T) {
-	if _, err := NewEnv(EnvConfig{}); err == nil {
+	if err := new(Env).Reinit(EnvConfig{}); err == nil {
 		t.Fatal("incomplete config accepted")
 	}
 }
@@ -67,7 +67,7 @@ func TestEnvRNGSeededFromTPM(t *testing.T) {
 	r := newEnvRig(t)
 	before := r.clock.Now()
 	e := r.env(t, EnvConfig{})
-	// NewEnv issued a GetRandom (1.3 ms on the Broadcom profile).
+	// Reinit issued a GetRandom (1.3 ms on the Broadcom profile).
 	if got := r.clock.Now() - before; got != r.profile.TPMGetRandom {
 		t.Errorf("env setup charged %v, want %v", got, r.profile.TPMGetRandom)
 	}

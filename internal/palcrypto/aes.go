@@ -5,12 +5,9 @@ import (
 	"fmt"
 )
 
-// AESBlockSize is the AES block size in bytes.
-const AESBlockSize = 16
-
 // aesSbox is computed at init from the AES field inverse and affine map, so
 // the table is derived rather than transcribed.
-var aesSbox, aesInvSbox = func() (s [256]byte, inv [256]byte) {
+var aesSbox = func() (s [256]byte) {
 	// Multiplicative inverse in GF(2^8) via exponentiation tables.
 	var exp [256]byte
 	var log [256]byte
@@ -31,7 +28,6 @@ var aesSbox, aesInvSbox = func() (s [256]byte, inv [256]byte) {
 		// Affine transformation.
 		r := v ^ rotl8(v, 1) ^ rotl8(v, 2) ^ rotl8(v, 3) ^ rotl8(v, 4) ^ 0x63
 		s[i] = r
-		inv[r] = byte(i)
 	}
 	return
 }()
@@ -79,15 +75,6 @@ type AES struct {
 	nr  int
 }
 
-// NewAES creates an AES cipher for a 16-, 24-, or 32-byte key.
-func NewAES(key []byte) (*AES, error) {
-	a := &AES{}
-	if err := a.SetKey(key); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
 // SetKey expands a 16-, 24-, or 32-byte key into the receiver's schedule.
 // Rounds a shorter key leaves unused are cleared, so rekeying never keeps
 // a tail of the previous schedule.
@@ -130,9 +117,6 @@ func subWord(x uint32) uint32 {
 		uint32(aesSbox[x>>8&0xff])<<8 | uint32(aesSbox[x&0xff])
 }
 
-// BlockSize returns AESBlockSize.
-func (a *AES) BlockSize() int { return AESBlockSize }
-
 // state is the AES 4x4 byte state, column-major as in FIPS 197.
 type aesState [16]byte
 
@@ -166,35 +150,9 @@ func (a *AES) Encrypt(dst, src []byte) {
 	copy(dst[:16], s[:])
 }
 
-// Decrypt decrypts one 16-byte block from src into dst (may alias).
-func (a *AES) Decrypt(dst, src []byte) {
-	if len(src) < 16 || len(dst) < 16 {
-		panic("palcrypto: AES block too short")
-	}
-	var s aesState
-	copy(s[:], src[:16])
-	a.addRoundKey(&s, a.nr)
-	invShiftRows(&s)
-	invSubBytes(&s)
-	for r := a.nr - 1; r >= 1; r-- {
-		a.addRoundKey(&s, r)
-		invMixColumns(&s)
-		invShiftRows(&s)
-		invSubBytes(&s)
-	}
-	a.addRoundKey(&s, 0)
-	copy(dst[:16], s[:])
-}
-
 func subBytes(s *aesState) {
 	for i := range s {
 		s[i] = aesSbox[s[i]]
-	}
-}
-
-func invSubBytes(s *aesState) {
-	for i := range s {
-		s[i] = aesInvSbox[s[i]]
 	}
 }
 
@@ -204,12 +162,6 @@ func shiftRows(s *aesState) {
 	s[1], s[5], s[9], s[13] = s[5], s[9], s[13], s[1]
 	s[2], s[6], s[10], s[14] = s[10], s[14], s[2], s[6]
 	s[3], s[7], s[11], s[15] = s[15], s[3], s[7], s[11]
-}
-
-func invShiftRows(s *aesState) {
-	s[1], s[5], s[9], s[13] = s[13], s[1], s[5], s[9]
-	s[2], s[6], s[10], s[14] = s[10], s[14], s[2], s[6]
-	s[3], s[7], s[11], s[15] = s[7], s[11], s[15], s[3]
 }
 
 // xtime multiplies by x in GF(2^8) without branching: the reduction by
@@ -229,23 +181,6 @@ func mixColumns(s *aesState) {
 		col[2] = a2 ^ t ^ xtime(a2^a3)
 		col[3] = a3 ^ t ^ xtime(a3^a0)
 	}
-}
-
-// invMixColumns uses the decomposition of the inverse matrix into
-// ({04}x^2+{05}) followed by MixColumns (The Design of Rijndael, §4.1.3):
-// the pre-step adds {04}·(a0^a2) to the even rows and {04}·(a1^a3) to the
-// odd ones, so the inverse is as branch-free as the forward transform.
-func invMixColumns(s *aesState) {
-	for c := 0; c < 4; c++ {
-		col := s[4*c : 4*c+4]
-		u := xtime(xtime(col[0] ^ col[2]))
-		v := xtime(xtime(col[1] ^ col[3]))
-		col[0] ^= u
-		col[1] ^= v
-		col[2] ^= u
-		col[3] ^= v
-	}
-	mixColumns(s)
 }
 
 // CTRKeystream XORs data with the AES-CTR keystream for the given 16-byte

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/md5"
 	"crypto/sha1"
-	"crypto/sha512"
 	"encoding/hex"
 	"hash"
 	"strings"
@@ -53,20 +52,6 @@ func TestMD5Vectors(t *testing.T) {
 	}
 }
 
-func TestSHA512Vectors(t *testing.T) {
-	// FIPS 180-4 vectors.
-	cases := []struct{ in, want string }{
-		{"", "cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4a921d36ce9ce47d0d13c5d85f2b0ff8318d2877eec2f63b931bd47417a81a538327af927da3e"},
-		{"abc", "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f"},
-		{"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
-			"8e959b75dae313da8cf4f72814fc143f8f7779c6eb9f7fa17299aeadb6889018501d289e4900f7e4331b99dec4b5433ac7d329eeb6dd26545e96e55b874be909"},
-	}
-	for _, tc := range cases {
-		d := SHA512Sum([]byte(tc.in))
-		hexEq(t, d[:], tc.want)
-	}
-}
-
 // Property: our implementations agree with the standard library on
 // arbitrary inputs (including ones that straddle block boundaries).
 func TestHashesMatchStdlib(t *testing.T) {
@@ -75,9 +60,7 @@ func TestHashesMatchStdlib(t *testing.T) {
 		w1 := sha1.Sum(data)
 		m := MD5Sum(data)
 		wm := md5.Sum(data)
-		s5 := SHA512Sum(data)
-		w5 := sha512.Sum512(data)
-		return s1 == w1 && m == wm && s5 == w5
+		return s1 == w1 && m == wm
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -122,22 +105,21 @@ func TestSumDoesNotDisturbState(t *testing.T) {
 }
 
 func TestResetRestoresInitialState(t *testing.T) {
-	for _, h := range []hash.Hash{NewSHA1(), NewMD5(), NewSHA512()} {
+	for _, h := range []hash.Hash{NewSHA1(), NewMD5()} {
 		h.Write([]byte("garbage"))
 		h.Reset()
 		h.Write([]byte("abc"))
 		fresh := map[int]string{
-			SHA1Size:   "a9993e364706816aba3e25717850c26c9cd0d89d",
-			MD5Size:    "900150983cd24fb0d6963f7d28e17f72",
-			SHA512Size: "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f",
+			SHA1Size: "a9993e364706816aba3e25717850c26c9cd0d89d",
+			MD5Size:  "900150983cd24fb0d6963f7d28e17f72",
 		}
 		hexEq(t, h.Sum(nil), fresh[h.Size()])
 	}
 }
 
 func TestBlockBoundaryLengths(t *testing.T) {
-	// Exercise every length around the SHA-1/MD5 padding boundary and the
-	// SHA-512 one; compare against stdlib.
+	// Exercise every length around the SHA-1/MD5 padding boundary; compare
+	// against stdlib.
 	for n := 50; n <= 70; n++ {
 		data := bytes.Repeat([]byte{0xA5}, n)
 		if SHA1Sum(data) != sha1.Sum(data) {
@@ -145,12 +127,6 @@ func TestBlockBoundaryLengths(t *testing.T) {
 		}
 		if MD5Sum(data) != md5.Sum(data) {
 			t.Errorf("md5 mismatch at len %d", n)
-		}
-	}
-	for n := 110; n <= 132; n++ {
-		data := bytes.Repeat([]byte{0x3C}, n)
-		if SHA512Sum(data) != sha512.Sum512(data) {
-			t.Errorf("sha512 mismatch at len %d", n)
 		}
 	}
 }

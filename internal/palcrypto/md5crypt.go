@@ -1,9 +1,6 @@
 package palcrypto
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // md5cryptMagic is the scheme prefix used in /etc/passwd-style entries.
 const md5cryptMagic = "$1$"
@@ -101,18 +98,4 @@ func to64(sb *strings.Builder, v uint, n int) {
 		sb.WriteByte(itoa64[v&0x3f])
 		v >>= 6
 	}
-}
-
-// MD5CryptVerify checks password against a stored "$1$salt$hash" entry.
-func MD5CryptVerify(password, stored string) (bool, error) {
-	if !strings.HasPrefix(stored, md5cryptMagic) {
-		return false, fmt.Errorf("palcrypto: not an md5crypt entry: %q", stored)
-	}
-	rest := stored[len(md5cryptMagic):]
-	i := strings.IndexByte(rest, '$')
-	if i < 0 {
-		return false, fmt.Errorf("palcrypto: malformed md5crypt entry")
-	}
-	salt := rest[:i]
-	return ConstantTimeEqual([]byte(MD5Crypt(password, salt)), []byte(stored)), nil
 }

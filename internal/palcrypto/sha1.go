@@ -1,6 +1,7 @@
 // Package palcrypto is the from-scratch cryptographic module library that a
-// PAL links against, mirroring the paper's "Crypto" module (Figure 6: RSA,
-// SHA-1, SHA-512, MD5, AES, RC4, multi-precision integers). Everything here
+// PAL links against, mirroring the paper's "Crypto" module (Figure 6). It
+// keeps what a PAL here runs: RSA, SHA-1, MD5 and md5crypt, HMAC, AES
+// encryption and CTR, and the PRNG. Everything here
 // is implemented directly from the relevant specifications rather than
 // delegating to crypto/*, because in the real system this code *is* part of
 // the measured TCB and its size is part of the paper's accounting.

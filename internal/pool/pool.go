@@ -367,7 +367,6 @@ func coalescable(a, b *job) bool {
 	// runBatch merges every member's observer, so a traced job coalesces
 	// with untraced companions and still sees the shared session's spans.
 	return a.opts.Sandbox == b.opts.Sandbox &&
-		a.opts.HeapSize == b.opts.HeapSize &&
 		a.opts.TwoStage == b.opts.TwoStage &&
 		a.opts.MaxPALTime == b.opts.MaxPALTime
 }

@@ -97,7 +97,6 @@ type PALCode struct {
 
 // Image is a built SLB.
 type Image struct {
-	name    string
 	data    []byte
 	patched bool
 	base    uint32
@@ -147,13 +146,10 @@ func Build(p PALCode) (*Image, error) {
 	binary.LittleEndian.PutUint16(data[2:4], uint16(tssOff+tssLen))
 	copy(data[tssOff+tssLen:], slbCoreCode)
 	copy(data[CoreRegionLen:], p.Code)
-	im := &Image{name: p.Name, data: data, extra: append([]byte(nil), p.Extra...)}
+	im := &Image{data: data, extra: append([]byte(nil), p.Extra...)}
 	im.refreshDigests()
 	return im, nil
 }
-
-// Name returns the PAL label.
-func (im *Image) Name() string { return im.name }
 
 // Len returns the SLB length in bytes (the header's length field).
 func (im *Image) Len() int { return len(im.data) }
@@ -265,7 +261,7 @@ func BuildTwoStage(p PALCode) (*Image, error) {
 	copy(data[tssOff+tssLen:], slbCoreCode)
 	copy(data[tssOff+tssLen+coreLen:], stubHashCode)
 	copy(data[stubPrefixLen:], p.Code)
-	im := &Image{name: p.Name, data: data, stubLen: stubPrefixLen,
+	im := &Image{data: data, stubLen: stubPrefixLen,
 		extra: append([]byte(nil), p.Extra...)}
 	im.refreshDigests()
 	return im, nil

@@ -41,9 +41,6 @@ func NewClient(bus *tis.Bus, loc tis.Locality, nonceSeed []byte) *Client {
 	return &Client{bus: bus, loc: loc, rng: palcrypto.NewPRNG(nonceSeed)}
 }
 
-// Locality returns the locality this driver issues commands at.
-func (c *Client) Locality() tis.Locality { return c.loc }
-
 // Reseed resets the client's nonce generator to the state NewClient with the
 // same seed would produce. It lets a session reuse a cached driver while
 // keeping the nonce stream identical to a freshly constructed one.

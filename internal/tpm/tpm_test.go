@@ -98,7 +98,7 @@ func TestSoftwareCannotResetPCR17(t *testing.T) {
 	for _, c := range []*Client{r.os, r.pal} {
 		err := c.PCRReset(SelectPCRs(17))
 		if err == nil {
-			t.Fatalf("locality %d reset PCR 17", c.Locality())
+			t.Fatalf("locality %d reset PCR 17", c.loc)
 		}
 	}
 	// Even locality 4 cannot use the *software* reset for PCR 17; the only
