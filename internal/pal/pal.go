@@ -4,8 +4,10 @@
 // Run executes inside a Flicker session with an Env that exposes exactly
 // the capabilities the paper's modules provide: the TPM driver and
 // utilities, physical memory access (optionally sandboxed by the OS
-// Protection module), a malloc-style heap, the crypto library, and the
-// secure-channel helpers.
+// Protection module), the crypto library, and the secure-channel helpers.
+// The Memory Management module is named in the inventory and in PAL
+// descriptors, whose bytes are measured, but no PAL here allocates from a
+// heap.
 package pal
 
 import (
